@@ -8,6 +8,7 @@ grid/stencil mismatch, ...).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -165,6 +166,11 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _require_positive(flag: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"{flag} must be a finite number > 0, got {value:g}")
+
+
 def _box(text: str) -> tuple[float, float]:
     vals = _float_list(text)
     if len(vals) != 2:
@@ -243,6 +249,7 @@ def _load_scheme(args) -> Scheme:
 
 
 def _cmd_stability(args) -> int:
+    _require_positive("--tol", args.tol)
     try:
         scheme = _load_scheme(args)
     except (OSError, ValueError) as exc:
@@ -269,6 +276,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _require_positive("--tol", args.tol)
     cls = classify_first_order(args.m, tol=args.tol)
     print(f"# first-order windows for m={args.m} (measured critical Courant numbers)")
     print("r " + " ".join(f"{r:>10d}" for r in range(args.m + 1)))
@@ -324,7 +332,7 @@ def _advection_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     out_steps = sorted({round(t / preset.dt) for t in preset.output_times})
     for n in orders:
         offs = _family_window(family, n)
-        scheme = master_scheme(SchemeSpec(1, n, offs))
+        # one problem per order, so both profiles share one scheme build
         problem = LinearProblem(terms=(LinearTerm(1, preset.a, offs),), dt=preset.dt, n=n)
         for prof_name in profiles:
             field = GridField.sample(make_profile(prof_name, preset.box), preset.box, n_cells)
@@ -409,6 +417,8 @@ def _explicit_run(args, out_dir: str) -> int:
     if args.steps is None:
         raise ConfigurationError("an explicit run needs --steps")
     a = args.a if args.a is not None else float(preferred_sign(args.m))
+    if a == 0:
+        raise ConfigurationError("coefficient a must be nonzero")
     offs = (
         OffsetSet(args.offsets)
         if args.offsets is not None
@@ -416,8 +426,10 @@ def _explicit_run(args, out_dir: str) -> int:
     )
     box = args.box
     dx = args.dx if args.dx is not None else 0.1
+    _require_positive("--dx", dx)
     # default step: Courant magnitude 0.4, comfortably inside every stable family
     dt = args.dt if args.dt is not None else 0.4 * dx**args.m / abs(a)
+    _require_positive("--dt", dt)
     n_cells = round((box[1] - box[0]) / dx)
     if n_cells < 1 or abs(n_cells * dx - (box[1] - box[0])) > 1e-9 * max(1.0, n_cells):
         raise ConfigurationError(

@@ -1,7 +1,9 @@
 """Periodic 1-D time marching with generated schemes.
 
-Fields live on a uniform grid with periodic wrap-around; one explicit step is
-a weighted sum of rolled copies of the value array, so the only floating-point
+Fields live on a uniform grid with periodic wrap-around.  One explicit step
+copies the value array once into a buffer padded with a halo of wrapped values
+on each side, as wide as the stencil reaches, and then sums weighted slices of
+that buffer, one shifted slice per stencil offset.  The only floating-point
 work per step is a handful of numpy axpy operations.  Weights are produced by
 the exact generator and converted to float once, up front.
 """
@@ -13,6 +15,7 @@ import cmath
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -157,6 +160,11 @@ class LinearProblem:
         return default_offsets(term.m, self.n, sign)
 
     def schemes(self) -> tuple[Scheme, ...]:
+        """One scheme per term, built and audited on the first call and kept."""
+        return self._schemes
+
+    @cached_property
+    def _schemes(self) -> tuple[Scheme, ...]:
         return tuple(
             master_scheme(SchemeSpec(t.m, self.n, self.term_offsets(t)))
             for t in self.terms
@@ -175,11 +183,28 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
 
 
 def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np.ndarray:
-    out = np.zeros_like(values)
+    """out[j] = sum of w * values[(j + k) mod N] over the (k, w) items, in order.
+
+    The periodic wrap comes from one halo-padded copy, ext = (last lo values,
+    values, first hi values), so values[(j + k) mod N] is ext[lo + k + j] and
+    each offset is one slice.  The terms are added in the order of `items`,
+    skipping zero weights, which is the same floating-point sum as adding
+    w * np.roll(values, -k).  Offsets must satisfy |k| <= N.
+
+    Returns a new array on every call and writes into no other array, neither
+    `values` nor one it returned before, so callers may keep any result
+    without copying it.
+    """
+    n = values.size
+    # items are (offset, weight) pairs with distinct offsets, so the least
+    # and greatest pairs carry the least and greatest offsets
+    lo = max(0, -min(items)[0])
+    hi = max(0, max(items)[0])
+    ext = np.concatenate((values[n - lo:], values, values[:hi]))
+    out = np.zeros(n)
     for k, w in items:
         if w:
-            # roll by -k so position j reads values[j + k] with periodic wrap
-            out += w * np.roll(values, -k)
+            out += w * ext[lo + k : lo + k + n]
     return out
 
 
@@ -223,7 +248,8 @@ def run_linear(
         for items in all_items:
             u = _apply_stencil(u, items)
         if callback is not None:
-            callback(s + 1, GridField(u.copy(), field.dx, field.origin))
+            # u is never written again: the next step makes a new array
+            callback(s + 1, GridField(u, field.dx, field.origin))
     return GridField(u, field.dx, field.origin)
 
 
@@ -362,8 +388,13 @@ def convergence_study(
     if a == 0:
         raise ConfigurationError("coefficient a must be nonzero")
     nu = abs(float(nu))
-    if nu == 0:
-        raise ConfigurationError("Courant magnitude must be positive")
+    if not (nu > 0 and math.isfinite(nu)):
+        raise ConfigurationError("Courant magnitude must be a finite number > 0")
+    grids = tuple(int(g) for g in grids)
+    if len(set(grids)) < 2:
+        raise ConfigurationError("a convergence study needs at least two distinct grid sizes")
+    if min(grids) < 1:
+        raise ConfigurationError("grid sizes must be at least 1 cell")
     if profile is not None and m != 1:
         raise ConfigurationError(
             "custom profiles have an exact reference only for m=1; "
@@ -381,6 +412,8 @@ def convergence_study(
         )
 
     lo, hi = box
+    if not hi > lo:
+        raise ConfigurationError(f"empty box {box}")
     length = hi - lo
     p = 2.0 * math.pi / length
     if final_time is None:
@@ -423,7 +456,7 @@ def convergence_study(
         m=m,
         n=n,
         nu=signed_nu,
-        grid_sizes=tuple(int(g) for g in grids),
+        grid_sizes=grids,
         dxs=tuple(dxs),
         dts=tuple(dts),
         steps=tuple(step_counts),

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import fdmarch.cli
+import fdmarch.solver
+
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10
@@ -37,6 +40,28 @@ def console_script_launcher(name):
         "if __name__ == '__main__':\n"
         "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
         f"    sys.exit({attr}())\n"
+    )
+
+
+def checkout_env():
+    """The environment with the checkout's `src` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def run_cli_process(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter against the checkout's sources.
+
+    A hang raises subprocess.TimeoutExpired, so it fails the calling test."""
+    return subprocess.run(
+        [sys.executable, "-m", "fdmarch.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+        timeout=timeout,
     )
 
 
@@ -123,6 +148,23 @@ class TestStability:
         assert "a>0: stable window r=2" in out
         assert "a<0: stable window r=1" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stability", "--m", "1", "--n", "1", "--tol", "0"),
+            ("classify", "--m", "1", "--tol", "0"),
+            ("stability", "--m", "1", "--n", "1", "--tol", "-0.1"),
+            ("classify", "--m", "1", "--tol", "-0.1"),
+            ("stability", "--m", "1", "--n", "1", "--tol", "nan"),
+            ("stability", "--m", "1", "--n", "1", "--tol", "inf"),
+        ],
+    )
+    def test_tol_must_be_positive(self, argv):
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "--tol must be a finite number > 0" in proc.stderr
+        assert proc.stdout == ""
+
     def test_classify_reports_dead_sign(self, capsys):
         assert run_cli("classify", "--m", "2") == 0
         out = capsys.readouterr().out
@@ -147,6 +189,25 @@ class TestConverge:
     def test_unstable_refused(self, capsys):
         assert run_cli("converge", "--m", "2", "--n", "1", "--nu", "0.8") == 2
         assert "unstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--grids", "0,8"), "grid sizes must be at least 1 cell"),
+            (("--grids", "64"), "at least two distinct grid sizes"),
+            (("--grids", "64,64"), "at least two distinct grid sizes"),
+            (("--box", "1,1"), "empty box"),
+        ],
+    )
+    def test_degenerate_ladder_refused(self, extra, message, capsys):
+        assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "0.5", *extra) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "fitted order" not in captured.out
+
+    def test_nan_courant_refused(self, capsys):
+        assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "nan") == 2
+        assert "Courant magnitude must be a finite number > 0" in capsys.readouterr().err
 
 
 # -- run ----------------------------------------------------------------------------------
@@ -182,6 +243,22 @@ class TestRunPresets:
         assert float(meta["nu"]) == pytest.approx(-0.8)
         assert meta["offsets"] == "-3,-2,-1,0,1,2"
         assert len(rows) == 100
+
+    def test_one_scheme_build_per_order(self, tmp_path, monkeypatch):
+        built = []
+        real = fdmarch.solver.master_scheme
+
+        def counting(spec):
+            built.append(spec.n)
+            return real(spec)
+
+        monkeypatch.setattr(fdmarch.solver, "master_scheme", counting)
+        monkeypatch.setattr(fdmarch.cli, "master_scheme", counting)
+        assert run_cli(
+            "run", "fig-advection", "--orders", "1,3", "--out", str(tmp_path / "o")
+        ) == 0
+        assert built == [1, 3]
+        assert len(list((tmp_path / "o").iterdir())) == 4
 
     def test_unknown_preset(self, tmp_path, capsys):
         assert run_cli("run", "fig-nope", "--out", str(tmp_path / "o")) == 2
@@ -235,6 +312,24 @@ class TestRunExplicit:
         ) == 2
         assert "within the run duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--dx", "0"), "--dx must be a finite number > 0"),
+            (("--dx", "-0.1"), "--dx must be a finite number > 0"),
+            (("--dx", "nan"), "--dx must be a finite number > 0"),
+            (("--dt", "nan"), "--dt must be a finite number > 0"),
+            (("--a", "0"), "coefficient a must be nonzero"),
+        ],
+    )
+    def test_degenerate_grid_refused(self, extra, message, tmp_path, capsys):
+        assert run_cli(
+            "run", "--m", "1", "--n", "1", "--steps", "1", *extra,
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_bad_dx_tiling(self, tmp_path, capsys):
         assert run_cli(
             "run", "--m", "1", "--n", "1", "--steps", "10", "--dx", "0.3",
@@ -261,15 +356,11 @@ class TestExitCodes:
         # declared [project.scripts] entry, against the checkout's sources.
         launcher = tmp_path / "fdmarch"
         launcher.write_text(console_script_launcher("fdmarch"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, str(launcher), "coeffs", "--m", "1", "--n", "1"],
             capture_output=True,
             text=True,
-            env=env,
+            env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "c[0](nu)" in proc.stdout

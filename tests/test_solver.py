@@ -29,6 +29,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
+from fdmarch.solver import _apply_stencil
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -133,6 +134,58 @@ class TestStepLinear:
         assert np.array_equal(out.values, np.roll(field.values, -shift))
 
 
+class TestApplyStencil:
+    @staticmethod
+    def rolled_reference(values, items):
+        """The stencil as a weighted sum of rolled copies, added in item order."""
+        out = np.zeros_like(values)
+        for k, w in items:
+            if w:
+                # roll by -k so position j reads values[j + k] with periodic wrap
+                out += w * np.roll(values, -k)
+        return out
+
+    @pytest.mark.parametrize("kind", ["negative", "positive", "mixed"])
+    def test_matches_rolled_copies_bitwise(self, kind):
+        rng = np.random.default_rng({"negative": 1, "positive": 2, "mixed": 3}[kind])
+        for n_cells in range(3, 41):
+            reach = (n_cells - 1) // 2
+            pool = {
+                "negative": range(-reach, 0),
+                "positive": range(1, reach + 1),
+                "mixed": range(-reach, reach + 1),
+            }[kind]
+            values = rng.normal(size=n_cells)
+            for _ in range(4):
+                size = rng.integers(1, len(pool) + 1)
+                # always include both ends of the pool, so the reach is (N-1)//2
+                chosen = rng.choice(pool, size=size, replace=False).tolist()
+                offsets = sorted(set(chosen) | {pool[0], pool[-1]})
+                weights = rng.normal(size=len(offsets))
+                weights[rng.integers(len(offsets))] = 0.0
+                items = [(int(k), float(w)) for k, w in zip(offsets, weights)]
+                got = _apply_stencil(values, items)
+                assert np.array_equal(got, self.rolled_reference(values, items)), (n_cells, items)
+                rng.shuffle(items)
+                got = _apply_stencil(values, items)
+                assert np.array_equal(got, self.rolled_reference(values, items)), (n_cells, items)
+
+    def test_spectral_oracle_order_29(self):
+        """625 steps of the order-29 uw scheme at nu = -4/5 on 100 cells equal the
+        exact discrete evolution: every Fourier mode times g(theta)^steps."""
+        f = GridField.sample(triangle, (-5.0, 5.0), 100)
+        offs = OffsetSet.contiguous(15, 29)
+        problem = LinearProblem((LinearTerm(1, -1.0, offs),), dt=0.08, n=29)
+        steps = 625
+        out = run_linear(problem, f, steps)
+        (scheme,), (nu,) = problem.schemes(), problem.courant_numbers(f.dx)
+        assert nu == pytest.approx(-0.8)
+        theta = 2.0 * np.pi * np.arange(f.n_cells) / f.n_cells
+        g = sum(w * np.exp(1j * k * theta) for k, w in scheme.float_items(nu))
+        want = np.fft.ifft(g**steps * np.fft.fft(f.values)).real
+        assert np.max(np.abs(out.values - want)) < 1e-10
+
+
 class TestRunLinear:
     def test_term_order_independence(self):
         rng = np.random.default_rng(7)
@@ -158,6 +211,17 @@ class TestRunLinear:
         seen = []
         run_linear(problem, f, 5, callback=lambda s, g: seen.append(s))
         assert seen == [1, 2, 3, 4, 5]
+
+    def test_callback_fields_stay_as_handed_out(self):
+        """Fields kept from the callback are not overwritten by later steps."""
+        f = GridField.sample(triangle, (-5.0, 5.0), 50)
+        problem = LinearProblem((LinearTerm(1, -1.0), LinearTerm(2, 0.05)), dt=0.01, n=3)
+        want = {k: run_linear(problem, f, k).values.copy() for k in range(1, 6)}
+        kept = {}
+        run_linear(problem, f, 5, callback=kept.__setitem__)
+        assert sorted(kept) == [1, 2, 3, 4, 5]
+        for step, g in kept.items():
+            assert np.array_equal(g.values, want[step])
 
     def test_heavy_damping_of_low_order(self):
         """First-order transport at nu=0.8 flattens a triangle over a long run."""
