@@ -1,10 +1,11 @@
 """Exact rational arithmetic: dense polynomials over Fraction and Lagrange stencil bases.
 
 Nothing in this module touches floating point.  Stencil offsets are plain
-integers and every polynomial coefficient is a `fractions.Fraction`, so the
-structural identities the scheme generator relies on (cardinal interpolation,
-moment sums, beyond-range corrections) can be asserted with ``==`` rather
-than with tolerances.
+integers and every `RatPoly` coefficient is a `fractions.Fraction` (the
+Lagrange numerators are built in plain ints first), so the structural
+identities the scheme generator relies on (cardinal interpolation, moment
+sums, beyond-range corrections) can be asserted with ``==`` rather than
+with tolerances.
 """
 
 from __future__ import annotations
@@ -96,14 +97,7 @@ class RatPoly:
     @classmethod
     def from_roots(cls, roots: Iterable[RationalLike]) -> "RatPoly":
         """Monic polynomial prod_i (x - root_i), built by repeated linear multiply."""
-        cs = [Fraction(1)]
-        for root in roots:
-            root = Fraction(root)
-            cs.append(cs[-1])
-            for p in range(len(cs) - 2, 0, -1):
-                cs[p] = cs[p - 1] - root * cs[p]
-            cs[0] = -root * cs[0]
-        return cls(cs)
+        return cls(_node_product(Fraction(root) for root in roots))
 
     # -- basic queries -----------------------------------------------------
 
@@ -252,38 +246,63 @@ def _as_poly(value) -> "RatPoly":
     return NotImplemented
 
 
-def _deflate(poly: RatPoly, root: RationalLike) -> RatPoly:
-    """Exact division by (x - root); the remainder must vanish."""
-    root = Fraction(root)
-    d = poly.degree
+def _node_product(roots: Iterable) -> list:
+    """Coefficients of prod_i (x - root_i), lowest power first.
+
+    Works in the roots' own exact type: integer roots give integer
+    coefficients, with no Fraction arithmetic.
+    """
+    cs = [1]
+    for root in roots:
+        cs.append(cs[-1])
+        for p in range(len(cs) - 2, 0, -1):
+            cs[p] = cs[p - 1] - root * cs[p]
+        cs[0] = -root * cs[0]
+    return cs
+
+
+def _deflate(coeffs: Sequence, root) -> list:
+    """Exact division of a coefficient list by (x - root); the remainder must vanish."""
+    d = len(coeffs) - 1
     if d < 1:
         raise ValueError("cannot deflate a constant polynomial")
-    q = [Fraction(0)] * d
-    acc = Fraction(0)
+    q = [0] * d
+    acc = 0
     for p in range(d, 0, -1):
-        acc = poly.coeffs[p] + root * acc
+        acc = coeffs[p] + root * acc
         q[p - 1] = acc
-    if poly.coeffs[0] + root * acc:
+    if coeffs[0] + root * acc:
         raise ValueError(f"{root} is not a root; deflation leaves a remainder")
-    return RatPoly(q)
+    return q
+
+
+def lagrange_numerators(offsets: Iterable[int]) -> tuple[tuple[list[int], int], ...]:
+    """Integer form of the Lagrange basis: L_i(x) = numer_i(x) / w_i.
+
+    numer_i = prod_{j != i} (x - k_j) as integer coefficients, lowest power
+    first, and w_i = numer_i(k_i) = prod_{j != i} (k_i - k_j).  Each numerator
+    is the full node product deflated by (x - k_i), which keeps the
+    construction O(N^2) overall.
+    """
+    ks = OffsetSet(offsets)
+    node_product = _node_product(ks)
+    return tuple(
+        (_deflate(node_product, k), math.prod(k - kj for kj in ks if kj != k))
+        for k in ks
+    )
 
 
 def lagrange_basis(offsets: Iterable[int]) -> tuple[RatPoly, ...]:
     """Cardinal interpolation polynomials for the given integer nodes.
 
     Returns one degree-(N-1) polynomial per node with L_i(k_j) = delta_ij
-    exactly.  Each numerator is obtained by deflating the full node product
-    by (x - k_i), which keeps the construction O(N^2) overall.
+    exactly, built from the integer numerators and weights of
+    `lagrange_numerators` with one Fraction per coefficient.
     """
-    ks = OffsetSet(offsets)
-    if len(ks) == 1:
-        return (RatPoly.one(),)
-    node_product = RatPoly.from_roots(ks)
-    basis = []
-    for k in ks:
-        numer = _deflate(node_product, k)
-        basis.append(numer / numer(Fraction(k)))
-    return tuple(basis)
+    return tuple(
+        RatPoly(Fraction(c, w) for c in numer)
+        for numer, w in lagrange_numerators(offsets)
+    )
 
 
 def derivatives_at_zero(basis: Sequence[RatPoly], order: int) -> tuple[Rational, ...]:

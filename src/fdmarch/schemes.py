@@ -16,7 +16,9 @@ evaluates weights at a float Courant number.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -27,8 +29,8 @@ from .exact import (
     RatPoly,
     Rational,
     aux_polynomials,
-    derivatives_at_zero,
     lagrange_basis,
+    lagrange_numerators,
 )
 
 
@@ -111,13 +113,32 @@ class Scheme:
     def coefficient(self, offset: int) -> RatPoly:
         return self.coeffs[offset]
 
+    @functools.cached_property
+    def _float_coeffs(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
+        """Per offset, the weight coefficients as floats, highest power first."""
+        return tuple(
+            (k, tuple(float(c) for c in reversed(poly.coeffs)))
+            for k, poly in self.coeffs.items()
+        )
+
     def weights_at(self, nu) -> dict[int, object]:
-        """Evaluate every weight polynomial; exact when nu is int/Fraction."""
+        """Evaluate every weight polynomial; exact when nu is int/Fraction.
+
+        At a float nu this is `RatPoly.__call__`'s Horner loop on coefficients
+        converted to float once per scheme.  A Fraction added to a float is
+        rounded through float() first, so the values are bitwise the same.
+        """
         if isinstance(nu, (int, Fraction)):
             nu = Fraction(nu)
-        else:
-            nu = float(nu)
-        return {k: poly(nu) for k, poly in self.coeffs.items()}
+            return {k: poly(nu) for k, poly in self.coeffs.items()}
+        nu = float(nu)
+        out = {}
+        for k, cs in self._float_coeffs:
+            acc = nu * 0
+            for c in cs:
+                acc = acc * nu + c
+            out[k] = acc
+        return out
 
     def float_items(self, nu) -> list[tuple[int, float]]:
         """(offset, weight) pairs as floats, in ascending offset order."""
@@ -140,7 +161,9 @@ class Scheme:
 def _scheme_from_rows(
     spec: SchemeSpec, rows: Sequence[Sequence[Rational]], verify: bool = True
 ) -> Scheme:
-    rows = tuple(tuple(Fraction(w) for w in row) for row in rows)
+    rows = tuple(
+        tuple(w if type(w) is Fraction else Fraction(w) for w in row) for row in rows
+    )
     coeffs = {
         k: RatPoly([row[i] for row in rows]) for i, k in enumerate(spec.offsets)
     }
@@ -156,38 +179,43 @@ def _check_order_conditions(scheme: Scheme) -> None:
     For p = 0 .. n*m the weighted power sum sum_i k_i^p c_i(nu) has to equal
     p!/(p/m)! * nu^(p/m) when m divides p, and zero otherwise.  This holds by
     construction; a failure means the generator itself is broken.
+
+    The check runs on the layers the scheme carries, in integers: layer j
+    (the nu^j coefficients) is cleared to its common denominator D_j, and
+    sum_i k_i^p * D_j * c_ji must equal D_j * p!/j! when p = j*m and 0
+    otherwise.  Low moments go first, so a corrupted weight fails fast.
     """
-    m, n, ks = scheme.m, scheme.n, scheme.offsets
-    for p in range(n * m + 1):
-        total = RatPoly.zero()
-        for k in ks:
-            total = total + Fraction(k) ** p * scheme.coeffs[k]
-        if p % m == 0:
-            j = p // m
-            expected = RatPoly.monomial(
-                j, Fraction(math.factorial(p), math.factorial(j))
-            )
-        else:
-            expected = RatPoly.zero()
-        if total != expected:
-            raise ArithmeticError(
-                f"order condition failed at moment p={p} for {scheme.spec}"
-            )
+    m, ks = scheme.m, scheme.offsets
+    layers = []
+    for row in scheme.layers.rows:
+        den = math.lcm(*(w.denominator for w in row))
+        layers.append((den, [w.numerator * (den // w.denominator) for w in row]))
+    kp = [1] * len(ks)
+    for p in range(len(ks)):  # p = 0 .. n*m
+        if p:
+            kp = list(map(operator.mul, kp, ks))
+        for j, (den, ints) in enumerate(layers):
+            expected = den * math.factorial(p) // math.factorial(j) if p == j * m else 0
+            if sum(map(operator.mul, kp, ints)) != expected:
+                raise ArithmeticError(
+                    f"order condition failed at moment p={p}, layer {j} for {scheme.spec}"
+                )
 
 
 def master_scheme(spec: SchemeSpec) -> Scheme:
     """Generate the unique order-n scheme on a minimal (n*m+1 point) stencil.
 
     Layer j holds the j*m-th derivatives at zero of the Lagrange basis,
-    divided by j!.  The order conditions are re-checked exactly before the
-    scheme is returned.
+    divided by j!: with L_i = numer_i / w_i in integers, the weight on offset
+    i is (j*m)!/j! * numer_i[j*m] / w_i, one Fraction per weight.  The order
+    conditions are re-checked exactly before the scheme is returned.
     """
-    basis = lagrange_basis(spec.offsets)
+    m = spec.m
+    numerators = lagrange_numerators(spec.offsets)
     rows = []
     for j in range(spec.n + 1):
-        derivs = derivatives_at_zero(basis, j * spec.m)
-        jfac = Fraction(1, math.factorial(j))
-        rows.append(tuple(jfac * v for v in derivs))
+        scale = math.factorial(j * m) // math.factorial(j)
+        rows.append(tuple(Fraction(scale * numer[j * m], w) for numer, w in numerators))
     return _scheme_from_rows(spec, rows)
 
 
@@ -420,26 +448,30 @@ def parse_scheme_dump(text: str) -> Scheme:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed scheme dump line: {raw!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"scheme dump repeats the {key!r} field")
+        fields[key] = value.strip()
     try:
         m = int(fields["m"])
         n = int(fields["n"])
         offsets = OffsetSet(int(k) for k in fields["offsets"].split(","))
     except KeyError as exc:
         raise ValueError(f"scheme dump is missing the {exc.args[0]!r} field") from exc
+    unknown = fields.keys() - {"m", "n", "offsets"} - {f"c[{k}]" for k in offsets}
+    if unknown:
+        raise ValueError(f"scheme dump has unknown fields: {', '.join(sorted(unknown))}")
     spec = SchemeSpec(m, n, offsets)
-    rows = []
-    for j in range(n + 1):
-        row = []
-        for k in offsets:
-            key = f"c[{k}]"
-            if key not in fields:
-                raise ValueError(f"scheme dump is missing the {key} line")
-            parts = fields[key].split(",")
-            if len(parts) != n + 1:
-                raise ValueError(f"{key} must list exactly n+1 = {n + 1} values")
-            row.append(Fraction(parts[j]))
-        rows.append(tuple(row))
+    columns = []
+    for k in offsets:
+        key = f"c[{k}]"
+        if key not in fields:
+            raise ValueError(f"scheme dump is missing the {key} line")
+        parts = fields[key].split(",")
+        if len(parts) != n + 1:
+            raise ValueError(f"{key} must list exactly n+1 = {n + 1} values")
+        columns.append([Fraction(part) for part in parts])
+    rows = tuple(zip(*columns))
     # verification guards against hand-edited or corrupted dumps
     try:
         return _scheme_from_rows(spec, rows, verify=True)

@@ -126,6 +126,9 @@ def critical_courant(
     (stable above, or unstable below), a fine linear sweep re-locates the
     first unstable point from below.
 
+    A tol finer than the float spacing near the boundary ends the bisection
+    at two neighbouring floats.
+
     Note the guard watches the stability *verdict*, not the raw gain: the
     gain legitimately dips back to 1 at whole-number Courant values (exact
     shifts) without re-entering the stable range.
@@ -146,13 +149,16 @@ def critical_courant(
     lo = 0.0 if hi == tol else hi / 2.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # tol is below the float spacing here: lo and hi are neighbours
         if stable(mid):
             lo = mid
         else:
             hi = mid
 
     if lo > 0.0:
-        above = np.linspace(lo + tol, min(nu_max, 2.0 * lo + 16.0 * tol), 8)
+        # lo + tol rounds to lo when tol is below the spacing; hi is unstable
+        above = np.linspace(max(lo + tol, hi), min(nu_max, 2.0 * lo + 16.0 * tol), 8)
         below = np.linspace(0.125 * lo, lo, 8)
         pocket_above = any(stable(float(p)) for p in above)
         pocket_below = not all(stable(float(p)) for p in below)

@@ -128,6 +128,16 @@ class TestCoeffs:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [("bogus=7\n", "unknown fields: bogus"), ("c[0]=1,1\n", "repeats the 'c[0]' field")],
+    )
+    def test_scheme_file_with_bad_keys(self, tmp_path, capsys, extra, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("m=1\nn=1\noffsets=-1,0\nc[-1]=0,-1\nc[0]=1,1\n" + extra)
+        assert run_cli("stability", "--scheme-file", str(path)) == 2
+        assert message in capsys.readouterr().err
+
 
 # -- stability / classify ----------------------------------------------------------------
 
@@ -164,6 +174,13 @@ class TestStability:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "--tol must be a finite number > 0" in proc.stderr
         assert proc.stdout == ""
+
+    def test_tol_below_float_spacing_terminates(self):
+        proc = run_cli_process("stability", "--m", "1", "--n", "1", "--tol", "1e-20", "--sign", "-")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        line = next(l for l in proc.stdout.splitlines() if l.startswith("sign=-1"))
+        assert "stable up to" in line
+        assert float(line.split("|nu| = ")[1].split()[0]) == 1.0
 
     def test_classify_reports_dead_sign(self, capsys):
         assert run_cli("classify", "--m", "2") == 0

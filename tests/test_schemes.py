@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmarch.exact import OffsetSet, RatPoly, lagrange_basis
+from fdmarch.exact import OffsetSet, RatPoly, lagrange_basis, lagrange_numerators
 from fdmarch.schemes import (
     ErrorTerm,
     LayerTable,
@@ -45,6 +45,50 @@ small_specs = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
         st.integers(-8, 8), min_size=mn[0] * mn[1] + 1, max_size=mn[0] * mn[1] + 1
     ).map(lambda offs: SchemeSpec(mn[0], mn[1], OffsetSet(offs)))
 )
+
+
+# strategy: m <= 4 with n*m <= 12, on a contiguous window or a gapped stencil
+def _stencils(mn):
+    m, n = mn
+    size = n * m + 1
+    contiguous = st.integers(0, size - 1).map(lambda r: OffsetSet.contiguous(r, size - 1))
+    gapped = st.sets(st.integers(-size - 3, size + 3), min_size=size, max_size=size).map(
+        OffsetSet
+    )
+    return st.one_of(contiguous, gapped).map(lambda offs: SchemeSpec(m, n, offs))
+
+
+specs_up_to_m4 = (
+    st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 12 // m)))
+).flatmap(_stencils)
+
+
+def fornberg_weights(nodes, max_order):
+    """Finite-difference weights at x = 0 by Fornberg's recurrence, in Fractions.
+
+    B. Fornberg, Math. Comp. 51 (1988) 699-706.  Returns c with c[d][i] the
+    weight of nodes[i] in the d-th derivative, d = 0..max_order.  Independent
+    of the Lagrange construction the generator uses.
+    """
+    xs = [F(x) for x in nodes]
+    c = [[F(0)] * len(xs) for _ in range(max_order + 1)]
+    c[0][0] = F(1)
+    c1, c4 = F(1), xs[0]
+    for i in range(1, len(xs)):
+        top = min(i, max_order)
+        c2, c5, c4 = F(1), c4, xs[i]
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for d in range(top, 0, -1):
+                    c[d][i] = c1 * (d * c[d - 1][i - 1] - c5 * c[d][i - 1]) / c2
+                c[0][i] = -c1 * c5 * c[0][i - 1] / c2
+            for d in range(top, 0, -1):
+                c[d][j] = (c4 * c[d][j] - d * c[d - 1][j]) / c3
+            c[0][j] = c4 * c[0][j] / c3
+        c1 = c2
+    return c
 
 
 # -- spec validation ---------------------------------------------------------------
@@ -156,6 +200,40 @@ class TestMasterScheme:
             rescaled = tuple(scale * w for w in adv.layers[2 * j])
             assert rescaled == diff.layers[j]
 
+    @given(specs_up_to_m4)
+    @settings(max_examples=60, deadline=None)
+    def test_layers_match_fornberg_weights(self, spec):
+        """Layer j is Fornberg's weight set for derivative j*m, divided by j!."""
+        s = master_scheme(spec)
+        c = fornberg_weights(spec.offsets, spec.n * spec.m)
+        for j in range(spec.n + 1):
+            assert s.layers.rows[j] == tuple(w / math.factorial(j) for w in c[j * spec.m])
+
+    def test_fornberg_reference_on_a_known_table(self):
+        # centred second derivative on 3 and 5 points
+        assert fornberg_weights([-1, 0, 1], 2)[2] == [1, -2, 1]
+        assert fornberg_weights([-2, -1, 0, 1, 2], 2)[2] == [
+            F(-1, 12), F(4, 3), F(-5, 2), F(4, 3), F(-1, 12)
+        ]
+
+    def test_generation_and_audit_do_no_polynomial_arithmetic(self, monkeypatch):
+        """Layers and the order audit run on ints; RatPoly is only a container."""
+
+        def forbidden(*args):
+            raise AssertionError("RatPoly arithmetic inside master_scheme")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(RatPoly, name, forbidden)
+        s = master_scheme(SchemeSpec(1, 29, OffsetSet.contiguous(15, 29)))
+        assert len(s.layers) == 30
+
+    def test_lagrange_numerators_are_integers(self):
+        ks = OffsetSet([-3, -1, 0, 2, 5])
+        for (numer, w), k, bp in zip(lagrange_numerators(ks), ks, lagrange_basis(ks)):
+            assert all(type(c) is int for c in numer) and type(w) is int
+            assert w == math.prod(k - kj for kj in ks if kj != k)
+            assert RatPoly(numer) == bp * w
+
 
 # -- closed-form first-order schemes ------------------------------------------------
 
@@ -258,6 +336,16 @@ class TestSchemeEvaluation:
         w = s.weights_at(F(1, 3))
         assert w == {-1: F(1, 3), 0: F(1, 3), 1: F(1, 3)}
         assert all(isinstance(v, F) for v in w.values())
+
+    @given(small_specs, st.floats(-3.0, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_float_weights_match_exact_horner_bitwise(self, spec, nu):
+        s = master_scheme(spec)
+        got = s.weights_at(nu)
+        for k in spec.offsets:
+            want = s.coefficient(k)(nu)  # RatPoly's Horner on Fraction coefficients
+            assert type(got[k]) is float
+            assert got[k].hex() == want.hex()
 
     def test_float_items_sorted(self):
         s = master_scheme(SchemeSpec(2, 1, OffsetSet([1, -1, 0])))
@@ -399,3 +487,61 @@ class TestDumpRoundTrip:
     def test_parse_rejects_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             parse_scheme_dump("m=1\nn=1\n")
+
+    def test_parse_rejects_unknown_field(self):
+        text = format_scheme_dump(first_order_scheme(1, 1)) + "bogus=7\n"
+        with pytest.raises(ValueError, match="unknown fields: bogus"):
+            parse_scheme_dump(text)
+
+    def test_parse_rejects_weight_line_for_a_foreign_offset(self):
+        text = format_scheme_dump(first_order_scheme(1, 1)) + "c[3]=0,0\n"
+        with pytest.raises(ValueError, match=r"unknown fields: c\[3\]"):
+            parse_scheme_dump(text)
+
+    @pytest.mark.parametrize("repeat", ["m=1\n", "c[0]=1,1\n", "c[0]=1,2\n"])
+    def test_parse_rejects_repeated_field(self, repeat):
+        text = format_scheme_dump(first_order_scheme(1, 1)) + repeat
+        with pytest.raises(ValueError, match="repeats the"):
+            parse_scheme_dump(text)
+
+
+def _tampered_dump(text, deltas):
+    """A scheme dump with deltas[(j, i)] added to the nu^j weight on offsets[i]."""
+    lines = text.splitlines()
+    for (j, i), delta in deltas.items():
+        key, _, values = lines[3 + i].partition("=")
+        vals = values.split(",")
+        vals[j] = str(F(vals[j]) + delta)
+        lines[3 + i] = f"{key}={','.join(vals)}"
+    return "\n".join(lines) + "\n"
+
+
+AUDITED_SPECS = [
+    SchemeSpec(1, 29, OffsetSet.contiguous(15, 29)),
+    SchemeSpec(2, 3, OffsetSet.contiguous(3, 6)),
+    SchemeSpec(4, 2, OffsetSet([-5, -4, -2, -1, 0, 1, 2, 3, 5])),
+]
+AUDITED_IDS = ["m1-n29", "m2-n3-centred", "m4-n2-gapped"]
+
+
+class TestOrderAudit:
+    @pytest.mark.parametrize("spec", AUDITED_SPECS, ids=AUDITED_IDS)
+    def test_every_single_weight_tamper_is_rejected(self, spec):
+        s = master_scheme(spec)
+        text = format_scheme_dump(s)
+        assert parse_scheme_dump(text).layers == s.layers
+        for j in range(spec.n + 1):
+            for i in range(spec.points):
+                with pytest.raises(ValueError, match="inconsistent"):
+                    parse_scheme_dump(_tampered_dump(text, {(j, i): F(1, 10**9)}))
+
+    @pytest.mark.parametrize("spec", AUDITED_SPECS, ids=AUDITED_IDS)
+    def test_tamper_seen_only_by_the_top_moment_is_rejected(self, spec):
+        """Adding d/w_i to a layer keeps every moment p < n*m and moves only p = n*m."""
+        text = format_scheme_dump(master_scheme(spec))
+        weights = [w for _, w in lagrange_numerators(spec.offsets)]
+        top = spec.n * spec.m
+        for j in range(spec.n + 1):
+            deltas = {(j, i): F(1, 10**9 * w) for i, w in enumerate(weights)}
+            with pytest.raises(ValueError, match=f"moment p={top}, layer {j}"):
+                parse_scheme_dump(_tampered_dump(text, deltas))
