@@ -21,7 +21,6 @@ from fdmarch import (
     classify_first_order,
     critical_courant,
     master_scheme,
-    truncated_first_layer_critical,
 )
 
 
@@ -31,7 +30,7 @@ def diffusion_ladder(n_max: int = 4) -> None:
     for n in range(1, n_max + 1):
         scheme = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
         full = critical_courant(scheme, +1)
-        trunc = truncated_first_layer_critical(n)
+        trunc = critical_courant(scheme.truncated(1), +1)
         print(f"{n:>3} {full:>10.4f} {trunc:>24.4f}")
     print()
 
@@ -39,23 +38,23 @@ def diffusion_ladder(n_max: int = 4) -> None:
 def first_order_windows(m_max: int) -> None:
     print("## first-order windows vs. the 1/2^(m-1) ceiling")
     print(f"{'m':>3} {'r':>3} {'a>0':>8} {'a<0':>8} {'bound':>8}")
-    for m in range(1, m_max + 1):
+    classes = [classify_first_order(m) for m in range(1, m_max + 1)]
+    for cls in classes:
+        m = cls.m
         bound = 0.5 ** (m - 1)
-        cls = classify_first_order(m)
         for r in range(m + 1):
             plus = cls.nu_critical[(+1, r)]
             minus = cls.nu_critical[(-1, r)]
             print(f"{m:>3} {r:>3} {plus:>8.4f} {minus:>8.4f} {bound:>8.4f}")
     print()
     print("## stable window per sign")
-    for m in range(1, m_max + 1):
-        cls = classify_first_order(m)
+    for cls in classes:
         parts = []
         for sign in (+1, -1):
             r = cls.stable_r[sign]
             label = f"a{'>' if sign > 0 else '<'}0"
             parts.append(f"{label}: {'r=' + str(r) if r is not None else 'none'}")
-        print(f"m={m}: " + "   ".join(parts))
+        print(f"m={cls.m}: " + "   ".join(parts))
     print()
 
 

@@ -6,6 +6,11 @@ at Courant number nu when max_theta |g|^2 <= 1 (up to a small roundoff
 allowance).  The maximum is located on a dense theta grid and polished with a
 derivative-free golden-section refinement, and the stability boundary in nu
 is then bracketed by doubling and resolved by bisection.
+
+The grid and its basis e^{i k theta} depend only on the stencil, so one search
+(`max_growth`, `critical_courant`, `stability_report`) builds them once and
+every nu it probes costs one matrix-vector product plus the scalar gains of
+the polish.  Nothing outlives the search.
 """
 
 from __future__ import annotations
@@ -34,27 +39,77 @@ NU_MAX = 64.0
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _weight_arrays(scheme: Scheme, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    items = scheme.float_items(nu)
-    ks = np.array([k for k, _ in items], dtype=float)
-    ws = np.array([w for _, w in items], dtype=float)
-    return ks, ws
+def _basis(thetas: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """e^{i k theta}: one row per theta, one column per offset k."""
+    b = np.multiply.outer(thetas, ks) * 1j
+    return np.exp(b, out=b)
 
 
-def _growth_of(ks: np.ndarray, ws: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def growth(thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        g = np.exp(1j * np.multiply.outer(thetas, ks)) @ ws
-        return np.real(g * np.conj(g))
+def _squared(g):
+    """|g|^2 of complex gains, as the real part of g * conj(g)."""
+    return (g * g.conjugate()).real
 
-    return growth
+
+def _point_growth(iks: np.ndarray, ws: np.ndarray, theta: float) -> float:
+    """|g|^2 at one theta, from iks = 1j * offsets and the weights."""
+    return float(_squared(np.exp(theta * iks) @ ws))
+
+
+def _offsets(scheme: Scheme) -> np.ndarray:
+    return np.array(list(scheme.coeffs), dtype=float)  # the order of float_items
+
+
+def _weights(scheme: Scheme, nu: float) -> np.ndarray:
+    return np.array([w for _, w in scheme.float_items(nu)], dtype=float)
+
+
+class _GrowthScan:
+    """The theta grid and Fourier basis of one scheme, built once per search.
+
+    Only the weights depend on nu, so a probe costs one matrix-vector product
+    on the grid plus the scalar gains of the golden-section polish.
+    """
+
+    def __init__(self, scheme: Scheme, samples: int = THETA_SAMPLES):
+        self.scheme = scheme
+        ks = _offsets(scheme)
+        self.iks = 1j * ks
+        self.thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        self.basis = _basis(self.thetas, ks)
+
+    def peak(self, nu: float, refine: int = 3) -> tuple[float, float]:
+        """(worst theta, max |g|^2) at nu; see `max_growth`."""
+        ws = _weights(self.scheme, nu)
+        thetas = self.thetas
+        g2 = _squared(self.basis @ ws)
+
+        best_idx = int(np.argmax(g2))
+        best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
+
+        # local maxima in the circular sense
+        is_peak = (g2 >= np.roll(g2, 1)) & (g2 >= np.roll(g2, -1))
+        peak_idx = np.flatnonzero(is_peak)
+        if peak_idx.size:
+            top = peak_idx[np.argsort(g2[peak_idx])[::-1][:refine]]
+            step = 2.0 * math.pi / thetas.size
+            iks = self.iks
+            for idx in top:
+                theta0 = float(thetas[idx])
+                t, v = _golden_max(
+                    lambda t: _point_growth(iks, ws, t), theta0 - step, theta0 + step
+                )
+                if v > best_val:
+                    best_theta, best_val = t % (2.0 * math.pi), v
+        return best_theta, best_val
 
 
 def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
     """Squared gain |g(theta; nu)|^2 of a single Fourier mode; vectorized in theta."""
-    ks, ws = _weight_arrays(scheme, nu)
-    out = _growth_of(ks, ws)(theta)
-    return float(out) if np.ndim(theta) == 0 else out
+    ks = _offsets(scheme)
+    ws = _weights(scheme, nu)
+    if np.ndim(theta) == 0:
+        return _point_growth(1j * ks, ws, float(theta))
+    return _squared(_basis(np.asarray(theta, dtype=float), ks) @ ws)
 
 
 def _golden_max(
@@ -85,28 +140,7 @@ def max_growth(
     The grid scan is refined around the `refine` largest local maxima with a
     golden-section search, so sharp peaks between grid points are not missed.
     """
-    ks, ws = _weight_arrays(scheme, nu)
-    growth = _growth_of(ks, ws)
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    g2 = growth(thetas)
-
-    best_idx = int(np.argmax(g2))
-    best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
-
-    # local maxima in the circular sense
-    is_peak = (g2 >= np.roll(g2, 1)) & (g2 >= np.roll(g2, -1))
-    peak_idx = np.flatnonzero(is_peak)
-    if peak_idx.size:
-        top = peak_idx[np.argsort(g2[peak_idx])[::-1][:refine]]
-        step = 2.0 * math.pi / samples
-        for idx in top:
-            theta0 = float(thetas[idx])
-            t, v = _golden_max(
-                lambda t: float(growth(t)), theta0 - step, theta0 + step
-            )
-            if v > best_val:
-                best_theta, best_val = t % (2.0 * math.pi), v
-    return best_theta, best_val
+    return _GrowthScan(scheme, samples).peak(nu, refine)
 
 
 def critical_courant(
@@ -133,13 +167,17 @@ def critical_courant(
     gain legitimately dips back to 1 at whole-number Courant values (exact
     shifts) without re-entering the stable range.
     """
+    return _critical_courant(_GrowthScan(scheme), nu_sign, tol, growth_tol, nu_max)
+
+
+def _critical_courant(
+    scan: _GrowthScan, nu_sign: int, tol: float, growth_tol: float, nu_max: float
+) -> float:
+    """`critical_courant` on a scan that every probe of the search shares."""
     sign = 1 if nu_sign >= 0 else -1
 
-    def growth(nu_abs: float) -> float:
-        return max_growth(scheme, sign * nu_abs)[1]
-
     def stable(nu_abs: float) -> bool:
-        return growth(nu_abs) <= 1.0 + growth_tol
+        return scan.peak(sign * nu_abs)[1] <= 1.0 + growth_tol
 
     hi = tol
     while hi <= nu_max and stable(hi):
@@ -202,16 +240,15 @@ class StabilityReport:
 def stability_report(
     scheme: Scheme, nu_sign: int, tol: float = NU_TOL
 ) -> StabilityReport:
-    nu_c = critical_courant(scheme, nu_sign, tol=tol)
+    scan = _GrowthScan(scheme)
     sign = 1 if nu_sign >= 0 else -1
+    nu_c = _critical_courant(scan, sign, tol, GROWTH_TOL, NU_MAX)
     # probe just beyond the boundary so worst_theta names the first mode to break
     probe = nu_c + 10.0 * tol
-    worst_theta, _ = max_growth(scheme, sign * probe)
+    worst_theta, _ = scan.peak(sign * probe)
     top = max(1.25 * nu_c, 20.0 * tol)
     nus = np.linspace(0.0, top, 11)
-    samples = tuple(
-        (float(nu), float(max_growth(scheme, sign * float(nu))[1])) for nu in nus
-    )
+    samples = tuple((float(nu), float(scan.peak(sign * float(nu))[1])) for nu in nus)
     return StabilityReport(
         m=scheme.m,
         n=scheme.n,

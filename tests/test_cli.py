@@ -188,6 +188,30 @@ class TestStability:
         assert "a>0: stable window r=1" in out
         assert "a<0: no stable window" in out
 
+    def test_survey_script(self):
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "stability_survey.py"), "--m-max", "3"],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        for row in (
+            "m=1: a>0: r=0   a<0: r=1",
+            "m=2: a>0: r=1   a<0: none",
+            "m=3: a>0: r=2   a<0: r=1",
+        ):
+            assert row in lines
+        ladders = lines[lines.index("## named advection ladders (probed at nu < 0)") + 2 :]
+        nu_c = {tuple(row.split()[:2]): row.split()[-1] for row in ladders}
+        assert nu_c == {
+            ("uw", "0"): "1.0000", ("uw", "1"): "1.0000", ("uw", "2"): "1.0000",
+            ("lw", "1"): "1.0000", ("lw", "2"): "1.0000",
+            ("bw", "0"): "2.0000", ("bw", "1"): "2.0000", ("bw", "2"): "2.0000",
+        }
+
 
 # -- converge -----------------------------------------------------------------------------
 

@@ -11,6 +11,8 @@ from fdmarch.schemes import SchemeSpec, first_order_scheme, master_scheme
 from fdmarch.stability import (
     FAMILIES,
     STABLE_NU_THRESHOLD,
+    THETA_SAMPLES,
+    _golden_max,
     advection_family_scheme,
     advection_family_spec,
     advection_family_stability,
@@ -86,6 +88,95 @@ class TestMaxGrowth:
         s = first_order_scheme(2, 1)
         _, g2 = max_growth(s, 0.25)
         assert g2 == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_max_growth(scheme, nu, samples=THETA_SAMPLES, refine=3):
+    """The growth scan with its basis e^{ik theta} rebuilt on every call."""
+    items = scheme.float_items(nu)
+    ks = np.array([k for k, _ in items], dtype=float)
+    ws = np.array([w for _, w in items], dtype=float)
+
+    def growth(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        g = np.exp(1j * np.multiply.outer(thetas, ks)) @ ws
+        return np.real(g * np.conj(g))
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    g2 = growth(thetas)
+    best_idx = int(np.argmax(g2))
+    best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
+    is_peak = (g2 >= np.roll(g2, 1)) & (g2 >= np.roll(g2, -1))
+    peak_idx = np.flatnonzero(is_peak)
+    if peak_idx.size:
+        top = peak_idx[np.argsort(g2[peak_idx])[::-1][:refine]]
+        step = 2.0 * math.pi / samples
+        for idx in top:
+            theta0 = float(thetas[idx])
+            t, v = _golden_max(lambda t: float(growth(t)), theta0 - step, theta0 + step)
+            if v > best_val:
+                best_theta, best_val = t % (2.0 * math.pi), v
+    return best_theta, best_val
+
+
+def hexes(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+PIN_SPECS = (
+    [SchemeSpec(m, 1, OffsetSet.contiguous(r, m)) for m in range(1, 7) for r in range(m + 1)]
+    + [SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)) for n in range(1, 5)]
+    + [SchemeSpec(1, n, OffsetSet.contiguous((n + 1) // 2, n)) for n in (1, 5, 29)]
+    + [SchemeSpec(4, 5, OffsetSet(range(-10, 11)))]
+)
+
+
+class TestScanIsBitwiseUnchanged:
+    """The shared-basis scan returns the per-call scan's floats, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec", PIN_SPECS, ids=lambda s: f"m{s.m}-n{s.n}-{s.offsets[0]}..{s.offsets[-1]}"
+    )
+    def test_max_growth(self, spec):
+        s = master_scheme(spec)
+        for nu in (-1.7155, -0.8, 0.8):
+            assert hexes(max_growth(s, nu)) == hexes(reference_max_growth(s, nu)), nu
+
+    def test_report_samples_are_one_shot_scans(self):
+        s = master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4)))
+        rep = stability_report(s, +1, tol=1e-3)
+        for nu, g2 in rep.growth_samples:
+            assert float(g2).hex() == float(max_growth(s, nu)[1]).hex()
+            assert float(g2).hex() == float(reference_max_growth(s, nu)[1]).hex()
+
+
+class TestOneBasisPerSearch:
+    """A search builds the 2-D basis e^{ik theta} once and shares it across its probes."""
+
+    @pytest.fixture
+    def basis_builds(self, monkeypatch):
+        builds = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                builds.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return builds
+
+    SWEEP = SchemeSpec(4, 5, OffsetSet(range(-10, 11)))
+
+    def test_critical_courant(self, basis_builds):
+        # bisection, the pocket probes and the tol-step sweep all run here
+        nu_c = critical_courant(master_scheme(self.SWEEP), -1, tol=1e-3)
+        assert 0.0 < nu_c < 1.0
+        assert basis_builds == [(THETA_SAMPLES, 21)]
+
+    def test_stability_report(self, basis_builds):
+        rep = stability_report(master_scheme(self.SWEEP), -1, tol=1e-3)
+        assert len(rep.growth_samples) == 11
+        assert basis_builds == [(THETA_SAMPLES, 21)]
 
 
 # -- critical Courant numbers --------------------------------------------------------
