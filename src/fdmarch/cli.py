@@ -49,6 +49,7 @@ from .solver import (
     make_profile,
     run_linear,
     run_nonlinear,
+    shock_front,
 )
 
 USAGE_EXIT = 1
@@ -402,11 +403,20 @@ def _burgers_run(args, preset: ExperimentPreset, out_dir: str) -> int:
                 if step in want:
                     snaps[step] = f
             run_nonlinear(field, layers, densities, nu, max(out_steps), callback=grab)
+            mass0 = field.mass()
             for step in out_steps:
                 t = step * preset.dt
-                meta = dict(meta_base, step=step, time=f"{t:.17g}")
+                snap = snaps[step]
+                front = shock_front(snap)
+                meta = dict(
+                    meta_base,
+                    step=step,
+                    time=f"{t:.17g}",
+                    front="none" if front is None else f"{front:.17g}",
+                    mass_drift=f"{abs(snap.mass() - mass0) / abs(mass0):.17g}",
+                )
                 fname = f"{preset.name}_n{n}_{prof_name}_t{t:g}.csv"
-                _write_snapshot(os.path.join(out_dir, fname), snaps[step], meta)
+                _write_snapshot(os.path.join(out_dir, fname), snap, meta)
                 print(f"wrote {os.path.join(out_dir, fname)}")
     return 0
 

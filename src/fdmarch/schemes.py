@@ -89,6 +89,13 @@ class LayerTable:
     def reach(self) -> int:
         return max(abs(self.offsets[0]), abs(self.offsets[-1]))
 
+    @functools.cached_property
+    def float_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per row, the (offset, weight) pairs as floats, converted once per table."""
+        return tuple(
+            tuple((k, float(w)) for k, w in zip(self.offsets, row)) for row in self.rows
+        )
+
 
 @dataclass(frozen=True)
 class Scheme:

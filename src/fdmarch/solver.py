@@ -6,6 +6,12 @@ on each side, as wide as the stencil reaches, and then sums weighted slices of
 that buffer, one shifted slice per stencil offset.  The only floating-point
 work per step is a handful of numpy axpy operations.  Weights are produced by
 the exact generator and converted to float once, up front.
+
+The layered nonlinear update runs on the same kernel: each step pads the
+field once, evaluates every conserved density once on that padded copy, and
+sums the slices of each density with its row of the layer table.  Densities
+are therefore evaluated on the halo-padded array, not on the field, and must
+be pointwise.
 """
 
 from __future__ import annotations
@@ -182,12 +188,38 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
         )
 
 
+def _halo(items: Sequence[tuple[int, float]]) -> tuple[int, int]:
+    """Halo widths (lo, hi) for (offset, weight) items with distinct offsets.
+
+    The least and greatest pairs carry the least and greatest offsets.
+    """
+    return max(0, -min(items)[0]), max(0, max(items)[0])
+
+
+def _pad(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """ext = (last lo values, values, first hi values): values[(j + k) mod N]
+    is ext[lo + k + j] for -lo <= k <= hi."""
+    n = values.size
+    return np.concatenate((values[n - lo:], values, values[:hi]))
+
+
+def _sum_slices(
+    ext: np.ndarray, lo: int, n: int, items: Sequence[tuple[int, float]]
+) -> np.ndarray:
+    """out[j] = sum of w * ext[lo + k + j] over the (k, w) items, in order,
+    skipping zero weights; a new array."""
+    out = np.zeros(n)
+    for k, w in items:
+        if w:
+            out += w * ext[lo + k : lo + k + n]
+    return out
+
+
 def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np.ndarray:
     """out[j] = sum of w * values[(j + k) mod N] over the (k, w) items, in order.
 
-    The periodic wrap comes from one halo-padded copy, ext = (last lo values,
-    values, first hi values), so values[(j + k) mod N] is ext[lo + k + j] and
-    each offset is one slice.  The terms are added in the order of `items`,
+    The periodic wrap comes from one halo-padded copy (`_pad`), so each
+    offset is one slice.  The terms are added in the order of `items`,
     skipping zero weights, which is the same floating-point sum as adding
     w * np.roll(values, -k).  Offsets must satisfy |k| <= N.
 
@@ -195,17 +227,8 @@ def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np
     `values` nor one it returned before, so callers may keep any result
     without copying it.
     """
-    n = values.size
-    # items are (offset, weight) pairs with distinct offsets, so the least
-    # and greatest pairs carry the least and greatest offsets
-    lo = max(0, -min(items)[0])
-    hi = max(0, max(items)[0])
-    ext = np.concatenate((values[n - lo:], values, values[:hi]))
-    out = np.zeros(n)
-    for k, w in items:
-        if w:
-            out += w * ext[lo + k : lo + k + n]
-    return out
+    lo, hi = _halo(items)
+    return _sum_slices(_pad(values, lo, hi), lo, values.size, items)
 
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
@@ -259,8 +282,11 @@ def run_linear(
 class DensityFamily:
     """Conserved densities u_0, u_1, ... fed to the layered update.
 
-    funcs[j] evaluates the j-th density pointwise; funcs[0] must be the
-    identity for the update to reduce to the linear scheme on linear data.
+    funcs[j] evaluates the j-th density; funcs[0] must be the identity for the
+    update to reduce to the linear scheme on linear data.  Each step evaluates
+    every density once, on the halo-padded copy of the field rather than on
+    the field itself, so each func must act pointwise: out[i] may depend on
+    u[i] alone.  A func may return its argument but must not write into it.
     """
 
     name: str
@@ -274,12 +300,24 @@ def burgers_densities(n: int) -> DensityFamily:
     """Densities for u_t = -u u_x: u_j(u) = (-1)^j u^(j+1) / (j+1).
 
     These are the successive antiderivatives of the powers of the local speed
-    f(u) = -u, which is exactly what the layered update consumes.
+    f(u) = -u, which is exactly what the layered update consumes.  The power
+    is a chain of multiplies, u * u * ... * u, not `pow`: for j <= 1 that is
+    bitwise what u**(j+1) gives, and each higher density is within a few ulp
+    of its exact value.
     """
 
     def make(j: int) -> Callable[[np.ndarray], np.ndarray]:
+        if j == 0:
+            return lambda u: u
         sign, p = (-1.0) ** j, j + 1
-        return lambda u: sign * u**p / p
+
+        def density(u: np.ndarray) -> np.ndarray:
+            q = u * u
+            for _ in range(p - 2):
+                q *= u
+            return sign * q / p
+
+        return density
 
     return DensityFamily("burgers", tuple(make(j) for j in range(n + 1)))
 
@@ -292,7 +330,12 @@ def identity_densities(n: int) -> DensityFamily:
 def step_nonlinear(
     field: GridField, layers: LayerTable, densities: DensityFamily, nu: float
 ) -> GridField:
-    """One conserved-density step: row j of the table hits density j, scaled by nu^j."""
+    """One conserved-density step: row j of the table hits density j, scaled by nu^j.
+
+    The field is padded with its wrapped halo once, and each density is
+    evaluated once on that padded copy; densities act pointwise, so the
+    padded density reads the same values as padding the density would.
+    """
     if len(densities) < len(layers):
         raise ConfigurationError(
             f"density family {densities.name!r} provides {len(densities)} densities, "
@@ -300,11 +343,14 @@ def step_nonlinear(
         )
     _check_fit(field.n_cells, layers.offsets)
     nu = float(nu)
-    out = np.zeros_like(field.values)
-    for j, row in enumerate(layers):
-        items = [(k, float(w)) for k, w in zip(layers.offsets, row)]
-        dens = np.asarray(densities.funcs[j](field.values), dtype=float)
-        out += nu**j * _apply_stencil(dens, items)
+    n = field.n_cells
+    rows = layers.float_rows
+    lo, hi = _halo(rows[0])
+    ext = _pad(field.values, lo, hi)
+    out = np.zeros(n)
+    for j, items in enumerate(rows):
+        dens = np.asarray(densities.funcs[j](ext), dtype=float)
+        out += nu**j * _sum_slices(dens, lo, n, items)
     return GridField(out, field.dx, field.origin)
 
 
@@ -334,12 +380,12 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
     periodic re-entry ramp, are ignored).  None if the profile never does.
     """
     v = field.values
-    x = field.x()
-    for j in range(field.n_cells - 1):
-        if v[j] >= level > v[j + 1]:
-            frac = (v[j] - level) / (v[j] - v[j + 1])
-            return float(x[j] + frac * field.dx)
-    return None
+    down = np.flatnonzero((v[:-1] >= level) & (v[1:] < level))
+    if down.size == 0:
+        return None
+    j = int(down[0])
+    frac = (v[j] - level) / (v[j] - v[j + 1])
+    return float(field.x()[j] + frac * field.dx)
 
 
 # -- convergence ---------------------------------------------------------------

@@ -157,8 +157,9 @@ def critical_courant(
     instability is found below the search ceiling.  Bisection assumes the
     stable set is a single interval [0, nu_c]; after converging, the verdict
     is re-probed on both sides of the boundary, and if a pocket shows up
-    (stable above, or unstable below), a fine linear sweep re-locates the
-    first unstable point from below.
+    (stable above, or unstable below), a linear sweep in steps of
+    max(tol, NU_TOL) re-locates the first unstable point from below, and a
+    bisection narrows it to tol when tol is finer than that step.
 
     A tol finer than the float spacing near the boundary ends the bisection
     at two neighbouring floats.
@@ -184,15 +185,7 @@ def _critical_courant(
         hi *= 2.0
     if hi > nu_max:
         return nu_max
-    lo = 0.0 if hi == tol else hi / 2.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # tol is below the float spacing here: lo and hi are neighbours
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(stable, 0.0 if hi == tol else hi / 2.0, hi, tol)
 
     if lo > 0.0:
         # lo + tol rounds to lo when tol is below the spacing; hi is unstable
@@ -205,17 +198,41 @@ def _critical_courant(
     return lo
 
 
+def _bisect(
+    stable: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Shrink a (stable lo, unstable hi) bracket to width tol by bisection.
+
+    A tol below the float spacing ends it at two neighbouring floats.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # tol is below the float spacing here: lo and hi are neighbours
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _sweep_critical(
     stable: Callable[[float], bool], tol: float, ceiling: float
 ) -> float:
-    """Linear sweep from below in steps of tol; first unstable point wins."""
-    nu = tol
+    """Linear sweep from below; the first unstable point wins.
+
+    The sweep steps by max(tol, NU_TOL), so a tiny tol cannot make it endless.
+    When that step is coarser than tol, the bracket (last stable, first
+    unstable) is bisected down to tol; otherwise the sweep alone decides.
+    """
+    step = max(tol, NU_TOL)
+    nu = step
     last_stable = 0.0
-    while nu <= ceiling + tol:
+    while nu <= ceiling + step:
         if not stable(nu):
-            return last_stable
+            return last_stable if step == tol else _bisect(stable, last_stable, nu, tol)[0]
         last_stable = nu
-        nu += tol
+        nu += step
     return last_stable
 
 

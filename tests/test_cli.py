@@ -182,11 +182,36 @@ class TestStability:
         assert "stable up to" in line
         assert float(line.split("|nu| = ")[1].split()[0]) == 1.0
 
+    def test_tiny_tol_sweep_terminates(self):
+        """The m=4, n=5 window falls into the pocket sweep; a tol far below its
+        step must still end, inside the bracket of the default-tol answer."""
+        argv = ("stability", "--m", "4", "--n", "5", "--sign", "-", "--format", "csv")
+        nu_c = {}
+        for tol in ("1e-4", "1e-20"):
+            proc = run_cli_process(*argv, "--tol", tol)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            nu_c[tol] = float(proc.stdout.splitlines()[1].split(",")[1])
+        assert nu_c["1e-4"] <= nu_c["1e-20"] <= nu_c["1e-4"] + 1e-4
+
     def test_classify_reports_dead_sign(self, capsys):
         assert run_cli("classify", "--m", "2") == 0
         out = capsys.readouterr().out
         assert "a>0: stable window r=1" in out
         assert "a<0: no stable window" in out
+
+    @pytest.mark.parametrize(
+        "script", sorted((REPO_ROOT / "scripts").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_script_help(self, script):
+        """Every script still imports and parses its options against the checkout."""
+        proc = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_survey_script(self):
         proc = subprocess.run(
@@ -270,6 +295,12 @@ class TestRunPresets:
         assert meta["profile"] == "burgers"
         assert float(meta["dx"]) == pytest.approx(0.05)
         assert len(rows) == 200
+        # after the break the front moves at half the plateau speed: 1 + (t - 1)/2
+        assert float(meta["front"]) == pytest.approx(1.5, abs=0.05)
+        assert float(meta["mass_drift"]) < 1e-12
+        meta0, _ = read_csv(out_dir / "fig-burgers_n3_burgers_t0.csv")
+        assert float(meta0["front"]) == pytest.approx(0.5)
+        assert float(meta0["mass_drift"]) == 0.0
 
     def test_advection_preset_single_order(self, tmp_path):
         out_dir = tmp_path / "o"

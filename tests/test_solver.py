@@ -1,12 +1,14 @@
 """Periodic marching: linear steps, nonlinear layered steps, shock tracking, convergence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdmarch.solver
 from fdmarch.exact import OffsetSet
 from fdmarch.schemes import SchemeSpec, master_scheme, nonlinear_layers
 from fdmarch.solver import (
@@ -305,6 +307,126 @@ class TestStepNonlinear:
         assert seen == [1, 2, 3, 4]
 
 
+class TestLayeredKernel:
+    """The one-pad layered update against the per-density reference kernel."""
+
+    @staticmethod
+    def pow_densities(n):
+        """Burgers densities as sign * u**p / p, through numpy's pow."""
+        return tuple(
+            (lambda u, sign=(-1.0) ** j, p=j + 1: sign * u**p / p) for j in range(n + 1)
+        )
+
+    @staticmethod
+    def reference_step(values, layers, funcs, nu):
+        """Each density evaluated on the field and padded on its own, one
+        `_apply_stencil` per row, rows added with weight nu**j in order."""
+        out = np.zeros_like(values)
+        for j, row in enumerate(layers):
+            items = [(k, float(w)) for k, w in zip(layers.offsets, row)]
+            dens = np.asarray(funcs[j](values), dtype=float)
+            out += nu**j * _apply_stencil(dens, items)
+        return out
+
+    WINDOWS = {1: [-1, 0], 2: [-1, 0, 1], 3: [-2, -1, 0, 1]}  # the fig-burgers windows
+
+    def march_both(self, n, cells, steps, funcs):
+        layers = nonlinear_layers(n, self.WINDOWS[n])
+        field = GridField.sample(burgers_ramp, (-5.0, 5.0), cells)
+        ref = field.values
+        for _ in range(steps):
+            ref = self.reference_step(ref, layers, funcs, 0.5)
+        got = run_nonlinear(field, layers, burgers_densities(n), 0.5, steps)
+        return got.values, ref
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[-1, 0], [0, 1], [-1, 0, 1], [-3, 0, 2], [-2, -1, 0, 1], [0, 1, 2, 3], [-2, -1, 0, 1, 2]],
+    )
+    def test_identity_densities_bitwise(self, offsets):
+        n = len(offsets) - 1
+        layers = nonlinear_layers(n, offsets)
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=17)
+        family = identity_densities(n)
+        got = step_nonlinear(GridField(values, 0.1, 0.0), layers, family, -0.35)
+        want = self.reference_step(values, layers, family.funcs, -0.35)
+        assert np.array_equal(got.values, want)
+
+    def test_burgers_order_one_bitwise(self):
+        got, ref = self.march_both(1, 1000, 400, self.pow_densities(1))
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_burgers_higher_orders_close(self, n):
+        got, ref = self.march_both(n, 1000, 1, self.pow_densities(n))
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        got, ref = self.march_both(n, 1000, 2000, self.pow_densities(n))
+        assert np.max(np.abs(got - ref)) <= 1e-11
+
+    def test_first_two_burgers_densities_bitwise(self):
+        u = np.random.default_rng(5).uniform(-2.0, 2.0, size=257)
+        funcs = burgers_densities(3).funcs
+        assert funcs[0](u) is u
+        for j, want in enumerate(self.pow_densities(1)):
+            assert np.array_equal(funcs[j](u), want(u))
+
+    @given(
+        st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=16),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_burgers_densities_within_two_ulp(self, vals, n):
+        u = np.array(vals)
+        for j, func in enumerate(burgers_densities(n).funcs):
+            got = func(u)
+            for x, y in zip(vals, got):
+                exact = Fraction((-1) ** j) * Fraction(x) ** (j + 1) / (j + 1)
+                assert abs(Fraction(float(y)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    def test_layer_table_converted_once(self, monkeypatch):
+        layers = nonlinear_layers(3, self.WINDOWS[3])
+        field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
+        conversions = []
+        to_float = Fraction.__float__
+
+        def counting(self):
+            conversions.append(self)
+            return to_float(self)
+
+        monkeypatch.setattr(Fraction, "__float__", counting)
+        run_nonlinear(field, layers, burgers_densities(3), 0.5, 50)
+        assert 0 < len(conversions) <= len(layers) * len(layers.offsets)
+
+    def test_one_step_call_per_step(self, monkeypatch):
+        calls = []
+        real = fdmarch.solver.step_nonlinear
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fdmarch.solver, "step_nonlinear", counting)
+        field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
+        run_nonlinear(field, nonlinear_layers(2, self.WINDOWS[2]), burgers_densities(2), 0.5, 50)
+        assert len(calls) == 50
+
+
+def loop_shock_front(field, level=0.5):
+    """The cell-by-cell scan `shock_front` replaced: first j with v[j] >= level > v[j+1]."""
+    v = field.values
+    x = field.x()
+    for j in range(field.n_cells - 1):
+        if v[j] >= level > v[j + 1]:
+            frac = (v[j] - level) / (v[j] - v[j + 1])
+            return float(x[j] + frac * field.dx)
+    return None
+
+
+def hexed(front):
+    return None if front is None else float.hex(front)
+
+
 class TestShockFront:
     def test_interpolated_crossing(self):
         f = GridField(np.array([1.0, 1.0, 0.8, 0.2, 0.0, 0.0]), 1.0, 0.0)
@@ -317,6 +439,49 @@ class TestShockFront:
     def test_none_when_absent(self):
         assert shock_front(GridField(np.full(6, 0.9), 1.0, 0.0), level=0.95) is None
         assert shock_front(GridField(np.full(6, 0.1), 1.0, 0.0)) is None
+
+    @pytest.mark.parametrize(
+        "values, level",
+        [
+            ([1.0, 1.0, 0.8, 0.2, 0.0, 0.0], 0.5),
+            ([0.2, 0.9, 0.3, 0.1], 0.5),
+            ([0.9] * 6, 0.95),
+            ([0.1] * 6, 0.5),
+            ([0.0, 0.2, 0.7, 1.0], 0.5),  # upward only
+            ([1.0, 0.5, 0.5, 0.2], 0.5),  # values exactly at the level
+            ([0.5, 0.5, 0.5], 0.5),
+            ([0.7], 0.5),
+            ([1.0, 0.0, 1.0, 0.0], 0.5),  # two crossings: the leftmost wins
+        ],
+    )
+    def test_matches_loop(self, values, level):
+        f = GridField(np.array(values), 0.1, -0.3)
+        assert hexed(shock_front(f, level)) == hexed(loop_shock_front(f, level))
+
+    def test_matches_loop_on_ramp(self):
+        f = GridField.sample(burgers_ramp, (-5.0, 5.0), 10_000)
+        front = shock_front(f)
+        assert front is not None and hexed(front) == hexed(loop_shock_front(f))
+
+    @given(
+        st.sampled_from([0.5, 0.0, -0.25, 1.0]).flatmap(
+            lambda level: st.tuples(
+                st.just(level),
+                st.lists(
+                    st.one_of(st.just(level), st.floats(-2.0, 2.0, allow_nan=False)),
+                    min_size=1,
+                    max_size=40,
+                ),
+            )
+        ),
+        st.floats(1e-3, 1.0),
+        st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop_on_drawn_profiles(self, case, dx, origin):
+        level, values = case
+        f = GridField(np.array(values), dx, origin)
+        assert hexed(shock_front(f, level)) == hexed(loop_shock_front(f, level))
 
 
 # -- convergence ladder ---------------------------------------------------------------------

@@ -6,13 +6,16 @@ import random
 import numpy as np
 import pytest
 
+import fdmarch.stability
 from fdmarch.exact import OffsetSet
 from fdmarch.schemes import SchemeSpec, first_order_scheme, master_scheme
 from fdmarch.stability import (
     FAMILIES,
+    NU_TOL,
     STABLE_NU_THRESHOLD,
     THETA_SAMPLES,
     _golden_max,
+    _sweep_critical,
     advection_family_scheme,
     advection_family_spec,
     advection_family_stability,
@@ -208,6 +211,58 @@ class TestCriticalCourant:
 
     def test_truncated_n1_equals_full(self):
         assert truncated_first_layer_critical(1) == pytest.approx(0.5, abs=1e-4)
+
+
+def tol_step_sweep(stable, tol, ceiling):
+    """The pocket sweep before its step was floored at NU_TOL: steps of tol."""
+    nu = tol
+    last_stable = 0.0
+    while nu <= ceiling + tol:
+        if not stable(nu):
+            return last_stable
+        last_stable = nu
+        nu += tol
+    return last_stable
+
+
+class TestPocketSweep:
+    @staticmethod
+    def logged(boundary, pocket=None):
+        """A verdict that is stable below `boundary` except inside `pocket`,
+        and the list of every nu it is asked about."""
+        probes = []
+
+        def stable(nu):
+            probes.append(nu)
+            return nu < boundary and not (pocket and pocket[0] <= nu < pocket[1])
+
+        return stable, probes
+
+    @pytest.mark.parametrize("tol", [NU_TOL, 3e-4, 1e-3, 0.01])
+    @pytest.mark.parametrize("pocket", [None, (0.05, 0.0512)])
+    def test_tol_at_least_nu_tol_probes_as_before(self, tol, pocket):
+        new, new_probes = self.logged(0.15032, pocket)
+        old, old_probes = self.logged(0.15032, pocket)
+        got = _sweep_critical(new, tol, 0.2)
+        assert float.hex(got) == float.hex(tol_step_sweep(old, tol, 0.2))
+        assert new_probes == old_probes
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-20])
+    @pytest.mark.parametrize("pocket", [None, (0.05, 0.0512)])
+    def test_fine_tol_bisects_the_sweep_bracket(self, tol, pocket):
+        stable, probes = self.logged(0.15032, pocket)
+        got = _sweep_critical(stable, tol, 0.2)
+        first_unstable = pocket[0] if pocket else 0.15032
+        # bisection ends at tol or at two neighbouring floats
+        assert first_unstable - max(tol, math.ulp(first_unstable)) <= got < first_unstable
+        assert len(probes) < 0.2 / NU_TOL + 100
+
+    def test_sweep_spec_unchanged_at_coarse_tol(self, monkeypatch):
+        """The scheme-zoo sweep case, m=4 n=5 at tol 1e-3, gives the same float."""
+        scheme = master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11))))
+        got = critical_courant(scheme, -1, tol=1e-3)
+        monkeypatch.setattr(fdmarch.stability, "_sweep_critical", tol_step_sweep)
+        assert float.hex(got) == float.hex(critical_courant(scheme, -1, tol=1e-3))
 
 
 class TestStabilityReport:
