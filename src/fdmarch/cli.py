@@ -135,8 +135,8 @@ def _family_window(family: str, n: int) -> OffsetSet:
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "uw":
-        if n % 2 == 0:
-            raise ConfigurationError("the uw ladder has odd orders only")
+        if n % 2 == 0 or n < 1:
+            raise ConfigurationError("the uw ladder has odd orders n >= 1 only")
         s = (n - 1) // 2
     elif family == "lw":
         if n % 2 == 1 or n < 2:
@@ -450,6 +450,8 @@ def _explicit_run(args, out_dir: str) -> int:
     problem = LinearProblem(terms=(LinearTerm(args.m, a, offs),), dt=dt, n=args.n)
     nu = problem.courant_numbers(field.dx)[0]
     if args.times is not None:
+        if not all(math.isfinite(t) for t in args.times):
+            raise ConfigurationError("--times must be finite numbers")
         out_steps = sorted({round(t / dt) for t in args.times})
         if any(not 0 <= s <= args.steps for s in out_steps):
             raise ConfigurationError("--times must lie within the run duration")

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .exact import (
     InvalidOffsetsError,
     OffsetSet,
@@ -90,11 +92,37 @@ class LayerTable:
         return max(abs(self.offsets[0]), abs(self.offsets[-1]))
 
     @functools.cached_property
-    def float_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per row, the (offset, weight) pairs as floats, converted once per table."""
+    def float_stencils(self) -> tuple[FloatStencil, ...]:
+        """Per row, its float (offset, weight) items, converted and prepared once per table."""
         return tuple(
-            tuple((k, float(w)) for k, w in zip(self.offsets, row)) for row in self.rows
+            FloatStencil((k, float(w)) for k, w in zip(self.offsets, row)) for row in self.rows
         )
+
+
+class FloatStencil:
+    """Float (offset, weight) items of one stencil, as the marching kernel reads them.
+
+    `size` counts every item, and `lo` and `hi` are how far the offsets reach
+    to the left and right of a cell: the halo widths of the padded field.
+    `live` keeps the items with a nonzero weight, in the given order.  Row r
+    of a window over the padded field is the slice starting at r, so offset k
+    reads row lo + k; `rows` picks the rows of the live items in their order
+    (a slice when they are consecutive and ascending, else an index array)
+    and `weights` holds their weights as a column.  Offsets must be distinct.
+    """
+
+    def __init__(self, items: Iterable[tuple[int, float]]):
+        items = tuple(items)
+        self.size = len(items)
+        self.lo = max(0, -min(k for k, _ in items))
+        self.hi = max(0, max(k for k, _ in items))
+        self.live = tuple((k, w) for k, w in items if w)
+        rows = [self.lo + k for k, _ in self.live]
+        if rows and rows == list(range(rows[0], rows[0] + len(rows))):
+            self.rows = slice(rows[0], rows[0] + len(rows))
+        else:
+            self.rows = np.array(rows, dtype=np.intp)
+        self.weights = np.array([w for _, w in self.live], dtype=float).reshape(-1, 1)
 
 
 @dataclass(frozen=True)

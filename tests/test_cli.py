@@ -1,5 +1,6 @@
 """Command-line front end: output shapes, exit codes, file emission, determinism."""
 
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -263,6 +264,11 @@ class TestConverge:
             (("--grids", "64"), "at least two distinct grid sizes"),
             (("--grids", "64,64"), "at least two distinct grid sizes"),
             (("--box", "1,1"), "empty box"),
+            (("--time", "nan"), "final time must be a finite number > 0"),
+            (("--time", "inf"), "final time must be a finite number > 0"),
+            (("--time", "-1"), "final time must be a finite number > 0"),
+            (("--time", "0"), "final time must be a finite number > 0"),
+            (("--time", "1e-9"), "final time 1e-09 is under half a step"),
         ],
     )
     def test_degenerate_ladder_refused(self, extra, message, capsys):
@@ -332,6 +338,28 @@ class TestRunPresets:
         assert built == [1, 3]
         assert len(list((tmp_path / "o").iterdir())) == 4
 
+    def test_one_stability_scan_per_order(self, tmp_path, monkeypatch):
+        scanned = []
+        real = fdmarch.solver.max_growth
+
+        def counting(scheme, nu, *args, **kwargs):
+            scanned.append(scheme.n)
+            return real(scheme, nu, *args, **kwargs)
+
+        monkeypatch.setattr(fdmarch.solver, "max_growth", counting)
+        assert run_cli(
+            "run", "fig-advection", "--orders", "5", "--out", str(tmp_path / "o")
+        ) == 0
+        assert scanned == [5]
+        assert len(list((tmp_path / "o").iterdir())) == 2
+
+    @pytest.mark.parametrize("preset", ["fig-advection", "fig-burgers"])
+    @pytest.mark.parametrize("order", ["-1", "-3"])
+    def test_negative_order_refused(self, preset, order, tmp_path, capsys):
+        assert run_cli("run", preset, "--orders", order, "--out", str(tmp_path / "o")) == 2
+        assert "odd orders n >= 1 only" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_unknown_preset(self, tmp_path, capsys):
         assert run_cli("run", "fig-nope", "--out", str(tmp_path / "o")) == 2
         assert "unknown preset" in capsys.readouterr().err
@@ -366,7 +394,7 @@ class TestRunExplicit:
             "run", "--m", "2", "--n", "1", "--out", str(tmp_path / "o")
         ) == 2
 
-    def test_unstable_run_records_warning(self, tmp_path, capsys):
+    def test_unstable_run_records_warning(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "o"
         assert run_cli(
             "run", "--m", "2", "--n", "1", "--dx", "0.1", "--dt", "0.008",
@@ -376,6 +404,20 @@ class TestRunExplicit:
         assert "warning:" in err and "unstable" in err
         meta, _ = read_csv(out_dir / "run_m2_n1_triangle_t0.04.csv")
         assert "unstable" in meta["warning"]
+        # the profiles of one order share one stability scan; each CSV still
+        # carries the warning (nu = -1.5, beyond the uw limit of 1)
+        preset = fdmarch.cli.PRESETS["fig-advection"]
+        monkeypatch.setitem(
+            fdmarch.cli.PRESETS,
+            "fig-advection",
+            dataclasses.replace(preset, dt=0.15, output_times=(0.75,)),
+        )
+        adv_dir = tmp_path / "adv"
+        assert run_cli("run", "fig-advection", "--orders", "3", "--out", str(adv_dir)) == 0
+        assert capsys.readouterr().err.count("unstable") == len(preset.profiles)
+        for profile in preset.profiles:
+            meta, _ = read_csv(adv_dir / f"fig-advection_uw03_{profile}_t0.75.csv")
+            assert "unstable at nu=-1.5" in meta["warning"]
 
     def test_times_outside_run(self, tmp_path, capsys):
         assert run_cli(
@@ -392,6 +434,8 @@ class TestRunExplicit:
             (("--dx", "nan"), "--dx must be a finite number > 0"),
             (("--dt", "nan"), "--dt must be a finite number > 0"),
             (("--a", "0"), "coefficient a must be nonzero"),
+            (("--times", "nan"), "--times must be finite numbers"),
+            (("--times", "0,inf"), "--times must be finite numbers"),
         ],
     )
     def test_degenerate_grid_refused(self, extra, message, tmp_path, capsys):

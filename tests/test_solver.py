@@ -31,7 +31,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import _apply_stencil
+from fdmarch.solver import WINDOW_LIMIT, _apply_stencil
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -188,6 +188,84 @@ class TestApplyStencil:
         assert np.max(np.abs(out.values - want)) < 1e-10
 
 
+def window_sizes(points):
+    """Cell counts for a stencil of `points` items: a small grid, the largest
+    on the window-product side of `WINDOW_LIMIT` and the least above it."""
+    return (2 * points + 1, WINDOW_LIMIT // points, WINDOW_LIMIT // points + 1)
+
+
+class TestKernelPaths:
+    """`_apply_stencil` against the rolled reference, by bytes, on both sides
+    of `WINDOW_LIMIT`: the window product and the slice loop add the same
+    terms in the same order from +0.0."""
+
+    rolled_reference = staticmethod(TestApplyStencil.rolled_reference)
+
+    @pytest.mark.parametrize("points", [2, 5, 16, 30])
+    def test_shuffled_items(self, points):
+        rng = np.random.default_rng(points)
+        for n_cells in window_sizes(points):
+            values = rng.normal(size=n_cells) * 10.0 ** rng.uniform(-8, 8, size=n_cells)
+            offsets = rng.choice(np.arange(-points, points + 1), size=points, replace=False)
+            weights = rng.normal(size=points) * 10.0 ** rng.uniform(-4, 4, size=points)
+            items = [(int(k), float(w)) for k, w in zip(offsets, weights)]
+            for _ in range(3):
+                rng.shuffle(items)
+                want = self.rolled_reference(values, items)
+                assert _apply_stencil(values, items).tobytes() == want.tobytes(), (n_cells, items)
+
+    @pytest.mark.parametrize("points", [3, 6, 30])
+    def test_zero_weights_over_non_finite_values(self, points):
+        """inf and nan under zero weights are skipped on both paths, and where
+        they meet a nonzero weight both paths give the same non-finite bytes."""
+        rng = np.random.default_rng(100 + points)
+        offsets = list(range(-(points // 2), points - points // 2))
+        for n_cells in window_sizes(points):
+            values = rng.normal(size=n_cells)
+            values[rng.choice(n_cells, size=3, replace=False)] = (np.inf, -np.inf, np.nan)
+            for zeros in ({0}, {points - 1}, set(range(0, points, 2)), set(range(points))):
+                draws = rng.normal(size=points)
+                weights = [0.0 if i in zeros else float(w) for i, w in enumerate(draws)]
+                items = list(zip(offsets, weights))
+                with np.errstate(invalid="ignore"):
+                    want = self.rolled_reference(values, items)
+                    got = _apply_stencil(values, items)
+                    assert got.tobytes() == want.tobytes(), (n_cells, zeros)
+                    rng.shuffle(items)
+                    want = self.rolled_reference(values, items)
+                    got = _apply_stencil(values, items)
+                    assert got.tobytes() == want.tobytes(), (n_cells, zeros)
+
+    @pytest.mark.parametrize("points", [2, 7, 30])
+    def test_sum_starts_at_positive_zero(self, points):
+        """Negative weights on a zero field make -0.0 terms; the sum from +0.0
+        is +0.0 everywhere."""
+        offsets = list(range(-(points // 2), points - points // 2))
+        items = [(k, -1.0 - 0.5 * i) for i, k in enumerate(offsets)]
+        for n_cells in window_sizes(points):
+            got = _apply_stencil(np.zeros(n_cells), items)
+            assert got.tobytes() == np.zeros(n_cells).tobytes()
+            assert got.tobytes() == self.rolled_reference(np.zeros(n_cells), items).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 100, WINDOW_LIMIT])
+def test_numpy_add_reduce_folds_rows_in_order(n):
+    """The window product's sum rests on this: numpy reduces a C-contiguous
+    (K, n) float array over axis 0 row after row, from `initial`.  A numpy
+    whose reduction order differs fails here, by name."""
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 3, 5, 8, 9, 17, 64):
+        a = rng.normal(size=(rows, n)) * 10.0 ** rng.uniform(-12, 12, size=(rows, n))
+        a[:, 0] = -0.0
+        fold = np.zeros(n)
+        for row in a:
+            fold = fold + row
+        got = np.add.reduce(a, axis=0, initial=0.0)
+        assert a.flags.c_contiguous
+        assert got.tobytes() == fold.tobytes(), rows
+        assert not np.signbit(got[0])
+
+
 class TestRunLinear:
     def test_term_order_independence(self):
         rng = np.random.default_rng(7)
@@ -206,6 +284,26 @@ class TestRunLinear:
         with pytest.warns(RuntimeWarning, match="unstable"):
             out = run_linear(problem, f, 3)
         assert out.values.shape == f.values.shape
+
+    def test_one_scan_per_grid_spacing(self, monkeypatch):
+        """Runs of one problem on one grid spacing share one growth scan per
+        term, and every unstable run still warns."""
+        scans = []
+        real = fdmarch.solver.max_growth
+
+        def counting(scheme, nu, *args, **kwargs):
+            scans.append(nu)
+            return real(scheme, nu, *args, **kwargs)
+
+        monkeypatch.setattr(fdmarch.solver, "max_growth", counting)
+        problem = LinearProblem((LinearTerm(2, 1.0), LinearTerm(1, -1.0)), dt=0.008, n=1)
+        for profile in (gaussian, triangle, rectangle):
+            with pytest.warns(RuntimeWarning, match="unstable"):
+                run_linear(problem, GridField.sample(profile, (-5.0, 5.0), 100), 2)
+        assert len(scans) == 2
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            run_linear(problem, GridField.sample(gaussian, (-5.0, 5.0), 125), 2)
+        assert len(scans) == 4
 
     def test_callback_sees_every_step(self):
         f = GridField.sample(triangle, (-5.0, 5.0), 50)
