@@ -434,6 +434,13 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
 
 # -- convergence ---------------------------------------------------------------
 
+# A convergence ladder marching more cells x steps than this is refused before
+# it starts.  The largest ladders in the tests and acceptance criteria, m = 2
+# at |nu| = 0.4 on 32..256 cells, march 2 427 776 cell-steps in ~0.25 s, so
+# this leaves them a 100x margin and caps a study at a few tens of seconds.
+MAX_CELL_STEPS = 2.5e8
+
+
 @dataclass(frozen=True)
 class ConvergenceResult:
     """Refinement-ladder errors with fitted orders (None when exact to roundoff)."""
@@ -471,7 +478,8 @@ def convergence_study(
 
     The reference solution is exact: a single Fourier mode is evolved by its
     exact amplification factor, or, for m=1 with a custom profile, the initial
-    data is translated.  Unstable configurations are refused.
+    data is translated.  Unstable configurations are refused, and so is a
+    ladder marching more than MAX_CELL_STEPS cells x steps in all.
     """
     if a is None:
         a = float(preferred_sign(m))
@@ -514,15 +522,24 @@ def convergence_study(
     elif not (final_time > 0 and math.isfinite(final_time)):
         raise ConfigurationError(f"final time must be a finite number > 0, got {final_time:g}")
 
-    dxs, dts, step_counts, errors = [], [], [], []
-    for g in grids:
-        dx = length / g
-        dt = nu * dx**m / abs(a)
-        steps = round(final_time / dt)
+    dxs = [length / g for g in grids]
+    dts = [nu * dx**m / abs(a) for dx in dxs]
+    cell_steps = sum(g * final_time / dt if dt > 0 else math.inf for g, dt in zip(grids, dts))
+    if cell_steps > MAX_CELL_STEPS:
+        raise ConfigurationError(
+            f"the ladder would march {cell_steps:.3g} cell-steps to time {final_time:g}, "
+            f"over the limit of {MAX_CELL_STEPS:.3g}; raise |nu|, shorten the time "
+            "or use smaller grids"
+        )
+    step_counts = [round(final_time / dt) for dt in dts]
+    for g, dt, steps in zip(grids, dts, step_counts):
         if steps < 1:
             raise ConfigurationError(
                 f"final time {final_time:g} is under half a step (dt = {dt:g}) on {g} cells"
             )
+
+    errors = []
+    for g, dt, steps in zip(grids, dts, step_counts):
         t_end = steps * dt
         field0 = GridField.sample(profile if profile is not None else sine_profile(box), box, g)
         problem = LinearProblem(terms=(LinearTerm(m, a, offs),), dt=dt, n=n)
@@ -535,11 +552,7 @@ def convergence_study(
             factor = cmath.exp(a * (1j * p) ** m * t_end)
             mode = np.exp(1j * p * (field0.x() - lo))
             ref = np.imag(factor * mode)
-        err = float(np.max(np.abs(out.values - ref)))
-        dxs.append(dx)
-        dts.append(dt)
-        step_counts.append(steps)
-        errors.append(err)
+        errors.append(float(np.max(np.abs(out.values - ref))))
 
     exact = max(errors) < 1e-12
     if exact:

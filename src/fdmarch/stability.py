@@ -11,6 +11,13 @@ The grid and its basis e^{i k theta} depend only on the stencil, so one search
 (`max_growth`, `critical_courant`, `stability_report`) builds them once and
 every nu it probes costs one matrix-vector product plus the scalar gains of
 the polish.  Nothing outlives the search.
+
+The polish only ever raises the maximum, so a stability verdict stops as soon
+as it is decided: at the grid when the grid maximum already exceeds the
+limit, or after the first polished peak that does.  The verdicts are those of
+a fully polished scan; every value this module reports (`max_growth`,
+`amplification`, a report's worst theta and growth samples) is still fully
+polished.
 """
 
 from __future__ import annotations
@@ -50,9 +57,14 @@ def _squared(g):
     return (g * g.conjugate()).real
 
 
-def _point_growth(iks: np.ndarray, ws: np.ndarray, theta: float) -> float:
-    """|g|^2 at one theta, from iks = 1j * offsets and the weights."""
-    return float(_squared(np.exp(theta * iks) @ ws))
+def _point_growth(iks: np.ndarray, ws_c: np.ndarray, theta: float) -> float:
+    """|g|^2 at one theta, from iks = 1j * offsets and the complex weights.
+
+    Bit for bit `_squared` of the same gain: the real part of g * conj(g) is
+    re*re - im*(-im), and subtracting -b is adding b.
+    """
+    g = complex(np.exp(theta * iks) @ ws_c)
+    return g.real * g.real + g.imag * g.imag
 
 
 def _offsets(scheme: Scheme) -> np.ndarray:
@@ -77,17 +89,28 @@ class _GrowthScan:
         self.thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
         self.basis = _basis(self.thetas, ks)
 
-    def peak(self, nu: float, refine: int = 3) -> tuple[float, float]:
-        """(worst theta, max |g|^2) at nu; see `max_growth`."""
-        ws = _weights(self.scheme, nu)
+    def peak(
+        self, nu: float, refine: int = 3, limit: float = math.inf
+    ) -> tuple[float, float]:
+        """(worst theta, max |g|^2) at nu; see `max_growth`.
+
+        The polish only raises the maximum, so once the maximum exceeds
+        `limit` the scan stops and returns it as far as it got: enough for a
+        verdict against `limit`.  A maximum at or below `limit` is the fully
+        polished one.
+        """
+        ws_c = _weights(self.scheme, nu).astype(complex)
         thetas = self.thetas
-        g2 = _squared(self.basis @ ws)
+        g2 = _squared(self.basis @ ws_c)
 
         best_idx = int(np.argmax(g2))
         best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
+        if best_val > limit:
+            return best_theta, best_val
 
-        # local maxima in the circular sense
-        is_peak = (g2 >= np.roll(g2, 1)) & (g2 >= np.roll(g2, -1))
+        # local maxima in the circular sense, against one wrapped copy
+        wrapped = np.concatenate((g2[-1:], g2, g2[:1]))
+        is_peak = (g2 >= wrapped[:-2]) & (g2 >= wrapped[2:])
         peak_idx = np.flatnonzero(is_peak)
         if peak_idx.size:
             top = peak_idx[np.argsort(g2[peak_idx])[::-1][:refine]]
@@ -96,10 +119,12 @@ class _GrowthScan:
             for idx in top:
                 theta0 = float(thetas[idx])
                 t, v = _golden_max(
-                    lambda t: _point_growth(iks, ws, t), theta0 - step, theta0 + step
+                    lambda t: _point_growth(iks, ws_c, t), theta0 - step, theta0 + step
                 )
                 if v > best_val:
                     best_theta, best_val = t % (2.0 * math.pi), v
+                    if best_val > limit:
+                        break
         return best_theta, best_val
 
 
@@ -108,7 +133,7 @@ def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
     ks = _offsets(scheme)
     ws = _weights(scheme, nu)
     if np.ndim(theta) == 0:
-        return _point_growth(1j * ks, ws, float(theta))
+        return _point_growth(1j * ks, ws.astype(complex), float(theta))
     return _squared(_basis(np.asarray(theta, dtype=float), ks) @ ws)
 
 
@@ -167,6 +192,11 @@ def critical_courant(
     Note the guard watches the stability *verdict*, not the raw gain: the
     gain legitimately dips back to 1 at whole-number Courant values (exact
     shifts) without re-entering the stable range.
+
+    Each probe stops as soon as its verdict is decided: at the grid when the
+    grid maximum of |g|^2 already exceeds 1 + growth_tol, or after the first
+    polished peak that does.  The polish only raises the maximum, so the
+    verdicts, and the nu_c they give, are those of fully polished scans.
     """
     return _critical_courant(_GrowthScan(scheme), nu_sign, tol, growth_tol, nu_max)
 
@@ -176,9 +206,10 @@ def _critical_courant(
 ) -> float:
     """`critical_courant` on a scan that every probe of the search shares."""
     sign = 1 if nu_sign >= 0 else -1
+    limit = 1.0 + growth_tol
 
     def stable(nu_abs: float) -> bool:
-        return scan.peak(sign * nu_abs)[1] <= 1.0 + growth_tol
+        return scan.peak(sign * nu_abs, limit=limit)[1] <= limit
 
     hi = tol
     while hi <= nu_max and stable(hi):

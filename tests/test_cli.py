@@ -277,6 +277,15 @@ class TestConverge:
         assert message in captured.err
         assert "fitted order" not in captured.out
 
+    @pytest.mark.parametrize(
+        "extra", [("--nu", "0.5", "--time", "1e7"), ("--nu", "1e-12")], ids=["long", "tiny-nu"]
+    )
+    def test_oversized_ladder_refused_before_marching(self, extra):
+        proc = run_cli_process("converge", "--m", "1", "--n", "1", *extra, timeout=60)
+        assert proc.returncode == 2
+        assert "cell-steps" in proc.stderr and "over the limit" in proc.stderr
+        assert proc.stdout == ""
+
     def test_nan_courant_refused(self, capsys):
         assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "nan") == 2
         assert "Courant magnitude must be a finite number > 0" in capsys.readouterr().err

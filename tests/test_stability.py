@@ -11,6 +11,8 @@ from fdmarch.exact import OffsetSet
 from fdmarch.schemes import SchemeSpec, first_order_scheme, master_scheme
 from fdmarch.stability import (
     FAMILIES,
+    GROWTH_TOL,
+    NU_MAX,
     NU_TOL,
     STABLE_NU_THRESHOLD,
     THETA_SAMPLES,
@@ -180,6 +182,83 @@ class TestOneBasisPerSearch:
         rep = stability_report(master_scheme(self.SWEEP), -1, tol=1e-3)
         assert len(rep.growth_samples) == 11
         assert basis_builds == [(THETA_SAMPLES, 21)]
+
+
+def pin_id(spec):
+    return f"m{spec.m}-n{spec.n}-{spec.offsets[0]}..{spec.offsets[-1]}"
+
+
+class FullyPolishedScan(fdmarch.stability._GrowthScan):
+    """The shared scan with every probe fully polished, whatever its verdict needs."""
+
+    def peak(self, nu, refine=3, limit=math.inf):
+        return super().peak(nu, refine)
+
+
+def fully_polished_critical_courant(scheme, nu_sign, tol):
+    """`critical_courant` with no probe stopping once its verdict is decided."""
+    return fdmarch.stability._critical_courant(
+        FullyPolishedScan(scheme), nu_sign, tol, GROWTH_TOL, NU_MAX
+    )
+
+
+class TestVerdictStopsWhenDecided:
+    """A verdict stops at the grid or at the first polished peak above the limit,
+    and gives the nu_c of fully polished probes, bit for bit."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_nu_c_matches_fully_polished_search(self, spec, sign):
+        s = master_scheme(spec)
+        got = critical_courant(s, sign, tol=1e-3)
+        assert float.hex(got) == float.hex(fully_polished_critical_courant(s, sign, 1e-3))
+
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_any_limit_gives_the_full_scan_verdict(self, spec):
+        """No search probe has its grid below the limit and its polished peak
+        above it, so limits between the two are set here directly."""
+        s = master_scheme(spec)
+        scan = fdmarch.stability._GrowthScan(s)
+        thetas = np.linspace(0.0, 2.0 * math.pi, THETA_SAMPLES, endpoint=False)
+        for nu in (-1.7155, -0.8, 0.8):
+            full = max_growth(s, nu)
+            top = full[1]
+            grid = float(np.max(amplification(s, nu, thetas)))
+            for limit in (
+                math.nextafter(grid, -math.inf),
+                grid,
+                0.5 * (grid + top),
+                math.nextafter(top, -math.inf),
+                top,
+                1.0 + GROWTH_TOL,
+            ):
+                got = scan.peak(nu, limit=limit)
+                assert (got[1] > limit) == (top > limit), (nu, limit)
+                if top <= limit:
+                    assert hexes(got) == hexes(full), (nu, limit)
+
+    @pytest.fixture
+    def polishes(self, monkeypatch):
+        calls = []
+        golden_max = fdmarch.stability._golden_max
+
+        def counting_golden_max(*args, **kwargs):
+            calls.append(args)
+            return golden_max(*args, **kwargs)
+
+        monkeypatch.setattr(fdmarch.stability, "_golden_max", counting_golden_max)
+        return calls
+
+    def test_grid_above_limit_skips_the_polish(self, polishes):
+        scan = fdmarch.stability._GrowthScan(first_order_scheme(2, 1))
+        _, g2 = scan.peak(0.6, limit=1.0 + GROWTH_TOL)
+        assert g2 > 1.9  # the grid peak at theta = pi, |1 - 4 nu|^2 = 1.96
+        assert polishes == []
+
+    def test_reported_values_stay_polished(self, polishes):
+        s = first_order_scheme(2, 1)
+        assert hexes(max_growth(s, 0.6)) == hexes(reference_max_growth(s, 0.6))
+        assert polishes
 
 
 # -- critical Courant numbers --------------------------------------------------------
