@@ -1,5 +1,9 @@
 """Command-line front end: coefficient tables, stability surveys, experiment runs.
 
+Every `run` path, either preset or an explicit linear run, marches through one
+snapshot driver, `_march_and_write`, which writes one CSV per output time with
+the run's parameters, any runtime warnings and per-snapshot notes in its header.
+
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values),
 2 for structurally invalid requests (wrong stencil size, unknown preset,
 grid/stencil mismatch, ...).
@@ -8,15 +12,14 @@ grid/stencil mismatch, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .exact import InvalidOffsetsError, OffsetSet
 from .schemes import (
@@ -78,14 +81,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """Fully pinned experiment: grid, step, duration, outputs, default ladder."""
+    """Fully pinned experiment: grid, step, outputs (the last one ends the run),
+    default ladder."""
 
     name: str
     kind: str  # "advection" | "burgers"
     box: tuple[float, float]
     dx: float
     dt: float
-    steps: int
     output_times: tuple[float, ...]
     profiles: tuple[str, ...]
     orders: tuple[int, ...]
@@ -101,7 +104,6 @@ PRESETS = {
         box=(-5.0, 5.0),
         dx=0.1,
         dt=0.08,
-        steps=6250,
         output_times=(500.0,),
         profiles=("triangle", "rectangle"),
         orders=tuple(range(1, 30, 2)),
@@ -115,7 +117,6 @@ PRESETS = {
         box=(-5.0, 5.0),
         dx=0.05,
         dt=0.025,
-        steps=80,
         output_times=(0.0, 0.5, 1.0, 1.5, 2.0),
         profiles=("burgers",),
         orders=(1, 2, 3),
@@ -134,20 +135,16 @@ def _family_window(family: str, n: int) -> OffsetSet:
     """Contiguous m=1 window of the named ladder at order n."""
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family == "uw":
-        if n % 2 == 0 or n < 1:
-            raise ConfigurationError("the uw ladder has odd orders n >= 1 only")
-        s = (n - 1) // 2
-    elif family == "lw":
-        if n % 2 == 1 or n < 2:
-            raise ConfigurationError("the lw ladder has even orders n >= 2 only")
-        s = n // 2
-    else:  # bw
-        if n % 2 == 1 or n < 2:
-            raise ConfigurationError("the bw ladder has even orders n >= 2 only")
-        s = (n - 2) // 2
-    fam_n, r = advection_family_spec(family, s)
-    assert fam_n == n
+    # each ladder's order grows by 2 per member s
+    s = 1 + (n - advection_family_spec(family, 1)[0]) // 2
+    try:
+        fam_n, r = advection_family_spec(family, s)
+    except ValueError:  # s below the ladder's first member
+        fam_n = None
+    if fam_n != n:
+        lowest = _FAMILY_DEFAULT_ORDERS[family][0]
+        parity = "odd" if lowest % 2 else "even"
+        raise ConfigurationError(f"the {family} ladder has {parity} orders n >= {lowest} only")
     return OffsetSet.contiguous(r, n)
 
 
@@ -195,33 +192,48 @@ def _fmt_offsets(offsets: Sequence[int]) -> str:
     return ",".join(str(k) for k in offsets)
 
 
-def _run_catching_warnings(fn, meta: dict):
+def _run_catching_warnings(fn, meta: dict) -> None:
     """Run fn(); fold any runtime warnings (e.g. instability) into the metadata."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = fn()
+        fn()
     notes = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     if notes:
         meta["warning"] = "; ".join(notes)
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)
-    return result
 
 
 # -- subcommands -------------------------------------------------------------------
 
+def _stencil(args, a_sign: int) -> OffsetSet:
+    """--offsets, or the default stencil of --m and --n for this sign of a."""
+    if args.offsets is not None:
+        return OffsetSet(args.offsets)
+    return default_offsets(args.m, args.n, a_sign)
+
+
+def _load_scheme(args) -> Scheme:
+    if getattr(args, "scheme_file", None):
+        try:
+            with open(args.scheme_file) as fh:
+                return parse_scheme_dump(fh.read())
+        except (OSError, ValueError) as exc:
+            # an unreadable or corrupted scheme file is a configuration problem
+            raise ConfigurationError(str(exc)) from exc
+    if args.m is None or args.n is None:
+        alt = " (or --scheme-file)" if hasattr(args, "scheme_file") else ""
+        raise ConfigurationError(f"need --m and --n{alt}")
+    return master_scheme(SchemeSpec(args.m, args.n, _stencil(args, args.a_sign)))
+
+
 def _cmd_coeffs(args) -> int:
     if args.first_order:
-        if args.r is None:
-            raise ConfigurationError("--first-order needs --r (window shift)")
+        if args.m is None or args.r is None:
+            raise ConfigurationError("--first-order needs --m and --r (window shift)")
         scheme = first_order_scheme(args.m, args.r)
     else:
-        offs = (
-            OffsetSet(args.offsets)
-            if args.offsets is not None
-            else default_offsets(args.m, args.n, args.a_sign)
-        )
-        scheme = master_scheme(SchemeSpec(args.m, args.n, offs))
+        scheme = _load_scheme(args)
     if args.format == "dump":
         sys.stdout.write(format_scheme_dump(scheme))
         return 0
@@ -235,29 +247,9 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-def _load_scheme(args) -> Scheme:
-    if getattr(args, "scheme_file", None):
-        with open(args.scheme_file) as fh:
-            return parse_scheme_dump(fh.read())
-    if args.m is None or args.n is None:
-        raise ConfigurationError("need --m and --n (or --scheme-file)")
-    offs = (
-        OffsetSet(args.offsets)
-        if args.offsets is not None
-        else default_offsets(args.m, args.n, args.a_sign)
-    )
-    return master_scheme(SchemeSpec(args.m, args.n, offs))
-
-
 def _cmd_stability(args) -> int:
     _require_positive("--tol", args.tol)
-    try:
-        scheme = _load_scheme(args)
-    except (OSError, ValueError) as exc:
-        # unreadable or corrupted scheme file is a configuration problem
-        if isinstance(exc, (InvalidOffsetsError, StencilSizeError, ConfigurationError)):
-            raise
-        raise ConfigurationError(str(exc)) from exc
+    scheme = _load_scheme(args)
     signs = {"both": (+1, -1), "+": (+1,), "-": (-1,)}[args.sign]
     reports = [stability_report(scheme, s, tol=args.tol) for s in signs]
     if args.format == "csv":
@@ -322,102 +314,107 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _advection_run(args, preset: ExperimentPreset, out_dir: str) -> int:
+def _cell_count(box: tuple[float, float], dx: float) -> int:
+    """Number of cells of width dx that tile box; refuses a box it cannot grid."""
+    if not all(math.isfinite(v) for v in box):
+        raise ConfigurationError(f"--box must be two finite numbers, got {box}")
+    width = box[1] - box[0]
+    if not math.isfinite(width / dx):
+        raise ConfigurationError(f"dx={dx} gives no finite cell count on the box {box}")
+    n_cells = round(width / dx)
+    if n_cells < 1 or abs(n_cells * dx - width) > 1e-9 * max(1.0, n_cells):
+        raise ConfigurationError(f"dx={dx} does not tile the box {box} with a whole number of cells")
+    return n_cells
+
+
+def _grid_meta(field: GridField, dt: float, nu: float) -> dict:
+    """The grid keys that close every run's header."""
+    return dict(dx=f"{field.dx:.17g}", dt=f"{dt:.17g}", nu=f"{nu:.17g}", cells=field.n_cells)
+
+
+def _march_and_write(out_dir, stem, field, march, steps, out_steps, dt, meta, annotate=None):
+    """March `field` for `steps` steps and write `<stem>_t<time>.csv` at each of
+    `out_steps`.
+
+    `march(field, steps=, callback=)` is run_linear or run_nonlinear with the
+    rest bound.  Its runtime warnings go into `meta`.  Each header is `meta`,
+    `step`, `time`, then the keys `annotate(field, step, snapshot)` returns.
+    """
+    snaps = dict.fromkeys(out_steps, field)  # step 0 keeps the initial field
+
+    def grab(step: int, snap: GridField) -> None:
+        if step in snaps:
+            snaps[step] = snap
+
+    _run_catching_warnings(lambda: march(field, steps=steps, callback=grab), meta)
+    for step in out_steps:
+        t = step * dt
+        header = dict(meta, step=step, time=f"{t:.17g}")
+        if annotate is not None:
+            header.update(annotate(field, step, snaps[step]))
+        path = os.path.join(out_dir, f"{stem}_t{t:g}.csv")
+        _write_snapshot(path, snaps[step], header)
+        print(f"wrote {path}")
+
+
+def _translation_error(nu: float, field0: GridField, step: int, snap: GridField) -> dict:
+    """Max-norm error of an m=1 transport snapshot against the exact solution,
+    `field0` moved by -nu cells a step; `none` if that is not whole cells."""
+    cells = -nu * step
+    shift = round(cells)
+    if abs(cells - shift) > 1e-9 * max(1.0, abs(cells)):
+        return {"max_error": "none"}
+    exact = field0.values.take(range(-shift, field0.n_cells - shift), mode="wrap")
+    return {"max_error": f"{float(abs(snap.values - exact).max()):.17g}"}
+
+
+def _burgers_notes(field0: GridField, step: int, snap: GridField) -> dict:
+    """Shock front of a Burgers snapshot and its mass drift from t=0, relative
+    to the initial mass, or absolute when that mass is 0."""
+    front = shock_front(snap)
+    mass0 = field0.mass()
+    drift = abs(snap.mass() - mass0) / (abs(mass0) or 1.0)
+    return {"front": "none" if front is None else f"{front:.17g}", "mass_drift": f"{drift:.17g}"}
+
+
+def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
+    burgers = preset.kind == "burgers"
     orders = args.orders or (
-        _FAMILY_DEFAULT_ORDERS[args.family] if args.family else preset.orders
+        _FAMILY_DEFAULT_ORDERS[args.family] if args.family and not burgers else preset.orders
     )
-    family = args.family or preset.family
-    profiles = args.profiles or preset.profiles
-    nu = preset.dt * preset.a / preset.dx
-    n_cells = round((preset.box[1] - preset.box[0]) / preset.dx)
+    nu = preset.dt / preset.dx if burgers else preset.dt * preset.a / preset.dx
+    n_cells = _cell_count(preset.box, preset.dx)
     out_steps = sorted({round(t / preset.dt) for t in preset.output_times})
     for n in orders:
-        offs = _family_window(family, n)
-        # one problem per order, so both profiles share one scheme build
-        problem = LinearProblem(terms=(LinearTerm(1, preset.a, offs),), dt=preset.dt, n=n)
-        for prof_name in profiles:
-            field = GridField.sample(make_profile(prof_name, preset.box), preset.box, n_cells)
-            meta_base = {
-                "preset": preset.name,
-                "kind": preset.kind,
-                "family": family,
-                "order": n,
-                "offsets": _fmt_offsets(offs),
-                "profile": prof_name,
-                "a": preset.a,
-                "dx": f"{field.dx:.17g}",
-                "dt": f"{preset.dt:.17g}",
-                "nu": f"{nu:.17g}",
-                "cells": n_cells,
-            }
-            snaps: dict[int, GridField] = {0: field}
-            want = set(out_steps)
-            def grab(step: int, f: GridField, want=want, snaps=snaps):
-                if step in want:
-                    snaps[step] = f
-            _run_catching_warnings(
-                lambda: run_linear(problem, field, max(out_steps), callback=grab),
-                meta_base,
+        if burgers:
+            # without --family: the upwind window at odd orders, centred at even
+            offs = _family_window(args.family or ("uw" if n % 2 else "lw"), n)
+            densities = burgers_densities(n)
+            march = functools.partial(
+                run_nonlinear, layers=nonlinear_layers(n, offs), densities=densities, nu=nu
             )
-            for step in out_steps:
-                t = step * preset.dt
-                meta = dict(meta_base, step=step, time=f"{t:.17g}")
-                fname = f"{preset.name}_{family}{n:02d}_{prof_name}_t{t:g}.csv"
-                _write_snapshot(os.path.join(out_dir, fname), snaps[step], meta)
-                print(f"wrote {os.path.join(out_dir, fname)}")
-    return 0
-
-
-def _burgers_run(args, preset: ExperimentPreset, out_dir: str) -> int:
-    orders = args.orders or preset.orders
-    family = args.family
-    nu = preset.dt / preset.dx
-    n_cells = round((preset.box[1] - preset.box[0]) / preset.dx)
-    out_steps = sorted({round(t / preset.dt) for t in preset.output_times})
-    for n in orders:
-        if family:
-            offs = _family_window(family, n)
-        elif n % 2 == 1:
-            offs = _family_window("uw", n)
+            head, tail, annotate = {}, {"densities": densities.name}, _burgers_notes
+            stem = f"{preset.name}_n{n}"
         else:
-            offs = _family_window("lw", n)
-        layers = nonlinear_layers(n, offs)
-        densities = burgers_densities(n)
-        for prof_name in preset.profiles:
+            family = args.family or preset.family
+            offs = _family_window(family, n)
+            # one problem per order, so the profiles share one scheme build
+            problem = LinearProblem(terms=(LinearTerm(1, preset.a, offs),), dt=preset.dt, n=n)
+            march = functools.partial(run_linear, problem)
+            head, tail = {"family": family}, {"a": preset.a}
+            annotate = functools.partial(_translation_error, nu)
+            stem = f"{preset.name}_{family}{n:02d}"
+        for prof_name in args.profiles or preset.profiles:
             field = GridField.sample(make_profile(prof_name, preset.box), preset.box, n_cells)
-            meta_base = {
-                "preset": preset.name,
-                "kind": preset.kind,
-                "order": n,
-                "offsets": _fmt_offsets(offs),
-                "profile": prof_name,
-                "densities": densities.name,
-                "dx": f"{field.dx:.17g}",
-                "dt": f"{preset.dt:.17g}",
-                "nu": f"{nu:.17g}",
-                "cells": n_cells,
-            }
-            snaps: dict[int, GridField] = {0: field}
-            want = set(out_steps)
-            def grab(step: int, f: GridField, want=want, snaps=snaps):
-                if step in want:
-                    snaps[step] = f
-            run_nonlinear(field, layers, densities, nu, max(out_steps), callback=grab)
-            mass0 = field.mass()
-            for step in out_steps:
-                t = step * preset.dt
-                snap = snaps[step]
-                front = shock_front(snap)
-                meta = dict(
-                    meta_base,
-                    step=step,
-                    time=f"{t:.17g}",
-                    front="none" if front is None else f"{front:.17g}",
-                    mass_drift=f"{abs(snap.mass() - mass0) / abs(mass0):.17g}",
-                )
-                fname = f"{preset.name}_n{n}_{prof_name}_t{t:g}.csv"
-                _write_snapshot(os.path.join(out_dir, fname), snap, meta)
-                print(f"wrote {os.path.join(out_dir, fname)}")
+            meta = dict(
+                preset=preset.name, kind=preset.kind, **head, order=n,
+                offsets=_fmt_offsets(offs), profile=prof_name, **tail,
+                **_grid_meta(field, preset.dt, nu),
+            )
+            _march_and_write(
+                out_dir, f"{stem}_{prof_name}", field, march, out_steps[-1], out_steps,
+                preset.dt, meta, annotate,
+            )
     return 0
 
 
@@ -429,24 +426,15 @@ def _explicit_run(args, out_dir: str) -> int:
     a = args.a if args.a is not None else float(preferred_sign(args.m))
     if a == 0:
         raise ConfigurationError("coefficient a must be nonzero")
-    offs = (
-        OffsetSet(args.offsets)
-        if args.offsets is not None
-        else default_offsets(args.m, args.n, 1 if a > 0 else -1)
-    )
+    offs = _stencil(args, 1 if a > 0 else -1)
     box = args.box
     dx = args.dx if args.dx is not None else 0.1
     _require_positive("--dx", dx)
     # default step: Courant magnitude 0.4, comfortably inside every stable family
     dt = args.dt if args.dt is not None else 0.4 * dx**args.m / abs(a)
     _require_positive("--dt", dt)
-    n_cells = round((box[1] - box[0]) / dx)
-    if n_cells < 1 or abs(n_cells * dx - (box[1] - box[0])) > 1e-9 * max(1.0, n_cells):
-        raise ConfigurationError(
-            f"dx={dx} does not tile the box {box} with a whole number of cells"
-        )
     prof_name = args.profile or "triangle"
-    field = GridField.sample(make_profile(prof_name, box), box, n_cells)
+    field = GridField.sample(make_profile(prof_name, box), box, _cell_count(box, dx))
     problem = LinearProblem(terms=(LinearTerm(args.m, a, offs),), dt=dt, n=args.n)
     nu = problem.courant_numbers(field.dx)[0]
     if args.times is not None:
@@ -457,48 +445,27 @@ def _explicit_run(args, out_dir: str) -> int:
             raise ConfigurationError("--times must lie within the run duration")
     else:
         out_steps = [args.steps]
-    meta_base = {
-        "kind": "linear",
-        "m": args.m,
-        "order": args.n,
-        "offsets": _fmt_offsets(offs),
-        "profile": prof_name,
-        "a": a,
-        "dx": f"{field.dx:.17g}",
-        "dt": f"{dt:.17g}",
-        "nu": f"{nu:.17g}",
-        "cells": n_cells,
-    }
-    snaps: dict[int, GridField] = {0: field}
-    want = set(out_steps)
-    def grab(step: int, f: GridField):
-        if step in want:
-            snaps[step] = f
-    _run_catching_warnings(
-        lambda: run_linear(problem, field, args.steps, callback=grab), meta_base
+    meta = dict(
+        kind="linear", m=args.m, order=args.n, offsets=_fmt_offsets(offs), profile=prof_name,
+        a=a, **_grid_meta(field, dt, nu),
     )
-    for step in out_steps:
-        t = step * dt
-        meta = dict(meta_base, step=step, time=f"{t:.17g}")
-        fname = f"run_m{args.m}_n{args.n}_{prof_name}_t{t:g}.csv"
-        _write_snapshot(os.path.join(out_dir, fname), snaps.get(step, field), meta)
-        print(f"wrote {os.path.join(out_dir, fname)}")
+    _march_and_write(
+        out_dir, f"run_m{args.m}_n{args.n}_{prof_name}", field,
+        functools.partial(run_linear, problem), args.steps, out_steps, dt, meta,
+    )
     return 0
 
 
 def _cmd_run(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise ConfigurationError(
-                f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        preset = PRESETS[args.preset]
-        if preset.kind == "advection":
-            return _advection_run(args, preset, out_dir)
-        return _burgers_run(args, preset, out_dir)
-    return _explicit_run(args, out_dir)
+    if args.preset is None:
+        return _explicit_run(args, out_dir)
+    if args.preset not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
+        )
+    return _preset_run(args, PRESETS[args.preset], out_dir)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -511,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_stencil_opts(p, need_n=True):
-        p.add_argument("--m", type=int, required=False, help="spatial derivative order")
-        if need_n:
-            p.add_argument("--n", type=int, help="temporal order of the scheme")
+    def add_stencil_opts(p):
+        p.add_argument("--m", type=int, help="spatial derivative order")
+        p.add_argument("--n", type=int, help="temporal order of the scheme")
         p.add_argument("--offsets", type=_int_list, help="stencil offsets, e.g. -2,-1,0,1")
         p.add_argument(
             "--a-sign",

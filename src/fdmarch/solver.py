@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import cmath
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -438,7 +439,10 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
 # it starts.  The largest ladders in the tests and acceptance criteria, m = 2
 # at |nu| = 0.4 on 32..256 cells, march 2 427 776 cell-steps in ~0.25 s, so
 # this leaves them a 100x margin and caps a study at a few tens of seconds.
+# On tiny grids a step's fixed cost (~13 us) dominates instead, so the step
+# count is bounded too: those ladders march 11 024 steps, 180x below the cap.
 MAX_CELL_STEPS = 2.5e8
+MAX_LADDER_STEPS = 2e6
 
 
 @dataclass(frozen=True)
@@ -479,7 +483,8 @@ def convergence_study(
     The reference solution is exact: a single Fourier mode is evolved by its
     exact amplification factor, or, for m=1 with a custom profile, the initial
     data is translated.  Unstable configurations are refused, and so is a
-    ladder marching more than MAX_CELL_STEPS cells x steps in all.
+    ladder marching more than MAX_CELL_STEPS cells x steps or MAX_LADDER_STEPS
+    steps in all, a time step that is not a normal float, or a non-finite error.
     """
     if a is None:
         a = float(preferred_sign(m))
@@ -524,13 +529,18 @@ def convergence_study(
 
     dxs = [length / g for g in grids]
     dts = [nu * dx**m / abs(a) for dx in dxs]
-    cell_steps = sum(g * final_time / dt if dt > 0 else math.inf for g, dt in zip(grids, dts))
-    if cell_steps > MAX_CELL_STEPS:
-        raise ConfigurationError(
-            f"the ladder would march {cell_steps:.3g} cell-steps to time {final_time:g}, "
-            f"over the limit of {MAX_CELL_STEPS:.3g}; raise |nu|, shorten the time "
-            "or use smaller grids"
-        )
+    if not all(sys.float_info.min <= dt < math.inf for dt in dts):
+        raise ConfigurationError(f"the time steps {min(dts):g}..{max(dts):g} are not normal floats")
+    for count, what, limit in (
+        (sum(g * final_time / dt for g, dt in zip(grids, dts)), "cell-steps", MAX_CELL_STEPS),
+        (sum(final_time / dt for dt in dts), "steps", MAX_LADDER_STEPS),
+    ):
+        if count > limit:
+            raise ConfigurationError(
+                f"the ladder would march {count:.3g} {what} to time {final_time:g}, "
+                f"over the limit of {limit:.3g}; raise |nu|, shorten the time "
+                "or use fewer or smaller grids"
+            )
     step_counts = [round(final_time / dt) for dt in dts]
     for g, dt, steps in zip(grids, dts, step_counts):
         if steps < 1:
@@ -554,6 +564,8 @@ def convergence_study(
             ref = np.imag(factor * mode)
         errors.append(float(np.max(np.abs(out.values - ref))))
 
+    if not all(map(math.isfinite, errors)):
+        raise ConfigurationError(f"the errors {errors} are not all finite; no order can be fitted")
     exact = max(errors) < 1e-12
     if exact:
         order_dx = order_dt = None

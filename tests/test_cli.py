@@ -1,16 +1,31 @@
 """Command-line front end: output shapes, exit codes, file emission, determinism."""
 
 import dataclasses
+import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fdmarch.cli
 import fdmarch.solver
+from fdmarch.exact import OffsetSet
+from fdmarch.schemes import default_offsets, nonlinear_layers
+from fdmarch.solver import (
+    GridField,
+    LinearProblem,
+    LinearTerm,
+    burgers_densities,
+    make_profile,
+    run_linear,
+    run_nonlinear,
+)
+from fdmarch.stability import advection_family_spec
 
 try:
     import tomllib
@@ -99,6 +114,19 @@ class TestCoeffs:
     def test_first_order_needs_r(self, capsys):
         assert run_cli("coeffs", "--m", "1", "--first-order") == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "2"), "need --m and --n"),
+            (("--m", "2"), "need --m and --n"),
+            (("--r", "1", "--first-order"), "--first-order needs --m and --r"),
+        ],
+    )
+    def test_missing_order_refused(self, argv, message, capsys):
+        assert run_cli("coeffs", *argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "--scheme-file" not in err
 
     def test_rejects_zero_order(self, capsys):
         assert run_cli("coeffs", "--m", "1", "--n", "0") == 2
@@ -286,6 +314,20 @@ class TestConverge:
         assert "cell-steps" in proc.stderr and "over the limit" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--a", "1e308"), "are not normal floats"),
+            (("--grids", "3,4", "--time", "5e6"), "7e+07 steps to time 5e+06, over the limit"),
+        ],
+        ids=["subnormal-dt", "long-tiny-ladder"],
+    )
+    def test_unfinishable_ladder_refused(self, extra, message):
+        proc = run_cli_process("converge", "--m", "1", "--n", "1", "--nu", "0.5", *extra)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
     def test_nan_courant_refused(self, capsys):
         assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "nan") == 2
         assert "Courant magnitude must be a finite number > 0" in capsys.readouterr().err
@@ -316,6 +358,32 @@ class TestRunPresets:
         meta0, _ = read_csv(out_dir / "fig-burgers_n3_burgers_t0.csv")
         assert float(meta0["front"]) == pytest.approx(0.5)
         assert float(meta0["mass_drift"]) == 0.0
+
+    def test_burgers_preset_honours_profiles(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "fig-burgers", "--orders", "1", "--profiles", "sine,rectangle",
+            "--out", str(out_dir),
+        ) == 0
+        paths = sorted(out_dir.iterdir())
+        assert len(paths) == 10
+        assert {read_csv(p)[0]["profile"] for p in paths} == {"sine", "rectangle"}
+        mass0 = {}
+        for path in sorted(paths, key=lambda p: int(read_csv(p)[0]["step"])):
+            meta, rows = read_csv(path)
+            mass = np.array([u for _, u in rows]).sum()
+            mass0.setdefault(meta["profile"], mass)
+            drift = float(meta["mass_drift"])
+            if math.isfinite(mass):
+                assert math.isfinite(drift), path.name
+            else:
+                # order 1 marches the upwind window of a rightward wave, which
+                # is downwind where the sine is negative: a recorded blow-up
+                assert "overflow" in meta["warning"], path.name
+            if meta["profile"] == "sine":
+                # the sine sample has mass 0.0, so its drift is absolute
+                assert mass0["sine"] == 0.0
+                assert drift == abs(mass) or not math.isfinite(mass)
 
     def test_advection_preset_single_order(self, tmp_path):
         out_dir = tmp_path / "o"
@@ -445,6 +513,8 @@ class TestRunExplicit:
             (("--a", "0"), "coefficient a must be nonzero"),
             (("--times", "nan"), "--times must be finite numbers"),
             (("--times", "0,inf"), "--times must be finite numbers"),
+            (("--dx", "1e-320"), "gives no finite cell count"),
+            (("--box", "0,inf"), "--box must be two finite numbers"),
         ],
     )
     def test_degenerate_grid_refused(self, extra, message, tmp_path, capsys):
@@ -461,6 +531,103 @@ class TestRunExplicit:
             "--out", str(tmp_path / "o"),
         ) == 2
         assert "does not tile" in capsys.readouterr().err
+
+
+class TestRunDriver:
+    """Every run path writes exactly what a direct march of its inputs computes,
+    under a pinned header."""
+
+    GRID_KEYS = ["dx", "dt", "nu", "cells", "step", "time"]
+
+    @staticmethod
+    def snapshots(out_dir):
+        """{step: (meta, x, u)} of every CSV in out_dir, for one run."""
+        snaps = {}
+        for path in out_dir.iterdir():
+            meta, rows = read_csv(path)
+            snaps[int(meta["step"])] = (meta, [x for x, _ in rows], [u for _, u in rows])
+        return snaps
+
+    @staticmethod
+    def assert_hex_equal(snap, field):
+        _, x, u = snap
+        assert [v.hex() for v in x] == [float(v).hex() for v in field.x()]
+        assert [v.hex() for v in u] == [float(v).hex() for v in field.values]
+
+    def test_advection_preset(self, tmp_path, monkeypatch):
+        preset = dataclasses.replace(
+            fdmarch.cli.PRESETS["fig-advection"], output_times=(0.8, 0.88, 4.0)
+        )
+        monkeypatch.setitem(fdmarch.cli.PRESETS, "fig-advection", preset)
+        for n in (1, 29):
+            out_dir = tmp_path / f"uw{n}"
+            assert run_cli(
+                "run", "fig-advection", "--orders", str(n), "--profiles", "rectangle",
+                "--out", str(out_dir),
+            ) == 0
+            snaps = self.snapshots(out_dir)
+            assert sorted(snaps) == [10, 11, 50]
+            n_, r = advection_family_spec("uw", (n - 1) // 2)
+            problem = LinearProblem(
+                terms=(LinearTerm(1, -1.0, OffsetSet.contiguous(r, n_)),), dt=0.08, n=n
+            )
+            field0 = GridField.sample(make_profile("rectangle", preset.box), preset.box, 100)
+            for step, snap in snaps.items():
+                out = run_linear(problem, field0, step)
+                self.assert_hex_equal(snap, out)
+                meta = snap[0]
+                assert list(meta) == [
+                    "preset", "kind", "family", "order", "offsets", "profile", "a",
+                    *self.GRID_KEYS, "max_error",
+                ]
+                # the wave moves 0.8 cells a step to the right
+                if step == 11:
+                    assert meta["max_error"] == "none"
+                else:
+                    exact = np.roll(field0.values, round(0.8 * step))
+                    assert float(meta["max_error"]) == np.max(np.abs(out.values - exact))
+
+    def test_burgers_preset(self, tmp_path):
+        out_dir = tmp_path / "o"
+        assert run_cli("run", "fig-burgers", "--orders", "3", "--out", str(out_dir)) == 0
+        snaps = self.snapshots(out_dir)
+        assert sorted(snaps) == [0, 20, 40, 60, 80]
+        box = (-5.0, 5.0)
+        field0 = GridField.sample(make_profile("burgers", box), box, 200)
+        layers = nonlinear_layers(3, OffsetSet.contiguous(advection_family_spec("uw", 1)[1], 3))
+        for step, snap in snaps.items():
+            out = run_nonlinear(field0, layers, burgers_densities(3), 0.025 / 0.05, step)
+            self.assert_hex_equal(snap, out)
+            assert list(snap[0]) == [
+                "preset", "kind", "order", "offsets", "profile", "densities",
+                *self.GRID_KEYS, "front", "mass_drift",
+            ]
+
+    def test_explicit_run(self, tmp_path):
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "--m", "2", "--n", "2", "--profile", "gaussian", "--steps", "12",
+            "--times", "0.004,0.02,0.04", "--out", str(out_dir),
+        ) == 0
+        snaps = self.snapshots(out_dir)
+        assert sorted(snaps) == [1, 5, 10]
+        dt = 0.4 * 0.1**2 / 1.0
+        problem = LinearProblem(terms=(LinearTerm(2, 1.0, default_offsets(2, 2, 1)),), dt=dt, n=2)
+        field0 = GridField.sample(make_profile("gaussian", (-5.0, 5.0)), (-5.0, 5.0), 100)
+        for step, snap in snaps.items():
+            self.assert_hex_equal(snap, run_linear(problem, field0, step))
+            assert float(snap[0]["dt"]) == dt
+            assert list(snap[0]) == [
+                "kind", "m", "order", "offsets", "profile", "a", *self.GRID_KEYS
+            ]
+
+    def test_max_error_matches_golden(self, tmp_path):
+        golden = json.loads((REPO_ROOT / "tests/data/fig_advection_golden.json").read_text())
+        out_dir = tmp_path / "o"
+        assert run_cli("run", golden["preset"], "--orders", "1,5", "--out", str(out_dir)) == 0
+        for key, frozen in golden["max_errors"].items():
+            meta, _ = read_csv(out_dir / f"{golden['preset']}_{key}_t{golden['time']:g}.csv")
+            assert float(meta["max_error"]) == pytest.approx(frozen, rel=1e-9), key
 
 
 # -- exit codes and entry points ------------------------------------------------------------

@@ -31,7 +31,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import WINDOW_LIMIT, _apply_stencil
+from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _apply_stencil
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -622,3 +622,23 @@ class TestConvergence:
         assert res.dts[0] == pytest.approx(2 * res.dts[1])
         # fixed physical horizon: steps * dt agrees across the ladder
         assert res.steps[0] * res.dts[0] == pytest.approx(res.steps[1] * res.dts[1], rel=0.05)
+
+    def test_subnormal_step_refused(self):
+        # dt = 0.5 * (1/32) / 1e308 = 1.56e-310 is subnormal
+        with pytest.raises(ConfigurationError, match="not normal floats"):
+            convergence_study(1, 1, 0.5, a=1e308)
+
+    def test_ladder_step_limit_leaves_test_ladders_room(self):
+        # the longest ladder of the suite, diffusion at |nu| = 0.4 on 32..256 cells
+        assert 100 * sum(convergence_study(2, 1, 0.4).steps) <= MAX_LADDER_STEPS
+
+    def test_non_finite_error_refused(self, monkeypatch):
+        real = fdmarch.solver.run_linear
+
+        def poisoned(problem, field, steps, callback=None):
+            out = real(problem, field, steps, callback)
+            return GridField(np.full_like(out.values, np.nan), out.dx, out.origin)
+
+        monkeypatch.setattr(fdmarch.solver, "run_linear", poisoned)
+        with pytest.raises(ConfigurationError, match="not all finite"):
+            convergence_study(1, 1, 0.8, grids=(8, 16))
