@@ -1,8 +1,10 @@
 """Command-line front end: coefficient tables, stability surveys, experiment runs.
 
 Every `run` path, either preset or an explicit linear run, marches through one
-snapshot driver, `_march_and_write`, which writes one CSV per output time with
-the run's parameters, any runtime warnings and per-snapshot notes in its header.
+snapshot driver, `_march_and_write`, which writes one CSV per profile and
+output time with the run's parameters, any runtime warnings and per-snapshot
+notes in its header.  The profiles of one linear preset order march as one
+(rows, cells) stack; Burgers profiles march one at a time.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values),
 2 for structurally invalid requests (wrong stencil size, unknown preset,
@@ -192,18 +194,6 @@ def _fmt_offsets(offsets: Sequence[int]) -> str:
     return ",".join(str(k) for k in offsets)
 
 
-def _run_catching_warnings(fn, meta: dict) -> None:
-    """Run fn(); fold any runtime warnings (e.g. instability) into the metadata."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fn()
-    notes = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    if notes:
-        meta["warning"] = "; ".join(notes)
-        for note in notes:
-            print(f"warning: {note}", file=sys.stderr)
-
-
 # -- subcommands -------------------------------------------------------------------
 
 def _stencil(args, a_sign: int) -> OffsetSet:
@@ -332,13 +322,16 @@ def _grid_meta(field: GridField, dt: float, nu: float) -> dict:
     return dict(dx=f"{field.dx:.17g}", dt=f"{dt:.17g}", nu=f"{nu:.17g}", cells=field.n_cells)
 
 
-def _march_and_write(out_dir, stem, field, march, steps, out_steps, dt, meta, annotate=None):
-    """March `field` for `steps` steps and write `<stem>_t<time>.csv` at each of
-    `out_steps`.
+def _march_and_write(out_dir, field, runs, march, steps, out_steps, dt, annotate=None):
+    """March `field`, one row or a (rows, cells) stack, for `steps` steps and
+    write `<stem>_t<time>.csv` for each row at each of `out_steps`.
 
+    `runs` holds one (stem, meta) per row of `field`, in row order.
     `march(field, steps=, callback=)` is run_linear or run_nonlinear with the
-    rest bound.  Its runtime warnings go into `meta`.  Each header is `meta`,
-    `step`, `time`, then the keys `annotate(field, step, snapshot)` returns.
+    rest bound; it marches all rows at once, so its runtime warnings go into
+    every row's header and to stderr once per row.  Each header is the row's
+    meta, `step`, `time`, then the keys `annotate(first, step, snapshot)`
+    returns for the row's initial and snapshot fields.
     """
     snaps = dict.fromkeys(out_steps, field)  # step 0 keeps the initial field
 
@@ -346,15 +339,25 @@ def _march_and_write(out_dir, stem, field, march, steps, out_steps, dt, meta, an
         if step in snaps:
             snaps[step] = snap
 
-    _run_catching_warnings(lambda: march(field, steps=steps, callback=grab), meta)
-    for step in out_steps:
-        t = step * dt
-        header = dict(meta, step=step, time=f"{t:.17g}")
-        if annotate is not None:
-            header.update(annotate(field, step, snaps[step]))
-        path = os.path.join(out_dir, f"{stem}_t{t:g}.csv")
-        _write_snapshot(path, snaps[step], header)
-        print(f"wrote {path}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        march(field, steps=steps, callback=grab)
+    notes = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    snap_rows = {step: snap.rows() for step, snap in snaps.items()}
+    for i, ((stem, meta), first) in enumerate(zip(runs, field.rows())):
+        if notes:
+            meta = dict(meta, warning="; ".join(notes))
+            for note in notes:
+                print(f"warning: {note}", file=sys.stderr)
+        for step in out_steps:
+            t = step * dt
+            snap = snap_rows[step][i]
+            header = dict(meta, step=step, time=f"{t:.17g}")
+            if annotate is not None:
+                header.update(annotate(first, step, snap))
+            path = os.path.join(out_dir, f"{stem}_t{t:g}.csv")
+            _write_snapshot(path, snap, header)
+            print(f"wrote {path}")
 
 
 def _translation_error(nu: float, field0: GridField, step: int, snap: GridField) -> dict:
@@ -404,18 +407,46 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
             head, tail = {"family": family}, {"a": preset.a}
             annotate = functools.partial(_translation_error, nu)
             stem = f"{preset.name}_{family}{n:02d}"
-        for prof_name in args.profiles or preset.profiles:
-            field = GridField.sample(make_profile(prof_name, preset.box), preset.box, n_cells)
-            meta = dict(
-                preset=preset.name, kind=preset.kind, **head, order=n,
-                offsets=_fmt_offsets(offs), profile=prof_name, **tail,
-                **_grid_meta(field, preset.dt, nu),
+        profiles = args.profiles or preset.profiles
+        fields = [
+            GridField.sample(make_profile(name, preset.box), preset.box, n_cells)
+            for name in profiles
+        ]
+        runs = [
+            (
+                f"{stem}_{name}",
+                dict(
+                    preset=preset.name, kind=preset.kind, **head, order=n,
+                    offsets=_fmt_offsets(offs), profile=name, **tail,
+                    **_grid_meta(field, preset.dt, nu),
+                ),
             )
+            for name, field in zip(profiles, fields)
+        ]
+        # The linear profiles of one order share one stencil, so they march as
+        # one stack.  Burgers profiles march one by one: numpy raises its
+        # overflow warnings per call, so a stack would copy one profile's note
+        # into the headers of the others.
+        if burgers:
+            batches = [(field, [run]) for field, run in zip(fields, runs)]
+        else:
+            batches = [(GridField.stack(fields), runs)]
+        for field, batch in batches:
             _march_and_write(
-                out_dir, f"{stem}_{prof_name}", field, march, out_steps[-1], out_steps,
-                preset.dt, meta, annotate,
+                out_dir, field, batch, march, out_steps[-1], out_steps, preset.dt, annotate
             )
     return 0
+
+
+# An explicit run over either bound is refused before its field is sampled.
+# The work is cells x steps x stencil points (a run of 0 steps still samples
+# and writes its grid).  The largest march of the presets, one fig-advection
+# profile at order 29, is 100 cells x 6250 steps x 30 points = 1.9e7, the
+# largest explicit run of the tests 5e4: the work bound leaves the preset
+# march a 100x margin.  The cell bound keeps one array of the march at 80 MB;
+# it is 5 x 10^4 times fig-burgers' 200 cells.
+MAX_RUN_WORK = 2e9
+MAX_RUN_CELLS = 1e7
 
 
 def _explicit_run(args, out_dir: str) -> int:
@@ -433,8 +464,19 @@ def _explicit_run(args, out_dir: str) -> int:
     # default step: Courant magnitude 0.4, comfortably inside every stable family
     dt = args.dt if args.dt is not None else 0.4 * dx**args.m / abs(a)
     _require_positive("--dt", dt)
+    n_cells = _cell_count(box, dx)
+    work = n_cells * max(args.steps, 1) * len(offs)
+    for count, what, limit in (
+        (n_cells, "cells", MAX_RUN_CELLS),
+        (work, "cells x steps x stencil points", MAX_RUN_WORK),
+    ):
+        if count > limit:
+            raise ConfigurationError(
+                f"the run would exceed the limit of {limit:.3g} {what}; "
+                "raise --dx, shrink --box or use fewer --steps"
+            )
     prof_name = args.profile or "triangle"
-    field = GridField.sample(make_profile(prof_name, box), box, _cell_count(box, dx))
+    field = GridField.sample(make_profile(prof_name, box), box, n_cells)
     problem = LinearProblem(terms=(LinearTerm(args.m, a, offs),), dt=dt, n=args.n)
     nu = problem.courant_numbers(field.dx)[0]
     if args.times is not None:
@@ -450,8 +492,8 @@ def _explicit_run(args, out_dir: str) -> int:
         a=a, **_grid_meta(field, dt, nu),
     )
     _march_and_write(
-        out_dir, f"run_m{args.m}_n{args.n}_{prof_name}", field,
-        functools.partial(run_linear, problem), args.steps, out_steps, dt, meta,
+        out_dir, field, [(f"run_m{args.m}_n{args.n}_{prof_name}", meta)],
+        functools.partial(run_linear, problem), args.steps, out_steps, dt,
     )
     return 0
 

@@ -1,19 +1,25 @@
 """Periodic 1-D time marching with generated schemes.
 
-Fields live on a uniform grid with periodic wrap-around.  One explicit step
-copies the value array once into a buffer padded with a halo of wrapped values
-on each side, as wide as the stencil reaches, and then sums weighted shifted
-slices of that buffer, one per stencil offset with a nonzero weight, in item
-order, starting from +0.0.  Weights are produced by the exact generator and
-converted to float, with the arrays the kernel reads, once per run.
+Fields live on a uniform grid with periodic wrap-around.  A field holds one
+row of cell values, or a stack of rows on the same grid, shape (rows, cells);
+every step treats the rows alike and independently.  One explicit step copies
+the values once into a buffer padded along the cell axis with a halo of
+wrapped values on each side, as wide as the stencil reaches, and then sums
+weighted shifted slices of that buffer, one per stencil offset with a nonzero
+weight, in item order, starting from +0.0.  Weights are produced by the exact
+generator and converted to float, with the arrays the kernel reads, once per
+run.
 
-The kernel takes that sum in one of two ways, bitwise alike.  While stencil
-points times cells stays within `WINDOW_LIMIT`, it views the padded buffer as
-a strided window whose row r is the slice starting at r, multiplies the rows
-of the live offsets by their weight column in one call and adds the rows with
-one ordered reduce; on small grids a step costs a few numpy calls whatever
-the order.  Above the limit it adds one slice at a time, which keeps large
-arrays out of a (points, cells) temporary.
+The kernel takes that sum in one of two ways, bitwise alike, for one row or
+a stack.  While rows times stencil points times cells stays within
+`WINDOW_LIMIT`, it views the padded buffer as a strided ([rows,] points,
+cells) window whose entry r along the points axis is the slice starting at
+r, multiplies the entries of the live offsets by their weight column in one
+call and adds them with one ordered reduce over that axis; on small grids a
+step costs a few numpy calls whatever the order and however many rows march
+together.  Above the limit it adds one slice at a time, which keeps large
+arrays out of a (rows, points, cells) temporary.  Each output row is the sum
+a lone march of that row computes.
 
 The layered nonlinear update runs on the same kernel: each step pads the
 field once, evaluates every conserved density once on that padded copy, and
@@ -54,7 +60,15 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GridField:
-    """Samples of u on a uniform periodic grid: values[j] = u(origin + j*dx)."""
+    """Samples of u on a uniform periodic grid: values[j] = u(origin + j*dx).
+
+    `values` is one field, shape (cells,), or a stack of fields on the same
+    grid, shape (rows, cells), each row values[i, j] = u_i(origin + j*dx).
+    The cell axis is the last one either way.  A stack marches as one array,
+    and each row comes out with the bits a march of that row alone gives.
+    Per-field summaries (`mass`, `shock_front`) refuse a stack; split it with
+    `rows()`.
+    """
 
     values: np.ndarray
     dx: float
@@ -62,9 +76,29 @@ class GridField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ConfigurationError("field values must be a non-empty 1-D array")
+        if vals.ndim not in (1, 2) or vals.size == 0:
+            raise ConfigurationError(
+                "field values must be a non-empty 1-D array or (rows, cells) stack"
+            )
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def stack(cls, fields: Sequence["GridField"]) -> "GridField":
+        """One (rows, cells) field of 1-D fields on the same grid, in order."""
+        first = fields[0]
+        for f in fields:
+            if f.values.ndim != 1 or (f.dx, f.origin, f.n_cells) != (
+                first.dx, first.origin, first.n_cells
+            ):
+                raise ConfigurationError("only 1-D fields on one grid can be stacked")
+        return cls(np.stack([f.values for f in fields]), first.dx, first.origin)
+
+    def rows(self) -> tuple["GridField", ...]:
+        """The 1-D fields of a stack, in order (one for a 1-D field), each
+        sharing its values with this field."""
+        return tuple(
+            GridField(v, self.dx, self.origin) for v in self.values.reshape(-1, self.n_cells)
+        )
 
     @classmethod
     def sample(
@@ -85,7 +119,7 @@ class GridField:
 
     @property
     def n_cells(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
     @property
     def length(self) -> float:
@@ -95,7 +129,14 @@ class GridField:
         return self.origin + self.dx * np.arange(self.n_cells)
 
     def mass(self) -> float:
-        return float(self.values.sum())
+        return float(_one_row(self, "mass").values.sum())
+
+
+def _one_row(field: GridField, what: str) -> GridField:
+    """`field`, refused when it is a stack: `what` is a per-field summary."""
+    if field.values.ndim != 1:
+        raise ConfigurationError(f"{what} takes one field; split the stack with rows()")
+    return field
 
 
 # -- initial profiles ---------------------------------------------------------
@@ -216,52 +257,60 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
         )
 
 
-# Stencil points times cells up to which `_sum_slices` takes the window
-# product.  Per call on 2 shared x86-64 CPUs (numpy 2.4), slice loop against
-# window product: 100 cells, 30 points: 62 against 12 us; 1000 cells, 6
-# points: 21 against 17 us; 2000 cells, 6 points: 25 against 29 us.  Rows
-# gathered out of order, or around zero weights, fall 4-11x behind from 2000
-# cells and 16 points up.
+# Rows times stencil points times cells up to which `_sum_slices` takes the
+# window product.  Per call on 2 shared x86-64 CPUs (numpy 2.4), slice loop
+# against window product, min of 7 repeats: 1 row x 100 cells x 30 points:
+# 60 against 10 us; 2 x 100 x 30: 82 against 16 us; 3 x 100 x 30: 78 against
+# 21 us; 1 x 1000 x 6: 12 against 14 us; 1 x 2000 x 6: 16 against 20 us;
+# 2 x 1000 x 6: 22 against 19 us; 8 x 1000 x 8: 73 against 91 us.  The
+# crossover moves between 10^4 and 5 x 10^4 from run to run and shifts to
+# fewer cells per row as rows are added; on the few-point rows of large grids
+# (1 x 10^4 x 2: 17 against 20 us) the loop stays ahead.  Rows gathered out
+# of order, or around zero weights, fall 4-11x behind from 2000 cells and 16
+# points up.
 WINDOW_LIMIT = 2**13
 
 
 def _pad(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """ext = (last lo values, values, first hi values): values[(j + k) mod N]
-    is ext[lo + k + j] for -lo <= k <= hi."""
-    n = values.size
-    return np.concatenate((values[n - lo:], values, values[:hi]))
+    """ext = (last lo values, values, first hi values) along the cell axis, the
+    last: values[..., (j + k) mod N] is ext[..., lo + k + j] for -lo <= k <= hi."""
+    n = values.shape[-1]
+    return np.concatenate((values[..., n - lo:], values, values[..., :hi]), axis=-1)
 
 
 def _sum_slices(ext: np.ndarray, n: int, stencil: FloatStencil) -> np.ndarray:
-    """out[j] = sum of w * ext[stencil.lo + k + j] over the live (k, w) items.
+    """out[..., j] = sum of w * ext[..., stencil.lo + k + j] over the live (k, w) items.
 
-    `ext` is a C-contiguous float array padded by `_pad` with the stencil's
-    halo.  The sum starts at +0.0 and adds the terms in item order; zero
-    weights are skipped, so a non-finite value under a zero weight reads as
-    nothing.  Up to `WINDOW_LIMIT` stencil points times cells the terms are
-    the rows of one (live items, n) product, added by numpy's reduce over a
-    C-contiguous array's first axis, which runs row after row from `initial`;
-    above it, one `out += w * slice` per item.  Both are the same
-    floating-point sum.
+    `ext` is a C-contiguous float array, one row or a (rows, cells) stack,
+    padded by `_pad` with the stencil's halo.  The sum starts at +0.0 and
+    adds the terms in item order; zero weights are skipped, so a non-finite
+    value under a zero weight reads as nothing.  Up to `WINDOW_LIMIT` rows
+    times stencil points times cells the terms are one ([rows,] live items,
+    n) product, added by numpy's reduce over its items axis, which on a
+    C-contiguous array runs item after item from `initial`; above it, one
+    `out += w * slice` per item.  Both are the same floating-point sum, row by
+    row, so each row of a stack comes out as it would alone.
 
     Returns a new array on every call and writes into no other array, so
     callers may keep any result without copying it.
     """
-    if stencil.size * n > WINDOW_LIMIT:
+    lead = ext.shape[:-1]  # () for one row, (rows,) for a stack
+    if stencil.size * (ext.size // ext.shape[-1]) * n > WINDOW_LIMIT:
         lo = stencil.lo
-        out = np.zeros(n)
+        out = np.zeros(lead + (n,))
         for k, w in stencil.live:
-            out += w * ext[lo + k : lo + k + n]
+            out += w * ext[..., lo + k : lo + k + n]
         return out
-    window = np.ndarray(
-        (ext.size - n + 1, n), ext.dtype, ext, strides=(ext.itemsize, ext.itemsize)
-    )
-    terms = np.multiply(window[stencil.rows], stencil.weights)
-    return np.add.reduce(terms, axis=0, initial=0.0)
+    step = ext.itemsize
+    shape, strides = lead + (ext.shape[-1] - n + 1, n), ext.strides[:-1] + (step, step)
+    window = np.ndarray(shape, ext.dtype, ext, strides=strides)
+    terms = np.multiply(window[..., stencil.rows, :], stencil.weights)
+    return np.add.reduce(terms, axis=-2, initial=0.0)
 
 
 def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np.ndarray:
-    """out[j] = sum of w * values[(j + k) mod N] over the (k, w) items, in order.
+    """out[..., j] = sum of w * values[..., (j + k) mod N] over the (k, w) items,
+    in order, for one row or each row of a (rows, cells) stack.
 
     The periodic wrap comes from one halo-padded copy (`_pad`), so each
     offset is one shifted slice of it.  The terms are added in the order of
@@ -273,7 +322,7 @@ def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np
     `values` nor one it returned before.
     """
     stencil = FloatStencil(items)
-    return _sum_slices(_pad(values, stencil.lo, stencil.hi), values.size, stencil)
+    return _sum_slices(_pad(values, stencil.lo, stencil.hi), values.shape[-1], stencil)
 
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
@@ -291,9 +340,10 @@ def run_linear(
 ) -> GridField:
     """March `steps` steps, applying each term's scheme in sequence per step.
 
-    Emits a RuntimeWarning (but still runs) when a term is outside its stable
-    Courant range — periodic single-mode growth is diagnosable but sometimes
-    deliberately provoked.
+    `field` may be one row or a (rows, cells) stack; the callback's fields and
+    the result have its shape.  Emits a RuntimeWarning (but still runs) when
+    a term is outside its stable Courant range — periodic single-mode growth
+    is diagnosable but sometimes deliberately provoked.
     """
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
@@ -311,7 +361,7 @@ def run_linear(
             )
     stencils = [FloatStencil(s.float_items(nu)) for s, nu in zip(schemes, nus)]
     u = field.values.copy()
-    n = u.size
+    n = u.shape[-1]
     for s in range(steps):
         for stencil in stencils:
             u = _sum_slices(_pad(u, stencil.lo, stencil.hi), n, stencil)
@@ -392,7 +442,7 @@ def step_nonlinear(
     stencils = layers.float_stencils
     # every row has the table's offsets, so one halo serves them all
     ext = _pad(field.values, stencils[0].lo, stencils[0].hi)
-    out = np.zeros(n)
+    out = np.zeros(field.values.shape)
     for j, stencil in enumerate(stencils):
         dens = np.ascontiguousarray(densities.funcs[j](ext), dtype=float)
         out += nu**j * _sum_slices(dens, n, stencil)
@@ -423,8 +473,9 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
     Scans adjacent cell pairs left to right and returns the interpolated x
     where the profile first falls through the level (upward crossings, e.g. a
     periodic re-entry ramp, are ignored).  None if the profile never does.
+    A stack is refused: split it with `GridField.rows()`.
     """
-    v = field.values
+    v = _one_row(field, "shock_front").values
     down = np.flatnonzero((v[:-1] >= level) & (v[1:] < level))
     if down.size == 0:
         return None

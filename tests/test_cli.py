@@ -525,6 +525,37 @@ class TestRunExplicit:
         assert message in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            pytest.param(("--steps", "3", "--dx", "1e-300"), "1e+07 cells", id="dx-1e-300"),
+            pytest.param(("--steps", "3", "--dx", "1e-9"), "1e+07 cells", id="dx-1e-9"),
+            pytest.param(("--steps", "0", "--dx", "1e-9"), "1e+07 cells", id="dx-1e-9-no-steps"),
+            pytest.param(
+                ("--steps", "10000000000", "--dx", "0.1"), "2e+09 cells x steps x stencil points",
+                id="steps-1e10",
+            ),
+            pytest.param(
+                ("--steps", "2000", "--dx", "1e-6"), "2e+09 cells x steps x stencil points",
+                id="dx-1e-6-steps-2000",
+            ),
+        ],
+    )
+    def test_oversized_run_refused(self, extra, message, tmp_path, capsys):
+        """A run over the cell or work bound exits 2 before it samples a field."""
+        assert run_cli(
+            "run", "--m", "1", "--n", "1", *extra, "--out", str(tmp_path / "o")
+        ) == 2
+        assert f"exceed the limit of {message}" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_run_bounds_leave_presets_room(self):
+        """The work bound is 100x one fig-advection profile's march at order 29
+        (100 cells, 6250 steps, 30 points); the cell bound is far above every
+        preset grid."""
+        assert fdmarch.cli.MAX_RUN_WORK >= 100 * 100 * 6250 * 30
+        assert fdmarch.cli.MAX_RUN_CELLS >= 100 * 200
+
     def test_bad_dx_tiling(self, tmp_path, capsys):
         assert run_cli(
             "run", "--m", "1", "--n", "1", "--steps", "10", "--dx", "0.3",
@@ -620,6 +651,51 @@ class TestRunDriver:
             assert list(snap[0]) == [
                 "kind", "m", "order", "offsets", "profile", "a", *self.GRID_KEYS
             ]
+
+    def test_stacked_profiles_write_lone_marches(self, tmp_path, monkeypatch):
+        """The profiles of one order march as one stack; every file is, line for
+        line, what a lone `run_linear` march of its profile writes."""
+        preset = dataclasses.replace(
+            fdmarch.cli.PRESETS["fig-advection"], output_times=(0.0, 0.8, 0.88, 4.0)
+        )
+        monkeypatch.setitem(fdmarch.cli.PRESETS, "fig-advection", preset)
+        profiles = ("triangle", "rectangle", "gaussian")
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "fig-advection", "--orders", "1,29", "--profiles", ",".join(profiles),
+            "--out", str(out_dir),
+        ) == 0
+        want = {}
+        for n in (1, 29):
+            n_, r = advection_family_spec("uw", (n - 1) // 2)
+            offsets = OffsetSet.contiguous(r, n_)
+            problem = LinearProblem(terms=(LinearTerm(1, -1.0, offsets),), dt=0.08, n=n)
+            for name in profiles:
+                field0 = GridField.sample(make_profile(name, preset.box), preset.box, 100)
+                nu = problem.courant_numbers(field0.dx)[0]
+                for step in (0, 10, 11, 50):
+                    out = run_linear(problem, field0, step)
+                    cells = -nu * step
+                    if abs(cells - round(cells)) > 1e-9 * max(1.0, abs(cells)):
+                        max_error = "none"
+                    else:
+                        exact = np.roll(field0.values, round(cells))
+                        max_error = f"{float(np.max(np.abs(out.values - exact))):.17g}"
+                    header = [
+                        ("preset", "fig-advection"), ("kind", "advection"), ("family", "uw"),
+                        ("order", n), ("offsets", ",".join(map(str, offsets))),
+                        ("profile", name), ("a", -1.0), ("dx", f"{field0.dx:.17g}"),
+                        ("dt", f"{0.08:.17g}"), ("nu", f"{nu:.17g}"), ("cells", 100),
+                        ("step", step), ("time", f"{step * 0.08:.17g}"),
+                        ("max_error", max_error),
+                    ]
+                    text = "".join(f"# {k}={v}\n" for k, v in header) + "x,u\n"
+                    text += "".join(f"{x:.17g},{u:.17g}\n" for x, u in zip(out.x(), out.values))
+                    want[f"fig-advection_uw{n:02d}_{name}_t{step * 0.08:g}.csv"] = text
+        got = {path.name: path.read_text() for path in out_dir.iterdir()}
+        assert sorted(got) == sorted(want)
+        for name, text in want.items():
+            assert got[name] == text, name
 
     def test_max_error_matches_golden(self, tmp_path):
         golden = json.loads((REPO_ROOT / "tests/data/fig_advection_golden.json").read_text())

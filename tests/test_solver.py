@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fdmarch.solver
 from fdmarch.exact import OffsetSet
 from fdmarch.schemes import SchemeSpec, master_scheme, nonlinear_layers
+from fdmarch.stability import advection_family_spec
 from fdmarch.solver import (
     ConfigurationError,
     GridField,
@@ -54,13 +55,48 @@ class TestGridField:
         f = GridField(np.array([1.0, 2.0, 3.0]), 0.5, 0.0)
         assert f.mass() == 6.0
 
-    def test_rejects_empty_and_2d(self):
-        with pytest.raises(ConfigurationError):
-            GridField(np.zeros((2, 2)), 0.1, 0.0)
+    def test_rejects_empty_and_3d(self):
+        for shape in [(), (0,), (0, 4), (2, 0), (2, 2, 2)]:
+            with pytest.raises(ConfigurationError):
+                GridField(np.zeros(shape), 0.1, 0.0)
         with pytest.raises(ConfigurationError):
             GridField.sample(triangle, (0.0, 1.0), 0)
         with pytest.raises(ConfigurationError):
             GridField.sample(triangle, (1.0, 1.0), 8)
+
+    def test_stack_and_rows(self):
+        fields = [GridField.sample(p, (-2.0, 2.0), 8) for p in (triangle, rectangle, gaussian)]
+        stack = GridField.stack(fields)
+        assert stack.values.shape == (3, 8)
+        assert (stack.n_cells, stack.dx, stack.origin) == (8, 0.5, -2.0)
+        assert np.array_equal(stack.x(), fields[0].x())
+        rows = stack.rows()
+        assert len(rows) == 3
+        for row, f in zip(rows, fields):
+            assert (row.dx, row.origin) == (f.dx, f.origin)
+            assert row.values.tobytes() == f.values.tobytes()
+        assert fields[0].rows()[0].values.tobytes() == fields[0].values.tobytes()
+
+    def test_stack_needs_one_grid(self):
+        f = GridField.sample(triangle, (-2.0, 2.0), 8)
+        for other in [
+            GridField.sample(triangle, (-2.0, 2.0), 16),
+            GridField.sample(triangle, (-1.0, 3.0), 8),
+            GridField(f.values, 0.25, -2.0),
+            GridField.stack([f, f]),
+        ]:
+            with pytest.raises(ConfigurationError):
+                GridField.stack([f, other])
+
+    def test_summaries_refuse_a_stack(self):
+        """mass and shock_front never sum or scan across rows."""
+        stack = GridField(np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0]]), 0.5, 0.0)
+        with pytest.raises(ConfigurationError, match="one field"):
+            stack.mass()
+        with pytest.raises(ConfigurationError, match="one field"):
+            shock_front(stack)
+        assert [r.mass() for r in stack.rows()] == [1.0, 3.0]
+        assert [shock_front(r) for r in stack.rows()] == [0.25, 0.75]
 
 
 class TestProfiles:
@@ -264,6 +300,99 @@ def test_numpy_add_reduce_folds_rows_in_order(n):
         assert a.flags.c_contiguous
         assert got.tobytes() == fold.tobytes(), rows
         assert not np.signbit(got[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, WINDOW_LIMIT // 4])
+def test_numpy_add_reduce_folds_stacked_rows_in_order(n):
+    """The stacked window product's sum: a C-contiguous (stack, K, n) array
+    reduced over axis -2 folds each stack entry's K rows in order, from
+    `initial`, the same bits as reducing that entry alone."""
+    rng = np.random.default_rng(n)
+    for stack in (1, 2, 3):
+        for rows in (1, 2, 5, 9, 30):
+            shape = (stack, rows, n)
+            a = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 12, size=shape)
+            a[:, :, 0] = -0.0
+            got = np.add.reduce(a, axis=-2, initial=0.0)
+            for i in range(stack):
+                want = np.add.reduce(a[i], axis=0, initial=0.0)
+                assert got[i].tobytes() == want.tobytes(), (stack, rows)
+            assert not np.signbit(got[:, 0]).any()
+
+
+def uw_problem(n, dx=0.1):
+    """fig-advection's order-n uw scheme at nu = -4/5 on a grid of spacing dx."""
+    n_, r = advection_family_spec("uw", (n - 1) // 2)
+    return LinearProblem((LinearTerm(1, -1.0, OffsetSet.contiguous(r, n_)),), 0.8 * dx, n)
+
+
+class TestStackedKernel:
+    """A (rows, cells) stack marches as one; each row comes out with the bytes
+    a lone march of it gives, on both sides of `WINDOW_LIMIT`."""
+
+    @staticmethod
+    def assert_rows_alone(march, stack):
+        """march(stack) equals march(row) for every row, byte for byte."""
+        got = march(stack)
+        assert got.values.shape == stack.values.shape
+        for i, row in enumerate(stack.rows()):
+            want = march(row).values
+            assert [v.hex() for v in got.values[i]] == [float(v).hex() for v in want], i
+
+    @pytest.mark.parametrize("n", [1, 5, 29])
+    @pytest.mark.parametrize("profiles", [(triangle, rectangle), (triangle, rectangle, gaussian)])
+    def test_uw_ladder_rows(self, n, profiles):
+        box = (-5.0, 5.0)
+        stack = GridField.stack([GridField.sample(p, box, 100) for p in profiles])
+        problem = uw_problem(n)
+        assert problem.courant_numbers(stack.dx) == pytest.approx((-0.8,))
+        seen = []
+
+        def march(field):
+            return run_linear(problem, field, 60, callback=lambda s, f: seen.append(f.values.shape))
+
+        self.assert_rows_alone(march, stack)
+        assert seen[:60] == [(len(profiles), 100)] * 60
+
+    def test_stack_above_window_limit(self):
+        """Four rows of 1000 cells under 6 points take the slice loop; each row
+        alone takes the window product."""
+        rng = np.random.default_rng(11)
+        stack = GridField(rng.normal(size=(4, 1000)), 0.01, 0.0)
+        problem = uw_problem(5, stack.dx)
+        points = len(problem.term_offsets(problem.terms[0]))
+        assert points * 1000 <= WINDOW_LIMIT < 4 * points * 1000
+        self.assert_rows_alone(lambda f: run_linear(problem, f, 25), stack)
+
+    @pytest.mark.parametrize("cells", [100, 1000])
+    def test_non_finite_row_leaves_the_others(self, cells):
+        """inf and nan in one row spread through that row only; the other rows
+        keep the bytes of their lone marches (window product at 100 cells,
+        slice loop at 1000)."""
+        rng = np.random.default_rng(cells)
+        values = rng.normal(size=(3, cells))
+        values[1, [3, cells // 2]] = (np.inf, np.nan)
+        stack = GridField(values, 10.0 / cells, -5.0)
+        problem = uw_problem(15, stack.dx)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = run_linear(problem, stack, 30)
+            for i in (0, 2):
+                want = run_linear(problem, stack.rows()[i], 30).values
+                assert got.values[i].tobytes() == want.tobytes(), i
+        assert np.isfinite(got.values[[0, 2]]).all()
+        assert not np.isfinite(got.values[1]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_layered_update_rows(self, n):
+        """The layered Burgers update runs on the same kernel for a stack."""
+        box = (-5.0, 5.0)
+        windows = TestLayeredKernel.WINDOWS
+        layers = nonlinear_layers(n, windows[n])
+        profiles = (burgers_ramp, sine_profile(box), gaussian)
+        stack = GridField.stack([GridField.sample(p, box, 200) for p in profiles])
+        self.assert_rows_alone(
+            lambda f: run_nonlinear(f, layers, burgers_densities(n), 0.5, 40), stack
+        )
 
 
 class TestRunLinear:
