@@ -438,15 +438,19 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     return 0
 
 
-# An explicit run over either bound is refused before its field is sampled.
-# The work is cells x steps x stencil points (a run of 0 steps still samples
-# and writes its grid).  The largest march of the presets, one fig-advection
-# profile at order 29, is 100 cells x 6250 steps x 30 points = 1.9e7, the
-# largest explicit run of the tests 5e4: the work bound leaves the preset
-# march a 100x margin.  The cell bound keeps one array of the march at 80 MB;
-# it is 5 x 10^4 times fig-burgers' 200 cells.
+# An explicit run over any of these bounds is refused before its field is
+# sampled.  The work is cells x steps x stencil points (a run of 0 steps still
+# samples and writes its grid).  The largest march of the presets, one
+# fig-advection profile at order 29, is 100 cells x 6250 steps x 30 points =
+# 1.9e7, the largest explicit run of the tests 5e4: the work bound leaves the
+# preset march a 100x margin.  The cell bound keeps one array of the march at
+# 80 MB; it is 5 x 10^4 times fig-burgers' 200 cells.  On tiny grids a step's
+# fixed cost (~15 us on 3 cells, 200 000 steps in 3.2 s) dominates instead, so
+# the step count is bounded too, at 160x the presets' longest march of 6250
+# steps: about 15 s at that cost.
 MAX_RUN_WORK = 2e9
 MAX_RUN_CELLS = 1e7
+MAX_RUN_STEPS = 1e6
 
 
 def _explicit_run(args, out_dir: str) -> int:
@@ -469,6 +473,7 @@ def _explicit_run(args, out_dir: str) -> int:
     for count, what, limit in (
         (n_cells, "cells", MAX_RUN_CELLS),
         (work, "cells x steps x stencil points", MAX_RUN_WORK),
+        (args.steps, "steps", MAX_RUN_STEPS),
     ):
         if count > limit:
             raise ConfigurationError(

@@ -18,14 +18,16 @@ r, multiplies the entries of the live offsets by their weight column in one
 call and adds them with one ordered reduce over that axis; on small grids a
 step costs a few numpy calls whatever the order and however many rows march
 together.  Above the limit it adds one slice at a time, which keeps large
-arrays out of a (rows, points, cells) temporary.  Each output row is the sum
-a lone march of that row computes.
+arrays out of a (rows, points, cells) temporary; a slice with weight +1 or
+-1 is added or subtracted as it is, with no product.  Each output row is the
+sum a lone march of that row computes.
 
 The layered nonlinear update runs on the same kernel: each step pads the
 field once, evaluates every conserved density once on that padded copy, and
 sums the slices of each density with its row of the layer table.  Densities
 are therefore evaluated on the halo-padded array, not on the field, and must
-be pointwise.
+be pointwise.  Row 0's sum, weighted by nu^0, is taken as it is, not
+rescaled; each later row's sum is scaled by nu^j in place and added to it.
 """
 
 from __future__ import annotations
@@ -288,8 +290,10 @@ def _sum_slices(ext: np.ndarray, n: int, stencil: FloatStencil) -> np.ndarray:
     times stencil points times cells the terms are one ([rows,] live items,
     n) product, added by numpy's reduce over its items axis, which on a
     C-contiguous array runs item after item from `initial`; above it, one
-    `out += w * slice` per item.  Both are the same floating-point sum, row by
-    row, so each row of a stack comes out as it would alone.
+    `out += w * slice` per item, or `out += slice` and `out -= slice` for
+    weights of +1 and -1, whose product with the slice is exact.  Both are
+    the same floating-point sum, row by row, so each row of a stack comes out
+    as it would alone.
 
     Returns a new array on every call and writes into no other array, so
     callers may keep any result without copying it.
@@ -299,7 +303,13 @@ def _sum_slices(ext: np.ndarray, n: int, stencil: FloatStencil) -> np.ndarray:
         lo = stencil.lo
         out = np.zeros(lead + (n,))
         for k, w in stencil.live:
-            out += w * ext[..., lo + k : lo + k + n]
+            s = ext[..., lo + k : lo + k + n]
+            if w == 1.0:
+                out += s
+            elif w == -1.0:
+                out -= s
+            else:
+                out += w * s
         return out
     step = ext.itemsize
     shape, strides = lead + (ext.shape[-1] - n + 1, n), ext.strides[:-1] + (step, step)
@@ -396,21 +406,26 @@ def burgers_densities(n: int) -> DensityFamily:
 
     These are the successive antiderivatives of the powers of the local speed
     f(u) = -u, which is exactly what the layered update consumes.  The power
-    is a chain of multiplies, u * u * ... * u, not `pow`: for j <= 1 that is
-    bitwise what u**(j+1) gives, and each higher density is within a few ulp
-    of its exact value.
+    is a chain of multiplies, q = u * u * ... * u, not `pow`, and the sign and
+    divisor scale it in one operation, in place: q / (sign * p), or
+    q * (1 / (sign * p)) when p is a power of two and that inverse is exact.
+    Both round the same real number as sign * q / p, so each density is
+    bitwise sign * q / p: for j <= 1 that is what sign * u**(j+1) / (j+1)
+    gives, and each higher density is within a few ulp of its exact value.
     """
 
     def make(j: int) -> Callable[[np.ndarray], np.ndarray]:
         if j == 0:
             return lambda u: u
-        sign, p = (-1.0) ** j, j + 1
+        p = j + 1
+        divisor = (-1.0) ** j * p
+        op, scale = (np.multiply, 1.0 / divisor) if p & (p - 1) == 0 else (np.divide, divisor)
 
         def density(u: np.ndarray) -> np.ndarray:
             q = u * u
             for _ in range(p - 2):
                 q *= u
-            return sign * q / p
+            return op(q, scale, out=q)
 
         return density
 
@@ -430,6 +445,9 @@ def step_nonlinear(
     The field is padded with its wrapped halo once, and each density is
     evaluated once on that padded copy; densities act pointwise, so the
     padded density reads the same values as padding the density would.
+    Row 0's sum is the step's sum, not rescaled: it starts from +0.0, so it
+    never holds -0.0 and 0.0 + 1.0 * sum would give its bits again.  Each
+    later row's sum is scaled by nu^j in place and added to it, in row order.
     """
     if len(densities) < len(layers):
         raise ConfigurationError(
@@ -442,10 +460,14 @@ def step_nonlinear(
     stencils = layers.float_stencils
     # every row has the table's offsets, so one halo serves them all
     ext = _pad(field.values, stencils[0].lo, stencils[0].hi)
-    out = np.zeros(field.values.shape)
     for j, stencil in enumerate(stencils):
         dens = np.ascontiguousarray(densities.funcs[j](ext), dtype=float)
-        out += nu**j * _sum_slices(dens, n, stencil)
+        row = _sum_slices(dens, n, stencil)  # a new array: free to scale in place
+        if j == 0:
+            out = row
+        else:
+            row *= nu**j
+            out += row
     return GridField(out, field.dx, field.origin)
 
 

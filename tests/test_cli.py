@@ -1,6 +1,7 @@
 """Command-line front end: output shapes, exit codes, file emission, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -539,10 +540,22 @@ class TestRunExplicit:
                 ("--steps", "2000", "--dx", "1e-6"), "2e+09 cells x steps x stencil points",
                 id="dx-1e-6-steps-2000",
             ),
+            # 3 cells x 3e8 steps x 2 points is under the work bound
+            pytest.param(
+                ("--steps", "300000000", "--dx", "0.1", "--box", "0,0.3"), "1e+06 steps",
+                id="steps-3e8-on-3-cells",
+            ),
         ],
     )
-    def test_oversized_run_refused(self, extra, message, tmp_path, capsys):
-        """A run over the cell or work bound exits 2 before it samples a field."""
+    def test_oversized_run_refused(self, extra, message, tmp_path, capsys, monkeypatch):
+        """A run over the cell, work or step bound exits 2 before it samples a
+        field.  Sampling fails the test, so a lost bound fails it at once
+        instead of marching for hours."""
+
+        def sample(*args, **kwargs):
+            raise AssertionError("an oversized run sampled its field")
+
+        monkeypatch.setattr(GridField, "sample", sample)
         assert run_cli(
             "run", "--m", "1", "--n", "1", *extra, "--out", str(tmp_path / "o")
         ) == 2
@@ -552,9 +565,10 @@ class TestRunExplicit:
     def test_run_bounds_leave_presets_room(self):
         """The work bound is 100x one fig-advection profile's march at order 29
         (100 cells, 6250 steps, 30 points); the cell bound is far above every
-        preset grid."""
+        preset grid, and the step bound 100x the longest preset march."""
         assert fdmarch.cli.MAX_RUN_WORK >= 100 * 100 * 6250 * 30
         assert fdmarch.cli.MAX_RUN_CELLS >= 100 * 200
+        assert fdmarch.cli.MAX_RUN_STEPS >= 100 * 6250
 
     def test_bad_dx_tiling(self, tmp_path, capsys):
         assert run_cli(
@@ -704,6 +718,18 @@ class TestRunDriver:
         for key, frozen in golden["max_errors"].items():
             meta, _ = read_csv(out_dir / f"{golden['preset']}_{key}_t{golden['time']:g}.csv")
             assert float(meta["max_error"]) == pytest.approx(frozen, rel=1e-9), key
+
+    def test_fig_burgers_matches_digest(self, tmp_path):
+        """Every fig-burgers CSV's data rows, after the `x,u` line, hash to the
+        frozen sha256: the layered update's output is bitwise pinned."""
+        golden = json.loads((REPO_ROOT / "tests/data/fig_burgers_digest.json").read_text())
+        out_dir = tmp_path / "o"
+        assert run_cli("run", golden["preset"], "--out", str(out_dir)) == 0
+        got = {}
+        for path in out_dir.iterdir():
+            _, _, rows = path.read_text().partition("x,u\n")
+            got[path.name] = hashlib.sha256(rows.encode()).hexdigest()
+        assert got == golden["sha256"]
 
 
 # -- exit codes and entry points ------------------------------------------------------------

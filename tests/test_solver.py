@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdmarch.solver
@@ -610,6 +610,70 @@ class TestLayeredKernel:
             for x, y in zip(vals, got):
                 exact = Fraction((-1) ** j) * Fraction(x) ** (j + 1) / (j + 1)
                 assert abs(Fraction(float(y)) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+    @staticmethod
+    def chain_densities(n):
+        """Burgers densities as sign * (u * u * ... * u) / p: the power chain,
+        then the sign, then the divisor, one operation each."""
+
+        def make(j):
+            sign, p = (-1.0) ** j, j + 1
+
+            def density(u):
+                q = u
+                for _ in range(p - 1):
+                    q = q * u
+                return sign * q / p
+
+            return density
+
+        return tuple(make(j) for j in range(n + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slice_loop_march_bitwise(self, n, monkeypatch):
+        """On 5000 cells every row of the table sums one slice at a time, unit
+        weights included, and the step starts from row 0's sum.  300 steps of
+        a ramp whose right part holds exact zeros, as -0.0 (so every density
+        of it is -0.0 too), keep every bit, sign of zero included, of the
+        per-density reference fed with `chain_densities` and summed on the
+        window path."""
+        layers = nonlinear_layers(n, self.WINDOWS[n])
+        assert any(abs(w) == 1 for row in layers.rows[1:] for w in row)
+        cells, steps = 5000, 300
+        assert len(layers.offsets) * cells > WINDOW_LIMIT
+        field = GridField.sample(burgers_ramp, (-5.0, 5.0), cells)
+        field.values[field.values == 0.0] = -0.0
+        got = run_nonlinear(field, layers, burgers_densities(n), 0.5, steps).values
+        monkeypatch.setattr(fdmarch.solver, "WINDOW_LIMIT", math.inf)
+        ref = field.values
+        for _ in range(steps):
+            ref = self.reference_step(ref, layers, self.chain_densities(n), 0.5)
+        assert np.count_nonzero(got == 0.0) > cells // 4
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+    @example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-160, 3e-108])
+    @example([1.7976931348623157e308, -1e155, 1e103, -6e77, 1.3407807929942596e154])
+    @settings(max_examples=300, deadline=None)
+    def test_burgers_densities_bitwise_chain(self, vals):
+        """Each density, scaled in one operation, is bitwise sign * (u*...*u) / p
+        on any finite input: signed zeros, subnormals, powers that underflow and
+        powers that overflow to +-inf.  The argument is left as it was."""
+        u = np.array(vals)
+        before = u.copy()
+        with np.errstate(over="ignore", under="ignore"):
+            got = [func(u) for func in burgers_densities(3).funcs]
+        assert np.array_equal(u.view(np.int64), before.view(np.int64))
+        for j, dens in enumerate(got):
+            for x, y in zip(vals, dens):
+                q = x
+                for _ in range(j):
+                    q = q * x
+                want = (-1.0) ** j * q / (j + 1)
+                if math.isnan(want):
+                    assert math.isnan(y)
+                else:
+                    assert float(y).hex() == want.hex(), (j, x)
 
     def test_layer_table_converted_once(self, monkeypatch):
         layers = nonlinear_layers(3, self.WINDOWS[3])
