@@ -1,10 +1,10 @@
-"""Survey of measured critical Courant numbers across the scheme zoo.
+"""Survey of critical Courant numbers across the scheme zoo.
 
 Four tables:
   1. the centered even-derivative (diffusion) ladder, full vs. truncated to
      its linear-in-nu layer — order buys stability, truncation costs it;
   2. every first-order window r = 0..m for m = 1..6 under both coefficient
-     signs, against the geometric ceiling 1/2^(m-1);
+     signs, exact, against the geometric ceiling 1/2^(m-1);
   3. the stable-window classification per sign (the parity rule);
   4. the three named advection ladders and their stability endpoints.
 
@@ -12,6 +12,7 @@ Usage: python3 scripts/stability_survey.py [--m-max 6]
 """
 
 import argparse
+from fractions import Fraction
 
 from fdmarch import (
     OffsetSet,
@@ -41,11 +42,11 @@ def first_order_windows(m_max: int) -> None:
     classes = [classify_first_order(m) for m in range(1, m_max + 1)]
     for cls in classes:
         m = cls.m
-        bound = 0.5 ** (m - 1)
+        bound = str(Fraction(1, 2 ** (m - 1)))
         for r in range(m + 1):
-            plus = cls.nu_critical[(+1, r)]
-            minus = cls.nu_critical[(-1, r)]
-            print(f"{m:>3} {r:>3} {plus:>8.4f} {minus:>8.4f} {bound:>8.4f}")
+            plus = str(cls.nu_critical[(+1, r)])
+            minus = str(cls.nu_critical[(-1, r)])
+            print(f"{m:>3} {r:>3} {plus:>8} {minus:>8} {bound:>8}")
     print()
     print("## stable window per sign")
     for cls in classes:

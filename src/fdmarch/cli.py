@@ -259,12 +259,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _require_positive("--tol", args.tol)
-    cls = classify_first_order(args.m, tol=args.tol)
-    print(f"# first-order windows for m={args.m} (measured critical Courant numbers)")
+    if args.m < 1:
+        raise ConfigurationError(f"--m must be >= 1, got {args.m}")
+    cls = classify_first_order(args.m)
+    print(f"# first-order windows for m={args.m} (exact critical Courant numbers)")
     print("r " + " ".join(f"{r:>10d}" for r in range(args.m + 1)))
     for sign in (+1, -1):
-        row = " ".join(f"{cls.nu_critical[(sign, r)]:>10.5f}" for r in range(args.m + 1))
+        row = " ".join(f"{str(cls.nu_critical[(sign, r)]):>10}" for r in range(args.m + 1))
         print(f"a{'>' if sign > 0 else '<'}0 {row}")
     for sign in (+1, -1):
         r = cls.stable_r[sign]
@@ -272,7 +273,7 @@ def _cmd_classify(args) -> int:
         if r is None:
             print(f"{label}: no stable window")
         else:
-            print(f"{label}: stable window r={r} (|nu| up to {cls.nu_critical[(sign, r)]:.5f})")
+            print(f"{label}: stable window r={r} (|nu| up to {cls.nu_critical[(sign, r)]})")
     return 0
 
 
@@ -554,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stable first-order windows for one derivative order")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("converge", help="grid refinement study with exact references")

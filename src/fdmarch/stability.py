@@ -24,17 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .exact import OffsetSet
-from .schemes import Scheme, SchemeSpec, first_order_scheme, master_scheme
+from .schemes import Scheme, SchemeSpec, master_scheme
 
 # |g|^2 <= 1 + GROWTH_TOL counts as stable: absorbs float roundoff in the
 # gain evaluation without masking genuine growth.
 GROWTH_TOL = 1e-10
-# schemes whose critical Courant number is below this are classified unstable
+# a report whose measured critical Courant number is below this is unstable
 STABLE_NU_THRESHOLD = 1e-3
 # default resolution of the theta grid scan
 THETA_SAMPLES = 4096
@@ -323,37 +324,30 @@ def truncated_first_layer_critical(n: int, tol: float = NU_TOL) -> float:
 
 @dataclass(frozen=True)
 class BoundAuditRow:
-    """Measured critical Courant number of one binomial scheme vs. the geometric ceiling."""
+    """Exact critical Courant number of one binomial scheme vs. the geometric ceiling."""
 
     m: int
     r: int
     sign: int
-    nu_critical: float
-    bound: float
+    nu_critical: Fraction
+    bound: Fraction
     within: bool
 
 
-def stability_bound_audit(
-    m_max: int, tol: float = NU_TOL, slack: float = 1e-3
-) -> tuple[BoundAuditRow, ...]:
+def stability_bound_audit(m_max: int) -> tuple[BoundAuditRow, ...]:
     """Check nu_critical <= 1/2^(m-1) for every first-order window, m <= m_max.
 
     For each (m, r) the favorable coefficient sign (the one with the larger
-    measured range) is reported.
+    range, +1 on a tie) is reported.
     """
     rows = []
     for m in range(1, m_max + 1):
-        bound = 0.5 ** (m - 1)
+        cls = classify_first_order(m)
+        bound = Fraction(1, 2 ** (m - 1))
         for r in range(m + 1):
-            scheme = first_order_scheme(m, r)
-            by_sign = {
-                sign: critical_courant(scheme, sign, tol=tol) for sign in (+1, -1)
-            }
-            sign = max(by_sign, key=lambda s: by_sign[s])
-            nu_c = by_sign[sign]
-            rows.append(
-                BoundAuditRow(m, r, sign, nu_c, bound, nu_c <= bound + slack)
-            )
+            sign = max((+1, -1), key=lambda s: cls.nu_critical[(s, r)])
+            nu_c = cls.nu_critical[(sign, r)]
+            rows.append(BoundAuditRow(m, r, sign, nu_c, bound, nu_c <= bound))
     return tuple(rows)
 
 
@@ -378,29 +372,32 @@ def first_order_stable_r(m: int, sign: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Classification:
-    """Measured stability landscape of all first-order windows for one m."""
+    """Exact stability landscape of all first-order windows for one m."""
 
     m: int
     stable_r: dict[int, Optional[int]]
-    nu_critical: dict[tuple[int, int], float]
+    nu_critical: dict[tuple[int, int], Fraction]
 
 
-def classify_first_order(m: int, tol: float = NU_TOL) -> Classification:
-    """Probe every window r = 0..m under both coefficient signs.
+def classify_first_order(m: int) -> Classification:
+    """Exact critical Courant number of every window r = 0..m under both signs.
 
-    A window counts as stable when its measured critical Courant number
-    exceeds STABLE_NU_THRESHOLD; at most one window per sign survives.
+    Window r has the symbol g = 1 + nu*z with z = e^{-ir theta}(e^{i theta}-1)^m,
+    so |z|^2 = y^m with y = 2 - 2cos theta in [0, 4].  For nu = s*t, t > 0,
+    |g|^2 <= 1 iff 2s Re z + t y^m <= 0 for every theta.
+    - On the window `first_order_stable_r(m, s)` names,
+      s Re z = -y^ceil(m/2) / 2^(m mod 2), so the condition is tightest at
+      y = 4 and holds exactly for t <= 1/2^(m-1).
+    - On every other (s, r) some theta has s Re z > 0, and that theta grows
+      at every t > 0: nu_c = 0.
     """
-    nu_critical: dict[tuple[int, int], float] = {}
-    stable_r: dict[int, Optional[int]] = {}
-    for sign in (+1, -1):
-        best_r, best = None, 0.0
-        for r in range(m + 1):
-            nu_c = critical_courant(first_order_scheme(m, r), sign, tol=tol)
-            nu_critical[(sign, r)] = nu_c
-            if nu_c > STABLE_NU_THRESHOLD and nu_c > best:
-                best_r, best = r, nu_c
-        stable_r[sign] = best_r
+    stable_r = {sign: first_order_stable_r(m, sign) for sign in (+1, -1)}
+    ceiling = Fraction(1, 2 ** (m - 1))
+    nu_critical = {
+        (sign, r): ceiling if r == stable_r[sign] else Fraction(0)
+        for sign in (+1, -1)
+        for r in range(m + 1)
+    }
     return Classification(m=m, stable_r=stable_r, nu_critical=nu_critical)
 
 

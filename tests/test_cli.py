@@ -192,9 +192,7 @@ class TestStability:
         "argv",
         [
             ("stability", "--m", "1", "--n", "1", "--tol", "0"),
-            ("classify", "--m", "1", "--tol", "0"),
             ("stability", "--m", "1", "--n", "1", "--tol", "-0.1"),
-            ("classify", "--m", "1", "--tol", "-0.1"),
             ("stability", "--m", "1", "--n", "1", "--tol", "nan"),
             ("stability", "--m", "1", "--n", "1", "--tol", "inf"),
         ],
@@ -204,6 +202,24 @@ class TestStability:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "--tol must be a finite number > 0" in proc.stderr
         assert proc.stdout == ""
+
+    def test_classify_takes_no_tol(self):
+        proc = run_cli_process("classify", "--m", "1", "--tol", "1e-4")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "unrecognized arguments: --tol" in proc.stderr
+
+    @pytest.mark.parametrize("m", ["-3", "0"])
+    def test_classify_needs_positive_m(self, m):
+        proc = run_cli_process("classify", "--m", m)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"--m must be >= 1, got {m}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_classify_high_order_exact(self, capsys):
+        assert run_cli("classify", "--m", "11") == 0
+        out = capsys.readouterr().out
+        assert "a>0: stable window r=6 (|nu| up to 1/1024)" in out
+        assert "a<0: stable window r=5 (|nu| up to 1/1024)" in out
 
     def test_tol_below_float_spacing_terminates(self):
         proc = run_cli_process("stability", "--m", "1", "--n", "1", "--tol", "1e-20", "--sign", "-")

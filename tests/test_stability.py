@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,6 +373,14 @@ class TestStabilityReport:
 
 # -- first-order landscape --------------------------------------------------------------
 
+def chebyshev(n, x):
+    """[T_0(x), ..., T_n(x)] by the three-term recurrence, exact for a Fraction x."""
+    ts = [Fraction(1), x]
+    while len(ts) <= n:
+        ts.append(2 * x * ts[-1] - ts[-2])
+    return ts[: n + 1]
+
+
 class TestClassification:
     def test_advection(self):
         cls = classify_first_order(1)
@@ -385,18 +394,50 @@ class TestClassification:
         cls = classify_first_order(3)
         assert cls.stable_r == {+1: 2, -1: 1}
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_exact_certificate(self, m):
+        """s Re z(x) = sum_k c1_k T_|k|(x), x = cos(theta), in exact arithmetic.
+
+        On the stable window it equals -y^ceil(m/2) / 2^(m mod 2), y = 2 - 2x,
+        at 129 points: both sides have degree <= 12, so they are identical.
+        Every other window has a point x with s Re z(x) > 0.  m = 11 and 12
+        once lost their stable window to a float threshold.
+        """
+        xs = [Fraction(k, 64) for k in range(-64, 65)]
+        ts = [chebyshev(m, x) for x in xs]
+        half_up = (m + 1) // 2
+        cls = classify_first_order(m)
+        assert cls.stable_r == {s: first_order_stable_r(m, s) for s in (+1, -1)}
+        for r in range(m + 1):
+            scheme = first_order_scheme(m, r)
+            c1 = dict(zip(scheme.offsets, scheme.layers[1]))
+            for sign in (+1, -1):
+                re_z = [sign * sum(c * t[abs(k)] for k, c in c1.items()) for t in ts]
+                nu_c = cls.nu_critical[(sign, r)]
+                assert isinstance(nu_c, Fraction)
+                if r == first_order_stable_r(m, sign):
+                    want = [-((2 - 2 * x) ** half_up) / 2 ** (m % 2) for x in xs]
+                    assert re_z == want, (m, sign, r)
+                    assert nu_c == Fraction(1, 2 ** (m - 1))
+                else:
+                    assert any(v > 0 for v in re_z), (m, sign, r)
+                    assert nu_c == 0
+
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_closed_form_parity_rule(self, m):
-        """Even m=2l: only r=l, only for sign (-1)^(l-1); odd m: one r per sign."""
-        for sign in (+1, -1):
-            r = first_order_stable_r(m, sign)
-            if m % 2 == 0:
-                half = m // 2
-                want = half if sign == (-1) ** (half - 1) else None
-            else:
-                half = (m + 1) // 2
-                want = half if sign == (-1) ** half else half - 1
-            assert r == want
+    def test_measured_search_agrees(self, m):
+        """The float search lands within two bisection steps below the exact value."""
+        cls = classify_first_order(m)
+        for (sign, r), exact in cls.nu_critical.items():
+            measured = critical_courant(first_order_scheme(m, r), sign)
+            assert 0 <= exact - Fraction(measured) <= 2 * Fraction(NU_TOL), (sign, r, measured)
+
+    def test_no_growth_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("growth scan built")
+
+        monkeypatch.setattr(fdmarch.stability, "_GrowthScan", refuse)
+        assert classify_first_order(6).stable_r == {+1: 3, -1: None}
+        assert all(row.within for row in stability_bound_audit(6))
 
     def test_bound_audit_shape(self):
         rows = stability_bound_audit(2)
