@@ -1,14 +1,15 @@
 """Command-line front end: coefficient tables, stability surveys, experiment runs.
 
 Every `run` path, either preset or an explicit linear run, marches through one
-snapshot driver, `_march_and_write`, which writes one CSV per profile and
-output time with the run's parameters, any runtime warnings and per-snapshot
-notes in its header.  The profiles of one linear preset order march as one
-(rows, cells) stack; Burgers profiles march one at a time.
+snapshot driver, `_march_and_write`, which marches from one output time to
+the next, takes each snapshot from what the march returns, and writes one CSV
+per profile and output time with the run's parameters, any runtime warnings
+and per-snapshot notes in its header.  The profiles of one linear preset
+order march as one (rows, cells) stack; Burgers profiles march one at a time.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values),
-2 for structurally invalid requests (wrong stencil size, unknown preset,
-grid/stencil mismatch, ...).
+2 for structurally invalid requests (wrong stencil size, a scheme over
+`MAX_SCHEME_POINTS`, unknown preset, grid/stencil mismatch, ...).
 """
 
 from __future__ import annotations
@@ -196,6 +197,23 @@ def _fmt_offsets(offsets: Sequence[int]) -> str:
 
 # -- subcommands -------------------------------------------------------------------
 
+# A scheme asked for on the command line is refused above this many stencil
+# points, N = n*m + 1, before anything is built: the exact build and its
+# order audit grow as N^3 (N = 140: ~1.4 s; `coeffs --m 1 --n 200`, N = 201:
+# 6-8 s).  The largest scheme the tests and acceptance criteria build,
+# fig-advection's order 29 (N = 30), stays 140^3 / 30^3 = 102x below it.
+MAX_SCHEME_POINTS = 140
+
+
+def _check_scheme_size(m: int, n: int) -> None:
+    points = n * m + 1
+    if points > MAX_SCHEME_POINTS:
+        raise ConfigurationError(
+            f"an order n={n} scheme for m={m} has n*m+1 = {points} stencil points, "
+            f"over the limit of {MAX_SCHEME_POINTS}"
+        )
+
+
 def _stencil(args, a_sign: int) -> OffsetSet:
     """--offsets, or the default stencil of --m and --n for this sign of a."""
     if args.offsets is not None:
@@ -214,6 +232,7 @@ def _load_scheme(args) -> Scheme:
     if args.m is None or args.n is None:
         alt = " (or --scheme-file)" if hasattr(args, "scheme_file") else ""
         raise ConfigurationError(f"need --m and --n{alt}")
+    _check_scheme_size(args.m, args.n)
     return master_scheme(SchemeSpec(args.m, args.n, _stencil(args, args.a_sign)))
 
 
@@ -221,6 +240,7 @@ def _cmd_coeffs(args) -> int:
     if args.first_order:
         if args.m is None or args.r is None:
             raise ConfigurationError("--first-order needs --m and --r (window shift)")
+        _check_scheme_size(args.m, 1)
         scheme = first_order_scheme(args.m, args.r)
     else:
         scheme = _load_scheme(args)
@@ -278,6 +298,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    _check_scheme_size(args.m, args.n)
     profile = None
     if args.profile is not None and args.profile != "sine":
         profile = make_profile(args.profile, args.box)
@@ -325,25 +346,30 @@ def _grid_meta(field: GridField, dt: float, nu: float) -> dict:
 
 def _march_and_write(out_dir, field, runs, march, steps, out_steps, dt, annotate=None):
     """March `field`, one row or a (rows, cells) stack, for `steps` steps and
-    write `<stem>_t<time>.csv` for each row at each of `out_steps`.
+    write `<stem>_t<time>.csv` for each row at each of the sorted `out_steps`.
 
     `runs` holds one (stem, meta) per row of `field`, in row order.
-    `march(field, steps=, callback=)` is run_linear or run_nonlinear with the
-    rest bound; it marches all rows at once, so its runtime warnings go into
-    every row's header and to stderr once per row.  Each header is the row's
-    meta, `step`, `time`, then the keys `annotate(first, step, snapshot)`
-    returns for the row's initial and snapshot fields.
+    `march(field, steps=)` is run_linear or run_nonlinear with the rest
+    bound; it marches all rows at once, from one output step to the next,
+    then on to `steps`, and what it returns at an output step is that
+    snapshot.  Its runtime warnings, each distinct message once in the order
+    first seen, go into every row's header and to stderr once per row.  Each
+    header is the row's meta, `step`, `time`, then the keys
+    `annotate(first, step, snapshot)` returns for the row's initial and
+    snapshot fields.
     """
-    snaps = dict.fromkeys(out_steps, field)  # step 0 keeps the initial field
-
-    def grab(step: int, snap: GridField) -> None:
-        if step in snaps:
-            snaps[step] = snap
-
+    snaps = {}
+    at, snap = 0, field
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        march(field, steps=steps, callback=grab)
-    notes = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        for step in out_steps:
+            snap = snaps[step] = march(snap, steps=step - at)
+            at = step
+        if steps > at:
+            march(snap, steps=steps - at)
+    notes = list(
+        dict.fromkeys(str(w.message) for w in caught if issubclass(w.category, RuntimeWarning))
+    )
     snap_rows = {step: snap.rows() for step, snap in snaps.items()}
     for i, ((stem, meta), first) in enumerate(zip(runs, field.rows())):
         if notes:
@@ -386,6 +412,8 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     orders = args.orders or (
         _FAMILY_DEFAULT_ORDERS[args.family] if args.family and not burgers else preset.orders
     )
+    for n in orders:
+        _check_scheme_size(1, n)
     nu = preset.dt / preset.dx if burgers else preset.dt * preset.a / preset.dx
     n_cells = _cell_count(preset.box, preset.dx)
     out_steps = sorted({round(t / preset.dt) for t in preset.output_times})
@@ -459,6 +487,7 @@ def _explicit_run(args, out_dir: str) -> int:
         raise ConfigurationError("an explicit run needs --m and --n (or name a preset)")
     if args.steps is None:
         raise ConfigurationError("an explicit run needs --steps")
+    _check_scheme_size(args.m, args.n)
     a = args.a if args.a is not None else float(preferred_sign(args.m))
     if a == 0:
         raise ConfigurationError("coefficient a must be nonzero")

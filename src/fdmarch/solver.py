@@ -2,13 +2,12 @@
 
 Fields live on a uniform grid with periodic wrap-around.  A field holds one
 row of cell values, or a stack of rows on the same grid, shape (rows, cells);
-every step treats the rows alike and independently.  One explicit step copies
-the values once into a buffer padded along the cell axis with a halo of
-wrapped values on each side, as wide as the stencil reaches, and then sums
-weighted shifted slices of that buffer, one per stencil offset with a nonzero
-weight, in item order, starting from +0.0.  Weights are produced by the exact
-generator and converted to float, with the arrays the kernel reads, once per
-run.
+every step treats the rows alike and independently.  An explicit step reads
+a buffer padded along the cell axis with a halo of wrapped values on each
+side, as wide as the stencil reaches, and sums weighted shifted slices of
+that buffer, one per stencil offset with a nonzero weight, in item order,
+starting from +0.0.  Weights are produced by the exact generator and
+converted to float, with the arrays the kernel reads, once per run.
 
 The kernel takes that sum in one of two ways, bitwise alike, for one row or
 a stack.  While rows times stencil points times cells stays within
@@ -22,6 +21,15 @@ arrays out of a (rows, points, cells) temporary; a slice with weight +1 or
 -1 is added or subtracted as it is, with no product.  Each output row is the
 sum a lone march of that row computes.
 
+A linear run marches in one workspace, allocated once per run: a padded
+buffer per term.  Each step refills a buffer's two halos in place from its
+interior and writes the term's sum straight into the interior of the next
+term's buffer; a lone term alternates between two buffers.  The march hands
+out no per-step fields: callers take snapshots from what one march returns
+and march on from there, and only a run given a callback copies the field
+for it after every step.  A single step (`step_linear`, `step_nonlinear`)
+pads a fresh copy of its field through the same halo and sum routines.
+
 The layered nonlinear update runs on the same kernel: each step pads the
 field once, evaluates every conserved density once on that padded copy, and
 sums the slices of each density with its row of the layer table.  Densities
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import math
 import cmath
+import itertools
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -259,7 +268,7 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
         )
 
 
-# Rows times stencil points times cells up to which `_sum_slices` takes the
+# Rows times stencil points times cells up to which `_SliceSum` takes the
 # window product.  Per call on 2 shared x86-64 CPUs (numpy 2.4), slice loop
 # against window product, min of 7 repeats: 1 row x 100 cells x 30 points:
 # 60 against 10 us; 2 x 100 x 30: 82 against 16 us; 3 x 100 x 30: 78 against
@@ -273,58 +282,107 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
 WINDOW_LIMIT = 2**13
 
 
-def _pad(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """ext = (last lo values, values, first hi values) along the cell axis, the
-    last: values[..., (j + k) mod N] is ext[..., lo + k + j] for -lo <= k <= hi."""
+def _halos(ext: np.ndarray, lo: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (halo, source) views of `ext`, whose cells lo .. lo + n - 1 along
+    the last axis hold a field: copying each source into its halo refills
+    the halos in place, the lo cells before the field with its last lo
+    values and the cells after it with its first ones, so that
+    values[..., (j + k) mod n] is ext[..., lo + k + j].  Each source lies in
+    the field alone, so the halos must be no wider than the field.  Empty
+    halos are left out."""
+    hi = ext.shape[-1] - lo - n
+    pairs = [(ext[..., :lo], ext[..., n : n + lo]), (ext[..., lo + n :], ext[..., lo : lo + hi])]
+    return [(halo, src) for halo, src in pairs if halo.shape[-1]]
+
+
+def _fill(halos: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Refill the halos `_halos` listed from their sources."""
+    for halo, src in halos:
+        np.copyto(halo, src)
+
+
+def _padded(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """A new C-contiguous float copy of `values`, one row or a stack, with a
+    halo of lo wrapped values before and hi after each row (`_halos`)."""
     n = values.shape[-1]
-    return np.concatenate((values[..., n - lo:], values, values[..., :hi]), axis=-1)
+    ext = np.empty(values.shape[:-1] + (lo + n + hi,))
+    ext[..., lo : lo + n] = values
+    _fill(_halos(ext, lo, n))
+    return ext
 
 
-def _sum_slices(ext: np.ndarray, n: int, stencil: FloatStencil) -> np.ndarray:
-    """out[..., j] = sum of w * ext[..., stencil.lo + k + j] over the live (k, w) items.
+class _SliceSum:
+    """The stencil's sum of weighted shifted slices of one padded array.
 
     `ext` is a C-contiguous float array, one row or a (rows, cells) stack,
-    padded by `_pad` with the stencil's halo.  The sum starts at +0.0 and
-    adds the terms in item order; zero weights are skipped, so a non-finite
-    value under a zero weight reads as nothing.  Up to `WINDOW_LIMIT` rows
-    times stencil points times cells the terms are one ([rows,] live items,
-    n) product, added by numpy's reduce over its items axis, which on a
-    C-contiguous array runs item after item from `initial`; above it, one
-    `out += w * slice` per item, or `out += slice` and `out -= slice` for
-    weights of +1 and -1, whose product with the slice is exact.  Both are
-    the same floating-point sum, row by row, so each row of a stack comes out
-    as it would alone.
+    padded with the stencil's halo, and n its field's cell count.
+    `sum_into(out)` writes out[..., j] = sum of w * ext[..., stencil.lo + k + j]
+    over the live (k, w) items, reading what `ext` holds at that call; `out`
+    must not overlap `ext`.  Everything that does not depend on the values is
+    set up once here: the window and its live rows, the slices and the
+    scratch arrays.  The slice loop uses `scratch`, shaped like `out`, when
+    one is given.
 
-    Returns a new array on every call and writes into no other array, so
-    callers may keep any result without copying it.
+    The sum starts at +0.0 and adds the terms in item order; zero weights are
+    skipped, so a non-finite value under a zero weight reads as nothing.  Up
+    to `WINDOW_LIMIT` rows times stencil points times cells the terms are one
+    ([rows,] live items, n) product, added by numpy's reduce over its items
+    axis, which on a C-contiguous array runs item after item from `initial`;
+    above it, one slice at a time, 0.0 + term first, then out + term, with
+    out + slice and out - slice for weights of +1 and -1, whose product with
+    the slice is exact.  Both are the same floating-point sum, row by row, so
+    each row of a stack comes out as it would alone.
     """
-    lead = ext.shape[:-1]  # () for one row, (rows,) for a stack
-    if stencil.size * (ext.size // ext.shape[-1]) * n > WINDOW_LIMIT:
-        lo = stencil.lo
-        out = np.zeros(lead + (n,))
-        for k, w in stencil.live:
-            s = ext[..., lo + k : lo + k + n]
-            if w == 1.0:
-                out += s
-            elif w == -1.0:
-                out -= s
-            else:
-                out += w * s
-        return out
-    step = ext.itemsize
-    shape, strides = lead + (ext.shape[-1] - n + 1, n), ext.strides[:-1] + (step, step)
-    window = np.ndarray(shape, ext.dtype, ext, strides=strides)
-    terms = np.multiply(window[..., stencil.rows, :], stencil.weights)
-    return np.add.reduce(terms, axis=-2, initial=0.0)
+
+    def __init__(
+        self, ext: np.ndarray, n: int, stencil: FloatStencil, scratch: Optional[np.ndarray] = None
+    ):
+        self.weights = stencil.weights
+        lead = ext.shape[:-1]  # () for one row, (rows,) for a stack
+        if stencil.size * (ext.size // ext.shape[-1]) * n > WINDOW_LIMIT:
+            self.window = None
+            lo = stencil.lo
+            self.slices = [(ext[..., lo + k : lo + k + n], w) for k, w in stencil.live]
+            self.scratch = np.empty(lead + (n,)) if scratch is None else scratch
+            return
+        step = ext.itemsize
+        shape, strides = lead + (ext.shape[-1] - n + 1, n), ext.strides[:-1] + (step, step)
+        self.window = np.ndarray(shape, ext.dtype, ext, strides=strides)
+        self.rows = stencil.rows
+        self.terms = np.empty(lead + (len(stencil.live), n))
+        # a view of the live rows when they are consecutive, else gathered per sum
+        self.live = self.window[..., stencil.rows, :] if isinstance(stencil.rows, slice) else None
+
+    def sum_into(self, out: np.ndarray) -> np.ndarray:
+        if self.window is None:
+            acc = 0.0
+            for s, w in self.slices:
+                if w == 1.0:
+                    np.add(acc, s, out=out)
+                elif w == -1.0:
+                    np.subtract(acc, s, out=out)
+                else:
+                    np.add(acc, np.multiply(s, w, out=self.scratch), out=out)
+                acc = out
+            if acc is not out:  # no live items
+                out[...] = 0.0
+            return out
+        if self.live is None:
+            # the rows are in range; a mode other than "raise" writes `out` unbuffered
+            np.take(self.window, self.rows, axis=-2, out=self.terms, mode="clip")
+            np.multiply(self.terms, self.weights, out=self.terms)
+        else:
+            np.multiply(self.live, self.weights, out=self.terms)
+        return np.add.reduce(self.terms, axis=-2, initial=0.0, out=out)
 
 
 def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np.ndarray:
     """out[..., j] = sum of w * values[..., (j + k) mod N] over the (k, w) items,
     in order, for one row or each row of a (rows, cells) stack.
 
-    The periodic wrap comes from one halo-padded copy (`_pad`), so each
+    The periodic wrap comes from one halo-padded copy (`_padded`), so each
     offset is one shifted slice of it.  The terms are added in the order of
-    `items`, from +0.0, skipping zero weights (`_sum_slices`), which is the
+    `items`, from +0.0, skipping zero weights (`_SliceSum`), which is the
     same floating-point sum as adding w * np.roll(values, -k).  Offsets must
     be distinct and satisfy |k| <= N.
 
@@ -332,7 +390,8 @@ def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np
     `values` nor one it returned before.
     """
     stencil = FloatStencil(items)
-    return _sum_slices(_pad(values, stencil.lo, stencil.hi), values.shape[-1], stencil)
+    ext = _padded(values, stencil.lo, stencil.hi)
+    return _SliceSum(ext, values.shape[-1], stencil).sum_into(np.empty(values.shape))
 
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
@@ -351,16 +410,19 @@ def run_linear(
     """March `steps` steps, applying each term's scheme in sequence per step.
 
     `field` may be one row or a (rows, cells) stack; the callback's fields and
-    the result have its shape.  Emits a RuntimeWarning (but still runs) when
-    a term is outside its stable Courant range — periodic single-mode growth
-    is diagnosable but sometimes deliberately provoked.
+    the result have its shape.  The march runs in one workspace (`_march`);
+    the result, and each callback field, is a copy of it that no later step
+    writes.  Emits a RuntimeWarning (but still runs) when a term is outside
+    its stable Courant range — periodic single-mode growth is diagnosable but
+    sometimes deliberately provoked.  A stencil wider than the grid is
+    refused before any scheme is built.
     """
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
+    for term in problem.terms:
+        _check_fit(field.n_cells, problem.term_offsets(term))
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
-    for scheme in schemes:
-        _check_fit(field.n_cells, scheme.offsets)
     for scheme, nu, (theta, g2) in zip(schemes, nus, problem.growth_peaks(field.dx)):
         if g2 > 1.0 + GROWTH_TOL:
             warnings.warn(
@@ -370,15 +432,48 @@ def run_linear(
                 stacklevel=2,
             )
     stencils = [FloatStencil(s.float_items(nu)) for s, nu in zip(schemes, nus)]
-    u = field.values.copy()
-    n = u.shape[-1]
+    keep = None
+    if callback is not None:
+        keep = lambda s, u: callback(s, GridField(u.copy(), field.dx, field.origin))
+    return GridField(_march(field.values, stencils, steps, keep), field.dx, field.origin)
+
+
+def _march(
+    values: np.ndarray,
+    stencils: Sequence[FloatStencil],
+    steps: int,
+    callback: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> np.ndarray:
+    """`steps` steps of the stencils in turn on `values`, one row or a stack,
+    in one workspace; returns a new array.
+
+    The workspace is a padded buffer per stencil, allocated once: stencil i
+    reads buffer i, whose halos are refilled in place from its interior
+    first, and writes its sum (`_SliceSum`) straight into the interior of
+    buffer i + 1, the last stencil into buffer 0.  A lone stencil alternates
+    between two buffers, so no sum is written into the buffer it reads.
+    `callback(step, u)` is handed the workspace's field after each step and
+    must copy what it keeps.  Each stencil must fit the grid (`_check_fit`).
+    """
+    lead, n = values.shape[:-1], values.shape[-1]
+    ring = list(stencils) * 2 if len(stencils) == 1 else list(stencils)
+    exts = [np.empty(lead + (st.lo + n + st.hi,)) for st in ring]
+    fields = [ext[..., st.lo : st.lo + n] for ext, st in zip(exts, ring)]
+    # one (halos, sum, output) per sum taken, in the order they are taken
+    plan = itertools.cycle([
+        (_halos(ext, st.lo, n), _SliceSum(ext, n, st), fields[(i + 1) % len(ring)])
+        for i, (ext, st) in enumerate(zip(exts, ring))
+    ])
+    u = fields[0]
+    u[...] = values
     for s in range(steps):
-        for stencil in stencils:
-            u = _sum_slices(_pad(u, stencil.lo, stencil.hi), n, stencil)
+        for _ in stencils:
+            halos, kernel, out = next(plan)
+            _fill(halos)
+            u = kernel.sum_into(out)
         if callback is not None:
-            # u is never written again: the next step makes a new array
-            callback(s + 1, GridField(u, field.dx, field.origin))
-    return GridField(u, field.dx, field.origin)
+            callback(s + 1, u)
+    return u.copy()
 
 
 # -- nonlinear advection -------------------------------------------------------
@@ -459,13 +554,17 @@ def step_nonlinear(
     n = field.n_cells
     stencils = layers.float_stencils
     # every row has the table's offsets, so one halo serves them all
-    ext = _pad(field.values, stencils[0].lo, stencils[0].hi)
+    ext = _padded(field.values, stencils[0].lo, stencils[0].hi)
+    shape = field.values.shape
+    # The rows share one sum buffer and one scratch array, and the result is
+    # allocated after them: the temporaries freed at the end of the step then
+    # do not border glibc's heap top, which it would otherwise trim and fault
+    # back in on the next step (~51 minor faults a step on 10^4 cells).
+    scratch, row, out = np.empty(shape), np.empty(shape), np.empty(shape)
     for j, stencil in enumerate(stencils):
         dens = np.ascontiguousarray(densities.funcs[j](ext), dtype=float)
-        row = _sum_slices(dens, n, stencil)  # a new array: free to scale in place
-        if j == 0:
-            out = row
-        else:
+        _SliceSum(dens, n, stencil, scratch).sum_into(row if j else out)
+        if j:
             row *= nu**j
             out += row
     return GridField(out, field.dx, field.origin)

@@ -727,6 +727,53 @@ class TestRunDriver:
         for name, text in want.items():
             assert got[name] == text, name
 
+    def test_unstable_note_once_per_header(self, tmp_path, capsys):
+        """An unstable explicit run written at two times marches there in two
+        legs, and still carries its stability note once in each header and
+        once on stderr; the rows are what a lone march writes."""
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "--m", "2", "--n", "1", "--dx", "0.1", "--dt", "0.008", "--steps", "5",
+            "--times", "0.016,0.04", "--out", str(out_dir),
+        ) == 0
+        assert capsys.readouterr().err.count("unstable") == 1
+        snaps = self.snapshots(out_dir)
+        assert sorted(snaps) == [2, 5]
+        problem = LinearProblem(terms=(LinearTerm(2, 1.0, default_offsets(2, 1, 1)),), dt=0.008, n=1)
+        field0 = GridField.sample(make_profile("triangle", (-5.0, 5.0)), (-5.0, 5.0), 100)
+        for step, snap in snaps.items():
+            note = snap[0]["warning"]
+            assert note.startswith("term m=2 is unstable at nu=0.8") and ";" not in note
+            with pytest.warns(RuntimeWarning, match="unstable"):
+                self.assert_hex_equal(snap, run_linear(problem, field0, step))
+
+    def test_overflow_notes_listed_once(self, tmp_path, capsys):
+        """The order-1 sine profile of fig-burgers overflows, and numpy warns
+        at many steps: each distinct message is listed once, in every header
+        and on stderr, and the rows are what a lone march writes."""
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "fig-burgers", "--orders", "1", "--profiles", "sine", "--out", str(out_dir)
+        ) == 0
+        err = capsys.readouterr().err.splitlines()
+        snaps = self.snapshots(out_dir)
+        assert sorted(snaps) == [0, 20, 40, 60, 80]
+        notes = {snap[0]["warning"] for snap in snaps.values()}
+        assert len(notes) == 1
+        listed = notes.pop().split("; ")
+        assert any("overflow" in note for note in listed)
+        assert len(set(listed)) == len(listed)
+        assert err == [f"warning: {note}" for note in listed]
+        box = (-5.0, 5.0)
+        field0 = GridField.sample(make_profile("sine", box), box, 200)
+        layers = nonlinear_layers(1, OffsetSet.contiguous(advection_family_spec("uw", 0)[1], 1))
+        with np.errstate(all="ignore"):
+            for step, snap in snaps.items():
+                out = run_nonlinear(field0, layers, burgers_densities(1), 0.5, step)
+                _, x, u = snap
+                assert [v.hex() for v in x] == [float(v).hex() for v in out.x()]
+                assert [repr(v) for v in u] == [repr(float(v)) for v in out.values]
+
     def test_max_error_matches_golden(self, tmp_path):
         golden = json.loads((REPO_ROOT / "tests/data/fig_advection_golden.json").read_text())
         out_dir = tmp_path / "o"
@@ -746,6 +793,62 @@ class TestRunDriver:
             _, _, rows = path.read_text().partition("x,u\n")
             got[path.name] = hashlib.sha256(rows.encode()).hexdigest()
         assert got == golden["sha256"]
+
+
+class TestUpFrontRefusals:
+    """A scheme too large to build, or a stencil wider than the grid, exits 2
+    with a message before any scheme is built and before any file is written."""
+
+    @pytest.fixture
+    def no_builds(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a refused request built a scheme")
+
+        for module in (fdmarch.cli, fdmarch.solver):
+            monkeypatch.setattr(module, "master_scheme", build)
+        monkeypatch.setattr(fdmarch.cli, "first_order_scheme", build)
+        monkeypatch.setattr(fdmarch.cli, "nonlinear_layers", build)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("coeffs", "--m", "1", "--n", "200"), id="coeffs-n200"),
+            pytest.param(
+                ("coeffs", "--first-order", "--m", "200", "--r", "100"), id="coeffs-first-order-m200"
+            ),
+            pytest.param(("coeffs", "--m", "4", "--n", "35", "--format", "dump"), id="coeffs-m4-n35"),
+            pytest.param(("stability", "--m", "1", "--n", "200"), id="stability-n200"),
+            pytest.param(("converge", "--m", "2", "--n", "70", "--nu", "0.1"), id="converge-m2-n70"),
+            pytest.param(("run", "--m", "1", "--n", "200", "--steps", "1"), id="run-n200"),
+            pytest.param(("run", "fig-advection", "--orders", "201"), id="fig-advection-order201"),
+            pytest.param(("run", "fig-burgers", "--orders", "1,201"), id="fig-burgers-order201"),
+        ],
+    )
+    def test_oversized_scheme_refused(self, argv, no_builds, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        extra = ("--out", str(out_dir)) if argv[0] == "run" else ()
+        assert run_cli(*argv, *extra) == 2
+        err = capsys.readouterr().err
+        assert f"stencil points, over the limit of {fdmarch.cli.MAX_SCHEME_POINTS}" in err
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("fig-advection", "--orders", "101"), id="fig-advection-order101"),
+            pytest.param(("--m", "1", "--n", "101", "--steps", "1"), id="explicit-n101"),
+        ],
+    )
+    def test_stencil_wider_than_grid_refused_before_build(self, argv, no_builds, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out_dir)) == 2
+        assert "stencil reach 51 needs more than 102 cells, grid has 100" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_scheme_bound_leaves_tests_room(self):
+        """100x in N^3 over the largest scheme the tests and acceptance build,
+        fig-advection's order 29 on 30 points."""
+        assert fdmarch.cli.MAX_SCHEME_POINTS**3 >= 100 * 30**3
 
 
 # -- exit codes and entry points ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import fdmarch.solver
 from fdmarch.exact import OffsetSet
-from fdmarch.schemes import SchemeSpec, master_scheme, nonlinear_layers
+from fdmarch.schemes import FloatStencil, SchemeSpec, master_scheme, nonlinear_layers
 from fdmarch.stability import advection_family_spec
 from fdmarch.solver import (
     ConfigurationError,
@@ -32,7 +33,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _apply_stencil
+from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _apply_stencil, _march
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -393,6 +394,84 @@ class TestStackedKernel:
         self.assert_rows_alone(
             lambda f: run_nonlinear(f, layers, burgers_densities(n), 0.5, 40), stack
         )
+
+
+def rolled_march(values, stencils, steps):
+    """The plain reference march: per step, each stencil in turn replaces u
+    by the sum from +0.0 of w * np.roll(u, -k) over its (k, w) items, in
+    item order, zero weights skipped."""
+    u = values
+    for _ in range(steps):
+        for items in stencils:
+            out = np.zeros_like(u)
+            for k, w in items:
+                if w:
+                    out = out + w * np.roll(u, -k, axis=-1)
+            u = out
+    return u
+
+
+with np.errstate(invalid="ignore"):
+    MADE_NAN = float((np.array([math.inf]) - math.inf)[0])
+# When two NaNs of different bits meet in an add, which one comes out depends
+# on the loop numpy picks for the array's shape (vector body or scalar tail),
+# in the reference as in the kernel.  So the only NaN drawn is the one
+# inf - inf makes on this machine, and every NaN of a march has its bits.
+cell_values = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, MADE_NAN]),
+)
+stencil_weights = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0]),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def workspace_marches(draw):
+    """(values, per-stencil items, steps): a 1-D field or a stack of 1-3 rows,
+    1-3 stencils of distinct offsets in any order, zero weights allowed
+    anywhere, on a grid each stencil fits."""
+    reach = draw(st.integers(0, 3))
+    cells = draw(st.integers(2 * reach + 1, 2 * reach + 9))
+    rows = draw(st.integers(0, 3))  # 0: one 1-D field
+    shape = (rows, cells) if rows else (cells,)
+    values = np.array(draw(st.lists(cell_values, min_size=max(rows, 1) * cells,
+                                    max_size=max(rows, 1) * cells))).reshape(shape)
+    offsets = st.lists(st.integers(-reach, reach), min_size=1, max_size=2 * reach + 1, unique=True)
+    stencils = [
+        [(k, draw(stencil_weights)) for k in draw(offsets)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return values, stencils, draw(st.integers(0, 5))
+
+
+class TestWorkspaceMarch:
+    """The run's workspace march (`_march`) against the rolled reference, by
+    bytes, on the window product and on the slice loop."""
+
+    @given(workspace_marches(), st.booleans())
+    @example(  # a zero weight inside the window: the live rows are gathered
+        (np.array([[1.0, -0.0, math.inf, 2.5, -3.0], [0.0, MADE_NAN, -1.0, 4.0, 0.5]]),
+         [[(-1, 0.25), (0, 0.0), (1, 0.75)], [(1, -1.0), (-2, 1.0)]], 3),
+        False,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rolled_reference(self, case, loop):
+        values, items, steps = case
+        stencils = [FloatStencil(it) for it in items]
+        # rows x points x cells stays far below WINDOW_LIMIT here; 0 forces the loop
+        limit = 0 if loop else WINDOW_LIMIT
+        assert values.size * max(len(it) for it in items) <= WINDOW_LIMIT
+        with np.errstate(all="ignore"), mock.patch.object(fdmarch.solver, "WINDOW_LIMIT", limit):
+            want = rolled_march(values, items, steps)
+            got = _march(values, stencils, steps)
+            assert got.shape == values.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            if values.ndim == 2:
+                for row, got_row in zip(values, got):
+                    alone = _march(row, stencils, steps)
+                    assert np.array_equal(got_row.view(np.int64), alone.view(np.int64))
 
 
 class TestRunLinear:
