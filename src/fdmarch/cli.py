@@ -24,6 +24,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .exact import InvalidOffsetsError, OffsetSet
 from .schemes import (
     Scheme,
@@ -37,6 +39,7 @@ from .schemes import (
     nonlinear_layers,
     parse_scheme_dump,
     preferred_sign,
+    scheme_dump_order,
 )
 from .stability import (
     FAMILIES,
@@ -225,7 +228,10 @@ def _load_scheme(args) -> Scheme:
     if getattr(args, "scheme_file", None):
         try:
             with open(args.scheme_file) as fh:
-                return parse_scheme_dump(fh.read())
+                text = fh.read()
+            # sized before its coefficients are parsed and audited, which grow as N^3
+            _check_scheme_size(*scheme_dump_order(text))
+            return parse_scheme_dump(text)
         except (OSError, ValueError) as exc:
             # an unreadable or corrupted scheme file is a configuration problem
             raise ConfigurationError(str(exc)) from exc
@@ -356,7 +362,9 @@ def _march_and_write(out_dir, field, runs, march, steps, out_steps, dt, annotate
     first seen, go into every row's header and to stderr once per row.  Each
     header is the row's meta, `step`, `time`, then the keys
     `annotate(first, step, snapshot)` returns for the row's initial and
-    snapshot fields.
+    snapshot fields, and last, in a snapshot that holds non-finite values,
+    `nonfinite_cells`, their count; stderr names the first snapshot time at
+    which each such row holds any.
     """
     snaps = {}
     at, snap = 0, field
@@ -376,12 +384,23 @@ def _march_and_write(out_dir, field, runs, march, steps, out_steps, dt, annotate
             meta = dict(meta, warning="; ".join(notes))
             for note in notes:
                 print(f"warning: {note}", file=sys.stderr)
+        seen_nonfinite = False
         for step in out_steps:
             t = step * dt
             snap = snap_rows[step][i]
             header = dict(meta, step=step, time=f"{t:.17g}")
             if annotate is not None:
                 header.update(annotate(first, step, snap))
+            # both are finite only when every value is (a NaN makes both NaN)
+            if not (math.isfinite(snap.values.min()) and math.isfinite(snap.values.max())):
+                header["nonfinite_cells"] = int(np.count_nonzero(~np.isfinite(snap.values)))
+                if not seen_nonfinite:
+                    seen_nonfinite = True
+                    print(
+                        f"warning: {stem} has non-finite values from the t={t:g} snapshot "
+                        f"(step {step}) on",
+                        file=sys.stderr,
+                    )
             path = os.path.join(out_dir, f"{stem}_t{t:g}.csv")
             _write_snapshot(path, snap, header)
             print(f"wrote {path}")

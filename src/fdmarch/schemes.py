@@ -473,8 +473,8 @@ def format_scheme_dump(scheme: Scheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_scheme_dump(text: str) -> Scheme:
-    """Rebuild a scheme from `format_scheme_dump` output and re-verify it."""
+def _dump_fields(text: str) -> dict[str, str]:
+    """The key=value fields of a scheme dump, skipping blank and '#' lines."""
     fields: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -487,12 +487,32 @@ def parse_scheme_dump(text: str) -> Scheme:
         if key in fields:
             raise ValueError(f"scheme dump repeats the {key!r} field")
         fields[key] = value.strip()
+    return fields
+
+
+def _dump_header(fields: dict[str, str]) -> tuple[int, int, OffsetSet]:
+    """The m, n and offsets a dump's fields declare."""
     try:
-        m = int(fields["m"])
-        n = int(fields["n"])
-        offsets = OffsetSet(int(k) for k in fields["offsets"].split(","))
+        return (
+            int(fields["m"]),
+            int(fields["n"]),
+            OffsetSet(int(k) for k in fields["offsets"].split(",")),
+        )
     except KeyError as exc:
         raise ValueError(f"scheme dump is missing the {exc.args[0]!r} field") from exc
+
+
+def scheme_dump_order(text: str) -> tuple[int, int]:
+    """The (m, n) a `format_scheme_dump` text declares, read without parsing
+    or checking its coefficients: a caller can size the scheme first."""
+    m, n, _ = _dump_header(_dump_fields(text))
+    return m, n
+
+
+def parse_scheme_dump(text: str) -> Scheme:
+    """Rebuild a scheme from `format_scheme_dump` output and re-verify it."""
+    fields = _dump_fields(text)
+    m, n, offsets = _dump_header(fields)
     unknown = fields.keys() - {"m", "n", "offsets"} - {f"c[{k}]" for k in offsets}
     if unknown:
         raise ValueError(f"scheme dump has unknown fields: {', '.join(sorted(unknown))}")

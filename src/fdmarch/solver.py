@@ -21,21 +21,26 @@ arrays out of a (rows, points, cells) temporary; a slice with weight +1 or
 -1 is added or subtracted as it is, with no product.  Each output row is the
 sum a lone march of that row computes.
 
-A linear run marches in one workspace, allocated once per run: a padded
-buffer per term.  Each step refills a buffer's two halos in place from its
-interior and writes the term's sum straight into the interior of the next
+A run marches in one workspace, allocated once per run.  A linear run has a
+padded buffer per term.  Each step refills a buffer's two halos in place from
+its interior and writes the term's sum straight into the interior of the next
 term's buffer; a lone term alternates between two buffers.  The march hands
 out no per-step fields: callers take snapshots from what one march returns
 and march on from there, and only a run given a callback copies the field
-for it after every step.  A single step (`step_linear`, `step_nonlinear`)
-pads a fresh copy of its field through the same halo and sum routines.
+for it after every step.  A single step (`step_linear`, `step_nonlinear`) is
+a one-step run in a workspace of its own, and returns a new array.
 
-The layered nonlinear update runs on the same kernel: each step pads the
-field once, evaluates every conserved density once on that padded copy, and
-sums the slices of each density with its row of the layer table.  Densities
+The layered nonlinear update runs on the same kernel and in the same kind of
+workspace: two padded buffers, with the halo widths of the layer table's
+offsets.  Each step refills the current buffer's halos in place, writes row
+0's sum, from +0.0, straight into the interior of the other buffer, and
+evaluates every later density once, on the current padded buffer.  Densities
 are therefore evaluated on the halo-padded array, not on the field, and must
-be pointwise.  Row 0's sum, weighted by nu^0, is taken as it is, not
-rescaled; each later row's sum is scaled by nu^j in place and added to it.
+be pointwise; they read a workspace buffer that they must neither write nor
+keep.  Row 0's sum is taken as it is, not rescaled; each later row's sum
+starts from its first term, not from +0.0, is scaled by nu^j in place and is
+added to it.  Row 0's sum never holds -0.0, so adding a later row's +-0.0
+leaves it as it is, and the result has the bits the +0.0 start gives.
 """
 
 from __future__ import annotations
@@ -301,16 +306,6 @@ def _fill(halos: list[tuple[np.ndarray, np.ndarray]]) -> None:
         np.copyto(halo, src)
 
 
-def _padded(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """A new C-contiguous float copy of `values`, one row or a stack, with a
-    halo of lo wrapped values before and hi after each row (`_halos`)."""
-    n = values.shape[-1]
-    ext = np.empty(values.shape[:-1] + (lo + n + hi,))
-    ext[..., lo : lo + n] = values
-    _fill(_halos(ext, lo, n))
-    return ext
-
-
 class _SliceSum:
     """The stencil's sum of weighted shifted slices of one padded array.
 
@@ -318,9 +313,12 @@ class _SliceSum:
     padded with the stencil's halo, and n its field's cell count.
     `sum_into(out)` writes out[..., j] = sum of w * ext[..., stencil.lo + k + j]
     over the live (k, w) items, reading what `ext` holds at that call; `out`
-    must not overlap `ext`.  Everything that does not depend on the values is
-    set up once here: the window and its live rows, the slices and the
-    scratch arrays.  The slice loop uses `scratch`, shaped like `out`, when
+    must not overlap `ext`.  `sum_into(out, initial=None)` starts the sum
+    from the first live term instead of +0.0, as numpy's reduce does, and
+    needs a live item; the two differ only where the +0.0 start turns a -0.0
+    sum into +0.0.  Everything that does not depend on the values is set up
+    once here: the window and its live rows, the slices and the scratch
+    arrays.  The slice loop uses `scratch`, shaped like `out`, when
     one is given.
 
     The sum starts at +0.0 and adds the terms in item order; zero weights are
@@ -328,10 +326,11 @@ class _SliceSum:
     to `WINDOW_LIMIT` rows times stencil points times cells the terms are one
     ([rows,] live items, n) product, added by numpy's reduce over its items
     axis, which on a C-contiguous array runs item after item from `initial`;
-    above it, one slice at a time, 0.0 + term first, then out + term, with
-    out + slice and out - slice for weights of +1 and -1, whose product with
-    the slice is exact.  Both are the same floating-point sum, row by row, so
-    each row of a stack comes out as it would alone.
+    above it, one slice at a time, 0.0 + term first (or the term's product
+    alone), then out + term, with out + slice and out - slice for weights of
+    +1 and -1, whose product with the slice is exact.  Both are the same
+    floating-point sum, row by row, so each row of a stack comes out as it
+    would alone.
     """
 
     def __init__(
@@ -353,11 +352,13 @@ class _SliceSum:
         # a view of the live rows when they are consecutive, else gathered per sum
         self.live = self.window[..., stencil.rows, :] if isinstance(stencil.rows, slice) else None
 
-    def sum_into(self, out: np.ndarray) -> np.ndarray:
+    def sum_into(self, out: np.ndarray, initial: Optional[float] = 0.0) -> np.ndarray:
         if self.window is None:
-            acc = 0.0
+            acc = initial
             for s, w in self.slices:
-                if w == 1.0:
+                if acc is None:
+                    np.multiply(s, w, out=out)
+                elif w == 1.0:
                     np.add(acc, s, out=out)
                 elif w == -1.0:
                     np.subtract(acc, s, out=out)
@@ -373,25 +374,23 @@ class _SliceSum:
             np.multiply(self.terms, self.weights, out=self.terms)
         else:
             np.multiply(self.live, self.weights, out=self.terms)
-        return np.add.reduce(self.terms, axis=-2, initial=0.0, out=out)
+        return np.add.reduce(self.terms, axis=-2, initial=initial, out=out)
 
 
 def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np.ndarray:
     """out[..., j] = sum of w * values[..., (j + k) mod N] over the (k, w) items,
     in order, for one row or each row of a (rows, cells) stack.
 
-    The periodic wrap comes from one halo-padded copy (`_padded`), so each
-    offset is one shifted slice of it.  The terms are added in the order of
-    `items`, from +0.0, skipping zero weights (`_SliceSum`), which is the
-    same floating-point sum as adding w * np.roll(values, -k).  Offsets must
-    be distinct and satisfy |k| <= N.
+    The periodic wrap comes from a one-step march (`_march`) in a halo-padded
+    workspace, so each offset is one shifted slice of it.  The terms are
+    added in the order of `items`, from +0.0, skipping zero weights
+    (`_SliceSum`), which is the same floating-point sum as adding
+    w * np.roll(values, -k).  Offsets must be distinct and satisfy |k| <= N.
 
     Returns a new array on every call and writes into no other array, neither
     `values` nor one it returned before.
     """
-    stencil = FloatStencil(items)
-    ext = _padded(values, stencil.lo, stencil.hi)
-    return _SliceSum(ext, values.shape[-1], stencil).sum_into(np.empty(values.shape))
+    return _march(values, [FloatStencil(items)], 1)
 
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
@@ -482,11 +481,14 @@ def _march(
 class DensityFamily:
     """Conserved densities u_0, u_1, ... fed to the layered update.
 
-    funcs[j] evaluates the j-th density; funcs[0] must be the identity for the
-    update to reduce to the linear scheme on linear data.  Each step evaluates
-    every density once, on the halo-padded copy of the field rather than on
-    the field itself, so each func must act pointwise: out[i] may depend on
-    u[i] alone.  A func may return its argument but must not write into it.
+    funcs[j] evaluates the j-th density.  funcs[0] must be the identity: the
+    update then reduces to the linear scheme on linear data, and it reads
+    the field itself for row 0 without calling funcs[0].  Each step evaluates
+    every later density once, on a halo-padded workspace buffer rather than
+    on the field itself, so each func must act pointwise: out[i] may depend
+    on u[i] alone.  The buffer is the march's own: a func may return it, but
+    must neither write into it nor keep it, or anything that shares its
+    memory, past the call.
     """
 
     name: str
@@ -532,41 +534,87 @@ def identity_densities(n: int) -> DensityFamily:
     return DensityFamily("identity", tuple(lambda u: u for _ in range(n + 1)))
 
 
+class _LayeredWorkspace:
+    """What the layered update's steps on fields of one shape need apart from
+    the values, allocated and set up once: two padded buffers with the halo
+    widths of the table's offsets (every row has them), each with its halo
+    views and row 0's slice sum over it, the row and scratch arrays the rows
+    share, and the powers nu^j.
+
+    `step(values)` takes one step from the field in the current buffer,
+    copying `values` in first unless they are that buffer's interior, writes
+    the result into the other buffer's interior and makes that buffer the
+    current one.  The field it returns is therefore overwritten two steps
+    later.
+    """
+
+    def __init__(
+        self, shape: tuple[int, ...], layers: LayerTable, densities: DensityFamily, nu: float
+    ):
+        if len(densities) < len(layers):
+            raise ConfigurationError(
+                f"density family {densities.name!r} provides {len(densities)} densities, "
+                f"the layer table needs {len(layers)}"
+            )
+        n = shape[-1]
+        _check_fit(n, layers.offsets)
+        stencils = layers.float_stencils
+        lo, hi = stencils[0].lo, stencils[0].hi
+        self.n = n
+        self.funcs = densities.funcs
+        self.scratch, self.row = np.empty(shape), np.empty(shape)
+        self.buffers = []  # (padded buffer, its field, its halos, row 0's sum over it)
+        for _ in range(2):
+            ext = np.empty(shape[:-1] + (lo + n + hi,))
+            row0 = _SliceSum(ext, n, stencils[0], self.scratch)
+            self.buffers.append((ext, ext[..., lo : lo + n], _halos(ext, lo, n), row0))
+        nu = float(nu)
+        self.rows = [(j, stencil, nu**j) for j, stencil in enumerate(stencils)][1:]
+
+    def step(self, values: np.ndarray) -> np.ndarray:
+        (ext, u, halos, row0), (_, out, _, _) = self.buffers
+        if values is not u:
+            u[...] = values
+        _fill(halos)
+        row0.sum_into(out)
+        for j, stencil, scale in self.rows:
+            dens = np.ascontiguousarray(self.funcs[j](ext), dtype=float)
+            _SliceSum(dens, self.n, stencil, self.scratch).sum_into(self.row, initial=None)
+            self.row *= scale
+            out += self.row
+        self.buffers.reverse()
+        return out
+
+
 def step_nonlinear(
-    field: GridField, layers: LayerTable, densities: DensityFamily, nu: float
+    field: GridField,
+    layers: LayerTable,
+    densities: DensityFamily,
+    nu: float,
+    *,
+    workspace: Optional[_LayeredWorkspace] = None,
 ) -> GridField:
     """One conserved-density step: row j of the table hits density j, scaled by nu^j.
 
-    The field is padded with its wrapped halo once, and each density is
-    evaluated once on that padded copy; densities act pointwise, so the
-    padded density reads the same values as padding the density would.
-    Row 0's sum is the step's sum, not rescaled: it starts from +0.0, so it
-    never holds -0.0 and 0.0 + 1.0 * sum would give its bits again.  Each
-    later row's sum is scaled by nu^j in place and added to it, in row order.
+    The field's wrapped halo is refilled once, and each density j >= 1 is
+    evaluated once on that padded array; densities act pointwise, so the
+    padded density reads the same values as padding the density would.  Row
+    0's sum, of the field itself, is the step's sum, not rescaled: it starts
+    from +0.0, so it never holds -0.0 and 0.0 + 1.0 * sum would give its
+    bits again.  Each later row's sum starts from its first term, is scaled
+    by nu^j in place and is added to it, in row order; adding its +-0.0
+    leaves the step's sum as it is, so starting that row from +0.0 would
+    give the same bits.
+
+    Alone, the step runs in a workspace of its own and returns a new array.
+    `workspace` is `run_nonlinear`'s, built for these layers, densities and
+    nu and this field's shape: the step then writes its result into the
+    workspace and returns a field that shares its memory.
     """
-    if len(densities) < len(layers):
-        raise ConfigurationError(
-            f"density family {densities.name!r} provides {len(densities)} densities, "
-            f"the layer table needs {len(layers)}"
-        )
-    _check_fit(field.n_cells, layers.offsets)
-    nu = float(nu)
-    n = field.n_cells
-    stencils = layers.float_stencils
-    # every row has the table's offsets, so one halo serves them all
-    ext = _padded(field.values, stencils[0].lo, stencils[0].hi)
-    shape = field.values.shape
-    # The rows share one sum buffer and one scratch array, and the result is
-    # allocated after them: the temporaries freed at the end of the step then
-    # do not border glibc's heap top, which it would otherwise trim and fault
-    # back in on the next step (~51 minor faults a step on 10^4 cells).
-    scratch, row, out = np.empty(shape), np.empty(shape), np.empty(shape)
-    for j, stencil in enumerate(stencils):
-        dens = np.ascontiguousarray(densities.funcs[j](ext), dtype=float)
-        _SliceSum(dens, n, stencil, scratch).sum_into(row if j else out)
-        if j:
-            row *= nu**j
-            out += row
+    if workspace is None:
+        out = _LayeredWorkspace(field.values.shape, layers, densities, nu).step(field.values).copy()
+    else:
+        out = workspace.step(field.values)
     return GridField(out, field.dx, field.origin)
 
 
@@ -578,14 +626,21 @@ def run_nonlinear(
     steps: int,
     callback: Optional[Callable[[int, GridField], None]] = None,
 ) -> GridField:
+    """March `steps` layered steps (`step_nonlinear`) in one workspace.
+
+    The workspace is allocated once per run and each step writes into it;
+    `field` is left as it is.  The result, and each callback field, is a
+    copy that no later step writes.
+    """
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
+    workspace = _LayeredWorkspace(field.values.shape, layers, densities, nu)
     out = field
     for s in range(steps):
-        out = step_nonlinear(out, layers, densities, nu)
+        out = step_nonlinear(out, layers, densities, nu, workspace=workspace)
         if callback is not None:
-            callback(s + 1, out)
-    return out
+            callback(s + 1, GridField(out.values.copy(), out.dx, out.origin))
+    return GridField(out.values.copy(), field.dx, field.origin)
 
 
 def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
@@ -725,6 +780,9 @@ def convergence_study(
         t_end = steps * dt
         field0 = GridField.sample(profile if profile is not None else sine_profile(box), box, g)
         problem = LinearProblem(terms=(LinearTerm(m, a, offs),), dt=dt, n=n)
+        # Every grid runs the study's scheme at its nu, so the problem takes
+        # that build and its stability scan, not a build and scan of its own.
+        problem.__dict__.update(_schemes=(scheme,), _growth_peaks={field0.dx: ((theta, g2),)})
         out = run_linear(problem, field0, steps)
         if profile is not None:
             # m=1: exact evolution is translation by -a * t

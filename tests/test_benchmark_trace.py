@@ -43,3 +43,22 @@ def test_traced_advection_op_counts_the_march(bench, tmp_path):
     assert spans.count_under(tracer.spans, "solver.run_linear", "cli.main") >= 1
     assert tracer.counts["linear.cell_steps"] > 0
     assert tracer.counts["callback_fields"] == 0
+
+
+def test_traced_burgers_leg_counts_every_step(bench, tmp_path):
+    """One burgers-shock leg, 1000 layered steps on 10^4 cells, still shows
+    each step as a `step_nonlinear` span, its cell-steps and the density
+    evaluations inside it: the workspace hides none of the per-layer counts."""
+    workloads, spans = bench
+    op = workloads.build("burgers-shock", 5, tmp_path)[0]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = op.run(tracer)
+    finally:
+        tracer.uninstall()
+    assert op.check(result, tracer.counts) == []
+    names = [span[0] for span in tracer.spans]
+    assert names.count("solver.step_nonlinear") == workloads.BURGERS_LEG_STEPS == 1000
+    assert tracer.counts["nonlinear.cell_steps"] == 10**7
+    assert names.count("solver.density_eval") >= 1

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -763,7 +764,19 @@ class TestRunDriver:
         listed = notes.pop().split("; ")
         assert any("overflow" in note for note in listed)
         assert len(set(listed)) == len(listed)
-        assert err == [f"warning: {note}" for note in listed]
+        # each snapshot holding non-finite values counts them in its header
+        blown = []
+        for step, (meta, _, u) in sorted(snaps.items()):
+            count = sum(not math.isfinite(v) for v in u)
+            assert meta.get("nonfinite_cells") == (str(count) if count else None), step
+            if count:
+                blown.append(step)
+        assert blown and blown[-1] == 80
+        t = blown[0] * 0.025
+        first = f"fig-burgers_n1_sine has non-finite values from the t={t:g} snapshot"
+        assert err == [f"warning: {note}" for note in listed] + [
+            f"warning: {first} (step {blown[0]}) on"
+        ]
         box = (-5.0, 5.0)
         field0 = GridField.sample(make_profile("sine", box), box, 200)
         layers = nonlinear_layers(1, OffsetSet.contiguous(advection_family_spec("uw", 0)[1], 1))
@@ -844,6 +857,26 @@ class TestUpFrontRefusals:
         assert run_cli("run", *argv, "--out", str(out_dir)) == 2
         assert "stencil reach 51 needs more than 102 cells, grid has 100" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    def test_oversized_scheme_file_refused(self, no_builds, tmp_path, capsys, monkeypatch):
+        """A 201-point dump (m = 1, n = 200) is sized from its m= and n= lines
+        and refused before any coefficient is parsed or audited."""
+
+        def parse(text):
+            raise AssertionError("a refused dump was parsed")
+
+        monkeypatch.setattr(fdmarch.cli, "parse_scheme_dump", parse)
+        offsets = range(-100, 101)
+        lines = ["m=1", "n=200", "offsets=" + ",".join(map(str, offsets))]
+        lines += [f"c[{k}]=" + ",".join(["-1234567/7654321"] * 201) for k in offsets]
+        path = tmp_path / "n200.txt"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        assert run_cli("stability", "--scheme-file", str(path), "--sign", "-") == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        limit = fdmarch.cli.MAX_SCHEME_POINTS
+        assert f"n*m+1 = 201 stencil points, over the limit of {limit}" in err
 
     def test_scheme_bound_leaves_tests_room(self):
         """100x in N^3 over the largest scheme the tests and acceptance build,

@@ -33,7 +33,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _apply_stencil, _march
+from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _SliceSum, _apply_stencil, _march
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -782,6 +782,102 @@ class TestLayeredKernel:
         assert len(calls) == 50
 
 
+def fresh_pad_step(values, layers, funcs, nu):
+    """The layered step before it marched in a workspace, kept as the
+    reference: pad a fresh copy of the field, evaluate every density on it,
+    funcs[0] included, and take each row's sum from +0.0 into its own
+    array; row 0's sum is the step's sum, and each later one is scaled by
+    nu**j and added to it."""
+    n = values.shape[-1]
+    stencils = layers.float_stencils
+    halo = [(0, 0)] * (values.ndim - 1) + [(stencils[0].lo, stencils[0].hi)]
+    ext = np.pad(values, halo, mode="wrap")
+    scratch, row, out = np.empty(values.shape), np.empty(values.shape), np.empty(values.shape)
+    for j, stencil in enumerate(stencils):
+        dens = np.ascontiguousarray(funcs[j](ext), dtype=float)
+        _SliceSum(dens, n, stencil, scratch).sum_into(row if j else out)
+        if j:
+            row *= nu**j
+            out += row
+    return out
+
+
+@st.composite
+def layered_marches(draw):
+    """(values, n, offsets, family, nu, steps): a 1-D field or a stack of 1-3
+    rows of NaN-free cells, signed zeros and infinities among them, and an
+    order-n layer table on n + 1 distinct offsets the grid fits."""
+    n = draw(st.integers(1, 3))
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1, unique=True))
+    reach = max(abs(k) for k in offsets)
+    cells = draw(st.integers(2 * reach + 1, 2 * reach + 9))
+    rows = draw(st.integers(0, 3))  # 0: one 1-D field
+    shape = (rows, cells) if rows else (cells,)
+    size = max(rows, 1) * cells
+    finite_or_inf = st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    )
+    values = np.array(draw(st.lists(finite_or_inf, min_size=size, max_size=size)))
+    family = draw(st.sampled_from([identity_densities, burgers_densities]))(n)
+    nu = draw(st.floats(-1.0, 1.0, allow_nan=False))
+    return values.reshape(shape), n, sorted(offsets), family, nu, draw(st.integers(1, 4))
+
+
+class TestLayeredWorkspace:
+    """`run_nonlinear`, marching in one workspace, against k steps of the
+    fresh-pad reference, by bytes, on the window product and on the slice
+    loop."""
+
+    @given(layered_marches(), st.booleans())
+    @example(  # all -0.0 at nu < 0: only row 0's +0.0 start makes the step +0.0
+        (np.full(6, -0.0), 1, [-1, 0], identity_densities(1), -0.5, 1), False
+    )
+    @example((np.full((2, 6), -0.0), 1, [-1, 0], burgers_densities(1), -0.5, 1), True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fresh_pad_steps(self, case, loop):
+        values, n, offsets, family, nu, steps = case
+        layers = nonlinear_layers(n, offsets)
+        field = GridField(values, 0.1, 0.0)
+        before = values.copy()
+        # rows x points x cells stays far below WINDOW_LIMIT here; 0 forces the loop
+        limit = 0 if loop else WINDOW_LIMIT
+        assert values.size * len(offsets) <= WINDOW_LIMIT
+        kept = {}
+        with np.errstate(all="ignore"), mock.patch.object(fdmarch.solver, "WINDOW_LIMIT", limit):
+            want = [values]
+            for _ in range(steps):
+                want.append(fresh_pad_step(want[-1], layers, family.funcs, nu))
+            got = run_nonlinear(field, layers, family, nu, steps, callback=kept.__setitem__)
+            lone = step_nonlinear(field, layers, family, nu)
+        assert np.array_equal(values.view(np.int64), before.view(np.int64))
+        assert got.values.shape == values.shape
+        assert np.array_equal(got.values.view(np.int64), want[steps].view(np.int64))
+        # the callback's fields are copies that later steps left as they were
+        assert sorted(kept) == list(range(1, steps + 1))
+        for step, kept_field in kept.items():
+            assert np.array_equal(kept_field.values.view(np.int64), want[step].view(np.int64))
+            assert not np.shares_memory(kept_field.values, got.values)
+        assert np.array_equal(lone.values.view(np.int64), want[1].view(np.int64))
+        assert not np.shares_memory(lone.values, values)
+
+    def test_workspace_shared_across_steps(self, monkeypatch):
+        """Every step of a run gets the same workspace, and without one a step
+        builds its own."""
+        seen = []
+        real = fdmarch.solver.step_nonlinear
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("workspace"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fdmarch.solver, "step_nonlinear", recording)
+        field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
+        run_nonlinear(field, nonlinear_layers(2, [-1, 0, 1]), burgers_densities(2), 0.5, 5)
+        assert len(seen) == 5 and seen[0] is not None
+        assert all(ws is seen[0] for ws in seen)
+
+
 def loop_shock_front(field, level=0.5):
     """The cell-by-cell scan `shock_front` replaced: first j with v[j] >= level > v[j+1]."""
     v = field.values
@@ -857,6 +953,26 @@ class TestShockFront:
 # -- convergence ladder ---------------------------------------------------------------------
 
 class TestConvergence:
+    def test_one_scan_and_build_per_study(self, monkeypatch):
+        """Every grid's run takes the study's own scheme and stability verdict:
+        one growth scan and one build for the whole ladder."""
+        scans, builds = [], []
+        real_scan, real_build = fdmarch.solver.max_growth, fdmarch.solver.master_scheme
+
+        def scan(*args, **kwargs):
+            scans.append(args[1])
+            return real_scan(*args, **kwargs)
+
+        def build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        monkeypatch.setattr(fdmarch.solver, "max_growth", scan)
+        monkeypatch.setattr(fdmarch.solver, "master_scheme", build)
+        res = convergence_study(1, 29, 0.8)
+        assert len(res.errors) == 4
+        assert len(scans) == 1 and len(builds) == 1
+
     def test_first_order_transport(self):
         res = convergence_study(1, 1, 0.8)
         assert res.order_dt == pytest.approx(1.0, abs=0.25)
