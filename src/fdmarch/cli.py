@@ -43,6 +43,7 @@ from .schemes import (
 )
 from .stability import (
     FAMILIES,
+    NU_MAX,
     advection_family_spec,
     classify_first_order,
     stability_report,
@@ -265,6 +266,11 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_stability(args) -> int:
     _require_positive("--tol", args.tol)
+    if args.tol >= NU_MAX:
+        # the search doubles |nu| from tol up to NU_MAX, so it would probe nothing
+        raise ConfigurationError(
+            f"--tol must be below the search ceiling {NU_MAX:g}, got {args.tol:g}"
+        )
     scheme = _load_scheme(args)
     signs = {"both": (+1, -1), "+": (+1,), "-": (-1,)}[args.sign]
     reports = [stability_report(scheme, s, tol=args.tol) for s in signs]
@@ -287,6 +293,8 @@ def _cmd_stability(args) -> int:
 def _cmd_classify(args) -> int:
     if args.m < 1:
         raise ConfigurationError(f"--m must be >= 1, got {args.m}")
+    # the table prints every window's exact nu_c = 1/2^(m-1) in full
+    _check_scheme_size(args.m, 1)
     cls = classify_first_order(args.m)
     print(f"# first-order windows for m={args.m} (exact critical Courant numbers)")
     print("r " + " ".join(f"{r:>10d}" for r in range(args.m + 1)))
@@ -536,7 +544,9 @@ def _explicit_run(args, out_dir: str) -> int:
     if args.times is not None:
         if not all(math.isfinite(t) for t in args.times):
             raise ConfigurationError("--times must be finite numbers")
-        out_steps = sorted({round(t / dt) for t in args.times})
+        # t / dt overflows to inf on a tiny --dt or a huge time, beyond any run
+        quotients = (t / dt for t in args.times)
+        out_steps = sorted({round(q) if math.isfinite(q) else math.inf for q in quotients})
         if any(not 0 <= s <= args.steps for s in out_steps):
             raise ConfigurationError("--times must lie within the run duration")
     else:

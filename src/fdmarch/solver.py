@@ -21,39 +21,35 @@ arrays out of a (rows, points, cells) temporary; a slice with weight +1 or
 -1 is added or subtracted as it is, with no product.  Each output row is the
 sum a lone march of that row computes.
 
-A run marches in one workspace, allocated once per run.  A linear run has a
-padded buffer per term.  Each step refills a buffer's two halos in place from
-its interior and writes the term's sum straight into the interior of the next
-term's buffer; a lone term alternates between two buffers.  The march hands
-out no per-step fields: callers take snapshots from what one march returns
-and march on from there, and only a run given a callback copies the field
-for it after every step.  A single step (`step_linear`, `step_nonlinear`) is
-a one-step run in a workspace of its own, and returns a new array.
-
-The layered nonlinear update runs on the same kernel and in the same kind of
-workspace: two padded buffers, with the halo widths of the layer table's
-offsets.  Each step refills the current buffer's halos in place, writes row
-0's sum, from +0.0, straight into the interior of the other buffer, and
-evaluates every later density once, on the current padded buffer.  Densities
-are therefore evaluated on the halo-padded array, not on the field, and must
-be pointwise; they read a workspace buffer that they must neither write nor
-keep.  Row 0's sum is taken as it is, not rescaled; each later row's sum
-starts from its first term, not from +0.0, is scaled by nu^j in place and is
-added to it.  Row 0's sum never holds -0.0, so adding a later row's +-0.0
-leaves it as it is, and the result has the bits the +0.0 start gives.
+Every run, linear or layered, marches in one workspace (`_Workspace`),
+allocated once per run.  A step is a sequence of stages, each the rows of one
+layer table: row j hits density j and is scaled by nu^j.  A linear term is a
+stage of one row, and the layered update with identity densities is the
+linear scheme.  Stage i reads padded buffer i: it refills the buffer's halos
+in place from its interior and writes row 0's sum, from +0.0, straight into
+the interior of the next buffer; a lone stage alternates between two
+buffers.  Each later row sums its density of the padded buffer, from its
+first term, is scaled by nu^j in place and is added.  Densities are
+therefore evaluated on the halo-padded array, not on the field, and must be
+pointwise; they read a workspace buffer that they must neither write nor
+keep.  Row 0's sum never holds -0.0, so adding a later row's +-0.0 leaves it
+as it is, and the result has the bits the +0.0 start gives.  The march
+hands out no per-step fields: callers take snapshots from what one march
+returns and march on from there, and only a run given a callback copies the
+field for it after every step.  A single step (`step_linear`,
+`step_nonlinear`) is a one-step run in a workspace of its own, and returns a
+new array.
 """
 
 from __future__ import annotations
 
 import math
 import cmath
-import itertools
 import sys
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -377,27 +373,11 @@ class _SliceSum:
         return np.add.reduce(self.terms, axis=-2, initial=initial, out=out)
 
 
-def _apply_stencil(values: np.ndarray, items: Sequence[tuple[int, float]]) -> np.ndarray:
-    """out[..., j] = sum of w * values[..., (j + k) mod N] over the (k, w) items,
-    in order, for one row or each row of a (rows, cells) stack.
-
-    The periodic wrap comes from a one-step march (`_march`) in a halo-padded
-    workspace, so each offset is one shifted slice of it.  The terms are
-    added in the order of `items`, from +0.0, skipping zero weights
-    (`_SliceSum`), which is the same floating-point sum as adding
-    w * np.roll(values, -k).  Offsets must be distinct and satisfy |k| <= N.
-
-    Returns a new array on every call and writes into no other array, neither
-    `values` nor one it returned before.
-    """
-    return _march(values, [FloatStencil(items)], 1)
-
-
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
     """One explicit step u_j <- sum_i c_i(nu) u_{j+k_i} with periodic boundaries."""
     _check_fit(field.n_cells, scheme.offsets)
     items = scheme.float_items(nu)
-    return GridField(_apply_stencil(field.values, items), field.dx, field.origin)
+    return GridField(_march(field.values, [FloatStencil(items)], 1), field.dx, field.origin)
 
 
 def run_linear(
@@ -437,6 +417,61 @@ def run_linear(
     return GridField(_march(field.values, stencils, steps, keep), field.dx, field.origin)
 
 
+class _Workspace:
+    """The padded buffers of a march on fields of one shape, and what each
+    stage of a step reads from them, allocated and set up once.
+
+    A stage is (row 0's float stencil, later rows): a layer table's first
+    row, then for each row j after it its stencil, density function and
+    scale nu^j.  A linear term is a stage with no later rows.  Every row of a
+    stage has the halo widths of its first.  Buffer i is padded with stage
+    i's halo widths, and a lone stage alternates between two buffers.  Stage
+    i refills buffer i's halos in place from its interior and writes row 0's
+    sum (`_SliceSum`, from +0.0) straight into the interior of buffer i + 1,
+    the last stage into buffer 0.  Each later row sums its density of buffer
+    i, padded halos and all, from its first term into the row array, which
+    is scaled in place and added.  The rows share that array, allocated only
+    when a stage has later rows, and one scratch array.
+
+    `step(values)` takes one step, every stage in turn, copying `values` into
+    the current buffer first unless they are its interior, and returns the
+    interior the step wrote; a later step overwrites it.
+    """
+
+    def __init__(self, shape: tuple[int, ...], stages: Sequence[tuple[FloatStencil, Sequence]]):
+        n = shape[-1]
+        self.n = n
+        ring = list(stages) * 2 if len(stages) == 1 else list(stages)
+        self.scratch = np.empty(shape)
+        self.row = np.empty(shape) if any(later for _, later in stages) else None
+        exts = [np.empty(shape[:-1] + (first.lo + n + first.hi,)) for first, _ in ring]
+        fields = [ext[..., first.lo : first.lo + n] for ext, (first, _) in zip(exts, ring)]
+        # per stage taken, in order: (its buffer, the buffer's halos, row 0's
+        # sum over it, the field that sum is written to, the later rows)
+        taken = [
+            (ext, _halos(ext, first.lo, n), _SliceSum(ext, n, first, self.scratch), out, later)
+            for ext, (first, later), out in zip(exts, ring, fields[1:] + fields[:1])
+        ]
+        # the stages of one step; a lone stage's two buffers take turns
+        self.turns = [taken[:1], taken[1:]] if len(stages) == 1 else [taken]
+        self.field = fields[0]
+
+    def step(self, values: np.ndarray) -> np.ndarray:
+        if values is not self.field:
+            self.field[...] = values
+        for ext, halos, row0, out, later in self.turns[0]:
+            _fill(halos)
+            row0.sum_into(out)
+            for stencil, func, scale in later:
+                dens = np.ascontiguousarray(func(ext), dtype=float)
+                _SliceSum(dens, self.n, stencil, self.scratch).sum_into(self.row, initial=None)
+                self.row *= scale
+                out += self.row
+        self.turns.reverse()
+        self.field = out
+        return out
+
+
 def _march(
     values: np.ndarray,
     stencils: Sequence[FloatStencil],
@@ -444,32 +479,19 @@ def _march(
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
     """`steps` steps of the stencils in turn on `values`, one row or a stack,
-    in one workspace; returns a new array.
+    in one workspace, a one-row stage per stencil; returns a new array.
 
-    The workspace is a padded buffer per stencil, allocated once: stencil i
-    reads buffer i, whose halos are refilled in place from its interior
-    first, and writes its sum (`_SliceSum`) straight into the interior of
-    buffer i + 1, the last stencil into buffer 0.  A lone stencil alternates
-    between two buffers, so no sum is written into the buffer it reads.
+    Each step writes out[..., j] = sum of w * u[..., (j + k) mod N] over a
+    stencil's items, in order, from +0.0, skipping zero weights, which is the
+    same floating-point sum as adding w * np.roll(u, -k).  Offsets must be
+    distinct, and each stencil must fit the grid (`_check_fit`).
     `callback(step, u)` is handed the workspace's field after each step and
-    must copy what it keeps.  Each stencil must fit the grid (`_check_fit`).
+    must copy what it keeps.
     """
-    lead, n = values.shape[:-1], values.shape[-1]
-    ring = list(stencils) * 2 if len(stencils) == 1 else list(stencils)
-    exts = [np.empty(lead + (st.lo + n + st.hi,)) for st in ring]
-    fields = [ext[..., st.lo : st.lo + n] for ext, st in zip(exts, ring)]
-    # one (halos, sum, output) per sum taken, in the order they are taken
-    plan = itertools.cycle([
-        (_halos(ext, st.lo, n), _SliceSum(ext, n, st), fields[(i + 1) % len(ring)])
-        for i, (ext, st) in enumerate(zip(exts, ring))
-    ])
-    u = fields[0]
-    u[...] = values
+    workspace = _Workspace(values.shape, [(st, ()) for st in stencils])
+    u = values
     for s in range(steps):
-        for _ in stencils:
-            halos, kernel, out = next(plan)
-            _fill(halos)
-            u = kernel.sum_into(out)
+        u = workspace.step(u)
         if callback is not None:
             callback(s + 1, u)
     return u.copy()
@@ -534,56 +556,20 @@ def identity_densities(n: int) -> DensityFamily:
     return DensityFamily("identity", tuple(lambda u: u for _ in range(n + 1)))
 
 
-class _LayeredWorkspace:
-    """What the layered update's steps on fields of one shape need apart from
-    the values, allocated and set up once: two padded buffers with the halo
-    widths of the table's offsets (every row has them), each with its halo
-    views and row 0's slice sum over it, the row and scratch arrays the rows
-    share, and the powers nu^j.
-
-    `step(values)` takes one step from the field in the current buffer,
-    copying `values` in first unless they are that buffer's interior, writes
-    the result into the other buffer's interior and makes that buffer the
-    current one.  The field it returns is therefore overwritten two steps
-    later.
-    """
-
-    def __init__(
-        self, shape: tuple[int, ...], layers: LayerTable, densities: DensityFamily, nu: float
-    ):
-        if len(densities) < len(layers):
-            raise ConfigurationError(
-                f"density family {densities.name!r} provides {len(densities)} densities, "
-                f"the layer table needs {len(layers)}"
-            )
-        n = shape[-1]
-        _check_fit(n, layers.offsets)
-        stencils = layers.float_stencils
-        lo, hi = stencils[0].lo, stencils[0].hi
-        self.n = n
-        self.funcs = densities.funcs
-        self.scratch, self.row = np.empty(shape), np.empty(shape)
-        self.buffers = []  # (padded buffer, its field, its halos, row 0's sum over it)
-        for _ in range(2):
-            ext = np.empty(shape[:-1] + (lo + n + hi,))
-            row0 = _SliceSum(ext, n, stencils[0], self.scratch)
-            self.buffers.append((ext, ext[..., lo : lo + n], _halos(ext, lo, n), row0))
-        nu = float(nu)
-        self.rows = [(j, stencil, nu**j) for j, stencil in enumerate(stencils)][1:]
-
-    def step(self, values: np.ndarray) -> np.ndarray:
-        (ext, u, halos, row0), (_, out, _, _) = self.buffers
-        if values is not u:
-            u[...] = values
-        _fill(halos)
-        row0.sum_into(out)
-        for j, stencil, scale in self.rows:
-            dens = np.ascontiguousarray(self.funcs[j](ext), dtype=float)
-            _SliceSum(dens, self.n, stencil, self.scratch).sum_into(self.row, initial=None)
-            self.row *= scale
-            out += self.row
-        self.buffers.reverse()
-        return out
+def _layered_workspace(
+    shape: tuple[int, ...], layers: LayerTable, densities: DensityFamily, nu: float
+) -> _Workspace:
+    """A workspace whose one stage is `layers`, row j on density j scaled by nu^j."""
+    if len(densities) < len(layers):
+        raise ConfigurationError(
+            f"density family {densities.name!r} provides {len(densities)} densities, "
+            f"the layer table needs {len(layers)}"
+        )
+    _check_fit(shape[-1], layers.offsets)
+    first, *stencils = layers.float_stencils
+    nu = float(nu)
+    later = [(st, densities.funcs[j], nu**j) for j, st in enumerate(stencils, 1)]
+    return _Workspace(shape, [(first, later)])
 
 
 def step_nonlinear(
@@ -592,7 +578,7 @@ def step_nonlinear(
     densities: DensityFamily,
     nu: float,
     *,
-    workspace: Optional[_LayeredWorkspace] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> GridField:
     """One conserved-density step: row j of the table hits density j, scaled by nu^j.
 
@@ -612,7 +598,8 @@ def step_nonlinear(
     workspace and returns a field that shares its memory.
     """
     if workspace is None:
-        out = _LayeredWorkspace(field.values.shape, layers, densities, nu).step(field.values).copy()
+        workspace = _layered_workspace(field.values.shape, layers, densities, nu)
+        out = workspace.step(field.values).copy()
     else:
         out = workspace.step(field.values)
     return GridField(out, field.dx, field.origin)
@@ -634,7 +621,7 @@ def run_nonlinear(
     """
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
-    workspace = _LayeredWorkspace(field.values.shape, layers, densities, nu)
+    workspace = _layered_workspace(field.values.shape, layers, densities, nu)
     out = field
     for s in range(steps):
         out = step_nonlinear(out, layers, densities, nu, workspace=workspace)

@@ -37,8 +37,10 @@ from .schemes import Scheme, SchemeSpec, master_scheme
 GROWTH_TOL = 1e-10
 # a report whose measured critical Courant number is below this is unstable
 STABLE_NU_THRESHOLD = 1e-3
-# default resolution of the theta grid scan
+# resolution of the theta grid scan
 THETA_SAMPLES = 4096
+# the grid scan's largest local maxima polished by golden-section search
+POLISHED_PEAKS = 3
 # bisection stops once the bracket is narrower than this
 NU_TOL = 1e-4
 # doubling search gives up beyond this Courant number
@@ -83,16 +85,14 @@ class _GrowthScan:
     on the grid plus the scalar gains of the golden-section polish.
     """
 
-    def __init__(self, scheme: Scheme, samples: int = THETA_SAMPLES):
+    def __init__(self, scheme: Scheme):
         self.scheme = scheme
         ks = _offsets(scheme)
         self.iks = 1j * ks
-        self.thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+        self.thetas = np.linspace(0.0, 2.0 * math.pi, THETA_SAMPLES, endpoint=False)
         self.basis = _basis(self.thetas, ks)
 
-    def peak(
-        self, nu: float, refine: int = 3, limit: float = math.inf
-    ) -> tuple[float, float]:
+    def peak(self, nu: float, limit: float = math.inf) -> tuple[float, float]:
         """(worst theta, max |g|^2) at nu; see `max_growth`.
 
         The polish only raises the maximum, so once the maximum exceeds
@@ -114,7 +114,7 @@ class _GrowthScan:
         is_peak = (g2 >= wrapped[:-2]) & (g2 >= wrapped[2:])
         peak_idx = np.flatnonzero(is_peak)
         if peak_idx.size:
-            top = peak_idx[np.argsort(g2[peak_idx])[::-1][:refine]]
+            top = peak_idx[np.argsort(g2[peak_idx])[::-1][:POLISHED_PEAKS]]
             step = 2.0 * math.pi / thetas.size
             iks = self.iks
             for idx in top:
@@ -158,34 +158,28 @@ def _golden_max(
     return mid, f(mid)
 
 
-def max_growth(
-    scheme: Scheme, nu: float, samples: int = THETA_SAMPLES, refine: int = 3
-) -> tuple[float, float]:
+def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
     """(worst theta, max |g|^2) over theta in [0, 2*pi).
 
-    The grid scan is refined around the `refine` largest local maxima with a
-    golden-section search, so sharp peaks between grid points are not missed.
+    The scan of `THETA_SAMPLES` grid points is refined around its
+    `POLISHED_PEAKS` largest local maxima with a golden-section search, so
+    sharp peaks between grid points are not missed.
     """
-    return _GrowthScan(scheme, samples).peak(nu, refine)
+    return _GrowthScan(scheme).peak(nu)
 
 
-def critical_courant(
-    scheme: Scheme,
-    nu_sign: int,
-    tol: float = NU_TOL,
-    growth_tol: float = GROWTH_TOL,
-    nu_max: float = NU_MAX,
-) -> float:
+def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float:
     """Largest |nu| (to within tol) at which the scheme passes the mode test.
 
     nu_sign picks the sign of the Courant number being probed.  Returns 0.0
-    when the scheme is already unstable at |nu| = tol, and nu_max when no
-    instability is found below the search ceiling.  Bisection assumes the
-    stable set is a single interval [0, nu_c]; after converging, the verdict
-    is re-probed on both sides of the boundary, and if a pocket shows up
-    (stable above, or unstable below), a linear sweep in steps of
-    max(tol, NU_TOL) re-locates the first unstable point from below, and a
-    bisection narrows it to tol when tol is finer than that step.
+    when the scheme is already unstable at |nu| = tol, and NU_MAX when no
+    instability is found below the search ceiling.  A tol at or above NU_MAX
+    is refused with ValueError: the search would end before its first probe.
+    Bisection assumes the stable set is a single interval [0, nu_c]; after
+    converging, the verdict is re-probed on both sides of the boundary, and
+    if a pocket shows up (stable above, or unstable below), a linear sweep in
+    steps of max(tol, NU_TOL) re-locates the first unstable point from below,
+    and a bisection narrows it to tol when tol is finer than that step.
 
     A tol finer than the float spacing near the boundary ends the bisection
     at two neighbouring floats.
@@ -195,33 +189,33 @@ def critical_courant(
     shifts) without re-entering the stable range.
 
     Each probe stops as soon as its verdict is decided: at the grid when the
-    grid maximum of |g|^2 already exceeds 1 + growth_tol, or after the first
+    grid maximum of |g|^2 already exceeds 1 + GROWTH_TOL, or after the first
     polished peak that does.  The polish only raises the maximum, so the
     verdicts, and the nu_c they give, are those of fully polished scans.
     """
-    return _critical_courant(_GrowthScan(scheme), nu_sign, tol, growth_tol, nu_max)
+    return _critical_courant(_GrowthScan(scheme), nu_sign, tol)
 
 
-def _critical_courant(
-    scan: _GrowthScan, nu_sign: int, tol: float, growth_tol: float, nu_max: float
-) -> float:
+def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     """`critical_courant` on a scan that every probe of the search shares."""
+    if not tol < NU_MAX:
+        raise ValueError(f"tol must be below the search ceiling NU_MAX = {NU_MAX:g}, got {tol:g}")
     sign = 1 if nu_sign >= 0 else -1
-    limit = 1.0 + growth_tol
+    limit = 1.0 + GROWTH_TOL
 
     def stable(nu_abs: float) -> bool:
         return scan.peak(sign * nu_abs, limit=limit)[1] <= limit
 
     hi = tol
-    while hi <= nu_max and stable(hi):
+    while hi <= NU_MAX and stable(hi):
         hi *= 2.0
-    if hi > nu_max:
-        return nu_max
+    if hi > NU_MAX:
+        return NU_MAX
     lo, hi = _bisect(stable, 0.0 if hi == tol else hi / 2.0, hi, tol)
 
     if lo > 0.0:
         # lo + tol rounds to lo when tol is below the spacing; hi is unstable
-        above = np.linspace(max(lo + tol, hi), min(nu_max, 2.0 * lo + 16.0 * tol), 8)
+        above = np.linspace(max(lo + tol, hi), min(NU_MAX, 2.0 * lo + 16.0 * tol), 8)
         below = np.linspace(0.125 * lo, lo, 8)
         pocket_above = any(stable(float(p)) for p in above)
         pocket_below = not all(stable(float(p)) for p in below)
@@ -291,7 +285,7 @@ def stability_report(
 ) -> StabilityReport:
     scan = _GrowthScan(scheme)
     sign = 1 if nu_sign >= 0 else -1
-    nu_c = _critical_courant(scan, sign, tol, GROWTH_TOL, NU_MAX)
+    nu_c = _critical_courant(scan, sign, tol)
     # probe just beyond the boundary so worst_theta names the first mode to break
     probe = nu_c + 10.0 * tol
     worst_theta, _ = scan.peak(sign * probe)

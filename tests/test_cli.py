@@ -204,6 +204,17 @@ class TestStability:
         assert "--tol must be a finite number > 0" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("tol", ["64", "100", "1e308"])
+    def test_tol_at_search_ceiling_refused(self, tol):
+        """Regression: a tol at or above NU_MAX = 64 ended the search before its
+        first probe and reported "stable up to |nu| = 64" for both signs of
+        m = 2, n = 1, whose a < 0 side is unstable at every nu; 1e308 also
+        leaked a numpy overflow warning."""
+        proc = run_cli_process("stability", "--m", "2", "--n", "1", "--tol", tol)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr == f"error: --tol must be below the search ceiling 64, got {float(tol):g}\n"
+        assert proc.stdout == ""
+
     def test_classify_takes_no_tol(self):
         proc = run_cli_process("classify", "--m", "1", "--tol", "1e-4")
         assert proc.returncode == 1, proc.stdout + proc.stderr
@@ -215,6 +226,20 @@ class TestStability:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert f"--m must be >= 1, got {m}" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("m", ["140", "100000"])
+    def test_classify_oversized_m_refused(self, m, capsys):
+        """Regression: `classify --m 100000` died printing 1/2^99999 (Python's
+        4300-digit limit on int to str); m + 1 windows over MAX_SCHEME_POINTS
+        are refused like any other oversized scheme."""
+        assert run_cli("classify", "--m", m) == 2
+        captured = capsys.readouterr()
+        assert f"stencil points, over the limit of {fdmarch.cli.MAX_SCHEME_POINTS}" in captured.err
+        assert captured.out == ""
+
+    def test_classify_largest_m_runs(self, capsys):
+        assert run_cli("classify", "--m", "139") == 0
+        assert f"a>0: stable window r=70 (|nu| up to 1/{2**138})" in capsys.readouterr().out
 
     def test_classify_high_order_exact(self, capsys):
         assert run_cli("classify", "--m", "11") == 0
@@ -533,6 +558,10 @@ class TestRunExplicit:
             (("--times", "0,inf"), "--times must be finite numbers"),
             (("--dx", "1e-320"), "gives no finite cell count"),
             (("--box", "0,inf"), "--box must be two finite numbers"),
+            # t / dt overflows to inf; round() raised OverflowError on these
+            (("--times", "1e308"), "--times must lie within the run duration"),
+            (("--times=-1e308",), "--times must lie within the run duration"),
+            (("--dt", "1e-310", "--times", "1"), "--times must lie within the run duration"),
         ],
     )
     def test_degenerate_grid_refused(self, extra, message, tmp_path, capsys):

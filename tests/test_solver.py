@@ -33,7 +33,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _SliceSum, _apply_stencil, _march
+from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _SliceSum, _march
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -174,6 +174,8 @@ class TestStepLinear:
 
 
 class TestApplyStencil:
+    """One stencil step, a one-step `_march`, against rolled copies."""
+
     @staticmethod
     def rolled_reference(values, items):
         """The stencil as a weighted sum of rolled copies, added in item order."""
@@ -203,10 +205,10 @@ class TestApplyStencil:
                 weights = rng.normal(size=len(offsets))
                 weights[rng.integers(len(offsets))] = 0.0
                 items = [(int(k), float(w)) for k, w in zip(offsets, weights)]
-                got = _apply_stencil(values, items)
+                got = _march(values, [FloatStencil(items)], 1)
                 assert np.array_equal(got, self.rolled_reference(values, items)), (n_cells, items)
                 rng.shuffle(items)
-                got = _apply_stencil(values, items)
+                got = _march(values, [FloatStencil(items)], 1)
                 assert np.array_equal(got, self.rolled_reference(values, items)), (n_cells, items)
 
     def test_spectral_oracle_order_29(self):
@@ -232,7 +234,7 @@ def window_sizes(points):
 
 
 class TestKernelPaths:
-    """`_apply_stencil` against the rolled reference, by bytes, on both sides
+    """A one-step `_march` against the rolled reference, by bytes, on both sides
     of `WINDOW_LIMIT`: the window product and the slice loop add the same
     terms in the same order from +0.0."""
 
@@ -249,7 +251,8 @@ class TestKernelPaths:
             for _ in range(3):
                 rng.shuffle(items)
                 want = self.rolled_reference(values, items)
-                assert _apply_stencil(values, items).tobytes() == want.tobytes(), (n_cells, items)
+                got = _march(values, [FloatStencil(items)], 1)
+                assert got.tobytes() == want.tobytes(), (n_cells, items)
 
     @pytest.mark.parametrize("points", [3, 6, 30])
     def test_zero_weights_over_non_finite_values(self, points):
@@ -266,11 +269,11 @@ class TestKernelPaths:
                 items = list(zip(offsets, weights))
                 with np.errstate(invalid="ignore"):
                     want = self.rolled_reference(values, items)
-                    got = _apply_stencil(values, items)
+                    got = _march(values, [FloatStencil(items)], 1)
                     assert got.tobytes() == want.tobytes(), (n_cells, zeros)
                     rng.shuffle(items)
                     want = self.rolled_reference(values, items)
-                    got = _apply_stencil(values, items)
+                    got = _march(values, [FloatStencil(items)], 1)
                     assert got.tobytes() == want.tobytes(), (n_cells, zeros)
 
     @pytest.mark.parametrize("points", [2, 7, 30])
@@ -280,7 +283,7 @@ class TestKernelPaths:
         offsets = list(range(-(points // 2), points - points // 2))
         items = [(k, -1.0 - 0.5 * i) for i, k in enumerate(offsets)]
         for n_cells in window_sizes(points):
-            got = _apply_stencil(np.zeros(n_cells), items)
+            got = _march(np.zeros(n_cells), [FloatStencil(items)], 1)
             assert got.tobytes() == np.zeros(n_cells).tobytes()
             assert got.tobytes() == self.rolled_reference(np.zeros(n_cells), items).tobytes()
 
@@ -625,13 +628,13 @@ class TestLayeredKernel:
 
     @staticmethod
     def reference_step(values, layers, funcs, nu):
-        """Each density evaluated on the field and padded on its own, one
-        `_apply_stencil` per row, rows added with weight nu**j in order."""
+        """Each density evaluated on the field and padded on its own, a
+        one-step `_march` per row, rows added with weight nu**j in order."""
         out = np.zeros_like(values)
         for j, row in enumerate(layers):
             items = [(k, float(w)) for k, w in zip(layers.offsets, row)]
             dens = np.asarray(funcs[j](values), dtype=float)
-            out += nu**j * _apply_stencil(dens, items)
+            out += nu**j * _march(dens, [FloatStencil(items)], 1)
         return out
 
     WINDOWS = {1: [-1, 0], 2: [-1, 0, 1], 3: [-2, -1, 0, 1]}  # the fig-burgers windows

@@ -192,15 +192,13 @@ def pin_id(spec):
 class FullyPolishedScan(fdmarch.stability._GrowthScan):
     """The shared scan with every probe fully polished, whatever its verdict needs."""
 
-    def peak(self, nu, refine=3, limit=math.inf):
-        return super().peak(nu, refine)
+    def peak(self, nu, limit=math.inf):
+        return super().peak(nu)
 
 
 def fully_polished_critical_courant(scheme, nu_sign, tol):
     """`critical_courant` with no probe stopping once its verdict is decided."""
-    return fdmarch.stability._critical_courant(
-        FullyPolishedScan(scheme), nu_sign, tol, GROWTH_TOL, NU_MAX
-    )
+    return fdmarch.stability._critical_courant(FullyPolishedScan(scheme), nu_sign, tol)
 
 
 class TestVerdictStopsWhenDecided:
@@ -291,6 +289,16 @@ class TestCriticalCourant:
 
     def test_truncated_n1_equals_full(self):
         assert truncated_first_layer_critical(1) == pytest.approx(0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("tol", [NU_MAX, 100.0, 1e308, math.inf, math.nan])
+    def test_tol_at_search_ceiling_refused(self, tol):
+        """Regression: a tol at or above NU_MAX returned NU_MAX without a
+        probe, so the dead a < 0 side of m = 2, n = 1 read as stable."""
+        s = first_order_scheme(2, 1)
+        with pytest.raises(ValueError, match="below the search ceiling"):
+            critical_courant(s, -1, tol=tol)
+        with pytest.raises(ValueError, match="below the search ceiling"):
+            stability_report(s, -1, tol=tol)
 
 
 def tol_step_sweep(stable, tol, ceiling):
