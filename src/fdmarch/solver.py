@@ -28,17 +28,21 @@ stage of one row, and the layered update with identity densities is the
 linear scheme.  Stage i reads padded buffer i: it refills the buffer's halos
 in place from its interior and writes row 0's sum, from +0.0, straight into
 the interior of the next buffer; a lone stage alternates between two
-buffers.  Each later row sums its density of the padded buffer, from its
-first term, is scaled by nu^j in place and is added.  Densities are
-therefore evaluated on the halo-padded array, not on the field, and must be
+buffers.  The later densities are evaluated once per step, by one call of
+the family's `evaluate`, on the halo-padded buffer and into padded density
+buffers the workspace owns, one per later row, each with that row's slice
+sum set up once per run; the Burgers family shares one power chain across
+its densities.  Each later row sums its density buffer, from its first
+term, is scaled by nu^j in place and is added.  Densities are therefore
+evaluated on the halo-padded array, not on the field, and must be
 pointwise; they read a workspace buffer that they must neither write nor
-keep.  Row 0's sum never holds -0.0, so adding a later row's +-0.0 leaves it
-as it is, and the result has the bits the +0.0 start gives.  The march
-hands out no per-step fields: callers take snapshots from what one march
-returns and march on from there, and only a run given a callback copies the
-field for it after every step.  A single step (`step_linear`,
-`step_nonlinear`) is a one-step run in a workspace of its own, and returns a
-new array.
+keep, and funcs[0] is not called.  Row 0's sum never holds -0.0, so adding
+a later row's +-0.0 leaves it as it is, and the result has the bits the
++0.0 start gives.  The march hands out no per-step fields: callers take
+snapshots from what one march returns and march on from there, and only a
+run given a callback copies the field for it after every step.  A single
+step (`step_linear`, `step_nonlinear`) is a one-step run in a workspace of
+its own, and returns a new array.
 """
 
 from __future__ import annotations
@@ -421,36 +425,52 @@ class _Workspace:
     """The padded buffers of a march on fields of one shape, and what each
     stage of a step reads from them, allocated and set up once.
 
-    A stage is (row 0's float stencil, later rows): a layer table's first
-    row, then for each row j after it its stencil, density function and
-    scale nu^j.  A linear term is a stage with no later rows.  Every row of a
+    A stage is (row 0's float stencil, later rows, densities): a layer
+    table's first row, then for each row j after it its stencil and scale
+    nu^j, and the `DensityFamily` those rows read (None when there are
+    none).  A linear term is a stage with no later rows.  Every row of a
     stage has the halo widths of its first.  Buffer i is padded with stage
     i's halo widths, and a lone stage alternates between two buffers.  Stage
     i refills buffer i's halos in place from its interior and writes row 0's
     sum (`_SliceSum`, from +0.0) straight into the interior of buffer i + 1,
-    the last stage into buffer 0.  Each later row sums its density of buffer
-    i, padded halos and all, from its first term into the row array, which
-    is scaled in place and added.  The rows share that array, allocated only
-    when a stage has later rows, and one scratch array.
+    the last stage into buffer 0.  A stage with later rows owns one density
+    buffer per later row, shaped like its padded buffer, and each row's
+    `_SliceSum` over it, which both turns of a lone stage share.  One
+    `evaluate` call writes every later density of buffer i, padded halos
+    and all, into them; each later row then sums its own from its first
+    term into the row array, which is scaled in place and added.  The rows
+    share that array, allocated only when a stage has later rows, and one
+    scratch array.
 
     `step(values)` takes one step, every stage in turn, copying `values` into
     the current buffer first unless they are its interior, and returns the
     interior the step wrote; a later step overwrites it.
     """
 
-    def __init__(self, shape: tuple[int, ...], stages: Sequence[tuple[FloatStencil, Sequence]]):
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        stages: Sequence[tuple[FloatStencil, Sequence, Optional[DensityFamily]]],
+    ):
         n = shape[-1]
-        self.n = n
-        ring = list(stages) * 2 if len(stages) == 1 else list(stages)
+        padded = lambda first: np.empty(shape[:-1] + (first.lo + n + first.hi,))
         self.scratch = np.empty(shape)
-        self.row = np.empty(shape) if any(later for _, later in stages) else None
-        exts = [np.empty(shape[:-1] + (first.lo + n + first.hi,)) for first, _ in ring]
-        fields = [ext[..., first.lo : first.lo + n] for ext, (first, _) in zip(exts, ring)]
+        # per stage: (its densities, their padded buffers, each later row's
+        # sum over its buffer and scale), or None without later rows
+        layered = []
+        for first, later, densities in stages:
+            bufs = [padded(first) for _ in later]
+            sums = [(_SliceSum(b, n, st, self.scratch), nu_j) for b, (st, nu_j) in zip(bufs, later)]
+            layered.append((densities, bufs, sums) if later else None)
+        self.row = np.empty(shape) if any(layered) else None
+        ring = list(zip(stages, layered)) * (2 if len(stages) == 1 else 1)
+        exts = [padded(first) for (first, _, _), _ in ring]
+        fields = [ext[..., first.lo : first.lo + n] for ext, ((first, _, _), _) in zip(exts, ring)]
         # per stage taken, in order: (its buffer, the buffer's halos, row 0's
-        # sum over it, the field that sum is written to, the later rows)
+        # sum over it, the field that sum is written to, its later rows)
         taken = [
-            (ext, _halos(ext, first.lo, n), _SliceSum(ext, n, first, self.scratch), out, later)
-            for ext, (first, later), out in zip(exts, ring, fields[1:] + fields[:1])
+            (ext, _halos(ext, first.lo, n), _SliceSum(ext, n, first, self.scratch), out, lay)
+            for ext, ((first, _, _), lay), out in zip(exts, ring, fields[1:] + fields[:1])
         ]
         # the stages of one step; a lone stage's two buffers take turns
         self.turns = [taken[:1], taken[1:]] if len(stages) == 1 else [taken]
@@ -459,14 +479,16 @@ class _Workspace:
     def step(self, values: np.ndarray) -> np.ndarray:
         if values is not self.field:
             self.field[...] = values
-        for ext, halos, row0, out, later in self.turns[0]:
+        for ext, halos, row0, out, layered in self.turns[0]:
             _fill(halos)
             row0.sum_into(out)
-            for stencil, func, scale in later:
-                dens = np.ascontiguousarray(func(ext), dtype=float)
-                _SliceSum(dens, self.n, stencil, self.scratch).sum_into(self.row, initial=None)
-                self.row *= scale
-                out += self.row
+            if layered is not None:
+                densities, bufs, sums = layered
+                densities.evaluate(ext, bufs)
+                for row_sum, nu_j in sums:
+                    row_sum.sum_into(self.row, initial=None)
+                    self.row *= nu_j
+                    out += self.row
         self.turns.reverse()
         self.field = out
         return out
@@ -488,7 +510,7 @@ def _march(
     `callback(step, u)` is handed the workspace's field after each step and
     must copy what it keeps.
     """
-    workspace = _Workspace(values.shape, [(st, ()) for st in stencils])
+    workspace = _Workspace(values.shape, [(st, (), None) for st in stencils])
     u = values
     for s in range(steps):
         u = workspace.step(u)
@@ -506,8 +528,9 @@ class DensityFamily:
     funcs[j] evaluates the j-th density.  funcs[0] must be the identity: the
     update then reduces to the linear scheme on linear data, and it reads
     the field itself for row 0 without calling funcs[0].  Each step evaluates
-    every later density once, on a halo-padded workspace buffer rather than
-    on the field itself, so each func must act pointwise: out[i] may depend
+    every later density once, through one `evaluate` call, on a halo-padded
+    workspace buffer rather than on the field itself, into density buffers
+    the workspace owns.  So each func must act pointwise: out[i] may depend
     on u[i] alone.  The buffer is the march's own: a func may return it, but
     must neither write into it nor keep it, or anything that shares its
     memory, past the call.
@@ -519,6 +542,37 @@ class DensityFamily:
     def __len__(self) -> int:
         return len(self.funcs)
 
+    def evaluate(self, u: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+        """Write densities 1 .. len(outs) of `u` into `outs`, in order: each
+        funcs[j](u) converted to float and copied into outs[j - 1].  `outs`
+        are float arrays shaped like `u` that share no memory with it."""
+        for func, out in zip(self.funcs[1:], outs):
+            out[...] = func(u)
+
+
+def _burgers_scaled(q: np.ndarray, j: int, out: np.ndarray) -> np.ndarray:
+    """Burgers density j from the power q = u^(j+1), written to `out` (which
+    may be q): q / (sign * p), or q * (1 / (sign * p)) when p = j + 1 is a
+    power of two and that inverse is exact.  Both round sign * q / p once."""
+    p = j + 1
+    divisor = (-1.0) ** j * p
+    if p & (p - 1) == 0:
+        return np.multiply(q, 1.0 / divisor, out=out)
+    return np.divide(q, divisor, out=out)
+
+
+class _BurgersFamily(DensityFamily):
+    """`burgers_densities`' family: `evaluate` runs one power chain for all
+    densities, with the funcs' rounding."""
+
+    def evaluate(self, u: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+        # the running power u^(j+1) lives in the last buffer, scaled in place last
+        q = np.multiply(u, u, out=outs[-1])
+        for j, out in enumerate(outs, 1):
+            if j > 1:
+                q *= u
+            _burgers_scaled(q, j, out)
+
 
 def burgers_densities(n: int) -> DensityFamily:
     """Densities for u_t = -u u_x: u_j(u) = (-1)^j u^(j+1) / (j+1).
@@ -526,29 +580,30 @@ def burgers_densities(n: int) -> DensityFamily:
     These are the successive antiderivatives of the powers of the local speed
     f(u) = -u, which is exactly what the layered update consumes.  The power
     is a chain of multiplies, q = u * u * ... * u, not `pow`, and the sign and
-    divisor scale it in one operation, in place: q / (sign * p), or
+    divisor scale it in one operation (`_burgers_scaled`): q / (sign * p), or
     q * (1 / (sign * p)) when p is a power of two and that inverse is exact.
     Both round the same real number as sign * q / p, so each density is
     bitwise sign * q / p: for j <= 1 that is what sign * u**(j+1) / (j+1)
     gives, and each higher density is within a few ulp of its exact value.
+    funcs[j] runs its own chain; the family's `evaluate` shares one chain
+    across all densities of a step, q = u * u, then q *= u, each density
+    scaled from it into its own buffer and the last in place, so it writes
+    the bits the funcs give.
     """
 
     def make(j: int) -> Callable[[np.ndarray], np.ndarray]:
         if j == 0:
             return lambda u: u
-        p = j + 1
-        divisor = (-1.0) ** j * p
-        op, scale = (np.multiply, 1.0 / divisor) if p & (p - 1) == 0 else (np.divide, divisor)
 
         def density(u: np.ndarray) -> np.ndarray:
             q = u * u
-            for _ in range(p - 2):
+            for _ in range(j - 1):
                 q *= u
-            return op(q, scale, out=q)
+            return _burgers_scaled(q, j, q)
 
         return density
 
-    return DensityFamily("burgers", tuple(make(j) for j in range(n + 1)))
+    return _BurgersFamily("burgers", tuple(make(j) for j in range(n + 1)))
 
 
 def identity_densities(n: int) -> DensityFamily:
@@ -568,8 +623,8 @@ def _layered_workspace(
     _check_fit(shape[-1], layers.offsets)
     first, *stencils = layers.float_stencils
     nu = float(nu)
-    later = [(st, densities.funcs[j], nu**j) for j, st in enumerate(stencils, 1)]
-    return _Workspace(shape, [(first, later)])
+    later = [(st, nu**j) for j, st in enumerate(stencils, 1)]
+    return _Workspace(shape, [(first, later, densities)])
 
 
 def step_nonlinear(
@@ -582,15 +637,17 @@ def step_nonlinear(
 ) -> GridField:
     """One conserved-density step: row j of the table hits density j, scaled by nu^j.
 
-    The field's wrapped halo is refilled once, and each density j >= 1 is
-    evaluated once on that padded array; densities act pointwise, so the
-    padded density reads the same values as padding the density would.  Row
-    0's sum, of the field itself, is the step's sum, not rescaled: it starts
-    from +0.0, so it never holds -0.0 and 0.0 + 1.0 * sum would give its
-    bits again.  Each later row's sum starts from its first term, is scaled
-    by nu^j in place and is added to it, in row order; adding its +-0.0
-    leaves the step's sum as it is, so starting that row from +0.0 would
-    give the same bits.
+    The field's wrapped halo is refilled once, and one `densities.evaluate`
+    call writes every density j >= 1 of that padded array into the
+    workspace's density buffers (for Burgers, from one shared power chain);
+    densities act pointwise, so the padded density reads the same values as
+    padding the density would.  Row 0's sum, of the field itself, is the
+    step's sum, not rescaled: it starts from +0.0, so it never holds -0.0
+    and 0.0 + 1.0 * sum would give its bits again.  Each later row's sum, of
+    its density buffer, starts from its first term, is scaled by nu^j in
+    place and is added to it, in row order; adding its +-0.0 leaves the
+    step's sum as it is, so starting that row from +0.0 would give the same
+    bits.  The funcs contract is that of `DensityFamily`.
 
     Alone, the step runs in a workspace of its own and returns a new array.
     `workspace` is `run_nonlinear`'s, built for these layers, densities and

@@ -171,8 +171,10 @@ def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
 def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float:
     """Largest |nu| (to within tol) at which the scheme passes the mode test.
 
-    nu_sign picks the sign of the Courant number being probed.  Returns 0.0
-    when the scheme is already unstable at |nu| = tol, and NU_MAX when no
+    nu_sign picks the sign of the Courant number being probed.  When the
+    scheme is already unstable at |nu| = tol, [0, tol] is bisected down to
+    min(tol, STABLE_NU_THRESHOLD), so a coarse tol still finds a nu_c above
+    the threshold; 0.0 means no probe was stable.  Returns NU_MAX when no
     instability is found below the search ceiling.  A tol at or above NU_MAX
     is refused with ValueError: the search would end before its first probe.
     Bisection assumes the stable set is a single interval [0, nu_c]; after
@@ -211,7 +213,12 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
         hi *= 2.0
     if hi > NU_MAX:
         return NU_MAX
-    lo, hi = _bisect(stable, 0.0 if hi == tol else hi / 2.0, hi, tol)
+    if hi == tol:
+        # unstable at the first probe: bisect [0, tol] at least as finely as
+        # the stable threshold, or a coarse tol would read every nu_c below it as 0
+        lo, hi = _bisect(stable, 0.0, hi, min(tol, STABLE_NU_THRESHOLD))
+    else:
+        lo, hi = _bisect(stable, hi / 2.0, hi, tol)
 
     if lo > 0.0:
         # lo + tol rounds to lo when tol is below the spacing; hi is unstable

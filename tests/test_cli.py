@@ -215,6 +215,18 @@ class TestStability:
         assert proc.stderr == f"error: --tol must be below the search ceiling 64, got {float(tol):g}\n"
         assert proc.stdout == ""
 
+    def test_tol_above_nu_c_still_stable(self, capsys):
+        """Regression: a tol at or above nu_c made the first probe unstable, and
+        bisecting [0, tol] no finer than tol stopped at once, so the centred
+        diffusion scheme (nu_c = 1/2) printed "unstable (critical below
+        threshold): |nu| = 0" at --tol 1."""
+        assert run_cli("stability", "--m", "2", "--n", "1", "--sign", "+", "--tol", "1") == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if l.startswith("sign=+1"))
+        assert "stable up to" in line and "unstable" not in line
+        nu_c = float(line.split("|nu| = ")[1].split()[0])
+        assert 0.499 < nu_c <= 0.5
+
     def test_classify_takes_no_tol(self):
         proc = run_cli_process("classify", "--m", "1", "--tol", "1e-4")
         assert proc.returncode == 1, proc.stdout + proc.stderr

@@ -15,6 +15,7 @@ from fdmarch.schemes import FloatStencil, SchemeSpec, master_scheme, nonlinear_l
 from fdmarch.stability import advection_family_spec
 from fdmarch.solver import (
     ConfigurationError,
+    DensityFamily,
     GridField,
     LinearProblem,
     LinearTerm,
@@ -616,6 +617,24 @@ class TestStepNonlinear:
         assert seen == [1, 2, 3, 4]
 
 
+@st.composite
+def density_inputs(draw):
+    """(u, n, k): a 1-D array or a stack of 1-3 rows of any floats, special
+    values drawn often, an order n in 1..6 and a density count k in 1..n."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    rows = draw(st.integers(0, 3))  # 0: one 1-D array
+    cells = draw(st.integers(1, 8))
+    shape = (rows, cells) if rows else (cells,)
+    special = st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+         3e44, -1e45, 1.3e154]
+    )
+    size = max(rows, 1) * cells
+    values = draw(st.lists(st.one_of(st.floats(), special), min_size=size, max_size=size))
+    return np.array(values).reshape(shape), n, k
+
+
 class TestLayeredKernel:
     """The one-pad layered update against the per-density reference kernel."""
 
@@ -757,6 +776,34 @@ class TestLayeredKernel:
                 else:
                     assert float(y).hex() == want.hex(), (j, x)
 
+    @given(density_inputs())
+    @example((  # every kind of float, one row; 3e44 and -1e45 overflow at p = 7
+        np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -1e-160, 3e44, -1e45, 1.3e154, 0.7, -1.3]),
+        6, 6,
+    ))
+    @example((np.array([[math.nan, -0.0, 1e45], [-5e-324, -math.inf, 2.5]]), 6, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_chain_matches_funcs(self, case):
+        """`burgers_densities(n).evaluate(u, outs)` runs one power chain for
+        densities 1..len(outs), yet writes each the bits funcs[j] gives with
+        its own chain, as does the plain family of those funcs: on 1-D arrays
+        and stacks of any float, NaN, +-inf, signed zeros, subnormals and
+        powers that overflow included.  `u` is left as it was."""
+        u, n, k = case
+        family = burgers_densities(n)
+        before = u.copy()
+        outs = [np.full_like(u, 7.0) for _ in range(k)]
+        plain = [np.full_like(u, 7.0) for _ in range(k)]
+        with np.errstate(all="ignore"):
+            family.evaluate(u, outs)
+            DensityFamily("plain", family.funcs).evaluate(u, plain)
+            want = [family.funcs[j](u) for j in range(1, k + 1)]
+        assert np.array_equal(u.view(np.int64), before.view(np.int64))
+        for j, (got, by_func, w) in enumerate(zip(outs, plain, want), 1):
+            assert np.array_equal(got.view(np.int64), w.view(np.int64)), j
+            assert np.array_equal(by_func.view(np.int64), w.view(np.int64)), j
+
     def test_layer_table_converted_once(self, monkeypatch):
         layers = nonlinear_layers(3, self.WINDOWS[3])
         field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
@@ -783,6 +830,14 @@ class TestLayeredKernel:
         field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
         run_nonlinear(field, nonlinear_layers(2, self.WINDOWS[2]), burgers_densities(2), 0.5, 50)
         assert len(calls) == 50
+
+
+def mixed_densities(n):
+    """A plain `DensityFamily`, evaluated through the base `evaluate`: its
+    odd densities are Burgers' funcs, and its even ones return the padded
+    buffer itself."""
+    funcs = burgers_densities(n).funcs
+    return DensityFamily("mixed", tuple(f if j % 2 else (lambda u: u) for j, f in enumerate(funcs)))
 
 
 def fresh_pad_step(values, layers, funcs, nu):
@@ -822,7 +877,7 @@ def layered_marches(draw):
         st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
     )
     values = np.array(draw(st.lists(finite_or_inf, min_size=size, max_size=size)))
-    family = draw(st.sampled_from([identity_densities, burgers_densities]))(n)
+    family = draw(st.sampled_from([identity_densities, burgers_densities, mixed_densities]))(n)
     nu = draw(st.floats(-1.0, 1.0, allow_nan=False))
     return values.reshape(shape), n, sorted(offsets), family, nu, draw(st.integers(1, 4))
 
@@ -837,6 +892,7 @@ class TestLayeredWorkspace:
         (np.full(6, -0.0), 1, [-1, 0], identity_densities(1), -0.5, 1), False
     )
     @example((np.full((2, 6), -0.0), 1, [-1, 0], burgers_densities(1), -0.5, 1), True)
+    @example((np.full((2, 7), -0.0), 2, [-1, 0, 1], mixed_densities(2), -0.5, 2), False)
     @settings(max_examples=300, deadline=None)
     def test_matches_fresh_pad_steps(self, case, loop):
         values, n, offsets, family, nu, steps = case
@@ -879,6 +935,36 @@ class TestLayeredWorkspace:
         run_nonlinear(field, nonlinear_layers(2, [-1, 0, 1]), burgers_densities(2), 0.5, 5)
         assert len(seen) == 5 and seen[0] is not None
         assert all(ws is seen[0] for ws in seen)
+
+    @pytest.mark.parametrize("make", [burgers_densities, identity_densities])
+    def test_set_up_once_per_run(self, make, monkeypatch):
+        """A run sets up every `_SliceSum` before its first step, row 0's over
+        each of its two buffers and one per later row over that row's density
+        buffer, so 50 steps build as many as one; each step evaluates the
+        densities with one `evaluate` call."""
+        family = make(3)
+        builds, evaluations = [], []
+        real_init, real_evaluate = _SliceSum.__init__, type(family).evaluate
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args[0])
+            real_init(self, *args, **kwargs)
+
+        def counting_evaluate(self, u, outs):
+            evaluations.append(len(outs))
+            real_evaluate(self, u, outs)
+
+        monkeypatch.setattr(_SliceSum, "__init__", counting_init)
+        monkeypatch.setattr(type(family), "evaluate", counting_evaluate)
+        field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
+        layers = nonlinear_layers(3, [-2, -1, 0, 1])
+        for steps in (1, 50):
+            builds.clear()
+            evaluations.clear()
+            run_nonlinear(field, layers, family, 0.5, steps)
+            assert len(builds) == 2 + 3
+            assert len({id(ext) for ext in builds}) == 5
+            assert evaluations == [3] * steps
 
 
 def loop_shock_front(field, level=0.5):

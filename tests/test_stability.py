@@ -300,6 +300,18 @@ class TestCriticalCourant:
         with pytest.raises(ValueError, match="below the search ceiling"):
             stability_report(s, -1, tol=tol)
 
+    @pytest.mark.parametrize("tol", [1.0, 10.0])
+    def test_tol_above_nu_c_still_stable(self, tol):
+        """Regression: with tol >= nu_c the first probe is unstable, and
+        bisecting [0, tol] only down to tol returned 0, a false "unstable" for
+        the centred diffusion scheme, whose nu_c is 1/2.  That bisection now
+        goes down to STABLE_NU_THRESHOLD."""
+        s = first_order_scheme(2, 1)
+        report = stability_report(s, +1, tol=tol)
+        assert report.is_stable
+        assert 0.5 - STABLE_NU_THRESHOLD < report.nu_critical <= 0.5
+        assert critical_courant(s, +1, tol=tol) == report.nu_critical
+
 
 def tol_step_sweep(stable, tol, ceiling):
     """The pocket sweep before its step was floored at NU_TOL: steps of tol."""
