@@ -23,6 +23,7 @@ from fdmarch import (
     critical_courant,
     master_scheme,
 )
+from fdmarch.cli import MAX_SCHEME_POINTS
 
 
 def diffusion_ladder(n_max: int = 4) -> None:
@@ -75,6 +76,9 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m-max", type=int, default=6)
     args = ap.parse_args()
+    # window m has m + 1 points: the bound `fdmarch classify --m` keeps
+    if not 1 <= args.m_max <= MAX_SCHEME_POINTS - 1:
+        ap.error(f"--m-max must lie in 1..{MAX_SCHEME_POINTS - 1}, got {args.m_max}")
     diffusion_ladder()
     first_order_windows(args.m_max)
     advection_ladders()

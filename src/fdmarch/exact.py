@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 # Exact scalar type used throughout the package: arbitrary precision, always
 # reduced, positive denominator -> canonical string form.

@@ -21,12 +21,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .exact import (
-    InvalidOffsetsError,
     OffsetSet,
     RatPoly,
     Rational,
@@ -106,9 +105,12 @@ class FloatStencil:
     to the left and right of a cell: the halo widths of the padded field.
     `live` keeps the items with a nonzero weight, in the given order.  Row r
     of a window over the padded field is the slice starting at r, so offset k
-    reads row lo + k; `rows` picks the rows of the live items in their order
-    (a slice when they are consecutive and ascending, else an index array)
-    and `weights` holds their weights as a column.  Offsets must be distinct.
+    reads row lo + k; `rows` is the slice of the live items' rows when they
+    are consecutive and ascending, and None otherwise (no live item, a zero
+    weight inside the stencil, a gap or an unsorted order): the kernel then
+    adds one slice at a time rather than gather the rows (see the solver's
+    `WINDOW_LIMIT`).  `weights` holds the live weights as a column.  Offsets
+    must be distinct.
     """
 
     def __init__(self, items: Iterable[tuple[int, float]]):
@@ -118,10 +120,9 @@ class FloatStencil:
         self.hi = max(0, max(k for k, _ in items))
         self.live = tuple((k, w) for k, w in items if w)
         rows = [self.lo + k for k, _ in self.live]
+        self.rows = None
         if rows and rows == list(range(rows[0], rows[0] + len(rows))):
             self.rows = slice(rows[0], rows[0] + len(rows))
-        else:
-            self.rows = np.array(rows, dtype=np.intp)
         self.weights = np.array([w for _, w in self.live], dtype=float).reshape(-1, 1)
 
 

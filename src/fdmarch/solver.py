@@ -11,15 +11,16 @@ converted to float, with the arrays the kernel reads, once per run.
 
 The kernel takes that sum in one of two ways, bitwise alike, for one row or
 a stack.  While rows times stencil points times cells stays within
-`WINDOW_LIMIT`, it views the padded buffer as a strided ([rows,] points,
-cells) window whose entry r along the points axis is the slice starting at
-r, multiplies the entries of the live offsets by their weight column in one
-call and adds them with one ordered reduce over that axis; on small grids a
-step costs a few numpy calls whatever the order and however many rows march
-together.  Above the limit it adds one slice at a time, which keeps large
-arrays out of a (rows, points, cells) temporary; a slice with weight +1 or
--1 is added or subtracted as it is, with no product.  Each output row is the
-sum a lone march of that row computes.
+`WINDOW_LIMIT` and the live offsets are consecutive and ascending, it views
+the padded buffer as a strided ([rows,] points, cells) window whose entry r
+along the points axis is the slice starting at r, multiplies the view of
+the live entries by their weight column in one call and adds them with one
+ordered reduce over that axis; on small grids a step costs a few numpy
+calls whatever the order and however many rows march together.  Otherwise
+it adds one slice at a time, which keeps large arrays out of a (rows,
+points, cells) temporary and needs no gather of scattered live rows; a
+slice with weight +1 or -1 is added or subtracted as it is, with no
+product.  Each output row is the sum a lone march of that row computes.
 
 Every run, linear or layered, marches in one workspace (`_Workspace`),
 allocated once per run.  A step is a sequence of stages, each the rows of one
@@ -281,9 +282,11 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
 # 2 x 1000 x 6: 22 against 19 us; 8 x 1000 x 8: 73 against 91 us.  The
 # crossover moves between 10^4 and 5 x 10^4 from run to run and shifts to
 # fewer cells per row as rows are added; on the few-point rows of large grids
-# (1 x 10^4 x 2: 17 against 20 us) the loop stays ahead.  Rows gathered out
-# of order, or around zero weights, fall 4-11x behind from 2000 cells and 16
-# points up.
+# (1 x 10^4 x 2: 17 against 20 us) the loop stays ahead.  Live rows that are
+# not consecutive and ascending (a zero weight inside the stencil, a gapped or
+# shuffled stencil) take the slice loop at any size: gathering them into the
+# window product fell 4-11x behind from 2000 cells and 16 points up, and no
+# benchmark workload marches such a stencil below the limit.
 WINDOW_LIMIT = 2**13
 
 
@@ -317,40 +320,38 @@ class _SliceSum:
     from the first live term instead of +0.0, as numpy's reduce does, and
     needs a live item; the two differ only where the +0.0 start turns a -0.0
     sum into +0.0.  Everything that does not depend on the values is set up
-    once here: the window and its live rows, the slices and the scratch
-    arrays.  The slice loop uses `scratch`, shaped like `out`, when
-    one is given.
+    once here: the window and the view of its live rows, or the slices.  The
+    slice loop writes products into `scratch`, shaped like `out`.
 
     The sum starts at +0.0 and adds the terms in item order; zero weights are
     skipped, so a non-finite value under a zero weight reads as nothing.  Up
-    to `WINDOW_LIMIT` rows times stencil points times cells the terms are one
-    ([rows,] live items, n) product, added by numpy's reduce over its items
-    axis, which on a C-contiguous array runs item after item from `initial`;
-    above it, one slice at a time, 0.0 + term first (or the term's product
-    alone), then out + term, with out + slice and out - slice for weights of
-    +1 and -1, whose product with the slice is exact.  Both are the same
-    floating-point sum, row by row, so each row of a stack comes out as it
-    would alone.
+    to `WINDOW_LIMIT` rows times stencil points times cells, when the live
+    rows are one consecutive, ascending run (`FloatStencil.rows` is a slice),
+    the terms are one ([rows,] live items, n) product of a view of the
+    window, added by numpy's reduce over its items axis, which on a
+    C-contiguous array runs item after item from `initial`.  Otherwise,
+    above the limit or for live rows that would have to be gathered (see
+    `WINDOW_LIMIT`), it adds one slice at a time, 0.0 + term first (or the
+    term's product alone), then out + term, with out + slice and out - slice
+    for weights of +1 and -1, whose product with the slice is exact.  Both
+    are the same floating-point sum, row by row, so each row of a stack
+    comes out as it would alone.
     """
 
-    def __init__(
-        self, ext: np.ndarray, n: int, stencil: FloatStencil, scratch: Optional[np.ndarray] = None
-    ):
-        self.weights = stencil.weights
+    def __init__(self, ext: np.ndarray, n: int, stencil: FloatStencil, scratch: np.ndarray):
         lead = ext.shape[:-1]  # () for one row, (rows,) for a stack
-        if stencil.size * (ext.size // ext.shape[-1]) * n > WINDOW_LIMIT:
+        if stencil.rows is None or stencil.size * (ext.size // ext.shape[-1]) * n > WINDOW_LIMIT:
             self.window = None
             lo = stencil.lo
             self.slices = [(ext[..., lo + k : lo + k + n], w) for k, w in stencil.live]
-            self.scratch = np.empty(lead + (n,)) if scratch is None else scratch
+            self.scratch = scratch
             return
         step = ext.itemsize
         shape, strides = lead + (ext.shape[-1] - n + 1, n), ext.strides[:-1] + (step, step)
         self.window = np.ndarray(shape, ext.dtype, ext, strides=strides)
-        self.rows = stencil.rows
+        self.live = self.window[..., stencil.rows, :]
+        self.weights = stencil.weights
         self.terms = np.empty(lead + (len(stencil.live), n))
-        # a view of the live rows when they are consecutive, else gathered per sum
-        self.live = self.window[..., stencil.rows, :] if isinstance(stencil.rows, slice) else None
 
     def sum_into(self, out: np.ndarray, initial: Optional[float] = 0.0) -> np.ndarray:
         if self.window is None:
@@ -368,12 +369,7 @@ class _SliceSum:
             if acc is not out:  # no live items
                 out[...] = 0.0
             return out
-        if self.live is None:
-            # the rows are in range; a mode other than "raise" writes `out` unbuffered
-            np.take(self.window, self.rows, axis=-2, out=self.terms, mode="clip")
-            np.multiply(self.terms, self.weights, out=self.terms)
-        else:
-            np.multiply(self.live, self.weights, out=self.terms)
+        np.multiply(self.live, self.weights, out=self.terms)
         return np.add.reduce(self.terms, axis=-2, initial=initial, out=out)
 
 
@@ -818,16 +814,17 @@ def convergence_study(
             raise ConfigurationError(
                 f"final time {final_time:g} is under half a step (dt = {dt:g}) on {g} cells"
             )
+    for g in grids:
+        _check_fit(g, offs)
 
     errors = []
     for g, dt, steps in zip(grids, dts, step_counts):
         t_end = steps * dt
         field0 = GridField.sample(profile if profile is not None else sine_profile(box), box, g)
-        problem = LinearProblem(terms=(LinearTerm(m, a, offs),), dt=dt, n=n)
-        # Every grid runs the study's scheme at its nu, so the problem takes
-        # that build and its stability scan, not a build and scan of its own.
-        problem.__dict__.update(_schemes=(scheme,), _growth_peaks={field0.dx: ((theta, g2),)})
-        out = run_linear(problem, field0, steps)
+        # nu rounded as `LinearProblem.courant_numbers` rounds it, so each error
+        # is the one a `run_linear` of this grid gives
+        stencil = FloatStencil(scheme.float_items(dt * a / field0.dx**m))
+        out = _march(field0.values, [stencil], steps)
         if profile is not None:
             # m=1: exact evolution is translation by -a * t
             ref_fn = lambda x: profile(_wrap(x + a * t_end, lo, length))
@@ -836,7 +833,7 @@ def convergence_study(
             factor = cmath.exp(a * (1j * p) ** m * t_end)
             mode = np.exp(1j * p * (field0.x() - lo))
             ref = np.imag(factor * mode)
-        errors.append(float(np.max(np.abs(out.values - ref))))
+        errors.append(float(np.max(np.abs(out - ref))))
 
     if not all(map(math.isfinite, errors)):
         raise ConfigurationError(f"the errors {errors} are not all finite; no order can be fitted")

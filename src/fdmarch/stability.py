@@ -16,8 +16,7 @@ The polish only ever raises the maximum, so a stability verdict stops as soon
 as it is decided: at the grid when the grid maximum already exceeds the
 limit, or after the first polished peak that does.  The verdicts are those of
 a fully polished scan; every value this module reports (`max_growth`,
-`amplification`, a report's worst theta and growth samples) is still fully
-polished.
+`amplification`, a report's worst theta) is still fully polished.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -279,7 +278,6 @@ class StabilityReport:
     nu_sign: int
     nu_critical: float
     worst_theta: float
-    growth_samples: tuple[tuple[float, float], ...]
 
     @property
     def is_stable(self) -> bool:
@@ -290,15 +288,17 @@ class StabilityReport:
 def stability_report(
     scheme: Scheme, nu_sign: int, tol: float = NU_TOL
 ) -> StabilityReport:
+    """The scheme's stability at Courant numbers of one sign.
+
+    `nu_critical` is `critical_courant(scheme, nu_sign, tol)`, and
+    `worst_theta` is the theta of `max_growth` at one probe just past it,
+    |nu| = nu_critical + 10 * tol: the first mode to break.  The search and
+    that probe share one theta grid and basis.
+    """
     scan = _GrowthScan(scheme)
     sign = 1 if nu_sign >= 0 else -1
     nu_c = _critical_courant(scan, sign, tol)
-    # probe just beyond the boundary so worst_theta names the first mode to break
-    probe = nu_c + 10.0 * tol
-    worst_theta, _ = scan.peak(sign * probe)
-    top = max(1.25 * nu_c, 20.0 * tol)
-    nus = np.linspace(0.0, top, 11)
-    samples = tuple((float(nu), float(scan.peak(sign * float(nu))[1])) for nu in nus)
+    worst_theta, _ = scan.peak(sign * (nu_c + 10.0 * tol))
     return StabilityReport(
         m=scheme.m,
         n=scheme.n,
@@ -306,7 +306,6 @@ def stability_report(
         nu_sign=sign,
         nu_critical=float(nu_c),
         worst_theta=float(worst_theta),
-        growth_samples=samples,
     )
 
 

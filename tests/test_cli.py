@@ -321,6 +321,24 @@ class TestStability:
             ("bw", "0"): "2.0000", ("bw", "1"): "2.0000", ("bw", "2"): "2.0000",
         }
 
+    @pytest.mark.parametrize("m_max", ["140", "0"])
+    def test_survey_refuses_m_max_out_of_range(self, m_max):
+        """--m-max 140 needs 141-point windows, over `MAX_SCHEME_POINTS`: it is
+        refused before any work, as `classify --m 140` is, not left to run."""
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "stability_survey.py"), "--m-max", m_max],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+            timeout=60,
+        )
+        assert time.monotonic() - start < 2.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"--m-max must lie in 1..139, got {m_max}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 # -- converge -----------------------------------------------------------------------------
 

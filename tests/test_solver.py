@@ -455,7 +455,7 @@ class TestWorkspaceMarch:
     bytes, on the window product and on the slice loop."""
 
     @given(workspace_marches(), st.booleans())
-    @example(  # a zero weight inside the window: the live rows are gathered
+    @example(  # a zero weight inside the window: the live rows take the slice loop
         (np.array([[1.0, -0.0, math.inf, 2.5, -3.0], [0.0, MADE_NAN, -1.0, 4.0, 0.5]]),
          [[(-1, 0.25), (0, 0.0), (1, 0.75)], [(1, -1.0), (-2, 1.0)]], 3),
         False,
@@ -476,6 +476,18 @@ class TestWorkspaceMarch:
                 for row, got_row in zip(values, got):
                     alone = _march(row, stencils, steps)
                     assert np.array_equal(got_row.view(np.int64), alone.view(np.int64))
+
+    def test_gapped_live_rows_take_the_slice_loop(self):
+        """Live rows that are not one consecutive run are never gathered into
+        the window product: far below `WINDOW_LIMIT` they take the slice loop."""
+        ext, scratch = np.zeros(12), np.empty(10)
+        full = FloatStencil([(-1, -0.5), (0, 0.25), (1, 0.5)])
+        assert full.rows == slice(0, 3)
+        assert _SliceSum(ext, 10, full, scratch).window is not None
+        gapped = FloatStencil([(-1, -0.5), (0, 0.0), (1, 0.5)])  # lw order 2, row 1
+        assert gapped.rows is None
+        assert 3 * 10 <= WINDOW_LIMIT
+        assert _SliceSum(ext, 10, gapped, scratch).window is None
 
 
 class TestRunLinear:
@@ -1109,13 +1121,21 @@ class TestConvergence:
         # the longest ladder of the suite, diffusion at |nu| = 0.4 on 32..256 cells
         assert 100 * sum(convergence_study(2, 1, 0.4).steps) <= MAX_LADDER_STEPS
 
+    def test_small_grid_refused_before_any_march(self, monkeypatch):
+        """The order-29 stencil reaches 15 cells: a 16-cell grid is refused
+        before the 64-cell grid ahead of it marches."""
+        marches = []
+        monkeypatch.setattr(fdmarch.solver, "_march", lambda *args: marches.append(args))
+        with pytest.raises(ConfigurationError, match="stencil reach 15 needs more than 30 cells"):
+            convergence_study(1, 29, 0.8, grids=(64, 16))
+        assert marches == []
+
     def test_non_finite_error_refused(self, monkeypatch):
-        real = fdmarch.solver.run_linear
+        real = fdmarch.solver._march
 
-        def poisoned(problem, field, steps, callback=None):
-            out = real(problem, field, steps, callback)
-            return GridField(np.full_like(out.values, np.nan), out.dx, out.origin)
+        def poisoned(values, stencils, steps, callback=None):
+            return np.full_like(real(values, stencils, steps, callback), np.nan)
 
-        monkeypatch.setattr(fdmarch.solver, "run_linear", poisoned)
+        monkeypatch.setattr(fdmarch.solver, "_march", poisoned)
         with pytest.raises(ConfigurationError, match="not all finite"):
             convergence_study(1, 1, 0.8, grids=(8, 16))
