@@ -86,6 +86,18 @@ class _Parser(argparse.ArgumentParser):
 
 # -- experiment presets --------------------------------------------------------
 
+def _ladder(family: str, members: int) -> dict[int, int]:
+    """Order n -> left width r of the first `members` members of the named
+    m=1 ladder, lowest order first, as `advection_family_spec` gives them."""
+    first = 1 if family == "lw" else 0  # the centred ladder starts at s = 1
+    return dict(advection_family_spec(family, s) for s in range(first, first + members))
+
+
+def _default_orders(family: str) -> tuple[int, ...]:
+    """The 15 lowest orders of the named ladder, which a linear preset runs by default."""
+    return tuple(_ladder(family, 15))
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
     """Fully pinned experiment: grid, step, outputs (the last one ends the run),
@@ -113,7 +125,7 @@ PRESETS = {
         dt=0.08,
         output_times=(500.0,),
         profiles=("triangle", "rectangle"),
-        orders=tuple(range(1, 30, 2)),
+        orders=_default_orders("uw"),
         family="uw",
         a=-1.0,
     ),
@@ -131,28 +143,15 @@ PRESETS = {
     ),
 }
 
-_FAMILY_DEFAULT_ORDERS = {
-    "uw": tuple(range(1, 30, 2)),
-    "lw": tuple(range(2, 31, 2)),
-    "bw": tuple(range(2, 31, 2)),
-}
-
-
 def _family_window(family: str, n: int) -> OffsetSet:
     """Contiguous m=1 window of the named ladder at order n."""
-    if family not in FAMILIES:
-        raise ConfigurationError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    # each ladder's order grows by 2 per member s
-    s = 1 + (n - advection_family_spec(family, 1)[0]) // 2
-    try:
-        fam_n, r = advection_family_spec(family, s)
-    except ValueError:  # s below the ladder's first member
-        fam_n = None
-    if fam_n != n:
-        lowest = _FAMILY_DEFAULT_ORDERS[family][0]
+    # the order grows by 2 per member, so these members hold every order under MAX_SCHEME_POINTS
+    ladder = _ladder(family, MAX_SCHEME_POINTS // 2)
+    if n not in ladder:
+        lowest = next(iter(ladder))
         parity = "odd" if lowest % 2 else "even"
         raise ConfigurationError(f"the {family} ladder has {parity} orders n >= {lowest} only")
-    return OffsetSet.contiguous(r, n)
+    return OffsetSet.contiguous(ladder[n], n)
 
 
 # -- small parsers ---------------------------------------------------------------
@@ -358,16 +357,16 @@ def _grid_meta(field: GridField, dt: float, nu: float) -> dict:
     return dict(dx=f"{field.dx:.17g}", dt=f"{dt:.17g}", nu=f"{nu:.17g}", cells=field.n_cells)
 
 
-def _march_and_write(out_dir, field, runs, march, steps, out_steps, dt, annotate=None):
-    """March `field`, one row or a (rows, cells) stack, for `steps` steps and
-    write `<stem>_t<time>.csv` for each row at each of the sorted `out_steps`.
+def _march_and_write(out_dir, field, runs, march, out_steps, dt, annotate=None):
+    """March `field`, one row or a (rows, cells) stack, to the last of the
+    sorted `out_steps` and write `<stem>_t<time>.csv` for each row at each.
 
     `runs` holds one (stem, meta) per row of `field`, in row order.
     `march(field, steps=)` is run_linear or run_nonlinear with the rest
     bound; it marches all rows at once, from one output step to the next,
-    then on to `steps`, and what it returns at an output step is that
-    snapshot.  Its runtime warnings, each distinct message once in the order
-    first seen, go into every row's header and to stderr once per row.  Each
+    and what it returns at an output step is that snapshot.  Its runtime
+    warnings, each distinct message once in the order first seen, go into
+    every row's header and to stderr once per row.  Each
     header is the row's meta, `step`, `time`, then the keys
     `annotate(first, step, snapshot)` returns for the row's initial and
     snapshot fields, and last, in a snapshot that holds non-finite values,
@@ -381,8 +380,6 @@ def _march_and_write(out_dir, field, runs, march, steps, out_steps, dt, annotate
         for step in out_steps:
             snap = snaps[step] = march(snap, steps=step - at)
             at = step
-        if steps > at:
-            march(snap, steps=steps - at)
     notes = list(
         dict.fromkeys(str(w.message) for w in caught if issubclass(w.category, RuntimeWarning))
     )
@@ -437,7 +434,7 @@ def _burgers_notes(field0: GridField, step: int, snap: GridField) -> dict:
 def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     burgers = preset.kind == "burgers"
     orders = args.orders or (
-        _FAMILY_DEFAULT_ORDERS[args.family] if args.family and not burgers else preset.orders
+        _default_orders(args.family) if args.family and not burgers else preset.orders
     )
     for n in orders:
         _check_scheme_size(1, n)
@@ -488,9 +485,7 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
         else:
             batches = [(GridField.stack(fields), runs)]
         for field, batch in batches:
-            _march_and_write(
-                out_dir, field, batch, march, out_steps[-1], out_steps, preset.dt, annotate
-            )
+            _march_and_write(out_dir, field, batch, march, out_steps, preset.dt, annotate)
     return 0
 
 
@@ -519,7 +514,7 @@ def _explicit_run(args, out_dir: str) -> int:
     if a == 0:
         raise ConfigurationError("coefficient a must be nonzero")
     offs = _stencil(args, 1 if a > 0 else -1)
-    box = args.box
+    box = args.box if args.box is not None else (-5.0, 5.0)
     dx = args.dx if args.dx is not None else 0.1
     _require_positive("--dx", dx)
     # default step: Courant magnitude 0.4, comfortably inside every stable family
@@ -557,20 +552,30 @@ def _explicit_run(args, out_dir: str) -> int:
     )
     _march_and_write(
         out_dir, field, [(f"run_m{args.m}_n{args.n}_{prof_name}", meta)],
-        functools.partial(run_linear, problem), args.steps, out_steps, dt,
+        functools.partial(run_linear, problem), out_steps, dt,
     )
     return 0
+
+
+# The `run` options that only one of its two paths reads; the other refuses them.
+_PRESET_OPTIONS = ("orders", "family", "profiles")
+_EXPLICIT_OPTIONS = ("m", "n", "a", "offsets", "dx", "dt", "steps", "box", "profile", "times")
 
 
 def _cmd_run(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    if args.preset is None:
-        return _explicit_run(args, out_dir)
-    if args.preset not in PRESETS:
+    if args.preset is not None and args.preset not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
+    other = _EXPLICIT_OPTIONS if args.preset else _PRESET_OPTIONS
+    unread = [f"--{name}" for name in other if getattr(args, name) is not None]
+    if unread:
+        path = f"the {args.preset} preset" if args.preset else "an explicit run"
+        raise ConfigurationError(f"{path} does not read {', '.join(unread)}")
+    if args.preset is None:
+        return _explicit_run(args, out_dir)
     return _preset_run(args, PRESETS[args.preset], out_dir)
 
 
@@ -639,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--box", type=_box, default=(-5.0, 5.0))
+    p.add_argument("--box", type=_box, help="periodic box lo,hi (default -5,5)")
     p.add_argument("--profile", choices=PROFILE_NAMES)
     p.add_argument("--times", type=_float_list, help="snapshot times for explicit runs")
     p.add_argument("--out", default="out", help="output directory (created if missing)")

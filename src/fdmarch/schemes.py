@@ -128,10 +128,14 @@ class FloatStencil:
 
 @dataclass(frozen=True)
 class Scheme:
-    """A generated update rule: one exact weight polynomial in nu per offset."""
+    """A generated update rule, held as its layer table alone.
+
+    Row j of `layers` is the nu^j layer of c_i(nu) = sum_j nu^j/j! * L_i^(jm)(0),
+    so column i holds the exact weight polynomial of offset k_i; `coeffs` is
+    that column view, derived from the table and never stored beside it.
+    """
 
     spec: SchemeSpec
-    coeffs: dict[int, RatPoly]
     layers: LayerTable
 
     @property
@@ -145,6 +149,12 @@ class Scheme:
     @property
     def offsets(self) -> OffsetSet:
         return self.spec.offsets
+
+    @functools.cached_property
+    def coeffs(self) -> dict[int, RatPoly]:
+        """Per offset, in ascending order, its exact weight polynomial in nu:
+        the table's column at that offset, trailing zeros stripped."""
+        return {k: RatPoly(column) for k, column in zip(self.offsets, zip(*self.layers.rows))}
 
     def coefficient(self, offset: int) -> RatPoly:
         return self.coeffs[offset]
@@ -200,10 +210,7 @@ def _scheme_from_rows(
     rows = tuple(
         tuple(w if type(w) is Fraction else Fraction(w) for w in row) for row in rows
     )
-    coeffs = {
-        k: RatPoly([row[i] for row in rows]) for i, k in enumerate(spec.offsets)
-    }
-    scheme = Scheme(spec, coeffs, LayerTable(spec.offsets, rows))
+    scheme = Scheme(spec, LayerTable(spec.offsets, rows))
     if verify:
         _check_order_conditions(scheme)
     return scheme

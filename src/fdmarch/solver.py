@@ -224,8 +224,8 @@ class LinearProblem:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ConfigurationError("a linear problem needs at least one term")
-        if self.dt <= 0:
-            raise ConfigurationError("time step must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ConfigurationError(f"time step must be a finite number > 0, got {self.dt:g}")
 
     def term_offsets(self, term: LinearTerm) -> OffsetSet:
         if term.offsets is not None:
@@ -403,7 +403,8 @@ def run_linear(
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
     for scheme, nu, (theta, g2) in zip(schemes, nus, problem.growth_peaks(field.dx)):
-        if g2 > 1.0 + GROWTH_TOL:
+        # the nu_c search's rule: stable only when g2 <= limit, so a NaN peak warns
+        if not g2 <= 1.0 + GROWTH_TOL:
             warnings.warn(
                 f"term m={scheme.m} is unstable at nu={nu:.6g}: "
                 f"max |g|^2 = {g2:.6g} at theta={theta:.4f}",

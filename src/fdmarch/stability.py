@@ -176,6 +176,8 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     the threshold; 0.0 means no probe was stable.  Returns NU_MAX when no
     instability is found below the search ceiling.  A tol at or above NU_MAX
     is refused with ValueError: the search would end before its first probe.
+    So is a tol <= 0: from 0 the doubling never moves, and from below 0 it
+    probes the other sign.
     Bisection assumes the stable set is a single interval [0, nu_c]; after
     converging, the verdict is re-probed on both sides of the boundary, and
     if a pocket shows up (stable above, or unstable below), a linear sweep in
@@ -201,6 +203,8 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     """`critical_courant` on a scan that every probe of the search shares."""
     if not tol < NU_MAX:
         raise ValueError(f"tol must be below the search ceiling NU_MAX = {NU_MAX:g}, got {tol:g}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol:g}")
     sign = 1 if nu_sign >= 0 else -1
     limit = 1.0 + GROWTH_TOL
 

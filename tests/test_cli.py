@@ -646,12 +646,84 @@ class TestRunExplicit:
         assert fdmarch.cli.MAX_RUN_CELLS >= 100 * 200
         assert fdmarch.cli.MAX_RUN_STEPS >= 100 * 6250
 
+    def test_ends_at_its_last_snapshot(self, tmp_path, monkeypatch):
+        """`--steps` beyond the last `--times` snapshot marches nothing more:
+        the march stops at that snapshot's step (1, at the default dt 0.04)."""
+        marched = []
+        real = fdmarch.cli.run_linear
+
+        def counting(*args, steps, **kwargs):
+            marched.append(steps)
+            return real(*args, steps=steps, **kwargs)
+
+        monkeypatch.setattr(fdmarch.cli, "run_linear", counting)
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "--m", "1", "--n", "1", "--steps", "50", "--times", "0.04",
+            "--out", str(out_dir),
+        ) == 0
+        assert marched == [1]
+        assert [p.name for p in out_dir.iterdir()] == ["run_m1_n1_triangle_t0.04.csv"]
+
     def test_bad_dx_tiling(self, tmp_path, capsys):
         assert run_cli(
             "run", "--m", "1", "--n", "1", "--steps", "10", "--dx", "0.3",
             "--out", str(tmp_path / "o"),
         ) == 2
         assert "does not tile" in capsys.readouterr().err
+
+
+# each option only the explicit path reads, with a value it would accept
+EXPLICIT_ONLY = (
+    ("--m", "1"), ("--n", "1"), ("--a", "-1"), ("--offsets", "-1,0"), ("--dx", "0.1"),
+    ("--dt", "0.04"), ("--steps", "10"), ("--box", "-5,5"), ("--profile", "triangle"),
+    ("--times", "0"),
+)
+PRESET_ONLY = (("--orders", "5"), ("--family", "uw"), ("--profiles", "sine"))
+
+
+class TestRunRefusesUnreadOptions:
+    """Each `run` path refuses, with exit 2 and before it writes anything,
+    the options that only the other path reads."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ("fig-burgers", "--dx", "0.5", "--steps", "3", "--m", "2", "--times", "0.1",
+                 "--profile", "gaussian"),
+                "the fig-burgers preset does not read --m, --dx, --steps, --profile, --times",
+                id="fig-burgers-five",
+            ),
+            pytest.param(
+                ("--m", "1", "--n", "1", "--steps", "3", "--orders", "5", "--family", "lw",
+                 "--profiles", "sine"),
+                "an explicit run does not read --orders, --family, --profiles",
+                id="explicit-three",
+            ),
+            *(
+                pytest.param(
+                    ("fig-advection", "--orders", "1", flag, value),
+                    f"the fig-advection preset does not read {flag}",
+                    id=f"fig-advection{flag}",
+                )
+                for flag, value in EXPLICIT_ONLY
+            ),
+            *(
+                pytest.param(
+                    ("--m", "1", "--n", "1", "--steps", "1", flag, value),
+                    f"an explicit run does not read {flag}",
+                    id=f"explicit{flag}",
+                )
+                for flag, value in PRESET_ONLY
+            ),
+        ],
+    )
+    def test_refused(self, argv, message, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out_dir)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out_dir.iterdir()) == []
 
 
 class TestRunDriver:

@@ -1,5 +1,6 @@
 """Scheme generator: master formula, closed forms, layers, error terms, dumps."""
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -363,6 +364,28 @@ class TestSchemeEvaluation:
         s = master_scheme(SchemeSpec(2, 1, OffsetSet([-1, 0, 1])))
         with pytest.raises(UnsupportedSchemeError):
             s.truncated(5)
+
+
+class TestSchemeIsItsTable:
+    """A scheme stores its layer table and nothing beside it: the weight
+    polynomials, and every float weight the march reads, come from the table."""
+
+    def test_fields_are_spec_and_layers(self):
+        assert [f.name for f in dataclasses.fields(Scheme)] == ["spec", "layers"]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SchemeSpec(1, 1, OffsetSet([-1, 0])), SchemeSpec(1, 3, OffsetSet.contiguous(2, 3)),
+         SchemeSpec(2, 2, OffsetSet.contiguous(2, 4))],
+    )
+    @pytest.mark.parametrize("nu", [-0.5, 0.8, -1.3])
+    def test_weights_follow_a_replaced_table(self, spec, nu):
+        s = master_scheme(spec)
+        for j in range(spec.n):
+            t = s.truncated(j)
+            swapped = dataclasses.replace(s, layers=t.layers)
+            assert swapped.float_items(nu) == t.float_items(nu)
+            assert swapped.coeffs == t.coeffs
 
 
 # -- error terms -----------------------------------------------------------------------

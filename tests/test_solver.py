@@ -508,6 +508,12 @@ class TestRunLinear:
         with pytest.warns(RuntimeWarning, match="unstable"):
             out = run_linear(problem, f, 3)
         assert out.values.shape == f.values.shape
+        # nu = -inf: the growth peak is NaN, which the nu_c search reads as unstable
+        problem = LinearProblem((LinearTerm(1, -1e308),), dt=10.0, n=1)
+        assert math.isnan(problem.growth_peaks(f.dx)[0][1])
+        with pytest.warns(RuntimeWarning, match=r"unstable at nu=-inf: max \|g\|\^2 = nan"):
+            out = run_linear(problem, f, 1)
+        assert not np.isfinite(out.values).all()
 
     def test_one_scan_per_grid_spacing(self, monkeypatch):
         """Runs of one problem on one grid spacing share one growth scan per
@@ -557,8 +563,9 @@ class TestRunLinear:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LinearProblem((), dt=0.1, n=1)
-        with pytest.raises(ConfigurationError):
-            LinearProblem((LinearTerm(1, -1.0),), dt=0.0, n=1)
+        for dt in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="time step must be a finite number > 0"):
+                LinearProblem((LinearTerm(1, -1.0),), dt=dt, n=1)
         f = GridField.sample(triangle, (-5.0, 5.0), 50)
         with pytest.raises(ConfigurationError):
             run_linear(LinearProblem((LinearTerm(1, -1.0),), 0.1, 1), f, -1)

@@ -1,7 +1,9 @@
 """Single-mode stability analysis: gains, critical Courant numbers, classifications."""
 
+import contextlib
 import math
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +265,22 @@ class TestVerdictStopsWhenDecided:
 
 # -- critical Courant numbers --------------------------------------------------------
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test body if it runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestCriticalCourant:
     def test_centered_diffusion_anchor(self):
         s = first_order_scheme(2, 1)
@@ -300,6 +318,18 @@ class TestCriticalCourant:
             critical_courant(s, -1, tol=tol)
         with pytest.raises(ValueError, match="below the search ceiling"):
             stability_report(s, -1, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, -math.inf])
+    def test_tol_not_positive_refused(self, tol):
+        """Regression: from tol = 0 the doubling search never moved and never
+        returned, and tol = -1e-3 gave nu_c = 0 for the upwind scheme, whose
+        nu_c is 1.  A deadline turns a hang into a failure."""
+        s = master_scheme(SchemeSpec(1, 1, OffsetSet([-1, 0])))
+        with _deadline(10.0):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                critical_courant(s, -1, tol=tol)
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                stability_report(s, -1, tol=tol)
 
     @pytest.mark.parametrize("tol", [1.0, 10.0])
     def test_tol_above_nu_c_still_stable(self, tol):
