@@ -33,7 +33,6 @@ from .schemes import (
     nonlinear_layers,
     parse_scheme_dump,
     preferred_sign,
-    scheme_for,
 )
 from .stability import (
     BoundAuditRow,

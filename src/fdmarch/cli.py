@@ -7,9 +7,10 @@ per profile and output time with the run's parameters, any runtime warnings
 and per-snapshot notes in its header.  The profiles of one linear preset
 order march as one (rows, cells) stack; Burgers profiles march one at a time.
 
-Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values),
-2 for structurally invalid requests (wrong stencil size, a scheme over
-`MAX_SCHEME_POINTS`, unknown preset, grid/stencil mismatch, ...).
+Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values)
+and for a stdout its reader closed early, 2 for structurally invalid
+requests (wrong stencil size, a scheme over `MAX_SCHEME_POINTS`, unknown
+preset, grid/stencil mismatch, ...).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .schemes import (
     master_scheme,
     nonlinear_layers,
     parse_scheme_dump,
-    preferred_sign,
     scheme_dump_order,
 )
 from .stability import (
@@ -60,6 +60,7 @@ from .solver import (
     run_linear,
     run_nonlinear,
     shock_front,
+    term_coefficient,
 )
 
 USAGE_EXIT = 1
@@ -217,8 +218,9 @@ def _check_scheme_size(m: int, n: int) -> None:
         )
 
 
-def _stencil(args, a_sign: int) -> OffsetSet:
-    """--offsets, or the default stencil of --m and --n for this sign of a."""
+def _stencil(args, a_sign: float) -> OffsetSet:
+    """--offsets, or the default stencil of --m and --n for this coefficient
+    or sign of a."""
     if args.offsets is not None:
         return OffsetSet(args.offsets)
     return default_offsets(args.m, args.n, a_sign)
@@ -347,7 +349,7 @@ def _cell_count(box: tuple[float, float], dx: float) -> int:
     if not math.isfinite(width / dx):
         raise ConfigurationError(f"dx={dx} gives no finite cell count on the box {box}")
     n_cells = round(width / dx)
-    if n_cells < 1 or abs(n_cells * dx - width) > 1e-9 * max(1.0, n_cells):
+    if n_cells < 1 or abs(n_cells * dx - width) > 1e-9 * width:
         raise ConfigurationError(f"dx={dx} does not tile the box {box} with a whole number of cells")
     return n_cells
 
@@ -510,10 +512,8 @@ def _explicit_run(args, out_dir: str) -> int:
     if args.steps is None:
         raise ConfigurationError("an explicit run needs --steps")
     _check_scheme_size(args.m, args.n)
-    a = args.a if args.a is not None else float(preferred_sign(args.m))
-    if a == 0:
-        raise ConfigurationError("coefficient a must be nonzero")
-    offs = _stencil(args, 1 if a > 0 else -1)
+    a = term_coefficient(args.m, args.a)
+    offs = _stencil(args, a)
     box = args.box if args.box is not None else (-5.0, 5.0)
     dx = args.dx if args.dx is not None else 0.1
     _require_positive("--dx", dx)
@@ -521,21 +521,6 @@ def _explicit_run(args, out_dir: str) -> int:
     dt = args.dt if args.dt is not None else 0.4 * dx**args.m / abs(a)
     _require_positive("--dt", dt)
     n_cells = _cell_count(box, dx)
-    work = n_cells * max(args.steps, 1) * len(offs)
-    for count, what, limit in (
-        (n_cells, "cells", MAX_RUN_CELLS),
-        (work, "cells x steps x stencil points", MAX_RUN_WORK),
-        (args.steps, "steps", MAX_RUN_STEPS),
-    ):
-        if count > limit:
-            raise ConfigurationError(
-                f"the run would exceed the limit of {limit:.3g} {what}; "
-                "raise --dx, shrink --box or use fewer --steps"
-            )
-    prof_name = args.profile or "triangle"
-    field = GridField.sample(make_profile(prof_name, box), box, n_cells)
-    problem = LinearProblem(terms=(LinearTerm(args.m, a, offs),), dt=dt, n=args.n)
-    nu = problem.courant_numbers(field.dx)[0]
     if args.times is not None:
         if not all(math.isfinite(t) for t in args.times):
             raise ConfigurationError("--times must be finite numbers")
@@ -546,6 +531,23 @@ def _explicit_run(args, out_dir: str) -> int:
             raise ConfigurationError("--times must lie within the run duration")
     else:
         out_steps = [args.steps]
+    # the march ends at the last snapshot, so that is the run's length
+    steps = out_steps[-1]
+    work = n_cells * max(steps, 1) * len(offs)
+    for count, what, limit in (
+        (n_cells, "cells", MAX_RUN_CELLS),
+        (work, "cells x steps x stencil points", MAX_RUN_WORK),
+        (steps, "steps", MAX_RUN_STEPS),
+    ):
+        if count > limit:
+            raise ConfigurationError(
+                f"the run would exceed the limit of {limit:.3g} {what}; "
+                "raise --dx, shrink --box or use fewer --steps"
+            )
+    prof_name = args.profile or "triangle"
+    field = GridField.sample(make_profile(prof_name, box), box, n_cells)
+    problem = LinearProblem(terms=(LinearTerm(args.m, a, offs),), dt=dt, n=args.n)
+    nu = problem.courant_numbers(field.dx)[0]
     meta = dict(
         kind="linear", m=args.m, order=args.n, offsets=_fmt_offsets(offs), profile=prof_name,
         a=a, **_grid_meta(field, dt, nu),
@@ -657,7 +659,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout early is met here, not at the exit flush
+        sys.stdout.flush()
+        return code
     except (
         InvalidOffsetsError,
         StencilSizeError,
@@ -666,6 +671,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush finds no closed pipe either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -262,12 +262,6 @@ def master_scheme(spec: SchemeSpec) -> Scheme:
     return _scheme_from_rows(spec, rows)
 
 
-def scheme_for(m: int, n: int, offsets: Iterable[int] | None = None, a_sign: int = -1) -> Scheme:
-    """Convenience wrapper: build the order-n scheme, defaulting the stencil."""
-    offs = OffsetSet(offsets) if offsets is not None else default_offsets(m, n, a_sign)
-    return master_scheme(SchemeSpec(m, n, offs))
-
-
 def first_order_scheme(m: int, r: int) -> Scheme:
     """Closed-form n=1 scheme on the contiguous window {-r, ..., m-r}.
 
@@ -441,12 +435,14 @@ def preferred_sign(m: int) -> int:
     return -((-1) ** ((m - 1) // 2))
 
 
-def default_offsets(m: int, n: int, a_sign: int = 0) -> OffsetSet:
+def default_offsets(m: int, n: int, a_sign: float = 0) -> OffsetSet:
     """Stencil window used when the caller does not pick one.
 
     Even-span windows are centered.  Odd spans (odd m and odd n) get the
     extra point on the upwind side of the wave direction implied by
-    sign(a_m); a_sign=0 selects the conventional sign for this m.
+    sign(a_m).  `a_sign` is the coefficient a_m itself or just its sign;
+    0 selects the conventional sign for this m.  This is the one place a
+    coefficient's sign picks a window.
     """
     if a_sign == 0:
         a_sign = preferred_sign(m)

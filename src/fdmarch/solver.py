@@ -68,7 +68,7 @@ from .schemes import (
     master_scheme,
     preferred_sign,
 )
-from .stability import GROWTH_TOL, max_growth
+from .stability import grows, max_growth
 
 
 class ConfigurationError(ValueError):
@@ -203,6 +203,17 @@ def make_profile(name: str, box: tuple[float, float]) -> Callable[[np.ndarray], 
 
 # -- linear problems ----------------------------------------------------------
 
+def term_coefficient(m: int, a: Optional[float] = None) -> float:
+    """The coefficient of a term a * d^m u / dx^m: `a`, or by default the
+    conventional sign for m (`preferred_sign`).  Zero and non-finite values
+    are refused."""
+    if a is None:
+        return float(preferred_sign(m))
+    if not (a != 0 and math.isfinite(a)):
+        raise ConfigurationError(f"coefficient a must be nonzero and finite, got {a:g}")
+    return a
+
+
 @dataclass(frozen=True)
 class LinearTerm:
     """One right-hand-side term a * d^m u / dx^m."""
@@ -230,8 +241,7 @@ class LinearProblem:
     def term_offsets(self, term: LinearTerm) -> OffsetSet:
         if term.offsets is not None:
             return OffsetSet(term.offsets)
-        sign = 1 if term.a > 0 else -1
-        return default_offsets(term.m, self.n, sign)
+        return default_offsets(term.m, self.n, term.a)
 
     def schemes(self) -> tuple[Scheme, ...]:
         """One scheme per term, built and audited on the first call and kept."""
@@ -403,8 +413,7 @@ def run_linear(
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
     for scheme, nu, (theta, g2) in zip(schemes, nus, problem.growth_peaks(field.dx)):
-        # the nu_c search's rule: stable only when g2 <= limit, so a NaN peak warns
-        if not g2 <= 1.0 + GROWTH_TOL:
+        if grows(g2):
             warnings.warn(
                 f"term m={scheme.m} is unstable at nu={nu:.6g}: "
                 f"max |g|^2 = {g2:.6g} at theta={theta:.4f}",
@@ -754,10 +763,7 @@ def convergence_study(
     ladder marching more than MAX_CELL_STEPS cells x steps or MAX_LADDER_STEPS
     steps in all, a time step that is not a normal float, or a non-finite error.
     """
-    if a is None:
-        a = float(preferred_sign(m))
-    if a == 0:
-        raise ConfigurationError("coefficient a must be nonzero")
+    a = term_coefficient(m, a)
     nu = abs(float(nu))
     if not (nu > 0 and math.isfinite(nu)):
         raise ConfigurationError("Courant magnitude must be a finite number > 0")
@@ -771,12 +777,11 @@ def convergence_study(
             "custom profiles have an exact reference only for m=1; "
             "use the default single-mode profile for m >= 2"
         )
-    sign = 1 if a > 0 else -1
-    offs = OffsetSet(offsets) if offsets is not None else default_offsets(m, n, sign)
+    offs = OffsetSet(offsets) if offsets is not None else default_offsets(m, n, a)
     scheme = master_scheme(SchemeSpec(m, n, offs))
-    signed_nu = sign * nu
+    signed_nu = math.copysign(nu, a)
     theta, g2 = max_growth(scheme, signed_nu)
-    if g2 > 1.0 + GROWTH_TOL:
+    if grows(g2):
         raise ConfigurationError(
             f"scheme m={m} n={n} offsets={tuple(offs)} is unstable at nu={signed_nu:.6g} "
             f"(max |g|^2 = {g2:.6g} at theta={theta:.4f}); reduce |nu|"

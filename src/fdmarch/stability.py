@@ -3,9 +3,12 @@
 A periodic mode e^{i p x} passes through one explicit step with gain
 g(theta; nu) = sum_k c_k(nu) e^{i k theta}, theta = p dx.  A scheme is stable
 at Courant number nu when max_theta |g|^2 <= 1 (up to a small roundoff
-allowance).  The maximum is located on a dense theta grid and polished with a
-derivative-free golden-section refinement, and the stability boundary in nu
-is then bracketed by doubling and resolved by bisection.
+allowance).  This module owns that verdict: `grows` is the one rule every
+caller applies to a peak, here in the nu_c search and in the solver's run
+warning and convergence refusal.  The maximum is located on a dense theta
+grid and polished with a derivative-free golden-section refinement, and the
+stability boundary in nu is then bracketed by doubling and resolved by
+bisection.
 
 The grid and its basis e^{i k theta} depend only on the stencil, so one search
 (`max_growth`, `critical_courant`, `stability_report`) builds them once and
@@ -46,6 +49,12 @@ NU_TOL = 1e-4
 NU_MAX = 64.0
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def grows(g2: float) -> bool:
+    """The growth verdict on a peak |g|^2: unstable unless g2 <= 1 + GROWTH_TOL,
+    so a NaN peak is unstable."""
+    return not g2 <= 1.0 + GROWTH_TOL
 
 
 def _basis(thetas: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -209,7 +218,7 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     limit = 1.0 + GROWTH_TOL
 
     def stable(nu_abs: float) -> bool:
-        return scan.peak(sign * nu_abs, limit=limit)[1] <= limit
+        return not grows(scan.peak(sign * nu_abs, limit=limit)[1])
 
     hi = tol
     while hi <= NU_MAX and stable(hi):

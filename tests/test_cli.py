@@ -392,8 +392,10 @@ class TestConverge:
         [
             (("--a", "1e308"), "are not normal floats"),
             (("--grids", "3,4", "--time", "5e6"), "7e+07 steps to time 5e+06, over the limit"),
+            (("--a", "nan"), "coefficient a must be nonzero"),
+            (("--a", "inf"), "coefficient a must be nonzero"),
         ],
-        ids=["subnormal-dt", "long-tiny-ladder"],
+        ids=["subnormal-dt", "long-tiny-ladder", "nan-a", "inf-a"],
     )
     def test_unfinishable_ladder_refused(self, extra, message):
         proc = run_cli_process("converge", "--m", "1", "--n", "1", "--nu", "0.5", *extra)
@@ -584,6 +586,8 @@ class TestRunExplicit:
             (("--dx", "nan"), "--dx must be a finite number > 0"),
             (("--dt", "nan"), "--dt must be a finite number > 0"),
             (("--a", "0"), "coefficient a must be nonzero"),
+            (("--a", "nan"), "coefficient a must be nonzero"),
+            (("--a", "inf"), "coefficient a must be nonzero"),
             (("--times", "nan"), "--times must be finite numbers"),
             (("--times", "0,inf"), "--times must be finite numbers"),
             (("--dx", "1e-320"), "gives no finite cell count"),
@@ -646,9 +650,17 @@ class TestRunExplicit:
         assert fdmarch.cli.MAX_RUN_CELLS >= 100 * 200
         assert fdmarch.cli.MAX_RUN_STEPS >= 100 * 6250
 
-    def test_ends_at_its_last_snapshot(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "steps, time, marched_steps",
+        [
+            ("50", "0.04", 1),
+            # over the step bound, but the bounds count the steps it marches
+            ("2000000", "0", 0),
+        ],
+    )
+    def test_ends_at_its_last_snapshot(self, steps, time, marched_steps, tmp_path, monkeypatch):
         """`--steps` beyond the last `--times` snapshot marches nothing more:
-        the march stops at that snapshot's step (1, at the default dt 0.04)."""
+        the march stops at that snapshot's step (at the default dt 0.04)."""
         marched = []
         real = fdmarch.cli.run_linear
 
@@ -659,15 +671,20 @@ class TestRunExplicit:
         monkeypatch.setattr(fdmarch.cli, "run_linear", counting)
         out_dir = tmp_path / "o"
         assert run_cli(
-            "run", "--m", "1", "--n", "1", "--steps", "50", "--times", "0.04",
+            "run", "--m", "1", "--n", "1", "--steps", steps, "--times", time,
             "--out", str(out_dir),
         ) == 0
-        assert marched == [1]
-        assert [p.name for p in out_dir.iterdir()] == ["run_m1_n1_triangle_t0.04.csv"]
+        assert marched == [marched_steps]
+        assert [p.name for p in out_dir.iterdir()] == [f"run_m1_n1_triangle_t{time}.csv"]
 
-    def test_bad_dx_tiling(self, tmp_path, capsys):
+    # the tolerance is relative to the box: on a 1e-9 box, 3 cells of
+    # 3e-10 are 10% short of it
+    @pytest.mark.parametrize(
+        "extra", [("--dx", "0.3"), ("--box", "0,1e-9", "--dx", "3e-10")], ids=["dx", "small-box"]
+    )
+    def test_bad_dx_tiling(self, extra, tmp_path, capsys):
         assert run_cli(
-            "run", "--m", "1", "--n", "1", "--steps", "10", "--dx", "0.3",
+            "run", "--m", "1", "--n", "1", "--steps", "10", *extra,
             "--out", str(tmp_path / "o"),
         ) == 2
         assert "does not tile" in capsys.readouterr().err
@@ -1053,6 +1070,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert "c[0](nu)" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv", [("coeffs", "--m", "3", "--n", "1"), ("run", "fig-burgers", "--orders", "1")],
+        ids=["coeffs", "run"],
+    )
+    def test_closed_stdout(self, argv, tmp_path):
+        """A reader that closes stdout before the CLI writes ends the command
+        with exit 1 and nothing on stderr, not a traceback."""
+        if argv[0] == "run":
+            argv += ("--out", str(tmp_path / "o"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fdmarch.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=checkout_env(),
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -26,7 +26,6 @@ from fdmarch.schemes import (
     nonlinear_layers,
     parse_scheme_dump,
     preferred_sign,
-    scheme_for,
 )
 
 from reference_tables import (
@@ -478,10 +477,6 @@ class TestDefaults:
         assert preferred_sign(2) == 1
         assert preferred_sign(3) == 1
         assert preferred_sign(4) == -1
-
-    def test_scheme_for_wrapper(self):
-        s = scheme_for(1, 3)
-        assert tuple(s.offsets) == (-2, -1, 0, 1)
 
 
 class TestDumpRoundTrip:

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import fdmarch.solver
 from fdmarch.exact import OffsetSet
-from fdmarch.schemes import FloatStencil, SchemeSpec, master_scheme, nonlinear_layers
+from fdmarch.schemes import (
+    FloatStencil,
+    SchemeSpec,
+    default_offsets,
+    master_scheme,
+    nonlinear_layers,
+)
 from fdmarch.stability import advection_family_spec
 from fdmarch.solver import (
     ConfigurationError,
@@ -560,6 +566,14 @@ class TestRunLinear:
         out = run_linear(problem, f, 6250)
         assert float(np.max(out.values)) < 0.2
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("a", [0.0, 0.5, -2.0])
+    def test_default_window_is_default_offsets(self, m, n, a):
+        """A term without offsets takes `default_offsets`' window for its
+        coefficient, so a = 0 takes the conventional one."""
+        problem = LinearProblem((LinearTerm(m, a),), 0.1, n)
+        assert problem.term_offsets(problem.terms[0]) == default_offsets(m, n, a)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LinearProblem((), dt=0.1, n=1)
@@ -1102,6 +1116,9 @@ class TestConvergence:
     def test_refuses_unstable(self):
         with pytest.raises(ConfigurationError, match="unstable"):
             convergence_study(2, 1, 0.8)
+        # a NaN growth peak is unstable, as in the nu_c search and run_linear
+        with pytest.raises(ConfigurationError, match=r"unstable at nu=-1e\+200 \(max \|g\|\^2 = nan"):
+            convergence_study(1, 2, 1e200)
 
     def test_custom_profile_only_for_transport(self):
         with pytest.raises(ConfigurationError):
