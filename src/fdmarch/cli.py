@@ -544,10 +544,20 @@ def _explicit_run(args, out_dir: str) -> int:
                 f"the run would exceed the limit of {limit:.3g} {what}; "
                 "raise --dx, shrink --box or use fewer --steps"
             )
+    # `convergence_study` refuses a time step that is not a normal float, too
+    if dt < sys.float_info.min:
+        raise ConfigurationError(f"--dt must be a normal float, got {dt:g}")
     prof_name = args.profile or "triangle"
     field = GridField.sample(make_profile(prof_name, box), box, n_cells)
     problem = LinearProblem(terms=(LinearTerm(args.m, a, offs),), dt=dt, n=args.n)
-    nu = problem.courant_numbers(field.dx)[0]
+    try:
+        nu = problem.courant_numbers(field.dx)[0]
+    except ArithmeticError:  # dx^m underflowed to 0 or overflowed
+        nu = math.nan
+    if not math.isfinite(nu):
+        raise ConfigurationError(
+            f"the Courant number a*dt/dx^{args.m} is not finite at dt={dt:g}, dx={field.dx:g}"
+        )
     meta = dict(
         kind="linear", m=args.m, order=args.n, offsets=_fmt_offsets(offs), profile=prof_name,
         a=a, **_grid_meta(field, dt, nu),
@@ -566,7 +576,12 @@ _EXPLICIT_OPTIONS = ("m", "n", "a", "offsets", "dx", "dt", "steps", "box", "prof
 
 def _cmd_run(args) -> int:
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create the output directory {out_dir!r}: {exc.strerror}"
+        ) from exc
     if args.preset is not None and args.preset not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"

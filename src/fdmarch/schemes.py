@@ -529,7 +529,10 @@ def parse_scheme_dump(text: str) -> Scheme:
         parts = fields[key].split(",")
         if len(parts) != n + 1:
             raise ValueError(f"{key} must list exactly n+1 = {n + 1} values")
-        columns.append([Fraction(part) for part in parts])
+        try:
+            columns.append([Fraction(part) for part in parts])
+        except ZeroDivisionError as exc:
+            raise ValueError(f"{key} has a weight with a zero denominator") from exc
     rows = tuple(zip(*columns))
     # verification guards against hand-edited or corrupted dumps
     try:

@@ -22,28 +22,29 @@ points, cells) temporary and needs no gather of scattered live rows; a
 slice with weight +1 or -1 is added or subtracted as it is, with no
 product.  Each output row is the sum a lone march of that row computes.
 
-Every run, linear or layered, marches in one workspace (`_Workspace`),
-allocated once per run.  A step is a sequence of stages, each the rows of one
-layer table: row j hits density j and is scaled by nu^j.  A linear term is a
-stage of one row, and the layered update with identity densities is the
-linear scheme.  Stage i reads padded buffer i: it refills the buffer's halos
+Every update is one layer table applied once per step: row j hits density
+j and is scaled by nu^j.  A linear term is a table of one row, and the
+layered update with identity densities is the linear scheme.  A table
+marches in a workspace (`_Workspace`), allocated once per run, with two
+padded buffers that take turns: a step refills the current buffer's halos
 in place from its interior and writes row 0's sum, from +0.0, straight into
-the interior of the next buffer; a lone stage alternates between two
-buffers.  The later densities are evaluated once per step, by one call of
-the family's `evaluate`, on the halo-padded buffer and into padded density
-buffers the workspace owns, one per later row, each with that row's slice
-sum set up once per run; the Burgers family shares one power chain across
-its densities.  Each later row sums its density buffer, from its first
-term, is scaled by nu^j in place and is added.  Densities are therefore
-evaluated on the halo-padded array, not on the field, and must be
-pointwise; they read a workspace buffer that they must neither write nor
-keep, and funcs[0] is not called.  Row 0's sum never holds -0.0, so adding
-a later row's +-0.0 leaves it as it is, and the result has the bits the
-+0.0 start gives.  The march hands out no per-step fields: callers take
-snapshots from what one march returns and march on from there, and only a
-run given a callback copies the field for it after every step.  A single
-step (`step_linear`, `step_nonlinear`) is a one-step run in a workspace of
-its own, and returns a new array.
+the interior of the other.  A multi-term problem marches one workspace per
+term, in turn, each copying in the field the one before it wrote.  The
+later densities are evaluated once per step, by one call of the family's
+`evaluate`, on the halo-padded buffer and into padded density buffers the
+workspace owns, one per later row, each with that row's slice sum set up
+once per run; the Burgers family shares one power chain across its
+densities.  Each later row sums its density buffer, from its first term, is
+scaled by nu^j in place and is added.  Densities are therefore evaluated on
+the halo-padded array, not on the field, and must be pointwise; they read a
+workspace buffer that they must neither write nor keep, and funcs[0] is not
+called.  Row 0's sum never holds -0.0, so adding a later row's +-0.0 leaves
+it as it is, and the result has the bits the +0.0 start gives.  The march
+hands out no per-step fields: callers take snapshots from what one march
+returns and march on from there, and only a run given a callback copies the
+field for it after every step.  A single step (`step_linear`,
+`step_nonlinear`) is a one-step run in a workspace of its own, and returns
+a new array.
 """
 
 from __future__ import annotations
@@ -260,8 +261,9 @@ class LinearProblem:
     def growth_peaks(self, dx: float) -> tuple[tuple[float, float], ...]:
         """Per term, `max_growth`'s (theta, |g|^2) at grid spacing dx.
 
-        Scanned on the first call for each dx and kept, so runs of several
-        fields on one grid share one scan per term.
+        Scanned on the first call for each dx and kept.  The fields of one
+        grid march as one stack, so what the memo serves is the legs of a
+        multi-snapshot run: each leg is a `run_linear` call on the same dx.
         """
         peaks = self._growth_peaks.get(dx)
         if peaks is None:
@@ -311,12 +313,6 @@ def _halos(ext: np.ndarray, lo: int, n: int) -> list[tuple[np.ndarray, np.ndarra
     hi = ext.shape[-1] - lo - n
     pairs = [(ext[..., :lo], ext[..., n : n + lo]), (ext[..., lo + n :], ext[..., lo : lo + hi])]
     return [(halo, src) for halo, src in pairs if halo.shape[-1]]
-
-
-def _fill(halos: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Refill the halos `_halos` listed from their sources."""
-    for halo, src in halos:
-        np.copyto(halo, src)
 
 
 class _SliceSum:
@@ -428,73 +424,68 @@ def run_linear(
 
 
 class _Workspace:
-    """The padded buffers of a march on fields of one shape, and what each
-    stage of a step reads from them, allocated and set up once.
+    """The padded buffers of a march of one layer table on fields of one
+    shape, and what a step reads from them, allocated and set up once.
 
-    A stage is (row 0's float stencil, later rows, densities): a layer
-    table's first row, then for each row j after it its stencil and scale
-    nu^j, and the `DensityFamily` those rows read (None when there are
-    none).  A linear term is a stage with no later rows.  Every row of a
-    stage has the halo widths of its first.  Buffer i is padded with stage
-    i's halo widths, and a lone stage alternates between two buffers.  Stage
-    i refills buffer i's halos in place from its interior and writes row 0's
-    sum (`_SliceSum`, from +0.0) straight into the interior of buffer i + 1,
-    the last stage into buffer 0.  A stage with later rows owns one density
-    buffer per later row, shaped like its padded buffer, and each row's
-    `_SliceSum` over it, which both turns of a lone stage share.  One
-    `evaluate` call writes every later density of buffer i, padded halos
-    and all, into them; each later row then sums its own from its first
-    term into the row array, which is scaled in place and added.  The rows
-    share that array, allocated only when a stage has later rows, and one
-    scratch array.
+    The table is row 0's float stencil `first`, then `later`: for each row j
+    after it, its stencil and scale nu^j.  Row j reads density j of the
+    `DensityFamily` `densities` (None when there are no later rows).  A
+    linear term is a table with no later rows.  Every row has the halo
+    widths of `first`.
+    Two buffers, padded with those widths, take turns: a step refills the
+    current buffer's halos in place from its interior and writes row 0's sum
+    (`_SliceSum`, from +0.0) straight into the interior of the other.  A
+    table with later rows owns one density buffer per later row, shaped like
+    a padded buffer, and each row's `_SliceSum` over it, which both turns
+    share.  One `evaluate` call writes every later density of the current
+    buffer, padded halos and all, into them; each later row then sums its
+    own from its first term into the row array, which is scaled in place and
+    added.  The rows share that array, allocated only when there are later
+    rows, and one scratch array.
 
-    `step(values)` takes one step, every stage in turn, copying `values` into
-    the current buffer first unless they are its interior, and returns the
-    interior the step wrote; a later step overwrites it.
+    `step(values)` takes one step, copying `values` into the current buffer
+    first unless they are its interior, and returns the interior the step
+    wrote; a later step overwrites it.
     """
 
     def __init__(
         self,
         shape: tuple[int, ...],
-        stages: Sequence[tuple[FloatStencil, Sequence, Optional[DensityFamily]]],
+        first: FloatStencil,
+        later: Sequence[tuple[FloatStencil, float]] = (),
+        densities: Optional[DensityFamily] = None,
     ):
         n = shape[-1]
-        padded = lambda first: np.empty(shape[:-1] + (first.lo + n + first.hi,))
-        self.scratch = np.empty(shape)
-        # per stage: (its densities, their padded buffers, each later row's
-        # sum over its buffer and scale), or None without later rows
-        layered = []
-        for first, later, densities in stages:
-            bufs = [padded(first) for _ in later]
-            sums = [(_SliceSum(b, n, st, self.scratch), nu_j) for b, (st, nu_j) in zip(bufs, later)]
-            layered.append((densities, bufs, sums) if later else None)
-        self.row = np.empty(shape) if any(layered) else None
-        ring = list(zip(stages, layered)) * (2 if len(stages) == 1 else 1)
-        exts = [padded(first) for (first, _, _), _ in ring]
-        fields = [ext[..., first.lo : first.lo + n] for ext, ((first, _, _), _) in zip(exts, ring)]
-        # per stage taken, in order: (its buffer, the buffer's halos, row 0's
-        # sum over it, the field that sum is written to, its later rows)
-        taken = [
-            (ext, _halos(ext, first.lo, n), _SliceSum(ext, n, first, self.scratch), out, lay)
-            for ext, ((first, _, _), lay), out in zip(exts, ring, fields[1:] + fields[:1])
+        padded = lambda: np.empty(shape[:-1] + (first.lo + n + first.hi,))
+        scratch = np.empty(shape)
+        self.densities = densities
+        self.bufs = [padded() for _ in later]
+        # each later row's sum over its density buffer, and its scale
+        self.sums = [(_SliceSum(b, n, st, scratch), nu) for b, (st, nu) in zip(self.bufs, later)]
+        self.row = np.empty(shape) if later else None
+        exts = [padded(), padded()]
+        fields = [ext[..., first.lo : first.lo + n] for ext in exts]
+        # per turn: (its buffer, the buffer's halos, row 0's sum over it, the
+        # field that sum is written to)
+        self.turns = [
+            (ext, _halos(ext, first.lo, n), _SliceSum(ext, n, first, scratch), out)
+            for ext, out in zip(exts, fields[::-1])
         ]
-        # the stages of one step; a lone stage's two buffers take turns
-        self.turns = [taken[:1], taken[1:]] if len(stages) == 1 else [taken]
         self.field = fields[0]
 
     def step(self, values: np.ndarray) -> np.ndarray:
         if values is not self.field:
             self.field[...] = values
-        for ext, halos, row0, out, layered in self.turns[0]:
-            _fill(halos)
-            row0.sum_into(out)
-            if layered is not None:
-                densities, bufs, sums = layered
-                densities.evaluate(ext, bufs)
-                for row_sum, nu_j in sums:
-                    row_sum.sum_into(self.row, initial=None)
-                    self.row *= nu_j
-                    out += self.row
+        ext, halos, row0, out = self.turns[0]
+        for halo, src in halos:
+            np.copyto(halo, src)
+        row0.sum_into(out)
+        if self.sums:
+            self.densities.evaluate(ext, self.bufs)
+            for row_sum, nu_j in self.sums:
+                row_sum.sum_into(self.row, initial=None)
+                self.row *= nu_j
+                out += self.row
         self.turns.reverse()
         self.field = out
         return out
@@ -507,19 +498,21 @@ def _march(
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
     """`steps` steps of the stencils in turn on `values`, one row or a stack,
-    in one workspace, a one-row stage per stencil; returns a new array.
+    one workspace per stencil; returns a new array.
 
     Each step writes out[..., j] = sum of w * u[..., (j + k) mod N] over a
     stencil's items, in order, from +0.0, skipping zero weights, which is the
-    same floating-point sum as adding w * np.roll(u, -k).  Offsets must be
+    same floating-point sum as adding w * np.roll(u, -k).  Each stencil's
+    workspace copies in the field the one before it wrote.  Offsets must be
     distinct, and each stencil must fit the grid (`_check_fit`).
-    `callback(step, u)` is handed the workspace's field after each step and
-    must copy what it keeps.
+    `callback(step, u)` is handed the last workspace's field after each step
+    and must copy what it keeps.
     """
-    workspace = _Workspace(values.shape, [(st, (), None) for st in stencils])
+    workspaces = [_Workspace(values.shape, st) for st in stencils]
     u = values
     for s in range(steps):
-        u = workspace.step(u)
+        for workspace in workspaces:
+            u = workspace.step(u)
         if callback is not None:
             callback(s + 1, u)
     return u.copy()
@@ -620,7 +613,7 @@ def identity_densities(n: int) -> DensityFamily:
 def _layered_workspace(
     shape: tuple[int, ...], layers: LayerTable, densities: DensityFamily, nu: float
 ) -> _Workspace:
-    """A workspace whose one stage is `layers`, row j on density j scaled by nu^j."""
+    """A workspace marching `layers`, row j on density j scaled by nu^j."""
     if len(densities) < len(layers):
         raise ConfigurationError(
             f"density family {densities.name!r} provides {len(densities)} densities, "
@@ -630,7 +623,7 @@ def _layered_workspace(
     first, *stencils = layers.float_stencils
     nu = float(nu)
     later = [(st, nu**j) for j, st in enumerate(stencils, 1)]
-    return _Workspace(shape, [(first, later, densities)])
+    return _Workspace(shape, first, later, densities)
 
 
 def step_nonlinear(

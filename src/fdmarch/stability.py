@@ -110,31 +110,34 @@ class _GrowthScan:
         """
         ws_c = _weights(self.scheme, nu).astype(complex)
         thetas = self.thetas
-        g2 = _squared(self.basis @ ws_c)
+        # a huge nu overflows the gain to inf or nan, which `grows` reads as
+        # unstable: the peak is the verdict, and numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            g2 = _squared(self.basis @ ws_c)
 
-        best_idx = int(np.argmax(g2))
-        best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
-        if best_val > limit:
+            best_idx = int(np.argmax(g2))
+            best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
+            if best_val > limit:
+                return best_theta, best_val
+
+            # local maxima in the circular sense, against one wrapped copy
+            wrapped = np.concatenate((g2[-1:], g2, g2[:1]))
+            is_peak = (g2 >= wrapped[:-2]) & (g2 >= wrapped[2:])
+            peak_idx = np.flatnonzero(is_peak)
+            if peak_idx.size:
+                top = peak_idx[np.argsort(g2[peak_idx])[::-1][:POLISHED_PEAKS]]
+                step = 2.0 * math.pi / thetas.size
+                iks = self.iks
+                for idx in top:
+                    theta0 = float(thetas[idx])
+                    t, v = _golden_max(
+                        lambda t: _point_growth(iks, ws_c, t), theta0 - step, theta0 + step
+                    )
+                    if v > best_val:
+                        best_theta, best_val = t % (2.0 * math.pi), v
+                        if best_val > limit:
+                            break
             return best_theta, best_val
-
-        # local maxima in the circular sense, against one wrapped copy
-        wrapped = np.concatenate((g2[-1:], g2, g2[:1]))
-        is_peak = (g2 >= wrapped[:-2]) & (g2 >= wrapped[2:])
-        peak_idx = np.flatnonzero(is_peak)
-        if peak_idx.size:
-            top = peak_idx[np.argsort(g2[peak_idx])[::-1][:POLISHED_PEAKS]]
-            step = 2.0 * math.pi / thetas.size
-            iks = self.iks
-            for idx in top:
-                theta0 = float(thetas[idx])
-                t, v = _golden_max(
-                    lambda t: _point_growth(iks, ws_c, t), theta0 - step, theta0 + step
-                )
-                if v > best_val:
-                    best_theta, best_val = t % (2.0 * math.pi), v
-                    if best_val > limit:
-                        break
-        return best_theta, best_val
 
 
 def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:

@@ -169,6 +169,16 @@ class TestCoeffs:
         assert run_cli("stability", "--scheme-file", str(path)) == 2
         assert message in capsys.readouterr().err
 
+    def test_scheme_file_with_zero_denominator(self, tmp_path):
+        """A weight 1/0 exits 2 with one error line naming its key, not a
+        ZeroDivisionError traceback."""
+        path = tmp_path / "bad.txt"
+        path.write_text("m=1\nn=1\noffsets=-1,0\nc[-1]=0,1/0\nc[0]=1,1\n")
+        proc = run_cli_process("stability", "--scheme-file", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: c[-1] has a weight with a zero denominator\n"
+        assert proc.stdout == ""
+
 
 # -- stability / classify ----------------------------------------------------------------
 
@@ -403,6 +413,17 @@ class TestConverge:
         assert message in proc.stderr
         assert proc.stdout == ""
 
+    def test_overflowing_scan_prints_only_the_refusal(self):
+        """At a huge nu the growth scan's gain overflows to nan; the refusal
+        is the one line on stderr, with no numpy warning before it."""
+        proc = run_cli_process("converge", "--m", "1", "--n", "2", "--nu", "1e200")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: scheme m=1 n=2 offsets=(-1, 0, 1) is unstable at nu=-1e+200 "
+            "(max |g|^2 = nan at theta=0.0000); reduce |nu|"
+        ]
+        assert proc.stdout == ""
+
     def test_nan_courant_refused(self, capsys):
         assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "nan") == 2
         assert "Courant magnitude must be a finite number > 0" in capsys.readouterr().err
@@ -596,6 +617,12 @@ class TestRunExplicit:
             (("--times", "1e308"), "--times must lie within the run duration"),
             (("--times=-1e308",), "--times must lie within the run duration"),
             (("--dt", "1e-310", "--times", "1"), "--times must lie within the run duration"),
+            # the time-step rule of `convergence_study`
+            (("--dt", "1e308"), "the Courant number a*dt/dx^1 is not finite at dt=1e+308"),
+            (("--dt", "1e-320"), "--dt must be a normal float, got 9.99989e-321"),
+            # dx^2 underflows to 0
+            (("--m", "2", "--box", "0,1e-169", "--dx", "1e-170", "--dt", "1"),
+             "the Courant number a*dt/dx^2 is not finite"),
         ],
     )
     def test_degenerate_grid_refused(self, extra, message, tmp_path, capsys):
@@ -605,6 +632,25 @@ class TestRunExplicit:
         ) == 2
         assert message in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, out, reason",
+        [
+            (("--m", "1", "--n", "1", "--steps", "2"), "file/x", "Not a directory"),
+            (("fig-burgers", "--orders", "1"), "file", "File exists"),
+            (("--m", "1", "--n", "1", "--steps", "2"), "", "No such file or directory"),
+        ],
+        ids=["under-a-file", "existing-file", "empty"],
+    )
+    def test_unusable_out_refused(self, argv, out, reason, tmp_path):
+        """An --out that cannot be made a directory exits 2 with one error
+        line naming the path and the reason, not a traceback."""
+        (tmp_path / "file").write_text("")
+        path = str(tmp_path / out) if out else ""
+        proc = run_cli_process("run", *argv, "--out", path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: cannot create the output directory {path!r}: {reason}\n"
+        assert (tmp_path / "file").read_text() == ""
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -895,6 +941,18 @@ class TestRunDriver:
             assert note.startswith("term m=2 is unstable at nu=0.8") and ";" not in note
             with pytest.warns(RuntimeWarning, match="unstable"):
                 self.assert_hex_equal(snap, run_linear(problem, field0, step))
+
+    def test_overflowing_scan_notes_only_the_verdict(self, tmp_path, capsys):
+        """A run whose growth scan overflows notes its instability, and no
+        numpy warning from the scan, in its header and on stderr."""
+        out_dir = tmp_path / "o"
+        assert run_cli(
+            "run", "--m", "1", "--n", "1", "--steps", "1", "--dt", "1e300", "--out", str(out_dir)
+        ) == 0
+        note = "term m=1 is unstable at nu=-1e+301: max |g|^2 = inf at theta=0.0015"
+        assert capsys.readouterr().err.splitlines() == [f"warning: {note}"]
+        meta, _ = read_csv(out_dir / "run_m1_n1_triangle_t1e+300.csv")
+        assert meta["warning"] == note
 
     def test_overflow_notes_listed_once(self, tmp_path, capsys):
         """The order-1 sine profile of fig-burgers overflows, and numpy warns

@@ -516,6 +516,11 @@ class TestDumpRoundTrip:
         with pytest.raises(ValueError, match=r"unknown fields: c\[3\]"):
             parse_scheme_dump(text)
 
+    def test_parse_rejects_zero_denominator(self):
+        text = "m=1\nn=1\noffsets=-1,0\nc[-1]=0,1/0\nc[0]=1,1\n"
+        with pytest.raises(ValueError, match=r"c\[-1\] has a weight with a zero denominator"):
+            parse_scheme_dump(text)
+
     @pytest.mark.parametrize("repeat", ["m=1\n", "c[0]=1,1\n", "c[0]=1,2\n"])
     def test_parse_rejects_repeated_field(self, repeat):
         text = format_scheme_dump(first_order_scheme(1, 1)) + repeat

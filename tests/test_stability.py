@@ -4,6 +4,7 @@ import contextlib
 import math
 import random
 import signal
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,15 @@ class TestMaxGrowth:
         s = first_order_scheme(2, 1)
         _, g2 = max_growth(s, 0.25)
         assert g2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_gain_is_a_verdict_without_warnings(self):
+        """At a huge nu the gain overflows to nan: the scan returns that peak,
+        which reads as unstable, and numpy warns of nothing."""
+        s = master_scheme(SchemeSpec(1, 2, OffsetSet([-1, 0, 1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, g2 = max_growth(s, -1e200)
+        assert math.isnan(g2)
 
 
 def reference_max_growth(scheme, nu, samples=THETA_SAMPLES, refine=3):
