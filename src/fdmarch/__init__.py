@@ -7,6 +7,7 @@ single-mode stability analysis, and periodic 1-D experiment drivers.
 """
 
 from .exact import (
+    ConfigurationError,
     InvalidOffsetsError,
     OffsetSet,
     RatPoly,
@@ -51,7 +52,6 @@ from .stability import (
     truncated_first_layer_critical,
 )
 from .solver import (
-    ConfigurationError,
     ConvergenceResult,
     DensityFamily,
     GridField,

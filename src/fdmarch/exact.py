@@ -6,6 +6,10 @@ Lagrange numerators are built in plain ints first), so the structural
 identities the scheme generator relies on (cardinal interpolation, moment
 sums, beyond-range corrections) can be asserted with ``==`` rather than
 with tolerances.
+
+It also holds the package's one refusal type, `ConfigurationError`: it sits
+here, at the bottom of the import graph, so that every input rule of every
+module raises it where the rule lives.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ Rational = Fraction
 RationalLike = Union[Rational, int]
 
 
-class InvalidOffsetsError(ValueError):
+class ConfigurationError(ValueError):
+    """A request the package refuses: an input no rule accepts (an empty or
+    duplicated stencil, a wrong stencil size, a tol outside the search, a run
+    inconsistent with its grid, ...).  Every input rule raises it, or one of
+    its subclasses, where the rule lives; the CLI prints its message and
+    exits 2."""
+
+
+class InvalidOffsetsError(ConfigurationError):
     """A stencil offset set is empty or contains duplicates."""
 
 

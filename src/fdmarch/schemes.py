@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .exact import (
+    ConfigurationError,
     OffsetSet,
     RatPoly,
     Rational,
@@ -35,11 +36,11 @@ from .exact import (
 )
 
 
-class StencilSizeError(ValueError):
+class StencilSizeError(ConfigurationError):
     """The offset count does not match the order: need exactly n*m + 1 points."""
 
 
-class UnsupportedSchemeError(ValueError):
+class UnsupportedSchemeError(ConfigurationError):
     """The requested transformation is not defined for this scheme."""
 
 

@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exact import OffsetSet
+from .exact import ConfigurationError, OffsetSet
 from .schemes import (
     FloatStencil,
     LayerTable,
@@ -70,10 +70,6 @@ from .schemes import (
     preferred_sign,
 )
 from .stability import grows, max_growth
-
-
-class ConfigurationError(ValueError):
-    """A run request is inconsistent (stencil wider than the grid, etc.)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -785,16 +781,15 @@ def convergence_study(
         raise ConfigurationError(f"empty box {box}")
     length = hi - lo
     p = 2.0 * math.pi / length
-    if final_time is None:
-        if m == 1:
-            final_time = 0.5 * length / abs(a)
-        else:
-            final_time = 2.0 / (abs(a) * p**m)
-    elif not (final_time > 0 and math.isfinite(final_time)):
+    if final_time is not None and not (final_time > 0 and math.isfinite(final_time)):
         raise ConfigurationError(f"final time must be a finite number > 0, got {final_time:g}")
-
     dxs = [length / g for g in grids]
-    dts = [nu * dx**m / abs(a) for dx in dxs]
+    try:
+        if final_time is None:
+            final_time = 0.5 * length / abs(a) if m == 1 else 2.0 / (abs(a) * p**m)
+        dts = [nu * dx**m / abs(a) for dx in dxs]
+    except ArithmeticError:  # p^m or dx^m overflowed, or p^m underflowed to 0
+        raise ConfigurationError(f"the box {box} has a width^{m} out of float range") from None
     if not all(sys.float_info.min <= dt < math.inf for dt in dts):
         raise ConfigurationError(f"the time steps {min(dts):g}..{max(dts):g} are not normal floats")
     for count, what, limit in (

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exact import OffsetSet
+from .exact import ConfigurationError, OffsetSet
 from .schemes import Scheme, SchemeSpec, master_scheme
 
 # |g|^2 <= 1 + GROWTH_TOL counts as stable: absorbs float roundoff in the
@@ -55,6 +55,16 @@ def grows(g2: float) -> bool:
     """The growth verdict on a peak |g|^2: unstable unless g2 <= 1 + GROWTH_TOL,
     so a NaN peak is unstable."""
     return not g2 <= 1.0 + GROWTH_TOL
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a nu_c search tolerance the search cannot use: at or above the
+    ceiling NU_MAX (inf too) it would end before its first probe; at or below
+    0 (or NaN) the doubling never moves, or probes the other sign."""
+    if tol >= NU_MAX:
+        raise ConfigurationError(f"tol must be below the search ceiling {NU_MAX:g}, got {tol:g}")
+    if not tol > 0.0:
+        raise ConfigurationError(f"tol must be > 0 and finite, got {tol:g}")
 
 
 def _basis(thetas: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -186,10 +196,8 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     scheme is already unstable at |nu| = tol, [0, tol] is bisected down to
     min(tol, STABLE_NU_THRESHOLD), so a coarse tol still finds a nu_c above
     the threshold; 0.0 means no probe was stable.  Returns NU_MAX when no
-    instability is found below the search ceiling.  A tol at or above NU_MAX
-    is refused with ValueError: the search would end before its first probe.
-    So is a tol <= 0: from 0 the doubling never moves, and from below 0 it
-    probes the other sign.
+    instability is found below the search ceiling.  A tol that `check_tol`
+    refuses (at or above NU_MAX, <= 0 or NaN) raises ConfigurationError.
     Bisection assumes the stable set is a single interval [0, nu_c]; after
     converging, the verdict is re-probed on both sides of the boundary, and
     if a pocket shows up (stable above, or unstable below), a linear sweep in
@@ -213,10 +221,7 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
 
 def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     """`critical_courant` on a scan that every probe of the search shares."""
-    if not tol < NU_MAX:
-        raise ValueError(f"tol must be below the search ceiling NU_MAX = {NU_MAX:g}, got {tol:g}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol:g}")
+    check_tol(tol)
     sign = 1 if nu_sign >= 0 else -1
     limit = 1.0 + GROWTH_TOL
 
@@ -333,7 +338,7 @@ def truncated_first_layer_critical(n: int, tol: float = NU_TOL) -> float:
     with n instead of growing.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigurationError(f"n must be >= 1, got {n}")
     scheme = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
     return critical_courant(scheme.truncated(1), +1, tol=tol)
 
@@ -375,7 +380,7 @@ def first_order_stable_r(m: int, sign: int) -> Optional[int]:
     two near-centered windows works for each sign.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigurationError(f"m must be >= 1, got {m}")
     sign = 1 if sign >= 0 else -1
     if m % 2 == 0:
         half = m // 2
@@ -431,16 +436,16 @@ def advection_family_spec(kind: str, s: int) -> tuple[int, int]:
     All ladders use the a < 0 (rightward wave) convention.
     """
     if s < 0:
-        raise ValueError("family index s must be >= 0")
+        raise ConfigurationError(f"family index s must be >= 0, got {s}")
     if kind == "uw":
         return 2 * s + 1, s + 1
     if kind == "lw":
         if s < 1:
-            raise ValueError("the centered even ladder starts at s = 1")
+            raise ConfigurationError("the centered even ladder starts at s = 1")
         return 2 * s, s
     if kind == "bw":
         return 2 * s + 2, s + 2
-    raise ValueError(f"unknown family {kind!r}; expected one of {FAMILIES}")
+    raise ConfigurationError(f"unknown family {kind!r}; expected one of {FAMILIES}")
 
 
 def advection_family_scheme(kind: str, s: int) -> Scheme:

@@ -16,8 +16,13 @@ import pytest
 
 import fdmarch.cli
 import fdmarch.solver
-from fdmarch.exact import OffsetSet
-from fdmarch.schemes import default_offsets, nonlinear_layers
+from fdmarch.exact import ConfigurationError, InvalidOffsetsError, OffsetSet
+from fdmarch.schemes import (
+    StencilSizeError,
+    UnsupportedSchemeError,
+    default_offsets,
+    nonlinear_layers,
+)
 from fdmarch.solver import (
     GridField,
     LinearProblem,
@@ -205,16 +210,15 @@ class TestStability:
             ("stability", "--m", "1", "--n", "1", "--tol", "0"),
             ("stability", "--m", "1", "--n", "1", "--tol", "-0.1"),
             ("stability", "--m", "1", "--n", "1", "--tol", "nan"),
-            ("stability", "--m", "1", "--n", "1", "--tol", "inf"),
         ],
     )
     def test_tol_must_be_positive(self, argv):
         proc = run_cli_process(*argv)
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert "--tol must be a finite number > 0" in proc.stderr
+        assert proc.stderr == f"error: tol must be > 0 and finite, got {float(argv[-1]):g}\n"
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("tol", ["64", "100", "1e308"])
+    @pytest.mark.parametrize("tol", ["64", "100", "1e308", "inf"])
     def test_tol_at_search_ceiling_refused(self, tol):
         """Regression: a tol at or above NU_MAX = 64 ended the search before its
         first probe and reported "stable up to |nu| = 64" for both signs of
@@ -222,7 +226,7 @@ class TestStability:
         leaked a numpy overflow warning."""
         proc = run_cli_process("stability", "--m", "2", "--n", "1", "--tol", tol)
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert proc.stderr == f"error: --tol must be below the search ceiling 64, got {float(tol):g}\n"
+        assert proc.stderr == f"error: tol must be below the search ceiling 64, got {float(tol):g}\n"
         assert proc.stdout == ""
 
     def test_tol_above_nu_c_still_stable(self, capsys):
@@ -246,7 +250,7 @@ class TestStability:
     def test_classify_needs_positive_m(self, m):
         proc = run_cli_process("classify", "--m", m)
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert f"--m must be >= 1, got {m}" in proc.stderr
+        assert proc.stderr == f"error: m must be >= 1, got {m}\n"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("m", ["140", "100000"])
@@ -380,6 +384,11 @@ class TestConverge:
             (("--time", "-1"), "final time must be a finite number > 0"),
             (("--time", "0"), "final time must be a finite number > 0"),
             (("--time", "1e-9"), "final time 1e-09 is under half a step"),
+            # the default final time 2 / (|a| p^m): p^m underflowed to 0
+            # (ZeroDivisionError) or overflowed (OverflowError)
+            (("--m", "2", "--nu", "0.4", "--box", "0,1e300"), "has a width^2 out of float range"),
+            (("--m", "2", "--nu", "0.4", "--box", "0,inf"), "has a width^2 out of float range"),
+            (("--m", "2", "--nu", "0.4", "--box", "0,1e-300"), "has a width^2 out of float range"),
         ],
     )
     def test_degenerate_ladder_refused(self, extra, message, capsys):
@@ -404,8 +413,11 @@ class TestConverge:
             (("--grids", "3,4", "--time", "5e6"), "7e+07 steps to time 5e+06, over the limit"),
             (("--a", "nan"), "coefficient a must be nonzero"),
             (("--a", "inf"), "coefficient a must be nonzero"),
+            # the ladder's nu * dx^2 raised OverflowError
+            (("--m", "2", "--nu", "0.4", "--box", "0,1e200", "--time", "1"),
+             "has a width^2 out of float range"),
         ],
-        ids=["subnormal-dt", "long-tiny-ladder", "nan-a", "inf-a"],
+        ids=["subnormal-dt", "long-tiny-ladder", "nan-a", "inf-a", "huge-dx-power"],
     )
     def test_unfinishable_ladder_refused(self, extra, message):
         proc = run_cli_process("converge", "--m", "1", "--n", "1", "--nu", "0.5", *extra)
@@ -623,6 +635,10 @@ class TestRunExplicit:
             # dx^2 underflows to 0
             (("--m", "2", "--box", "0,1e-169", "--dx", "1e-170", "--dt", "1"),
              "the Courant number a*dt/dx^2 is not finite"),
+            # the default step 0.4 * dx^2 raised OverflowError before the box was gridded
+            (("--m", "2", "--dx", "1e200"), "dx=1e+200 does not tile the box"),
+            (("--m", "2", "--box", "0,1e300", "--dx", "1e299"),
+             "--dt must be a finite number > 0, got inf"),
         ],
     )
     def test_degenerate_grid_refused(self, extra, message, tmp_path, capsys):
@@ -1093,6 +1109,14 @@ class TestUpFrontRefusals:
 # -- exit codes and entry points ------------------------------------------------------------
 
 class TestExitCodes:
+    def test_one_refusal_type(self):
+        """Every named refusal is a `ConfigurationError`, the one class `main`
+        exits 2 on; it is defined once and named by the package and solver."""
+        for cls in (InvalidOffsetsError, StencilSizeError, UnsupportedSchemeError):
+            assert issubclass(cls, ConfigurationError)
+        assert fdmarch.ConfigurationError is fdmarch.solver.ConfigurationError is ConfigurationError
+        assert issubclass(ConfigurationError, ValueError)
+
     def test_usage_error_is_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fdmarch.stability
-from fdmarch.exact import OffsetSet
+from fdmarch.exact import ConfigurationError, OffsetSet
 from fdmarch.schemes import SchemeSpec, first_order_scheme, master_scheme
 from fdmarch.stability import (
     FAMILIES,
@@ -319,7 +319,11 @@ class TestCriticalCourant:
     def test_truncated_n1_equals_full(self):
         assert truncated_first_layer_critical(1) == pytest.approx(0.5, abs=1e-4)
 
-    @pytest.mark.parametrize("tol", [NU_MAX, 100.0, 1e308, math.inf, math.nan])
+    def test_truncated_needs_positive_n(self):
+        with pytest.raises(ConfigurationError, match="n must be >= 1, got 0"):
+            truncated_first_layer_critical(0)
+
+    @pytest.mark.parametrize("tol", [NU_MAX, 100.0, 1e308, math.inf])
     def test_tol_at_search_ceiling_refused(self, tol):
         """Regression: a tol at or above NU_MAX returned NU_MAX without a
         probe, so the dead a < 0 side of m = 2, n = 1 read as stable."""
@@ -329,7 +333,7 @@ class TestCriticalCourant:
         with pytest.raises(ValueError, match="below the search ceiling"):
             stability_report(s, -1, tol=tol)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, -math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, -math.inf, math.nan])
     def test_tol_not_positive_refused(self, tol):
         """Regression: from tol = 0 the doubling search never moved and never
         returned, and tol = -1e-3 gave nu_c = 0 for the upwind scheme, whose
@@ -493,6 +497,11 @@ class TestClassification:
             measured = critical_courant(first_order_scheme(m, r), sign)
             assert 0 <= exact - Fraction(measured) <= 2 * Fraction(NU_TOL), (sign, r, measured)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_m_below_one_refused(self, m):
+        with pytest.raises(ConfigurationError, match=f"m must be >= 1, got {m}"):
+            classify_first_order(m)
+
     def test_no_growth_scan(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("growth scan built")
@@ -531,6 +540,11 @@ class TestAdvectionFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             advection_family_spec("xx", 0)
+
+    @pytest.mark.parametrize("kind, s", [("uw", -1), ("lw", 0), ("xx", 0)])
+    def test_bad_member_is_a_refusal(self, kind, s):
+        with pytest.raises(ConfigurationError):
+            advection_family_spec(kind, s)
 
     def test_lowest_members_are_the_classics(self):
         uw = advection_family_scheme("uw", 0)
