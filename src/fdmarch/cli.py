@@ -67,14 +67,16 @@ CONFIG_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1.
 
-    Also widens the negative-number detector so offset lists like
-    ``--offsets -2,-1,0,1`` parse as values rather than unknown options
-    (no option here starts with a digit, so this is unambiguous).
+    Also widens the negative-number detector so that a value starting with
+    a negative number parses as a value rather than an unknown option: offset
+    lists like ``--offsets -2,-1,0,1``, exponents (``-1e-3``), a leading dot
+    (``-.5``), ``-inf`` and ``-nan``.  No option here starts with a digit, a
+    dot, ``inf`` or ``nan``, so this is unambiguous.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d[\d.,+-]*$")
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)[\w.,+-]*$", re.I)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -215,6 +217,14 @@ def _check_scheme_size(m: int, n: int) -> None:
         )
 
 
+def _refuse_unread(args, names: Sequence[str], path: str) -> None:
+    """Refuse the options among `names` that were given, naming each: `path`,
+    the way the command was asked to run, never reads them."""
+    unread = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if unread:
+        raise ConfigurationError(f"{path} does not read {', '.join(unread)}")
+
+
 def _stencil(args, a_sign: float) -> OffsetSet:
     """--offsets, or the default stencil of --m and --n for this coefficient
     or sign of a."""
@@ -225,6 +235,7 @@ def _stencil(args, a_sign: float) -> OffsetSet:
 
 def _load_scheme(args) -> Scheme:
     if getattr(args, "scheme_file", None):
+        _refuse_unread(args, ("m", "n", "offsets", "a_sign"), "--scheme-file")
         try:
             with open(args.scheme_file) as fh:
                 text = fh.read()
@@ -237,17 +248,21 @@ def _load_scheme(args) -> Scheme:
     if args.m is None or args.n is None:
         alt = " (or --scheme-file)" if hasattr(args, "scheme_file") else ""
         raise ConfigurationError(f"need --m and --n{alt}")
+    if args.offsets is not None:
+        _refuse_unread(args, ("a_sign",), "a stencil given by --offsets")
     _check_scheme_size(args.m, args.n)
-    return master_scheme(SchemeSpec(args.m, args.n, _stencil(args, args.a_sign)))
+    return master_scheme(SchemeSpec(args.m, args.n, _stencil(args, args.a_sign or 0)))
 
 
 def _cmd_coeffs(args) -> int:
     if args.first_order:
+        _refuse_unread(args, ("n", "offsets", "a_sign"), "--first-order")
         if args.m is None or args.r is None:
             raise ConfigurationError("--first-order needs --m and --r (window shift)")
         _check_scheme_size(args.m, 1)
         scheme = first_order_scheme(args.m, args.r)
     else:
+        _refuse_unread(args, ("r",), "coeffs without --first-order")
         scheme = _load_scheme(args)
     if args.format == "dump":
         sys.stdout.write(format_scheme_dump(scheme))
@@ -578,13 +593,10 @@ def _cmd_run(args) -> int:
         raise ConfigurationError(
             f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    other = _EXPLICIT_OPTIONS if args.preset else _PRESET_OPTIONS
-    unread = [f"--{name}" for name in other if getattr(args, name) is not None]
-    if unread:
-        path = f"the {args.preset} preset" if args.preset else "an explicit run"
-        raise ConfigurationError(f"{path} does not read {', '.join(unread)}")
     if args.preset is None:
+        _refuse_unread(args, _PRESET_OPTIONS, "an explicit run")
         return _explicit_run(args, out_dir)
+    _refuse_unread(args, _EXPLICIT_OPTIONS, f"the {args.preset} preset")
     return _preset_run(args, PRESETS[args.preset], out_dir)
 
 
@@ -605,9 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--a-sign",
             type=int,
-            default=0,
             choices=(-1, 0, 1),
-            help="sign of the coefficient used for the default stencil (0 = conventional)",
+            help="sign of the coefficient used for the default stencil "
+            "(default 0 = conventional)",
         )
 
     p = sub.add_parser("coeffs", help="print exact scheme coefficients")

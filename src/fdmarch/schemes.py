@@ -73,7 +73,13 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class LayerTable:
-    """Stencil weights split by power of nu: rows[j][i] multiplies nu**j at offsets[i]."""
+    """Stencil weights split by power of nu: rows[j][i] multiplies nu**j at offsets[i].
+
+    `float_rows` is the table in float64, each weight rounded once; every
+    float weight the package uses is read from it, by row for the layered
+    march (`float_stencils`) and by a Horner over the rows at a float nu
+    (`Scheme.float_weights`).
+    """
 
     offsets: OffsetSet
     rows: tuple[tuple[Rational, ...], ...]
@@ -92,11 +98,17 @@ class LayerTable:
         return max(abs(self.offsets[0]), abs(self.offsets[-1]))
 
     @functools.cached_property
+    def float_rows(self) -> np.ndarray:
+        """The rows as one (rows, N) float64 array, converted once per table;
+        read-only, since every caller of this table shares it."""
+        rows = np.array(self.rows, dtype=float)
+        rows.flags.writeable = False
+        return rows
+
+    @functools.cached_property
     def float_stencils(self) -> tuple[FloatStencil, ...]:
-        """Per row, its float (offset, weight) items, converted and prepared once per table."""
-        return tuple(
-            FloatStencil((k, float(w)) for k, w in zip(self.offsets, row)) for row in self.rows
-        )
+        """Per row, its float (offset, weight) items, prepared once per table."""
+        return tuple(FloatStencil(zip(self.offsets, row.tolist())) for row in self.float_rows)
 
 
 class FloatStencil:
@@ -133,7 +145,8 @@ class Scheme:
 
     Row j of `layers` is the nu^j layer of c_i(nu) = sum_j nu^j/j! * L_i^(jm)(0),
     so column i holds the exact weight polynomial of offset k_i; `coeffs` is
-    that column view, derived from the table and never stored beside it.
+    that column view, derived from the table and never stored beside it, and
+    `float_weights` reads the table's float rows.
     """
 
     spec: SchemeSpec
@@ -160,36 +173,38 @@ class Scheme:
     def coefficient(self, offset: int) -> RatPoly:
         return self.coeffs[offset]
 
-    @functools.cached_property
-    def _float_coeffs(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
-        """Per offset, the weight coefficients as floats, highest power first."""
-        return tuple(
-            (k, tuple(float(c) for c in reversed(poly.coeffs)))
-            for k, poly in self.coeffs.items()
-        )
-
     def weights_at(self, nu) -> dict[int, object]:
-        """Evaluate every weight polynomial; exact when nu is int/Fraction.
-
-        At a float nu this is `RatPoly.__call__`'s Horner loop on coefficients
-        converted to float once per scheme.  A Fraction added to a float is
-        rounded through float() first, so the values are bitwise the same.
-        """
+        """Every offset's weight at nu: exact when nu is int/Fraction, else the
+        floats of `float_weights`."""
         if isinstance(nu, (int, Fraction)):
             nu = Fraction(nu)
             return {k: poly(nu) for k, poly in self.coeffs.items()}
+        return dict(zip(self.offsets, self.float_weights(nu).tolist()))
+
+    def float_weights(self, nu) -> np.ndarray:
+        """The (N,) weights at nu as floats, in ascending offset order.
+
+        At an int or Fraction nu these are the exact weights, each rounded
+        once.  At a float nu they are a Horner over the layer table's float
+        rows that starts from nu * 0.0 and runs over every row, as
+        `RatPoly.__call__` does on a column, so a weight is bitwise that
+        Horner's, except that a column which is identically zero reads +0.0
+        where that Horner gives nu * 0, -0.0 at a negative nu.  Overflow to
+        inf, and the nan of inf - inf or of an infinite nu, pass without a
+        warning, as they do in Python floats.
+        """
+        if isinstance(nu, (int, Fraction)):
+            return np.array(list(self.weights_at(nu).values()), dtype=float)
         nu = float(nu)
-        out = {}
-        for k, cs in self._float_coeffs:
-            acc = nu * 0
-            for c in cs:
-                acc = acc * nu + c
-            out[k] = acc
-        return out
+        acc = nu * 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in self.layers.float_rows[::-1]:
+                acc = acc * nu + row
+        return acc
 
     def float_items(self, nu) -> list[tuple[int, float]]:
-        """(offset, weight) pairs as floats, in ascending offset order."""
-        return [(k, float(w)) for k, w in self.weights_at(nu).items()]
+        """(offset, weight) pairs of `float_weights`, in ascending offset order."""
+        return list(zip(self.offsets, self.float_weights(nu).tolist()))
 
     def truncated(self, max_power: int) -> "Scheme":
         """Variant keeping only the nu-layers j <= max_power.

@@ -13,7 +13,9 @@ bisection.
 The grid and its basis e^{i k theta} depend only on the stencil, so one search
 (`max_growth`, `critical_courant`, `stability_report`) builds them once and
 every nu it probes costs one matrix-vector product plus the scalar gains of
-the polish.  Nothing outlives the search.
+the polish.  The weights at each probed nu are `Scheme.float_weights`, read
+from the layer table's float rows; the scan builds no exact weight
+polynomial.  Nothing outlives the search.
 
 The polish only ever raises the maximum, so a stability verdict stops as soon
 as it is decided: at the grid when the grid maximum already exceeds the
@@ -88,14 +90,6 @@ def _point_growth(iks: np.ndarray, ws_c: np.ndarray, theta: float) -> float:
     return g.real * g.real + g.imag * g.imag
 
 
-def _offsets(scheme: Scheme) -> np.ndarray:
-    return np.array(list(scheme.coeffs), dtype=float)  # the order of float_items
-
-
-def _weights(scheme: Scheme, nu: float) -> np.ndarray:
-    return np.array([w for _, w in scheme.float_items(nu)], dtype=float)
-
-
 class _GrowthScan:
     """The theta grid and Fourier basis of one scheme, built once per search.
 
@@ -105,7 +99,7 @@ class _GrowthScan:
 
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
-        ks = _offsets(scheme)
+        ks = np.array(scheme.offsets, dtype=float)
         self.iks = 1j * ks
         self.thetas = np.linspace(0.0, 2.0 * math.pi, THETA_SAMPLES, endpoint=False)
         self.basis = _basis(self.thetas, ks)
@@ -118,7 +112,7 @@ class _GrowthScan:
         verdict against `limit`.  A maximum at or below `limit` is the fully
         polished one.
         """
-        ws_c = _weights(self.scheme, nu).astype(complex)
+        ws_c = self.scheme.float_weights(nu).astype(complex)
         thetas = self.thetas
         # a huge nu overflows the gain to inf or nan, which `grows` reads as
         # unstable: the peak is the verdict, and numpy's warnings add nothing
@@ -152,8 +146,8 @@ class _GrowthScan:
 
 def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
     """Squared gain |g(theta; nu)|^2 of a single Fourier mode; vectorized in theta."""
-    ks = _offsets(scheme)
-    ws = _weights(scheme, nu)
+    ks = np.array(scheme.offsets, dtype=float)
+    ws = scheme.float_weights(nu)
     if np.ndim(theta) == 0:
         return _point_growth(1j * ks, ws.astype(complex), float(theta))
     return _squared(_basis(np.asarray(theta, dtype=float), ks) @ ws)

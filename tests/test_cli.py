@@ -805,6 +805,68 @@ class TestRunRefusesUnreadOptions:
         assert list(out_dir.iterdir()) == []
 
 
+
+class TestSchemeCommandsRefuseUnreadOptions:
+    """`coeffs` and `stability` refuse, with exit 2 and naming each, the
+    options that the way they were asked to build a scheme never reads."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ("coeffs", "--m", "1", "--n", "1", "--r", "5"),
+                "coeffs without --first-order does not read --r",
+                id="coeffs-r",
+            ),
+            pytest.param(
+                ("coeffs", "--first-order", "--m", "2", "--r", "1", "--n", "7",
+                 "--offsets", "0,1"),
+                "--first-order does not read --n, --offsets",
+                id="first-order-n-offsets",
+            ),
+            pytest.param(
+                ("coeffs", "--first-order", "--m", "2", "--r", "1", "--a-sign", "0"),
+                "--first-order does not read --a-sign",
+                id="first-order-a-sign",
+            ),
+            pytest.param(
+                ("coeffs", "--m", "2", "--n", "1", "--offsets", "-1,0,1", "--a-sign", "1"),
+                "a stencil given by --offsets does not read --a-sign",
+                id="offsets-a-sign",
+            ),
+            pytest.param(
+                ("stability", "--m", "1", "--n", "1", "--offsets", "0,1", "--a-sign", "-1"),
+                "a stencil given by --offsets does not read --a-sign",
+                id="stability-offsets-a-sign",
+            ),
+        ],
+    )
+    def test_refused(self, argv, message, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_scheme_file_refuses_the_stencil_options(self, tmp_path, capsys):
+        path = tmp_path / "m1n3.txt"
+        assert run_cli("coeffs", "--m", "1", "--n", "3", "--format", "dump") == 0
+        path.write_text(capsys.readouterr().out)
+        argv = ("stability", "--scheme-file", str(path))
+        assert run_cli(*argv, "--m", "3", "--n", "2", "--offsets", "0,1") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --scheme-file does not read --m, --n, --offsets\n"
+        assert captured.out == ""
+        assert run_cli(*argv, "--a-sign", "0", "--sign", "-") == 2
+        assert capsys.readouterr().err == "error: --scheme-file does not read --a-sign\n"
+        assert run_cli(*argv, "--sign", "-") == 0
+        assert "m=1 n=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sign, window", [("-1", "-1,0"), ("1", "0,1"), ("0", "-1,0")])
+    def test_a_sign_still_picks_the_default_window(self, sign, window, capsys):
+        assert run_cli("coeffs", "--m", "1", "--n", "1", "--a-sign", sign) == 0
+        assert f"offsets={window}" in capsys.readouterr().out
+
+
 class TestRunDriver:
     """Every run path writes exactly what a direct march of its inputs computes,
     under a pinned header."""
@@ -1121,6 +1183,47 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            pytest.param(("run", "--a", "-1e-3"), 0, "", id="run-a-exponent"),
+            pytest.param(("run", "--a", "-.5"), 0, "", id="run-a-leading-dot"),
+            pytest.param(("run", "--box", "-5e0,5"), 0, "", id="run-box-exponent"),
+            pytest.param(
+                ("stability", "--tol", "-inf"), 2, "error: tol must be > 0 and finite, got -inf\n",
+                id="stability-tol-inf",
+            ),
+            pytest.param(
+                ("stability", "--tol", "-1e-5"), 2,
+                "error: tol must be > 0 and finite, got -1e-05\n", id="stability-tol-exponent",
+            ),
+            pytest.param(
+                ("run", "--dx", "-1e-3"), 2,
+                "error: --dx must be a finite number > 0, got -0.001\n", id="run-dx-exponent",
+            ),
+            pytest.param(
+                ("converge", "--nu", "-NaN"), 2,
+                "error: Courant magnitude must be a finite number > 0\n", id="converge-nu-nan",
+            ),
+            pytest.param(("coeffs", "--offsets", "-1,0"), 0, "", id="coeffs-offset-list"),
+        ],
+    )
+    def test_negative_literals_are_values(self, argv, code, err, tmp_path, capsys):
+        """A value that starts with a negative number reaches its option, and
+        the rule that reads it, rather than parse as an unknown option."""
+        command, *rest = argv
+        run = command == "run"
+        head = ("--m", "1", "--n", "1") + (("--steps", "1") if run else ())
+        tail = ("--out", str(tmp_path / "o")) if run else ()
+        assert run_cli(command, *head, *rest, *tail) == code
+        assert capsys.readouterr().err == err
+
+    def test_help_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeffs", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fdmarch coeffs")
 
     def test_malformed_int_list(self):
         with pytest.raises(SystemExit) as exc:

@@ -328,6 +328,20 @@ class TestAdvectionCoefficients:
             advection_coefficients(2, [-1, 0], F(1, 2))
 
 
+# float nu values at the edges of the float range, for the float-weight checks
+EXTREME_NUS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e200, 5e-324)
+
+# strategies: schemes of each kind whose float weights are checked bit for bit
+WEIGHT_SCHEMES = {
+    "master": small_specs.map(master_scheme),
+    "first-order": st.integers(1, 5).flatmap(
+        lambda m: st.integers(0, m).map(lambda r: first_order_scheme(m, r))
+    ),
+    "truncated": small_specs.map(master_scheme).flatmap(
+        lambda s: st.integers(0, s.n).map(s.truncated)
+    ),
+}
+
 # -- evaluation and truncation ---------------------------------------------------------
 
 class TestSchemeEvaluation:
@@ -337,15 +351,24 @@ class TestSchemeEvaluation:
         assert w == {-1: F(1, 3), 0: F(1, 3), 1: F(1, 3)}
         assert all(isinstance(v, F) for v in w.values())
 
-    @given(small_specs, st.floats(-3.0, 3.0))
+    @pytest.mark.parametrize("kind", ["master", "first-order", "truncated"])
+    @given(data=st.data(), nu=st.floats(-3.0, 3.0) | st.sampled_from(EXTREME_NUS))
     @settings(max_examples=50, deadline=None)
-    def test_float_weights_match_exact_horner_bitwise(self, spec, nu):
-        s = master_scheme(spec)
-        got = s.weights_at(nu)
-        for k in spec.offsets:
+    def test_float_weights_match_exact_horner_bitwise(self, kind, data, nu):
+        """Each float weight is the bits of RatPoly's Horner on its column.  A
+        truncated column can be identically zero, and reads +0.0 where that
+        Horner gives -0.0 at negative nu, so zeros are compared by value."""
+        s = data.draw(WEIGHT_SCHEMES[kind])
+        got, items, array = s.weights_at(nu), s.float_items(nu), s.float_weights(nu)
+        assert [k for k, _ in items] == list(s.offsets) == list(got)
+        for i, (k, w) in enumerate(items):
             want = s.coefficient(k)(nu)  # RatPoly's Horner on Fraction coefficients
-            assert type(got[k]) is float
-            assert got[k].hex() == want.hex()
+            assert type(got[k]) is float and type(w) is float
+            assert got[k].hex() == w.hex() == array[i].hex()
+            if kind == "master" or want != 0:
+                assert got[k].hex() == want.hex()
+            else:
+                assert got[k] == want
 
     def test_float_items_sorted(self):
         s = master_scheme(SchemeSpec(2, 1, OffsetSet([1, -1, 0])))
@@ -385,6 +408,13 @@ class TestSchemeIsItsTable:
             swapped = dataclasses.replace(s, layers=t.layers)
             assert swapped.float_items(nu) == t.float_items(nu)
             assert swapped.coeffs == t.coeffs
+
+    def test_float_rows_are_the_rounded_table_and_read_only(self):
+        s = master_scheme(SchemeSpec(1, 3, OffsetSet.contiguous(2, 3)))
+        rows = s.layers.float_rows
+        assert rows.tolist() == [[float(w) for w in row] for row in s.layers.rows]
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
 
 
 # -- error terms -----------------------------------------------------------------------

@@ -107,6 +107,19 @@ class TestMaxGrowth:
             _, g2 = max_growth(s, -1e200)
         assert math.isnan(g2)
 
+    @pytest.mark.parametrize(
+        "scan",
+        [lambda s: critical_courant(s, +1), lambda s: max_growth(s, 0.3),
+         lambda s: amplification(s, 0.3, [0.0, 1.0]), lambda s: amplification(s, 0.3, 1.0)],
+        ids=["critical_courant", "max_growth", "amplification", "amplification-scalar"],
+    )
+    def test_scan_builds_no_exact_weight_polynomial(self, scan):
+        """The scan reads float weights from the layer table's float rows and
+        offsets from the spec; no `RatPoly` column is built."""
+        s = master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4)))
+        scan(s)
+        assert "coeffs" not in vars(s)
+
 
 def reference_max_growth(scheme, nu, samples=THETA_SAMPLES, refine=3):
     """The growth scan with its basis e^{ik theta} rebuilt on every call."""
