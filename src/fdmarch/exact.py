@@ -108,8 +108,11 @@ class RatPoly:
 
     @classmethod
     def from_roots(cls, roots: Iterable[RationalLike]) -> "RatPoly":
-        """Monic polynomial prod_i (x - root_i), built by repeated linear multiply."""
-        return cls(_node_product(Fraction(root) for root in roots))
+        """Monic polynomial prod_i (x - root_i), built by repeated linear multiply.
+
+        Integer roots stay ints, so their product is integer arithmetic.
+        """
+        return cls(_node_product(r if isinstance(r, int) else Fraction(r) for r in roots))
 
     # -- basic queries -----------------------------------------------------
 

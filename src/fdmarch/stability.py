@@ -6,20 +6,25 @@ at Courant number nu when max_theta |g|^2 <= 1 (up to a small roundoff
 allowance).  This module owns that verdict: `grows` is the one rule every
 caller applies to a peak, here in the nu_c search and in the solver's run
 warning and convergence refusal.  The maximum is located on a dense theta
-grid and polished with a derivative-free golden-section refinement, and the
-stability boundary in nu is then bracketed by doubling and resolved by
-bisection.
+grid and polished by Newton steps, and the stability boundary in nu is then
+bracketed by doubling and resolved by bisection.
 
-The grid and its basis e^{i k theta} depend only on the stencil, so one search
-(`max_growth`, `critical_courant`, `stability_report`) builds them once and
-every nu it probes costs one matrix-vector product plus the scalar gains of
-the polish.  The weights at each probed nu are `Scheme.float_weights`, read
-from the layer table's float rows; the scan builds no exact weight
-polynomial.  Nothing outlives the search.
+The scan works on the cosine form |g|^2 = sum_d a_d cos(d theta), d = 0..span,
+where a_0 = r_0, a_d = 2 r_d and r_d = sum_k c_k c_{k+d} is the weights'
+autocorrelation, so 1 - |g|^2 is 1 - r_0 - 2 sum_d r_d T_d(cos theta).
+|g|^2 is even in theta, so the grid covers [0, pi], and one real FFT of the
+a_d gives it.  The grid depends only on the stencil, so one search
+(`max_growth`, `critical_courant`, `stability_report`) builds it once, and
+every nu it probes costs one autocorrelation, one FFT and a few cosine sums:
+the grid's largest peaks are polished together by safeguarded Newton steps on
+the slope, whose value and derivatives come from one set of cos/sin sums.  The
+weights at each probed nu are `Scheme.float_weights`, read from the layer
+table's float rows; the scan builds no exact weight polynomial.  Nothing
+outlives the search.
 
 The polish only ever raises the maximum, so a stability verdict stops as soon
 as it is decided: at the grid when the grid maximum already exceeds the
-limit, or after the first polished peak that does.  The verdicts are those of
+limit, or after the first polish step that does.  The verdicts are those of
 a fully polished scan; every value this module reports (`max_growth`,
 `amplification`, a report's worst theta) is still fully polished.
 """
@@ -43,14 +48,18 @@ GROWTH_TOL = 1e-10
 STABLE_NU_THRESHOLD = 1e-3
 # resolution of the theta grid scan
 THETA_SAMPLES = 4096
-# the grid scan's largest local maxima polished by golden-section search
+# the grid scan's largest local maxima, polished together by Newton steps
 POLISHED_PEAKS = 3
+# a peak's polish stops once a Newton step predicts a gain P'^2 / (2 |P''|)
+# at most eps * max(1, |P|), or after this many steps
+_POLISH_STEPS = 64
 # bisection stops once the bracket is narrower than this
 NU_TOL = 1e-4
 # doubling search gives up beyond this Courant number
 NU_MAX = 64.0
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# twice the float epsilon: the polish's stop rule compares twice a gain with it
+_EPS2 = 2.0 * float(np.finfo(float).eps)
 
 
 def grows(g2: float) -> bool:
@@ -69,40 +78,46 @@ def check_tol(tol: float) -> None:
         raise ConfigurationError(f"tol must be > 0 and finite, got {tol:g}")
 
 
-def _basis(thetas: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """e^{i k theta}: one row per theta, one column per offset k."""
-    b = np.multiply.outer(thetas, ks) * 1j
-    return np.exp(b, out=b)
+def _cosine_coefficients(offsets: OffsetSet, weights: np.ndarray) -> np.ndarray:
+    """a_d, d = 0..span, with |g(theta)|^2 = sum_d a_d cos(d theta).
 
-
-def _squared(g):
-    """|g|^2 of complex gains, as the real part of g * conj(g)."""
-    return (g * g.conjugate()).real
-
-
-def _point_growth(iks: np.ndarray, ws_c: np.ndarray, theta: float) -> float:
-    """|g|^2 at one theta, from iks = 1j * offsets and the complex weights.
-
-    Bit for bit `_squared` of the same gain: the real part of g * conj(g) is
-    re*re - im*(-im), and subtracting -b is adding b.
+    a_0 = r_0 and a_d = 2 r_d, where r_d = sum_k c_k c_{k+d} is the
+    autocorrelation of the weights placed at their offsets.
     """
-    g = complex(np.exp(theta * iks) @ ws_c)
-    return g.real * g.real + g.imag * g.imag
+    w = np.zeros(offsets[-1] - offsets[0] + 1)
+    w[np.subtract(offsets, offsets[0])] = weights
+    a = np.correlate(w, w, "full")[w.size - 1 :]
+    a[1:] *= 2.0
+    return a
 
 
 class _GrowthScan:
-    """The theta grid and Fourier basis of one scheme, built once per search.
+    """The theta grid of one scheme, built once per search.
 
-    Only the weights depend on nu, so a probe costs one matrix-vector product
-    on the grid plus the scalar gains of the golden-section polish.
+    |g|^2 is even in theta, so the grid covers [0, pi].  A probe costs one
+    autocorrelation of the weights, one real FFT for the grid, and a few
+    vectorised Newton steps that polish the grid's largest peaks together.
     """
 
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
-        ks = np.array(scheme.offsets, dtype=float)
-        self.iks = 1j * ks
-        self.thetas = np.linspace(0.0, 2.0 * math.pi, THETA_SAMPLES, endpoint=False)
-        self.basis = _basis(self.thetas, ks)
+        self.d = np.arange(scheme.offsets.span + 1, dtype=float)
+        self.thetas = np.linspace(0.0, math.pi, THETA_SAMPLES // 2 + 1)
+
+    def _grid(self, a: np.ndarray) -> np.ndarray:
+        """sum_d a_d cos(d theta) on the grid, as the real part of one real FFT;
+        cos(d theta) repeats in d with period THETA_SAMPLES on the grid, so a
+        longer a is folded first."""
+        if a.size > THETA_SAMPLES:
+            a = np.pad(a, (0, -a.size % THETA_SAMPLES)).reshape(-1, THETA_SAMPLES).sum(axis=0)
+        return np.fft.rfft(a, THETA_SAMPLES).real
+
+    def _slopes(self, thetas: np.ndarray, moments: np.ndarray):
+        """|g|^2 and its first two theta derivatives at thetas, from the
+        moments (a_d, d a_d, d^2 a_d)."""
+        phase = np.multiply.outer(thetas, self.d)
+        cos = np.cos(phase)
+        return cos @ moments[0], -(np.sin(phase) @ moments[1]), -(cos @ moments[2])
 
     def peak(self, nu: float, limit: float = math.inf) -> tuple[float, float]:
         """(worst theta, max |g|^2) at nu; see `max_growth`.
@@ -112,73 +127,74 @@ class _GrowthScan:
         verdict against `limit`.  A maximum at or below `limit` is the fully
         polished one.
         """
-        ws_c = self.scheme.float_weights(nu).astype(complex)
         thetas = self.thetas
         # a huge nu overflows the gain to inf or nan, which `grows` reads as
-        # unstable: the peak is the verdict, and numpy's warnings add nothing
-        with np.errstate(over="ignore", invalid="ignore"):
-            g2 = _squared(self.basis @ ws_c)
+        # unstable: the peak is the verdict, and numpy's warnings add nothing;
+        # a Newton step is taken only where p2 < 0, so a p2 of 0 may divide
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            a = _cosine_coefficients(self.scheme.offsets, self.scheme.float_weights(nu))
+            g2 = self._grid(a)
 
             best_idx = int(np.argmax(g2))
             best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
-            if best_val > limit:
+            # an overflowed grid is its own verdict: no polish can raise it
+            if best_val > limit or not math.isfinite(best_val):
                 return best_theta, best_val
 
-            # local maxima in the circular sense, against one wrapped copy
-            wrapped = np.concatenate((g2[-1:], g2, g2[:1]))
-            is_peak = (g2 >= wrapped[:-2]) & (g2 >= wrapped[2:])
-            peak_idx = np.flatnonzero(is_peak)
-            if peak_idx.size:
-                top = peak_idx[np.argsort(g2[peak_idx])[::-1][:POLISHED_PEAKS]]
-                step = 2.0 * math.pi / thetas.size
-                iks = self.iks
-                for idx in top:
-                    theta0 = float(thetas[idx])
-                    t, v = _golden_max(
-                        lambda t: _point_growth(iks, ws_c, t), theta0 - step, theta0 + step
-                    )
-                    if v > best_val:
-                        best_theta, best_val = t % (2.0 * math.pi), v
-                        if best_val > limit:
-                            break
+            # local maxima; each end of [0, pi] is its own mirror image's neighbour
+            reflected = np.concatenate((g2[1:2], g2, g2[-2:-1]))
+            peak_idx = np.flatnonzero((g2 >= reflected[:-2]) & (g2 >= reflected[2:]))
+            top = peak_idx[np.argsort(g2[peak_idx])[::-1][:POLISHED_PEAKS]]
+            theta = thetas[top]
+            h = thetas[1]
+            lo, hi = np.maximum(theta - h, 0.0), np.minimum(theta + h, math.pi)
+            moments = np.stack((a, self.d * a, self.d * self.d * a))
+            for _ in range(_POLISH_STEPS):
+                p, p1, p2 = self._slopes(theta, moments)
+                i = int(np.argmax(p))
+                if p[i] > best_val:
+                    best_theta, best_val = float(theta[i]), float(p[i])
+                    if best_val > limit:
+                        break
+                # the ends are mirror points, so the slope there is 0, and an
+                # end with p2 > 0 is a minimum: the search goes inwards unless
+                # the climb p2 w^2 / 2 across the bracket is below tolerance
+                end = (theta == 0.0) | (theta == math.pi)
+                p1[end] = 0.0
+                tol2 = _EPS2 * np.maximum(1.0, np.abs(p))
+                inwards = end & (p2 > 0.0)
+                done = np.where(inwards, p2 * (hi - lo) ** 2 <= tol2, p1 * p1 <= tol2 * np.abs(p2))
+                rising = (theta <= lo) | ((theta < hi) & (p1 > 0.0))
+                lo, hi = np.where(rising, theta, lo), np.where(rising, hi, theta)
+                newton = theta - p1 / p2
+                step = np.where((p2 < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+                going = ~done & (step != theta)
+                if not going.any():
+                    break
+                theta, lo, hi = step[going], lo[going], hi[going]
             return best_theta, best_val
 
 
 def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
-    """Squared gain |g(theta; nu)|^2 of a single Fourier mode; vectorized in theta."""
-    ks = np.array(scheme.offsets, dtype=float)
-    ws = scheme.float_weights(nu)
-    if np.ndim(theta) == 0:
-        return _point_growth(1j * ks, ws.astype(complex), float(theta))
-    return _squared(_basis(np.asarray(theta, dtype=float), ks) @ ws)
+    """Squared gain |g(theta; nu)|^2 of a single Fourier mode; vectorized in theta.
 
-
-def _golden_max(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [a, b]."""
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while d - c > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
+    An overflowing gain reads inf or nan without a warning, as in the scan.
+    """
+    d = np.arange(scheme.offsets.span + 1, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = _cosine_coefficients(scheme.offsets, scheme.float_weights(nu))
+        g2 = np.cos(np.multiply.outer(np.asarray(theta, dtype=float), d)) @ a
+    return float(g2) if np.ndim(theta) == 0 else g2
 
 
 def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
-    """(worst theta, max |g|^2) over theta in [0, 2*pi).
+    """(worst theta, max |g|^2) over all theta, with theta reported in [0, pi]:
+    |g|^2 is even, so the mirror 2*pi - theta has the same gain.
 
-    The scan of `THETA_SAMPLES` grid points is refined around its
-    `POLISHED_PEAKS` largest local maxima with a golden-section search, so
-    sharp peaks between grid points are not missed.
+    The grid of `THETA_SAMPLES` points on the circle (its half on [0, pi]) is
+    refined around its `POLISHED_PEAKS` largest local maxima by safeguarded
+    Newton steps within one grid step, so sharp peaks between grid points are
+    not missed.  An end of [0, pi] that is a local minimum is searched inwards.
     """
     return _GrowthScan(scheme).peak(nu)
 
@@ -207,7 +223,7 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
 
     Each probe stops as soon as its verdict is decided: at the grid when the
     grid maximum of |g|^2 already exceeds 1 + GROWTH_TOL, or after the first
-    polished peak that does.  The polish only raises the maximum, so the
+    polish step that does.  The polish only raises the maximum, so the
     verdicts, and the nu_c they give, are those of fully polished scans.
     """
     return _critical_courant(_GrowthScan(scheme), nu_sign, tol)
@@ -307,8 +323,8 @@ def stability_report(
 
     `nu_critical` is `critical_courant(scheme, nu_sign, tol)`, and
     `worst_theta` is the theta of `max_growth` at one probe just past it,
-    |nu| = nu_critical + 10 * tol: the first mode to break.  The search and
-    that probe share one theta grid and basis.
+    |nu| = nu_critical + 10 * tol: the first mode to break, in [0, pi].  The
+    search and that probe share one theta grid.
     """
     scan = _GrowthScan(scheme)
     sign = 1 if nu_sign >= 0 else -1

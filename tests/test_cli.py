@@ -1027,7 +1027,7 @@ class TestRunDriver:
         assert run_cli(
             "run", "--m", "1", "--n", "1", "--steps", "1", "--dt", "1e300", "--out", str(out_dir)
         ) == 0
-        note = "term m=1 is unstable at nu=-1e+301: max |g|^2 = inf at theta=0.0015"
+        note = "term m=1 is unstable at nu=-1e+301: max |g|^2 = nan at theta=0.0000"
         assert capsys.readouterr().err.splitlines() == [f"warning: {note}"]
         meta, _ = read_csv(out_dir / "run_m1_n1_triangle_t1e+300.csv")
         assert meta["warning"] == note

@@ -98,6 +98,22 @@ class TestRatPoly:
         assert RatPoly.from_roots([1, -2]) == RatPoly((-2, 1, 1))
         assert RatPoly.from_roots([]) == RatPoly.one()
 
+    @pytest.mark.parametrize(
+        "roots",
+        [[3], [-2, 0, 5], list(range(-7, 8)), [F(1, 2), -3, F(-5, 7), 4], [F(6, 3), 2, True]],
+        ids=["one", "ints", "window", "mixed", "integral-fractions"],
+    )
+    def test_from_roots_matches_the_fraction_product(self, roots):
+        """Integer roots take the integer path; the polynomial is the
+        product over Fraction roots, coefficient for coefficient."""
+        fraction_product = RatPoly.one()
+        for root in roots:
+            fraction_product = fraction_product * RatPoly((-F(root), F(1)))
+        got = RatPoly.from_roots(roots)
+        assert got == fraction_product
+        assert got == RatPoly.from_roots([F(r) for r in roots])
+        assert all(type(c) is F for c in got.coeffs)
+
     def test_evaluation_exact_and_float(self):
         p = RatPoly((1, 0, 1))  # 1 + x^2
         assert p(F(1, 2)) == F(5, 4)

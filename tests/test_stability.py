@@ -1,11 +1,14 @@
 """Single-mode stability analysis: gains, critical Courant numbers, classifications."""
 
 import contextlib
+import json
 import math
 import random
 import signal
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from fdmarch.stability import (
     NU_TOL,
     STABLE_NU_THRESHOLD,
     THETA_SAMPLES,
-    _golden_max,
     _sweep_critical,
     advection_family_scheme,
     advection_family_spec,
@@ -86,6 +88,23 @@ class TestAmplification:
             )
 
 
+    @pytest.mark.parametrize("nu", [-1e200, 1e300])
+    @pytest.mark.parametrize("theta", [1.0, [0.1, 1.0, 3.0]], ids=["scalar", "array"])
+    def test_overflow_is_silent(self, nu, theta):
+        """At a huge nu the gain overflows to inf or nan without a warning,
+        as in the scan."""
+        schemes = [
+            master_scheme(SchemeSpec(1, 2, OffsetSet([-1, 0, 1]))),
+            master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4))),
+            first_order_scheme(3, 1),
+        ]
+        for s in schemes:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g2 = np.asarray(amplification(s, nu, theta))
+            assert not np.isfinite(g2).any()
+
+
 class TestMaxGrowth:
     def test_finds_pi_peak(self):
         s = first_order_scheme(2, 1)
@@ -121,36 +140,12 @@ class TestMaxGrowth:
         assert "coeffs" not in vars(s)
 
 
-def reference_max_growth(scheme, nu, samples=THETA_SAMPLES, refine=3):
-    """The growth scan with its basis e^{ik theta} rebuilt on every call."""
-    items = scheme.float_items(nu)
-    ks = np.array([k for k, _ in items], dtype=float)
-    ws = np.array([w for _, w in items], dtype=float)
-
-    def growth(thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        g = np.exp(1j * np.multiply.outer(thetas, ks)) @ ws
-        return np.real(g * np.conj(g))
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    g2 = growth(thetas)
-    best_idx = int(np.argmax(g2))
-    best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
-    is_peak = (g2 >= np.roll(g2, 1)) & (g2 >= np.roll(g2, -1))
-    peak_idx = np.flatnonzero(is_peak)
-    if peak_idx.size:
-        top = peak_idx[np.argsort(g2[peak_idx])[::-1][:refine]]
-        step = 2.0 * math.pi / samples
-        for idx in top:
-            theta0 = float(thetas[idx])
-            t, v = _golden_max(lambda t: float(growth(t)), theta0 - step, theta0 + step)
-            if v > best_val:
-                best_theta, best_val = t % (2.0 * math.pi), v
-    return best_theta, best_val
-
-
 def hexes(pair):
     return tuple(float(x).hex() for x in pair)
+
+
+def pin_id(spec):
+    return f"m{spec.m}-n{spec.n}-{spec.offsets[0]}..{spec.offsets[-1]}"
 
 
 PIN_SPECS = (
@@ -159,18 +154,22 @@ PIN_SPECS = (
     + [SchemeSpec(1, n, OffsetSet.contiguous((n + 1) // 2, n)) for n in (1, 5, 29)]
     + [SchemeSpec(4, 5, OffsetSet(range(-10, 11)))]
 )
+# nu_c of every PIN_SPECS entry, both signs, tol 1e-3 and NU_TOL, as float hex:
+# the values of the complex-basis scan with golden-section polish that the
+# cosine scan replaced, frozen before it was replaced
+NU_C_PINS = json.loads((Path(__file__).parent / "data" / "nu_c_pins.json").read_text())
 
 
-class TestScanIsBitwiseUnchanged:
-    """The shared-basis scan returns the per-call scan's floats, bit for bit."""
+class TestNuCIsPinned:
+    """The cosine scan gives the frozen nu_c of the scan it replaced, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "spec", PIN_SPECS, ids=lambda s: f"m{s.m}-n{s.n}-{s.offsets[0]}..{s.offsets[-1]}"
-    )
-    def test_max_growth(self, spec):
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_critical_courant(self, spec):
         s = master_scheme(spec)
-        for nu in (-1.7155, -0.8, 0.8):
-            assert hexes(max_growth(s, nu)) == hexes(reference_max_growth(s, nu)), nu
+        for tol in (1e-3, NU_TOL):
+            for sign in (+1, -1):
+                key = f"{pin_id(spec)}|{sign:+d}|{tol!r}"
+                assert critical_courant(s, sign, tol).hex() == NU_C_PINS[key], key
 
     def test_report_samples_are_one_shot_scans(self):
         """The report's worst theta is a one-shot scan's at its probe past nu_c."""
@@ -179,40 +178,138 @@ class TestScanIsBitwiseUnchanged:
         rep = stability_report(s, +1, tol=tol)
         probe = rep.nu_critical + 10.0 * tol
         assert rep.worst_theta.hex() == float(max_growth(s, probe)[0]).hex()
-        assert rep.worst_theta.hex() == float(reference_max_growth(s, probe)[0]).hex()
 
 
-class TestOneBasisPerSearch:
-    """A search builds the 2-D basis e^{ik theta} once and shares it across its probes."""
+class TestScanAccuracy:
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_peak_is_at_least_a_dense_grid_maximum(self, spec):
+        """max_growth is no lower than the maximum of a 2^16-point grid of
+        `amplification`, to roundoff (1e-15, relative above 1), and its theta
+        is in [0, pi]."""
+        s = master_scheme(spec)
+        dense = np.linspace(0.0, 2.0 * math.pi, 2**16, endpoint=False)
+        for nu in (-1.7155, -0.8, -0.31, 0.13, 0.8):
+            theta, g2 = max_growth(s, nu)
+            assert 0.0 <= theta <= math.pi
+            assert g2 >= float(np.max(amplification(s, nu, dense))) - 1e-15 * max(1.0, g2), nu
 
-    @pytest.fixture
-    def basis_builds(self, monkeypatch):
-        builds = []
-        exp = np.exp
+    def test_span_beyond_the_grid_is_folded(self):
+        """A span of 4096 or more folds a_d by d mod THETA_SAMPLES before the
+        one FFT: the grid is the cosine sum, and the peak is the closed form
+        (|c_0| + |c_1|)^2 of a two-point stencil."""
+        s = master_scheme(SchemeSpec(1, 1, OffsetSet([-1, 4100])))
+        scan = fdmarch.stability._GrowthScan(s)
+        nu = 0.3
+        c = s.float_weights(nu)
+        a = fdmarch.stability._cosine_coefficients(s.offsets, c)
+        assert a.size == 4102 > THETA_SAMPLES
+        grid = scan._grid(a)
+        assert grid == pytest.approx(amplification(s, nu, scan.thetas), rel=1e-12, abs=1e-12)
+        assert max_growth(s, nu)[1] == pytest.approx((abs(c[0]) + abs(c[1])) ** 2, rel=1e-14)
 
-        def counting_exp(x, *args, **kwargs):
-            if np.ndim(x) == 2:
-                builds.append(np.shape(x))
-            return exp(x, *args, **kwargs)
+    @pytest.mark.parametrize("end", [0.0, math.pi], ids=["theta=0", "theta=pi"])
+    def test_end_minimum_with_twin_peaks(self, end):
+        """g = 1 + e x - x^2 / 4 with x = 1 - cos(theta - end) has a local
+        minimum at the end and twin peaks 2 sqrt(e) to either side, closer
+        than half a grid step: the grid's maximum sits at the end, and the
+        polish must climb inwards to the peak."""
+        e = 5e-8
+        sign = 1.0 if end == 0.0 else -1.0
+        weights = np.array([-1 / 16, sign * (1 / 4 - e / 2), 5 / 8 + e, sign * (1 / 4 - e / 2), -1 / 16])
+        s = FixedWeights(OffsetSet(range(-2, 3)), weights)
+        step = math.pi / (THETA_SAMPLES // 2)
+        assert amplification(s, 0.0, end) > amplification(s, 0.0, abs(end - step))
+        theta, g2 = max_growth(s, 0.0)
+        near = np.linspace(end - step, end + step, 20001)
+        assert g2 >= float(np.max(amplification(s, 0.0, near))) - 1e-15
+        assert g2 - amplification(s, 0.0, end) > 0.5 * 2 * e * e  # the twin peak's rise, 2 e^2
+        # the peak is flat to roundoff over about a tenth of its distance from the end
+        assert abs(theta - end) == pytest.approx(2 * math.sqrt(e), rel=0.25)
 
-        monkeypatch.setattr(np, "exp", counting_exp)
-        return builds
+
+@dataclass
+class FixedWeights:
+    """A stand-in scheme whose weights are the same at every nu."""
+
+    offsets: OffsetSet
+    weights: np.ndarray
+
+    def float_weights(self, nu):
+        return self.weights
+
+
+class TestOneFFTPerProbe:
+    """Each probe of a search costs one real FFT, and nothing builds a 2-D
+    complex exponential basis."""
 
     SWEEP = SchemeSpec(4, 5, OffsetSet(range(-10, 11)))
 
-    def test_critical_courant(self, basis_builds):
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"probes": 0, "rfft": 0, "complex_exp": 0}
+        peak, rfft, exp = fdmarch.stability._GrowthScan.peak, np.fft.rfft, np.exp
+
+        def counting_peak(*args, **kwargs):
+            counts["probes"] += 1
+            return peak(*args, **kwargs)
+
+        def counting_rfft(*args, **kwargs):
+            counts["rfft"] += 1
+            return rfft(*args, **kwargs)
+
+        def counting_exp(x, *args, **kwargs):
+            if np.ndim(x) == 2 and np.iscomplexobj(x):
+                counts["complex_exp"] += 1
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(fdmarch.stability._GrowthScan, "peak", counting_peak)
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return counts
+
+    def test_critical_courant(self, counts):
         # bisection, the pocket probes and the tol-step sweep all run here
         nu_c = critical_courant(master_scheme(self.SWEEP), -1, tol=1e-3)
         assert 0.0 < nu_c < 1.0
-        assert basis_builds == [(THETA_SAMPLES, 21)]
+        assert counts["probes"] > 100
+        assert counts["rfft"] == counts["probes"]
+        assert counts["complex_exp"] == 0
 
-    def test_stability_report(self, basis_builds):
+    def test_stability_report(self, counts):
         stability_report(master_scheme(self.SWEEP), -1, tol=1e-3)
-        assert basis_builds == [(THETA_SAMPLES, 21)]
+        assert counts["rfft"] == counts["probes"] > 100
+        assert counts["complex_exp"] == 0
 
 
-def pin_id(spec):
-    return f"m{spec.m}-n{spec.n}-{spec.offsets[0]}..{spec.offsets[-1]}"
+def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
+    """Perf guard, as a count: over the stability searches of the benchmark's
+    scheme-zoo workload (centred diffusion n = 1..4 full and truncated, the
+    uw/lw/bw ladders, the m = 4, n = 5 sweep at tol 1e-3), the Newton polish
+    evaluates its cosine sums at most twice per probe on average."""
+    counts = {"probes": 0, "evaluations": 0}
+    scan = fdmarch.stability._GrowthScan
+    peak, slopes = scan.peak, scan._slopes
+
+    def counting_peak(*args, **kwargs):
+        counts["probes"] += 1
+        return peak(*args, **kwargs)
+
+    def counting_slopes(*args, **kwargs):
+        counts["evaluations"] += 1
+        return slopes(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "peak", counting_peak)
+    monkeypatch.setattr(scan, "_slopes", counting_slopes)
+    for n in range(1, 5):
+        s = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
+        critical_courant(s, +1)
+        critical_courant(s.truncated(1), +1)
+    for kind in FAMILIES:
+        for member in range(1 if kind == "lw" else 0, 3):
+            advection_family_stability(member, kind)
+    critical_courant(master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11)))), -1, tol=1e-3)
+    assert counts["probes"] > 800
+    assert counts["evaluations"] <= 2 * counts["probes"]
 
 
 class FullyPolishedScan(fdmarch.stability._GrowthScan):
@@ -265,13 +362,13 @@ class TestVerdictStopsWhenDecided:
     @pytest.fixture
     def polishes(self, monkeypatch):
         calls = []
-        golden_max = fdmarch.stability._golden_max
+        slopes = fdmarch.stability._GrowthScan._slopes
 
-        def counting_golden_max(*args, **kwargs):
+        def counting_slopes(*args, **kwargs):
             calls.append(args)
-            return golden_max(*args, **kwargs)
+            return slopes(*args, **kwargs)
 
-        monkeypatch.setattr(fdmarch.stability, "_golden_max", counting_golden_max)
+        monkeypatch.setattr(fdmarch.stability._GrowthScan, "_slopes", counting_slopes)
         return calls
 
     def test_grid_above_limit_skips_the_polish(self, polishes):
@@ -282,7 +379,9 @@ class TestVerdictStopsWhenDecided:
 
     def test_reported_values_stay_polished(self, polishes):
         s = first_order_scheme(2, 1)
-        assert hexes(max_growth(s, 0.6)) == hexes(reference_max_growth(s, 0.6))
+        theta, g2 = max_growth(s, 0.6)
+        assert theta == math.pi
+        assert g2 == pytest.approx((1 - 2.4) ** 2, rel=1e-15)
         assert polishes
 
 
