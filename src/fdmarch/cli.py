@@ -86,16 +86,16 @@ class _Parser(argparse.ArgumentParser):
 
 # -- experiment presets --------------------------------------------------------
 
-def _ladder(family: str, members: int) -> dict[int, int]:
-    """Order n -> left width r of the first `members` members of the named
-    m=1 ladder, lowest order first, as `advection_family_spec` gives them."""
-    first = 1 if family == "lw" else 0  # the centred ladder starts at s = 1
-    return dict(advection_family_spec(family, s) for s in range(first, first + members))
+def _first_member(family: str) -> int:
+    """Index s of the named m=1 ladder's lowest member in `advection_family_spec`."""
+    return 1 if family == "lw" else 0  # the centred ladder starts at s = 1
 
 
-def _default_orders(family: str) -> tuple[int, ...]:
-    """The 15 lowest orders of the named ladder, which a linear preset runs by default."""
-    return tuple(_ladder(family, 15))
+def _ladder_orders(family: str, count: int) -> tuple[int, ...]:
+    """The `count` lowest orders of the named ladder: a preset run with
+    --family and without --orders runs as many as the preset's own orders."""
+    first = _first_member(family)
+    return tuple(advection_family_spec(family, s)[0] for s in range(first, first + count))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ PRESETS = {
         dt=0.08,
         output_times=(500.0,),
         profiles=("triangle", "rectangle"),
-        orders=_default_orders("uw"),
+        orders=_ladder_orders("uw", 15),
         family="uw",
         a=-1.0,
     ),
@@ -144,14 +144,14 @@ PRESETS = {
 }
 
 def _family_window(family: str, n: int) -> OffsetSet:
-    """Contiguous m=1 window of the named ladder at order n."""
-    # the order grows by 2 per member, so these members hold every order under MAX_SCHEME_POINTS
-    ladder = _ladder(family, MAX_SCHEME_POINTS // 2)
-    if n not in ladder:
-        lowest = next(iter(ladder))
-        parity = "odd" if lowest % 2 else "even"
-        raise ConfigurationError(f"the {family} ladder has {parity} orders n >= {lowest} only")
-    return OffsetSet.contiguous(ladder[n], n)
+    """Contiguous m=1 window of the named ladder at order n.  From the lowest
+    member (n0, r0) each member adds 2 to the order and 1 to the left width,
+    so n is on the ladder when n - n0 is even and >= 0."""
+    n0, r0 = advection_family_spec(family, _first_member(family))
+    if n < n0 or (n - n0) % 2:
+        parity = "odd" if n0 % 2 else "even"
+        raise ConfigurationError(f"the {family} ladder has {parity} orders n >= {n0} only")
+    return OffsetSet.contiguous(r0 + (n - n0) // 2, n)
 
 
 # -- small parsers ---------------------------------------------------------------
@@ -440,18 +440,23 @@ def _burgers_notes(field0: GridField, step: int, snap: GridField) -> dict:
 
 def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     burgers = preset.kind == "burgers"
-    orders = args.orders or (
-        _default_orders(args.family) if args.family and not burgers else preset.orders
-    )
+    orders = args.orders
+    if orders is None:
+        orders = _ladder_orders(args.family, len(preset.orders)) if args.family else preset.orders
     for n in orders:
         _check_scheme_size(1, n)
+    # every order's window is resolved before the first march writes a file
+    windows = []
+    for n in orders:
+        family = args.family or preset.family
+        if burgers and args.family is None:  # the upwind window at odd orders, centred at even
+            family = "uw" if n % 2 else "lw"
+        windows.append((n, family, _family_window(family, n)))
     nu = preset.dt / preset.dx if burgers else preset.dt * preset.a / preset.dx
     n_cells = _cell_count(preset.box, preset.dx)
     out_steps = sorted({round(t / preset.dt) for t in preset.output_times})
-    for n in orders:
+    for n, family, offs in windows:
         if burgers:
-            # without --family: the upwind window at odd orders, centred at even
-            offs = _family_window(args.family or ("uw" if n % 2 else "lw"), n)
             densities = burgers_densities(n)
             march = functools.partial(
                 run_nonlinear, layers=nonlinear_layers(n, offs), densities=densities, nu=nu
@@ -459,8 +464,6 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
             head, tail, annotate = {}, {"densities": densities.name}, _burgers_notes
             stem = f"{preset.name}_n{n}"
         else:
-            family = args.family or preset.family
-            offs = _family_window(family, n)
             # one problem per order, so the profiles share one scheme build
             problem = LinearProblem(terms=(LinearTerm(1, preset.a, offs),), dt=preset.dt, n=n)
             march = functools.partial(run_linear, problem)

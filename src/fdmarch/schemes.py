@@ -77,8 +77,8 @@ class LayerTable:
 
     `float_rows` is the table in float64, each weight rounded once; every
     float weight the package uses is read from it, by row for the layered
-    march (`float_stencils`) and by a Horner over the rows at a float nu
-    (`Scheme.float_weights`).
+    march, whose stencils the solver builds from these rows on each run, and
+    by a Horner over the rows at a float nu (`Scheme.float_weights`).
     """
 
     offsets: OffsetSet
@@ -104,39 +104,6 @@ class LayerTable:
         rows = np.array(self.rows, dtype=float)
         rows.flags.writeable = False
         return rows
-
-    @functools.cached_property
-    def float_stencils(self) -> tuple[FloatStencil, ...]:
-        """Per row, its float (offset, weight) items, prepared once per table."""
-        return tuple(FloatStencil(zip(self.offsets, row.tolist())) for row in self.float_rows)
-
-
-class FloatStencil:
-    """Float (offset, weight) items of one stencil, as the marching kernel reads them.
-
-    `size` counts every item, and `lo` and `hi` are how far the offsets reach
-    to the left and right of a cell: the halo widths of the padded field.
-    `live` keeps the items with a nonzero weight, in the given order.  Row r
-    of a window over the padded field is the slice starting at r, so offset k
-    reads row lo + k; `rows` is the slice of the live items' rows when they
-    are consecutive and ascending, and None otherwise (no live item, a zero
-    weight inside the stencil, a gap or an unsorted order): the kernel then
-    adds one slice at a time rather than gather the rows (see the solver's
-    `WINDOW_LIMIT`).  `weights` holds the live weights as a column.  Offsets
-    must be distinct.
-    """
-
-    def __init__(self, items: Iterable[tuple[int, float]]):
-        items = tuple(items)
-        self.size = len(items)
-        self.lo = max(0, -min(k for k, _ in items))
-        self.hi = max(0, max(k for k, _ in items))
-        self.live = tuple((k, w) for k, w in items if w)
-        rows = [self.lo + k for k, _ in self.live]
-        self.rows = None
-        if rows and rows == list(range(rows[0], rows[0] + len(rows))):
-            self.rows = slice(rows[0], rows[0] + len(rows))
-        self.weights = np.array([w for _, w in self.live], dtype=float).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -201,10 +168,6 @@ class Scheme:
             for row in self.layers.float_rows[::-1]:
                 acc = acc * nu + row
         return acc
-
-    def float_items(self, nu) -> list[tuple[int, float]]:
-        """(offset, weight) pairs of `float_weights`, in ascending offset order."""
-        return list(zip(self.offsets, self.float_weights(nu).tolist()))
 
     def truncated(self, max_power: int) -> "Scheme":
         """Variant keeping only the nu-layers j <= max_power.

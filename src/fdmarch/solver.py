@@ -61,7 +61,6 @@ import numpy as np
 
 from .exact import ConfigurationError, OffsetSet
 from .schemes import (
-    FloatStencil,
     LayerTable,
     Scheme,
     SchemeSpec,
@@ -254,25 +253,6 @@ class LinearProblem:
     def courant_numbers(self, dx: float) -> tuple[float, ...]:
         return tuple(self.dt * t.a / dx**t.m for t in self.terms)
 
-    def growth_peaks(self, dx: float) -> tuple[tuple[float, float], ...]:
-        """Per term, `max_growth`'s (theta, |g|^2) at grid spacing dx.
-
-        Scanned on the first call for each dx and kept.  The fields of one
-        grid march as one stack, so what the memo serves is the legs of a
-        multi-snapshot run: each leg is a `run_linear` call on the same dx.
-        """
-        peaks = self._growth_peaks.get(dx)
-        if peaks is None:
-            peaks = tuple(
-                max_growth(s, nu) for s, nu in zip(self.schemes(), self.courant_numbers(dx))
-            )
-            self._growth_peaks[dx] = peaks
-        return peaks
-
-    @cached_property
-    def _growth_peaks(self) -> dict[float, tuple[tuple[float, float], ...]]:
-        return {}
-
 
 def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
     reach = max(abs(offsets[0]), abs(offsets[-1]))
@@ -280,6 +260,41 @@ def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
         raise ConfigurationError(
             f"stencil reach {reach} needs more than {2 * reach} cells, grid has {n_cells}"
         )
+
+
+class FloatStencil:
+    """Float (offset, weight) items of one stencil, as the marching kernel reads them.
+
+    `size` counts every item, and `lo` and `hi` are how far the offsets reach
+    to the left and right of a cell: the halo widths of the padded field.
+    `live` keeps the items with a nonzero weight, in the given order.  Row r
+    of a window over the padded field is the slice starting at r, so offset k
+    reads row lo + k; `rows` is the slice of the live items' rows when they
+    are consecutive and ascending, and None otherwise (no live item, a zero
+    weight inside the stencil, a gap or an unsorted order): the kernel then
+    adds one slice at a time rather than gather the rows (see
+    `WINDOW_LIMIT`).  `weights` holds the live weights as a column.  Offsets
+    must be distinct.  A march builds its stencils on each run call, from
+    `Scheme.float_weights` for a linear term and from
+    `LayerTable.float_rows` for a layered table (`_stencil`).
+    """
+
+    def __init__(self, items: Iterable[tuple[int, float]]):
+        items = tuple(items)
+        self.size = len(items)
+        self.lo = max(0, -min(k for k, _ in items))
+        self.hi = max(0, max(k for k, _ in items))
+        self.live = tuple((k, w) for k, w in items if w)
+        rows = [self.lo + k for k, _ in self.live]
+        self.rows = None
+        if rows and rows == list(range(rows[0], rows[0] + len(rows))):
+            self.rows = slice(rows[0], rows[0] + len(rows))
+        self.weights = np.array([w for _, w in self.live], dtype=float).reshape(-1, 1)
+
+
+def _stencil(offsets: Sequence[int], weights: np.ndarray) -> FloatStencil:
+    """The stencil of float `weights`, one per offset, in offset order."""
+    return FloatStencil(zip(offsets, weights.tolist()))
 
 
 # Rows times stencil points times cells up to which `_SliceSum` takes the
@@ -378,8 +393,8 @@ class _SliceSum:
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
     """One explicit step u_j <- sum_i c_i(nu) u_{j+k_i} with periodic boundaries."""
     _check_fit(field.n_cells, scheme.offsets)
-    items = scheme.float_items(nu)
-    return GridField(_march(field.values, [FloatStencil(items)], 1), field.dx, field.origin)
+    stencil = _stencil(scheme.offsets, scheme.float_weights(nu))
+    return GridField(_march(field.values, [stencil], 1), field.dx, field.origin)
 
 
 def run_linear(
@@ -404,7 +419,8 @@ def run_linear(
         _check_fit(field.n_cells, problem.term_offsets(term))
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
-    for scheme, nu, (theta, g2) in zip(schemes, nus, problem.growth_peaks(field.dx)):
+    for scheme, nu in zip(schemes, nus):
+        theta, g2 = max_growth(scheme, nu)
         if grows(g2):
             warnings.warn(
                 f"term m={scheme.m} is unstable at nu={nu:.6g}: "
@@ -412,7 +428,7 @@ def run_linear(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    stencils = [FloatStencil(s.float_items(nu)) for s, nu in zip(schemes, nus)]
+    stencils = [_stencil(s.offsets, s.float_weights(nu)) for s, nu in zip(schemes, nus)]
     keep = None
     if callback is not None:
         keep = lambda s, u: callback(s, GridField(u.copy(), field.dx, field.origin))
@@ -616,7 +632,7 @@ def _layered_workspace(
             f"the layer table needs {len(layers)}"
         )
     _check_fit(shape[-1], layers.offsets)
-    first, *stencils = layers.float_stencils
+    first, *stencils = (_stencil(layers.offsets, row) for row in layers.float_rows)
     nu = float(nu)
     later = [(st, nu**j) for j, st in enumerate(stencils, 1)]
     return _Workspace(shape, first, later, densities)
@@ -817,7 +833,7 @@ def convergence_study(
         field0 = GridField.sample(profile if profile is not None else sine_profile(box), box, g)
         # nu rounded as `LinearProblem.courant_numbers` rounds it, so each error
         # is the one a `run_linear` of this grid gives
-        stencil = FloatStencil(scheme.float_items(dt * a / field0.dx**m))
+        stencil = _stencil(offs, scheme.float_weights(dt * a / field0.dx**m))
         out = _march(field0.values, [stencil], steps)
         if profile is not None:
             # m=1: exact evolution is translation by -a * t

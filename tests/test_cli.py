@@ -1,26 +1,35 @@
 """Command-line front end: output shapes, exit codes, file emission, determinism."""
 
+import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fdmarch.cli
 import fdmarch.solver
 from fdmarch.exact import ConfigurationError, InvalidOffsetsError, OffsetSet
 from fdmarch.schemes import (
+    SchemeSpec,
     StencilSizeError,
     UnsupportedSchemeError,
     default_offsets,
+    format_scheme_dump,
+    master_scheme,
     nonlinear_layers,
 )
 from fdmarch.solver import (
@@ -544,6 +553,55 @@ class TestRunPresets:
         assert run_cli("run", preset, "--orders", order, "--out", str(tmp_path / "o")) == 2
         assert "odd orders n >= 1 only" in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("fig-advection", "--orders", "1,2"), "the uw ladder has odd orders n >= 1 only"),
+            (
+                ("fig-burgers", "--family", "uw", "--orders", "1,2"),
+                "the uw ladder has odd orders n >= 1 only",
+            ),
+            (("fig-burgers", "--family", "lw", "--orders", "2,4,3"),
+             "the lw ladder has even orders n >= 2 only"),
+            # the size check still runs over every order first
+            (
+                ("fig-advection", "--orders", "1,2,200"),
+                "an order n=200 scheme for m=1 has n*m+1 = 201 stencil points, "
+                "over the limit of 140",
+            ),
+        ],
+        ids=["advection", "burgers-uw", "burgers-lw", "size-first"],
+    )
+    def test_order_off_the_ladder_refused_before_any_file(self, argv, message, tmp_path, capsys):
+        """Every order's window is resolved before the first march, so a bad
+        order leaves the output directory empty."""
+        out_dir = tmp_path / "o"
+        assert run_cli("run", *argv, "--out", str(out_dir)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("family, orders", [("uw", (1, 3, 5)), ("lw", (2, 4, 6)), ("bw", (2, 4, 6))])
+    def test_burgers_family_runs_its_lowest_orders(self, family, orders, tmp_path):
+        """`fig-burgers --family F` without --orders runs as many orders as the
+        preset's own, the lowest of ladder F, each on F's window."""
+        out_dir = tmp_path / "o"
+        assert run_cli("run", "fig-burgers", "--family", family, "--out", str(out_dir)) == 0
+        first = 1 if family == "lw" else 0  # the centred ladder starts at s = 1
+        windows = {}
+        for s, n in enumerate(orders, first):
+            ladder_n, r = advection_family_spec(family, s)
+            assert ladder_n == n
+            windows[str(n)] = ",".join(map(str, OffsetSet.contiguous(r, n)))
+        metas = [read_csv(p)[0] for p in sorted(out_dir.iterdir())]
+        assert len(metas) == 15
+        assert sorted(meta["order"] for meta in metas) == [str(n) for n in orders for _ in range(5)]
+        for meta in metas:
+            assert meta["offsets"] == windows[meta["order"]]
+            assert float(meta["mass_drift"]) < 1e-12
+            assert "warning" not in meta
 
     def test_unknown_preset(self, tmp_path, capsys):
         assert run_cli("run", "fig-nope", "--out", str(tmp_path / "o")) == 2
@@ -1284,3 +1342,185 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "stable window r=1" in proc.stdout
+
+
+# -- argv fuzz ---------------------------------------------------------------------------
+
+# Values for the options of the parser's table, by the option's type or name.
+# "{tmp}" stands for the example's own temporary directory, which holds a
+# valid scheme dump, one that fails the order audit and a plain file.
+FUZZ_VALUES = {
+    int: ("0", "-0", "1", "2", "3", "-1", "100000", "nan", "inf", "-inf", "1e-320", "1e308", "1e5",
+          ""),
+    float: ("0", "-0", "0.4", "0.8", "1", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "1e5",
+            ""),
+    fdmarch.cli._int_list: ("1", "1,3", "2,4", "3,3", "-1,0,1", "-2,-1,0,1", "0", "100000",
+                            "1,nan", "", ","),
+    fdmarch.cli._float_list: ("0", "0,0.5,1", "1,1", "-1", "nan", "inf", "1e308", "1e-320", "",
+                              ","),
+    fdmarch.cli._box: ("-5,5", "0,1", "1,0", "0,0", "0,1e308", "-inf,inf", "nan,1", "1e-320,1",
+                       "0", "", "0,1,2"),
+    "profiles": ("triangle", "sine,rectangle", "burgers,burgers", "nope", ""),
+    "out": ("{tmp}/out", "{tmp}/out/nested", "", "{tmp}/file", "{tmp}/file/sub"),
+    "scheme_file": ("{tmp}/scheme.txt", "{tmp}/tampered.txt", "{tmp}/missing.txt", "{tmp}"),
+    "preset": (*fdmarch.cli.PRESETS, "fig-nope"),
+}
+
+# Argv that work, at least one per subcommand, for the fuzz to change.
+FUZZ_SEEDS = (
+    ("coeffs", "--m", "2", "--n", "2"),
+    ("coeffs", "--m", "3", "--r", "1", "--first-order"),
+    ("stability", "--m", "1", "--n", "3"),
+    ("stability", "--scheme-file", "{tmp}/scheme.txt"),
+    ("classify", "--m", "3"),
+    ("converge", "--m", "1", "--n", "3", "--nu", "0.8"),
+    ("converge", "--m", "2", "--n", "1", "--nu", "0.4"),
+    ("run", "fig-burgers", "--orders", "1"),
+    ("run", "fig-advection", "--orders", "1,3"),
+    ("run", "--m", "1", "--n", "3", "--steps", "30"),
+    ("run", "--m", "2", "--n", "2", "--steps", "20", "--times", "0,0.01"),
+)
+
+
+def fuzz_values(action):
+    """The values to draw for one argparse action; None for a flag."""
+    if action.nargs == 0:
+        return None
+    if action.choices is not None:
+        return (*map(str, action.choices), "nope")
+    if action.dest in FUZZ_VALUES:
+        return FUZZ_VALUES[action.dest]
+    return FUZZ_VALUES[action.type]
+
+
+def parser_commands():
+    """Subcommand name -> its actions, positionals first, from the parser
+    `main` builds."""
+    parser = fdmarch.cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(sub._actions, key=lambda a: bool(a.option_strings))
+        for name, sub in subs.choices.items()
+    }
+
+
+def with_option(argv, action, value, keep):
+    """`argv` with every use of `action` taken out, then, when `keep`, the
+    action added back once: a positional right after the subcommand, an
+    option with `value` (None for a flag) at the end."""
+    out, i = [argv[0]], 1
+    while i < len(argv):
+        if argv[i] in action.option_strings:
+            i += 1 if action.nargs == 0 else 2
+        elif not action.option_strings and i == 1 and not argv[i].startswith("-"):
+            i += 1
+        else:
+            out.append(argv[i])
+            i += 1
+    if keep and not action.option_strings:
+        out.insert(1, value)
+    elif keep:
+        out += [action.option_strings[-1]] + ([] if value is None else [value])
+    return out
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A seed argv changed one to three times, or an argv built from scratch
+    (a third of the draws): each change sets, adds or drops one action of
+    the subcommand with a value drawn for it, repeats the last option, or
+    adds an unknown option; from scratch, the subcommand (or an unknown
+    one) takes a list of its actions, repeats allowed."""
+    commands = parser_commands()
+    if draw(st.sampled_from([True, True, False])):
+        argv = list(draw(st.sampled_from(FUZZ_SEEDS)))
+        actions = commands[argv[0]]
+        for _ in range(draw(st.integers(1, 3))):
+            change = draw(st.sampled_from(["set", "set", "set", "drop", "repeat", "unknown"]))
+            if change == "unknown":
+                argv.append("--no-such-option")
+            elif change == "repeat" and len(argv) > 2:
+                argv += argv[-2:] if not argv[-1].startswith("--") else argv[-1:]
+            else:
+                action = draw(st.sampled_from(actions))
+                values = fuzz_values(action)
+                value = None if values is None else draw(st.sampled_from(values))
+                argv = with_option(argv, action, value, keep=change != "drop")
+        return argv
+    name = draw(st.sampled_from([*commands, "no-such-command"]))
+    if name not in commands:
+        return [name]
+    argv = [name]
+    for action in draw(st.lists(st.sampled_from([*commands[name], None]), max_size=6)):
+        if action is None:
+            argv.append("--no-such-option")
+            continue
+        if action.option_strings:
+            argv.append(draw(st.sampled_from(action.option_strings)))
+        values = fuzz_values(action)
+        if values is not None:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+def run_fuzz_example(argv):
+    """`main(argv)` in a fresh temporary directory, which is also the working
+    directory, so a run without --out writes there: (exit code, stderr, s)."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = format_scheme_dump(master_scheme(SchemeSpec(1, 1, OffsetSet([-1, 0]))))
+        (Path(tmp) / "scheme.txt").write_text(dump)
+        (Path(tmp) / "tampered.txt").write_text(dump.replace("c[0]=1,1", "c[0]=1,2"))
+        (Path(tmp) / "file").write_text("")
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        err = io.StringIO()
+        os.chdir(tmp)
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: 1 for a usage error, 0 for --help
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        return code, err.getvalue(), time.perf_counter() - start
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(fuzz_argv())
+def _fuzz_main(argv):
+    code, err, seconds = run_fuzz_example(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "Warning:" not in err, (argv, err)
+    assert seconds < 10.0, (argv, seconds)
+
+
+class TestArgvFuzz:
+    def test_every_argv_works_or_exits_with_a_code(self):
+        """Argv drawn from the parser's own subcommands and option table, with
+        extreme, malformed, empty and repeated values, unknown names and
+        unusable output paths: `main` returns or exits with 0, 1 or 2, prints
+        no traceback and raises no warning (the suite turns warnings into
+        errors), each example in under 10 s and all of them in under 20 s."""
+        start = time.perf_counter()
+        _fuzz_main()
+        assert time.perf_counter() - start < 20.0
+
+    def test_every_seed_works(self):
+        for seed in FUZZ_SEEDS:
+            assert run_fuzz_example(list(seed))[:2] == (0, ""), seed
+
+    def test_values_cover_every_action(self):
+        """Each action of the parser has values to draw, so a new option
+        cannot be added without its fuzz values."""
+        for actions in parser_commands().values():
+            for action in actions:
+                values = fuzz_values(action)
+                assert values is None or len(values) > 1, action.dest

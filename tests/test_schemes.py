@@ -359,22 +359,22 @@ class TestSchemeEvaluation:
         truncated column can be identically zero, and reads +0.0 where that
         Horner gives -0.0 at negative nu, so zeros are compared by value."""
         s = data.draw(WEIGHT_SCHEMES[kind])
-        got, items, array = s.weights_at(nu), s.float_items(nu), s.float_weights(nu)
-        assert [k for k, _ in items] == list(s.offsets) == list(got)
-        for i, (k, w) in enumerate(items):
+        got, array = s.weights_at(nu), s.float_weights(nu)
+        assert list(got) == list(s.offsets)
+        assert array.shape == (len(s.offsets),) and array.dtype == float
+        for k, w in zip(s.offsets, array.tolist()):
             want = s.coefficient(k)(nu)  # RatPoly's Horner on Fraction coefficients
-            assert type(got[k]) is float and type(w) is float
-            assert got[k].hex() == w.hex() == array[i].hex()
+            assert type(got[k]) is float
+            assert got[k].hex() == w.hex()
             if kind == "master" or want != 0:
                 assert got[k].hex() == want.hex()
             else:
                 assert got[k] == want
 
-    def test_float_items_sorted(self):
+    def test_float_weights_sorted(self):
         s = master_scheme(SchemeSpec(2, 1, OffsetSet([1, -1, 0])))
-        items = s.float_items(0.25)
-        assert [k for k, _ in items] == [-1, 0, 1]
-        assert [w for _, w in items] == pytest.approx([0.25, 0.5, 0.25])
+        assert list(s.offsets) == [-1, 0, 1]
+        assert s.float_weights(0.25).tolist() == pytest.approx([0.25, 0.5, 0.25])
 
     def test_truncated_drops_layers(self):
         s = master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4)))
@@ -406,7 +406,7 @@ class TestSchemeIsItsTable:
         for j in range(spec.n):
             t = s.truncated(j)
             swapped = dataclasses.replace(s, layers=t.layers)
-            assert swapped.float_items(nu) == t.float_items(nu)
+            assert swapped.float_weights(nu).tolist() == t.float_weights(nu).tolist()
             assert swapped.coeffs == t.coeffs
 
     def test_float_rows_are_the_rounded_table_and_read_only(self):

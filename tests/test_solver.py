@@ -1,5 +1,7 @@
 """Periodic marching: linear steps, nonlinear layered steps, shock tracking, convergence."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 from unittest import mock
@@ -9,19 +11,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fdmarch.cli
 import fdmarch.solver
 from fdmarch.exact import OffsetSet
 from fdmarch.schemes import (
-    FloatStencil,
+    LayerTable,
+    Scheme,
     SchemeSpec,
     default_offsets,
     master_scheme,
     nonlinear_layers,
 )
-from fdmarch.stability import advection_family_spec
+from fdmarch.stability import advection_family_spec, max_growth
 from fdmarch.solver import (
     ConfigurationError,
     DensityFamily,
+    FloatStencil,
     GridField,
     LinearProblem,
     LinearTerm,
@@ -229,7 +234,8 @@ class TestApplyStencil:
         (scheme,), (nu,) = problem.schemes(), problem.courant_numbers(f.dx)
         assert nu == pytest.approx(-0.8)
         theta = 2.0 * np.pi * np.arange(f.n_cells) / f.n_cells
-        g = sum(w * np.exp(1j * k * theta) for k, w in scheme.float_items(nu))
+        weights = scheme.float_weights(nu).tolist()
+        g = sum(w * np.exp(1j * k * theta) for k, w in zip(scheme.offsets, weights))
         want = np.fft.ifft(g**steps * np.fft.fft(f.values)).real
         assert np.max(np.abs(out.values - want)) < 1e-10
 
@@ -516,14 +522,14 @@ class TestRunLinear:
         assert out.values.shape == f.values.shape
         # nu = -inf: the growth peak is NaN, which the nu_c search reads as unstable
         problem = LinearProblem((LinearTerm(1, -1e308),), dt=10.0, n=1)
-        assert math.isnan(problem.growth_peaks(f.dx)[0][1])
+        assert math.isnan(max_growth(problem.schemes()[0], problem.courant_numbers(f.dx)[0])[1])
         with pytest.warns(RuntimeWarning, match=r"unstable at nu=-inf: max \|g\|\^2 = nan"):
             out = run_linear(problem, f, 1)
         assert not np.isfinite(out.values).all()
 
-    def test_one_scan_per_grid_spacing(self, monkeypatch):
-        """Runs of one problem on one grid spacing share one growth scan per
-        term, and every unstable run still warns."""
+    def test_one_scan_per_term_per_call(self, monkeypatch):
+        """Each run scans each term's growth once, whatever ran before it on
+        the same grid spacing, and every unstable run warns."""
         scans = []
         real = fdmarch.solver.max_growth
 
@@ -536,10 +542,10 @@ class TestRunLinear:
         for profile in (gaussian, triangle, rectangle):
             with pytest.warns(RuntimeWarning, match="unstable"):
                 run_linear(problem, GridField.sample(profile, (-5.0, 5.0), 100), 2)
-        assert len(scans) == 2
+        assert len(scans) == 6
         with pytest.warns(RuntimeWarning, match="unstable"):
             run_linear(problem, GridField.sample(gaussian, (-5.0, 5.0), 125), 2)
-        assert len(scans) == 4
+        assert len(scans) == 8
 
     def test_callback_sees_every_step(self):
         f = GridField.sample(triangle, (-5.0, 5.0), 50)
@@ -880,7 +886,7 @@ def fresh_pad_step(values, layers, funcs, nu):
     array; row 0's sum is the step's sum, and each later one is scaled by
     nu**j and added to it."""
     n = values.shape[-1]
-    stencils = layers.float_stencils
+    stencils = [FloatStencil(zip(layers.offsets, row.tolist())) for row in layers.float_rows]
     halo = [(0, 0)] * (values.ndim - 1) + [(stencils[0].lo, stencils[0].hi)]
     ext = np.pad(values, halo, mode="wrap")
     scratch, row, out = np.empty(values.shape), np.empty(values.shape), np.empty(values.shape)
@@ -1163,3 +1169,52 @@ class TestConvergence:
         monkeypatch.setattr(fdmarch.solver, "_march", poisoned)
         with pytest.raises(ConfigurationError, match="not all finite"):
             convergence_study(1, 1, 0.8, grids=(8, 16))
+
+
+class TestOneFloatEvaluator:
+    """Every float a march reads comes from `Scheme.float_weights`, for a
+    linear term, or from `LayerTable.float_rows`, for a layered table:
+    scaling what that one function returns changes every march on it.  The
+    scale keeps every growth peak below 1, so no run warns."""
+
+    SCALE = 1.0 - 2.0**-20
+
+    @staticmethod
+    def cli_files(argv, out_dir):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert fdmarch.cli.main([*argv, "--out", str(out_dir)]) == 0
+        return sorted((p.name, p.read_bytes()) for p in out_dir.iterdir())
+
+    def linear_marches(self, out_dir):
+        f = GridField.sample(triangle, (-5.0, 5.0), 100)
+        scheme = master_scheme(SchemeSpec(1, 3, OffsetSet.contiguous(2, 3)))
+        problem = LinearProblem((LinearTerm(1, -1.0),), dt=0.08, n=3)
+        return {
+            "step_linear": step_linear(f, scheme, -0.8).values.tobytes(),
+            "run_linear": run_linear(problem, f, 5).values.tobytes(),
+            "convergence_study": convergence_study(1, 3, 0.8).errors,
+            "cli": self.cli_files(["run", "fig-advection", "--orders", "1"], out_dir),
+        }
+
+    def layered_marches(self, out_dir):
+        f = GridField.sample(burgers_ramp, (-5.0, 5.0), 200)
+        layers, densities = nonlinear_layers(2, [-1, 0, 1]), burgers_densities(2)
+        return {
+            "step_nonlinear": step_nonlinear(f, layers, densities, 0.5).values.tobytes(),
+            "run_nonlinear": run_nonlinear(f, layers, densities, 0.5, 5).values.tobytes(),
+            "cli": self.cli_files(["run", "fig-burgers", "--orders", "2"], out_dir),
+        }
+
+    def test_linear_marches_read_float_weights(self, tmp_path, monkeypatch):
+        before = self.linear_marches(tmp_path / "before")
+        real = Scheme.float_weights
+        monkeypatch.setattr(Scheme, "float_weights", lambda s, nu: real(s, nu) * self.SCALE)
+        after = self.linear_marches(tmp_path / "after")
+        assert [k for k in before if after[k] == before[k]] == []
+
+    def test_layered_marches_read_float_rows(self, tmp_path, monkeypatch):
+        before = self.layered_marches(tmp_path / "before")
+        real = LayerTable.float_rows.func
+        monkeypatch.setattr(LayerTable, "float_rows", property(lambda t: real(t) * self.SCALE))
+        after = self.layered_marches(tmp_path / "after")
+        assert [k for k in before if after[k] == before[k]] == []

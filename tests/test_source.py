@@ -1,12 +1,17 @@
 """Checks on the package source itself: no module imports a name it does not
-use, and every private name a module defines is read in that module."""
+use, every private name a module defines is read in that module, and the
+docs name only code that exists."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fdmarch"
+README = SRC.parents[1] / "README.md"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 # __init__.py imports names to re-export them
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
@@ -78,3 +83,93 @@ def test_finds_an_unread_private_name():
         "_Scan()\n"
     )
     assert unread_private_names(source) == ["_LIMIT", "_left", "_old"]
+
+
+def defined_names(sources: dict[str, str]) -> tuple[set[str], set[str]]:
+    """(identifiers, imported modules) of the given modules, by module stem.
+    The identifiers are the package, the module stems, and every function,
+    class, parameter, assigned name or attribute (`self.x` too) and string
+    constant; the modules are the names `import` binds."""
+    names, modules = {"fdmarch", *sources}, set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names, modules
+
+
+def doc_texts(source: str) -> list[str]:
+    """The docstrings and comments of a module."""
+    tree = ast.parse(source)
+    docs = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return docs + [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+
+
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
+def undefined_code_names(sources: dict[str, str], texts: list[str]) -> list[str]:
+    """The code names in `texts` that name nothing defined in `sources`.
+
+    A code name is a backticked dotted name `a.b`, or a backticked name with
+    an underscore inside it.  A dotted name resolves when its head is an
+    imported module or every part is defined; fenced blocks are skipped."""
+    names, modules = defined_names(sources)
+    missing = []
+    for text in texts:
+        for span in re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+            if re.fullmatch(rf"{IDENT}(\.{IDENT})+", span):
+                parts = span.split(".")
+                if not (parts[0] in modules or all(p in names for p in parts)):
+                    missing.append(span)
+            elif re.fullmatch(IDENT, span) and "_" in span.strip("_") and span not in names:
+                missing.append(span)
+    return missing
+
+
+# Code names the docs cite that nothing in the package defines: a symbol of
+# the paper's formula, the project file and a standard-library class.
+DOC_NAME_EXCEPTIONS = {"c_i", "pyproject.toml", "fractions.Fraction"}
+
+
+def test_docs_name_only_code_that_exists():
+    sources = {path.stem: path.read_text() for path in ALL_MODULES}
+    texts = [README.read_text()] + [t for src in sources.values() for t in doc_texts(src)]
+    assert len(DOC_NAME_EXCEPTIONS) <= 3
+    assert sorted(set(undefined_code_names(sources, texts)) - DOC_NAME_EXCEPTIONS) == []
+
+
+def test_finds_an_undefined_code_name():
+    sources = {
+        "mod": (
+            "import numpy as np\n"
+            "LIMIT_NAME = 'tag_value'\n"
+            "class Table:\n"
+            "    def float_rows(self, nu_max):\n"
+            "        self.row_count = 1\n"
+        )
+    }
+    text = (
+        "`Table.float_rows`, `mod.Table`, `np.add.reduce`, `nu_max`, `row_count`, "
+        "`LIMIT_NAME`, `tag_value`, `__init__`, `x + y`, `--no-build`, `RatPoly` are "
+        "fine; `float_items`, `Table.float_items`, `fractions.Fraction` are not\n"
+        "```\n`old_name`\n```\n"
+    )
+    assert undefined_code_names(sources, [text]) == [
+        "float_items", "Table.float_items", "fractions.Fraction"
+    ]
