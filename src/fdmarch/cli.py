@@ -185,13 +185,14 @@ def _box(text: str) -> tuple[float, float]:
 # -- output helpers ---------------------------------------------------------------
 
 def _write_snapshot(path: str, field: GridField, meta: dict) -> None:
-    """CSV with '#' key=value metadata lines, an x,u header, then %.17g rows."""
+    """CSV with '#' key=value metadata lines, an x,u header, then %.17g rows,
+    written as one string.  The rows format Python floats, which print as
+    the numpy scalars they come from do."""
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    pairs = zip(field.x().tolist(), field.values.tolist())
+    rows = "".join(f"{x:.17g},{u:.17g}\n" for x, u in pairs)
     with open(path, "w", newline="\n") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("x,u\n")
-        for x, u in zip(field.x(), field.values):
-            fh.write(f"{x:.17g},{u:.17g}\n")
+        fh.write(head + "x,u\n" + rows)
 
 
 def _fmt_offsets(offsets: Sequence[int]) -> str:
@@ -209,8 +210,10 @@ MAX_SCHEME_POINTS = 140
 
 
 def _check_scheme_size(m: int, n: int) -> None:
+    # n*m+1 counts no points for orders below 1: each builder refuses those
+    # itself, before it builds any window (`check_orders`, or a ladder's rule)
     points = n * m + 1
-    if points > MAX_SCHEME_POINTS:
+    if m >= 1 and n >= 1 and points > MAX_SCHEME_POINTS:
         raise ConfigurationError(
             f"an order n={n} scheme for m={m} has n*m+1 = {points} stencil points, "
             f"over the limit of {MAX_SCHEME_POINTS}"
@@ -506,9 +509,9 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
 # 1.9e7, the largest explicit run of the tests 5e4: the work bound leaves the
 # preset march a 100x margin.  The cell bound keeps one array of the march at
 # 80 MB; it is 5 x 10^4 times fig-burgers' 200 cells.  On tiny grids a step's
-# fixed cost (~15 us on 3 cells, 200 000 steps in 3.2 s) dominates instead, so
-# the step count is bounded too, at 160x the presets' longest march of 6250
-# steps: about 15 s at that cost.
+# fixed cost (~4-6 us on 3 cells, 200 000 steps in 1.3-1.6 s) dominates
+# instead, so the step count is bounded too, at 160x the presets' longest
+# march of 6250 steps: about 4-6 s at that cost.
 MAX_RUN_WORK = 2e9
 MAX_RUN_CELLS = 1e7
 MAX_RUN_STEPS = 1e6

@@ -44,6 +44,15 @@ class UnsupportedSchemeError(ConfigurationError):
     """The requested transformation is not defined for this scheme."""
 
 
+def check_orders(m: int, n: int) -> None:
+    """Refuse a derivative order m or a marching order n below 1: the one
+    rule on the orders, checked before any window of them is built."""
+    if m < 1:
+        raise StencilSizeError(f"derivative order m must be >= 1, got {m}")
+    if n < 1:
+        raise StencilSizeError(f"marching order n must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """Problem signature: spatial derivative order m, temporal order n, stencil."""
@@ -53,10 +62,7 @@ class SchemeSpec:
     offsets: OffsetSet
 
     def __post_init__(self):
-        if self.m < 1:
-            raise StencilSizeError(f"derivative order m must be >= 1, got {self.m}")
-        if self.n < 1:
-            raise StencilSizeError(f"marching order n must be >= 1, got {self.n}")
+        check_orders(self.m, self.n)
         offs = OffsetSet(self.offsets)
         object.__setattr__(self, "offsets", offs)
         need = self.n * self.m + 1
@@ -248,6 +254,7 @@ def first_order_scheme(m: int, r: int) -> Scheme:
     the weight on offset k is (-1)^m * (-1)^(r+k) * C(m, r+k), plus the
     identity contribution at k=0.
     """
+    check_orders(m, 1)
     spec = SchemeSpec(m, 1, OffsetSet.contiguous(r, m))
     sign_m = (-1) ** m
     row0 = tuple(Fraction(1 if k == 0 else 0) for k in spec.offsets)
@@ -423,6 +430,7 @@ def default_offsets(m: int, n: int, a_sign: float = 0) -> OffsetSet:
     0 selects the conventional sign for this m.  This is the one place a
     coefficient's sign picks a window.
     """
+    check_orders(m, n)
     if a_sign == 0:
         a_sign = preferred_sign(m)
     a_sign = 1 if a_sign > 0 else -1

@@ -9,18 +9,23 @@ that buffer, one per stencil offset with a nonzero weight, in item order,
 starting from +0.0.  Weights are produced by the exact generator and
 converted to float, with the arrays the kernel reads, once per run.
 
-The kernel takes that sum in one of two ways, bitwise alike, for one row or
-a stack.  While rows times stencil points times cells stays within
-`WINDOW_LIMIT` and the live offsets are consecutive and ascending, it views
-the padded buffer as a strided ([rows,] points, cells) window whose entry r
-along the points axis is the slice starting at r, multiplies the view of
-the live entries by their weight column in one call and adds them with one
-ordered reduce over that axis; on small grids a step costs a few numpy
-calls whatever the order and however many rows march together.  Otherwise
-it adds one slice at a time, which keeps large arrays out of a (rows,
-points, cells) temporary and needs no gather of scattered live rows; a
-slice with weight +1 or -1 is added or subtracted as it is, with no
-product.  Each output row is the sum a lone march of that row computes.
+The march keeps its buffers cells-major, (cells, rows): the R values of one
+cell sit side by side, and a 1-D field is R = 1.  A shift by k cells is
+then one contiguous run of n R values, for one row and a stack alike; a
+(rows, cells) field is copied in transposed once per run, and what a run
+hands out is copied back to (rows, cells).  The kernel takes the sum in one
+of two ways, bitwise alike.  While stencil points times n R values stay
+within `WINDOW_LIMIT` and the live offsets are consecutive and ascending,
+it views the padded buffer as a strided (points, n R) window whose entry r
+is the run starting at cell r, multiplies the view of the live entries by a
+contiguous block of their weights in that shape, built once per run, in
+one call and adds them with one ordered reduce over the points axis; on
+small grids a step costs a few numpy calls whatever the order and however
+many rows march together.  Otherwise it adds one slice at a time, which
+keeps large arrays out of a (points, n R) temporary and needs no gather of
+scattered live entries; a slice with weight +1 or -1 is added or
+subtracted as it is, with no product.  Each output row is the sum a lone
+march of that row computes.
 
 Every update is one layer table applied once per step: row j hits density
 j and is scaled by nu^j.  A linear term is a table of one row, and the
@@ -36,10 +41,11 @@ workspace owns, one per later row, each with that row's slice sum set up
 once per run; the Burgers family shares one power chain across its
 densities.  Each later row sums its density buffer, from its first term, is
 scaled by nu^j in place and is added.  Densities are therefore evaluated on
-the halo-padded array, not on the field, and must be pointwise; they read a
-workspace buffer that they must neither write nor keep, and funcs[0] is not
-called.  Row 0's sum never holds -0.0, so adding a later row's +-0.0 leaves
-it as it is, and the result has the bits the +0.0 start gives.  The march
+the halo-padded, cells-major array, not on the field, and must be
+pointwise; they read a workspace buffer that they must neither write nor
+keep, and funcs[0] is not called.  Row 0's sum never holds -0.0, so adding
+a later row's +-0.0 leaves it as it is, and the result has the bits the
++0.0 start gives.  The march
 hands out no per-step fields: callers take snapshots from what one march
 returns and march on from there, and only a run given a callback copies the
 field for it after every step.  A single step (`step_linear`,
@@ -267,15 +273,16 @@ class FloatStencil:
 
     `size` counts every item, and `lo` and `hi` are how far the offsets reach
     to the left and right of a cell: the halo widths of the padded field.
-    `live` keeps the items with a nonzero weight, in the given order.  Row r
-    of a window over the padded field is the slice starting at r, so offset k
-    reads row lo + k; `rows` is the slice of the live items' rows when they
-    are consecutive and ascending, and None otherwise (no live item, a zero
-    weight inside the stencil, a gap or an unsorted order): the kernel then
-    adds one slice at a time rather than gather the rows (see
-    `WINDOW_LIMIT`).  `weights` holds the live weights as a column.  Offsets
-    must be distinct.  A march builds its stencils on each run call, from
-    `Scheme.float_weights` for a linear term and from
+    `live` keeps the items with a nonzero weight, in the given order.  Entry
+    r of a window over the padded field is the slice starting at cell r, so
+    offset k reads entry lo + k; `rows` is the slice of the live items'
+    entries when they are consecutive and ascending, and None otherwise (no
+    live item, a zero weight inside the stencil, a gap or an unsorted
+    order): the kernel then adds one slice at a time rather than gather the
+    entries (see `WINDOW_LIMIT`).  `weights` holds the live weights as a
+    column, which the window product repeats into a block of its terms'
+    shape.  Offsets must be distinct.  A march builds its stencils on each
+    run call, from `Scheme.float_weights` for a linear term and from
     `LayerTable.float_rows` for a layered table (`_stencil`).
     """
 
@@ -298,14 +305,14 @@ def _stencil(offsets: Sequence[int], weights: np.ndarray) -> FloatStencil:
 
 
 # Rows times stencil points times cells up to which `_SliceSum` takes the
-# window product.  Per call on 2 shared x86-64 CPUs (numpy 2.4), slice loop
-# against window product, min of 7 repeats: 1 row x 100 cells x 30 points:
-# 60 against 10 us; 2 x 100 x 30: 82 against 16 us; 3 x 100 x 30: 78 against
-# 21 us; 1 x 1000 x 6: 12 against 14 us; 1 x 2000 x 6: 16 against 20 us;
-# 2 x 1000 x 6: 22 against 19 us; 8 x 1000 x 8: 73 against 91 us.  The
-# crossover moves between 10^4 and 5 x 10^4 from run to run and shifts to
-# fewer cells per row as rows are added; on the few-point rows of large grids
-# (1 x 10^4 x 2: 17 against 20 us) the loop stays ahead.  Live rows that are
+# window product.  Per call on 2 shared x86-64 CPUs (numpy 2.4), on the
+# cells-major buffer, slice loop against window product, min of 7 repeats:
+# 1 row x 100 cells x 30 points: 71 against 9 us; 2 x 100 x 30: 73 against
+# 12 us; 3 x 100 x 30: 70 against 20 us; 1 x 1000 x 6: 21 against 15 us;
+# 1 x 2000 x 6: 25 against 18 us; 2 x 1000 x 6: 24 against 16 us;
+# 8 x 1000 x 8: 60 against 88 us.  The crossover moves between 10^4 and
+# 5 x 10^4 from run to run; on the few-point rows of large grids
+# (1 x 10^4 x 2: 19 against 25 us) the loop stays ahead.  Live rows that are
 # not consecutive and ascending (a zero weight inside the stencil, a gapped or
 # shuffled stencil) take the slice loop at any size: gathering them into the
 # window product fell 4-11x behind from 2000 cells and 16 points up, and no
@@ -314,61 +321,64 @@ WINDOW_LIMIT = 2**13
 
 
 def _halos(ext: np.ndarray, lo: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (halo, source) views of `ext`, whose cells lo .. lo + n - 1 along
-    the last axis hold a field: copying each source into its halo refills
-    the halos in place, the lo cells before the field with its last lo
-    values and the cells after it with its first ones, so that
-    values[..., (j + k) mod n] is ext[..., lo + k + j].  Each source lies in
+    """The (halo, source) views of the cells-major `ext`, whose cells lo ..
+    lo + n - 1 along the first axis hold a field: assigning each source to
+    its halo refills the halos in place, the lo cells before the field with
+    its last lo cells and the cells after it with its first ones, so that
+    cell (j + k) mod n of the field is ext[lo + k + j].  Each source lies in
     the field alone, so the halos must be no wider than the field.  Empty
     halos are left out."""
-    hi = ext.shape[-1] - lo - n
-    pairs = [(ext[..., :lo], ext[..., n : n + lo]), (ext[..., lo + n :], ext[..., lo : lo + hi])]
-    return [(halo, src) for halo, src in pairs if halo.shape[-1]]
+    hi = len(ext) - lo - n
+    pairs = [(ext[:lo], ext[n : n + lo]), (ext[lo + n :], ext[lo : lo + hi])]
+    return [(halo, src) for halo, src in pairs if len(halo)]
 
 
 class _SliceSum:
     """The stencil's sum of weighted shifted slices of one padded array.
 
-    `ext` is a C-contiguous float array, one row or a (rows, cells) stack,
-    padded with the stencil's halo, and n its field's cell count.
-    `sum_into(out)` writes out[..., j] = sum of w * ext[..., stencil.lo + k + j]
-    over the live (k, w) items, reading what `ext` holds at that call; `out`
-    must not overlap `ext`.  `sum_into(out, initial=None)` starts the sum
-    from the first live term instead of +0.0, as numpy's reduce does, and
-    needs a live item; the two differ only where the +0.0 start turns a -0.0
-    sum into +0.0.  Everything that does not depend on the values is set up
-    once here: the window and the view of its live rows, or the slices.  The
+    `ext` is a C-contiguous, cells-major float array padded with the
+    stencil's halo: (cells, R) holds the R values of each cell side by side,
+    and a 1-D array is R = 1.  n is its field's cell count, so a shift by k
+    cells is the contiguous run ext[lo + k : lo + k + n] of n R values.
+    `sum_into(out)` writes out[j] = sum of w * flat(ext[stencil.lo + k:])[j]
+    over the live (k, w) items, for j < n R, reading what `ext` holds at that
+    call; `out` is a 1-D array of n R values that does not overlap `ext`.
+    `sum_into(out, initial=None)` starts the sum from the first live term
+    instead of +0.0, as numpy's reduce does, and needs a live item; the two
+    differ only where the +0.0 start turns a -0.0 sum into +0.0.  Everything
+    that does not depend on the values is set up once here: the window, the
+    view of its live entries and their weight block, or the slices.  The
     slice loop writes products into `scratch`, shaped like `out`.
 
     The sum starts at +0.0 and adds the terms in item order; zero weights are
     skipped, so a non-finite value under a zero weight reads as nothing.  Up
-    to `WINDOW_LIMIT` rows times stencil points times cells, when the live
-    rows are one consecutive, ascending run (`FloatStencil.rows` is a slice),
-    the terms are one ([rows,] live items, n) product of a view of the
-    window, added by numpy's reduce over its items axis, which on a
-    C-contiguous array runs item after item from `initial`.  Otherwise,
-    above the limit or for live rows that would have to be gathered (see
-    `WINDOW_LIMIT`), it adds one slice at a time, 0.0 + term first (or the
-    term's product alone), then out + term, with out + slice and out - slice
-    for weights of +1 and -1, whose product with the slice is exact.  Both
-    are the same floating-point sum, row by row, so each row of a stack
-    comes out as it would alone.
+    to `WINDOW_LIMIT` stencil points times n R values, when the live entries
+    are one consecutive, ascending run (`FloatStencil.rows` is a slice), the
+    terms are one product of a (live items, n R) view of the (points, n R)
+    window, whose entry r is the run starting at cell r, with a C-contiguous
+    block of the weights in that shape, added by numpy's reduce over the
+    items axis, which on a C-contiguous array runs item after item from
+    `initial`.  Otherwise, above the limit or for live entries that would
+    have to be gathered (see `WINDOW_LIMIT`), it adds one slice at a time,
+    0.0 + term first (or the term's product alone), then out + term, with
+    out + slice and out - slice for weights of +1 and -1, whose product with
+    the slice is exact.  Both are the same floating-point sum, value by
+    value, so each row of a stack comes out as it would alone.
     """
 
     def __init__(self, ext: np.ndarray, n: int, stencil: FloatStencil, scratch: np.ndarray):
-        lead = ext.shape[:-1]  # () for one row, (rows,) for a stack
-        if stencil.rows is None or stencil.size * (ext.size // ext.shape[-1]) * n > WINDOW_LIMIT:
+        width = n * (ext.size // len(ext))  # n R values
+        if stencil.rows is None or stencil.size * width > WINDOW_LIMIT:
             self.window = None
             lo = stencil.lo
-            self.slices = [(ext[..., lo + k : lo + k + n], w) for k, w in stencil.live]
+            self.slices = [(ext[lo + k : lo + k + n].reshape(-1), w) for k, w in stencil.live]
             self.scratch = scratch
             return
-        step = ext.itemsize
-        shape, strides = lead + (ext.shape[-1] - n + 1, n), ext.strides[:-1] + (step, step)
-        self.window = np.ndarray(shape, ext.dtype, ext, strides=strides)
-        self.live = self.window[..., stencil.rows, :]
-        self.weights = stencil.weights
-        self.terms = np.empty(lead + (len(stencil.live), n))
+        strides = (ext.strides[0], ext.itemsize)
+        self.window = np.ndarray((len(ext) - n + 1, width), ext.dtype, ext, strides=strides)
+        self.live = self.window[stencil.rows]
+        self.weights = np.repeat(stencil.weights, width, axis=1)
+        self.terms = np.empty_like(self.weights)
 
     def sum_into(self, out: np.ndarray, initial: Optional[float] = 0.0) -> np.ndarray:
         if self.window is None:
@@ -387,7 +397,7 @@ class _SliceSum:
                 out[...] = 0.0
             return out
         np.multiply(self.live, self.weights, out=self.terms)
-        return np.add.reduce(self.terms, axis=-2, initial=initial, out=out)
+        return np.add.reduce(self.terms, axis=0, initial=initial, out=out)
 
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
@@ -444,20 +454,24 @@ class _Workspace:
     `DensityFamily` `densities` (None when there are no later rows).  A
     linear term is a table with no later rows.  Every row has the halo
     widths of `first`.
-    Two buffers, padded with those widths, take turns: a step refills the
-    current buffer's halos in place from its interior and writes row 0's sum
-    (`_SliceSum`, from +0.0) straight into the interior of the other.  A
-    table with later rows owns one density buffer per later row, shaped like
-    a padded buffer, and each row's `_SliceSum` over it, which both turns
-    share.  One `evaluate` call writes every later density of the current
-    buffer, padded halos and all, into them; each later row then sums its
-    own from its first term into the row array, which is scaled in place and
-    added.  The rows share that array, allocated only when there are later
-    rows, and one scratch array.
+    Every buffer is cells-major: (lo + cells + hi, R) for a field of R rows
+    (R = 1 for a 1-D field), the R values of one cell side by side, so each
+    shifted slice a sum reads is one contiguous run.  Two such buffers take
+    turns: a step refills the current buffer's halos in place from its
+    interior and writes row 0's sum (`_SliceSum`, from +0.0) straight into
+    the interior of the other.  A table with later rows owns one density
+    buffer per later row, shaped like a padded buffer, and each row's
+    `_SliceSum` over it, which both turns share.  One `evaluate` call writes
+    every later density of the current buffer, padded halos and all, into
+    them; each later row then sums its own from its first term into the row
+    array, which is scaled in place and added.  The rows share that array,
+    allocated only when there are later rows, and one scratch array.
 
-    `step(values)` takes one step, copying `values` into the current buffer
-    first unless they are its interior, and returns the interior the step
-    wrote; a later step overwrites it.
+    `step(values)` takes one step of a field of the workspace's shape,
+    copying it, transposed, into the current buffer first unless it is that
+    buffer's interior as the previous step returned it, and returns the
+    interior the step wrote, as a view of the field's shape; a later step
+    overwrites it.
     """
 
     def __init__(
@@ -468,29 +482,32 @@ class _Workspace:
         densities: Optional[DensityFamily] = None,
     ):
         n = shape[-1]
-        padded = lambda: np.empty(shape[:-1] + (first.lo + n + first.hi,))
-        scratch = np.empty(shape)
+        size = math.prod(shape)
+        padded = lambda: np.empty((first.lo + n + first.hi, size // n))
+        scratch = np.empty(size)
         self.densities = densities
         self.bufs = [padded() for _ in later]
         # each later row's sum over its density buffer, and its scale
         self.sums = [(_SliceSum(b, n, st, scratch), nu) for b, (st, nu) in zip(self.bufs, later)]
-        self.row = np.empty(shape) if later else None
+        self.row = np.empty(size) if later else None
         exts = [padded(), padded()]
-        fields = [ext[..., first.lo : first.lo + n] for ext in exts]
-        # per turn: (its buffer, the buffer's halos, row 0's sum over it, the
-        # field that sum is written to)
+        cells = [ext[first.lo : first.lo + n] for ext in exts]
+        # each buffer's interior: flat, as a sum writes it, and as a field
+        flats = [c.reshape(-1) for c in cells]
+        faces = [c.T.reshape(shape) for c in cells]
+        # per turn: (its buffer, its interior as a field, the buffer's halos,
+        # row 0's sum over it, and the other's interior, flat and as a field)
         self.turns = [
-            (ext, _halos(ext, first.lo, n), _SliceSum(ext, n, first, scratch), out)
-            for ext, out in zip(exts, fields[::-1])
+            (ext, face, _halos(ext, first.lo, n), _SliceSum(ext, n, first, scratch), out, out_face)
+            for ext, face, out, out_face in zip(exts, faces, flats[::-1], faces[::-1])
         ]
-        self.field = fields[0]
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        if values is not self.field:
-            self.field[...] = values
-        ext, halos, row0, out = self.turns[0]
+        ext, face, halos, row0, out, out_face = self.turns[0]
+        if values is not face:
+            face[...] = values
         for halo, src in halos:
-            np.copyto(halo, src)
+            halo[...] = src
         row0.sum_into(out)
         if self.sums:
             self.densities.evaluate(ext, self.bufs)
@@ -499,8 +516,7 @@ class _Workspace:
                 self.row *= nu_j
                 out += self.row
         self.turns.reverse()
-        self.field = out
-        return out
+        return out_face
 
 
 def _march(
@@ -663,7 +679,8 @@ def step_nonlinear(
     Alone, the step runs in a workspace of its own and returns a new array.
     `workspace` is `run_nonlinear`'s, built for these layers, densities and
     nu and this field's shape: the step then writes its result into the
-    workspace and returns a field that shares its memory.
+    workspace and returns a field whose values are a (rows, cells) view of
+    it, which the next step of that workspace marches on without a copy.
     """
     if workspace is None:
         workspace = _layered_workspace(field.values.shape, layers, densities, nu)
@@ -717,13 +734,16 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
 
 # -- convergence ---------------------------------------------------------------
 
-# A convergence ladder marching more cells x steps than this is refused before
-# it starts.  The largest ladders in the tests and acceptance criteria, m = 2
-# at |nu| = 0.4 on 32..256 cells, march 2 427 776 cell-steps in ~0.25 s, so
-# this leaves them a 100x margin and caps a study at a few tens of seconds.
-# On tiny grids a step's fixed cost (~13 us) dominates instead, so the step
-# count is bounded too: those ladders march 11 024 steps, 180x below the cap.
-MAX_CELL_STEPS = 2.5e8
+# A convergence ladder doing more work than this, cells x steps x stencil
+# points summed over its grids (the unit of the CLI's `MAX_RUN_WORK`), is
+# refused before it starts.  The largest ladders in the tests and acceptance
+# criteria are m = 2 at |nu| = 0.4 on 32..256 cells: 2 427 776 cell-steps, on
+# 5 points at n = 2 and on 7 at n = 3 (an argv of the fuzz test), 1.7e7 in
+# all, so this leaves them a 118x margin; m = 1, n = 29 at |nu| = 2e-4 (6.5e9,
+# 17 s) is refused.  On tiny grids a step's fixed cost (~6 us on 32 cells)
+# dominates instead, so the step count is bounded too: those ladders march
+# 11 024 steps, 180x below the cap.
+MAX_LADDER_WORK = 2e9
 MAX_LADDER_STEPS = 2e6
 
 
@@ -765,8 +785,9 @@ def convergence_study(
     The reference solution is exact: a single Fourier mode is evolved by its
     exact amplification factor, or, for m=1 with a custom profile, the initial
     data is translated.  Unstable configurations are refused, and so is a
-    ladder marching more than MAX_CELL_STEPS cells x steps or MAX_LADDER_STEPS
-    steps in all, a time step that is not a normal float, or a non-finite error.
+    ladder doing more than MAX_LADDER_WORK cells x steps x stencil points or
+    marching more than MAX_LADDER_STEPS steps in all, a time step that is not
+    a normal float, or a non-finite error.
     """
     a = term_coefficient(m, a)
     nu = abs(float(nu))
@@ -808,8 +829,9 @@ def convergence_study(
         raise ConfigurationError(f"the box {box} has a width^{m} out of float range") from None
     if not all(sys.float_info.min <= dt < math.inf for dt in dts):
         raise ConfigurationError(f"the time steps {min(dts):g}..{max(dts):g} are not normal floats")
+    cell_steps = sum(g * final_time / dt for g, dt in zip(grids, dts))
     for count, what, limit in (
-        (sum(g * final_time / dt for g, dt in zip(grids, dts)), "cell-steps", MAX_CELL_STEPS),
+        (cell_steps * len(offs), "cell-steps x stencil points", MAX_LADDER_WORK),
         (sum(final_time / dt for dt in dts), "steps", MAX_LADDER_STEPS),
     ):
         if count > limit:

@@ -415,6 +415,26 @@ class TestConverge:
         assert "cell-steps" in proc.stderr and "over the limit" in proc.stderr
         assert proc.stdout == ""
 
+    def test_ladder_work_refused_before_marching(self, monkeypatch, capsys):
+        """Regression: m = 1, n = 29 at |nu| = 2e-4 marches 1.2e6 steps and
+        2.2e8 cell-steps, under both the step and the old cell-step bound,
+        but 6.5e9 cell-steps x 30 stencil points; it took 17 s.  The work
+        bound refuses it before any grid marches."""
+
+        def march(*args):
+            raise AssertionError("a refused ladder marched")
+
+        monkeypatch.setattr(fdmarch.solver, "_march", march)
+        assert run_cli("converge", "--m", "1", "--n", "29", "--nu", "2e-4") == 2
+        captured = capsys.readouterr()
+        limit = fdmarch.solver.MAX_LADDER_WORK
+        assert captured.err == (
+            "error: the ladder would march 6.53e+09 cell-steps x stencil points to time 0.5, "
+            f"over the limit of {limit:.3g}; raise |nu|, shorten the time or use fewer or "
+            "smaller grids\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "extra, message",
         [
@@ -1149,6 +1169,39 @@ class TestRunDriver:
             got[path.name] = hashlib.sha256(rows.encode()).hexdigest()
         assert got == golden["sha256"]
 
+    def test_snapshot_bytes_match_row_loop(self, tmp_path):
+        """`_write_snapshot` formats the rows from Python floats in one string;
+        the bytes equal those of the loop that wrote each numpy scalar's row
+        in turn, on signed zeros, infinities, nan, a subnormal and the
+        largest float."""
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308,
+                           -1e-300, 0.1, 1.0 / 3.0])
+        field = GridField(values, 0.1, -5.0)
+        meta = {"preset": "probe", "nu": -0.8, "cells": len(values)}
+        path = tmp_path / "snap.csv"
+        fdmarch.cli._write_snapshot(str(path), field, meta)
+        want = io.StringIO()
+        for key, value in meta.items():
+            want.write(f"# {key}={value}\n")
+        want.write("x,u\n")
+        for x, u in zip(field.x(), field.values):
+            want.write(f"{x:.17g},{u:.17g}\n")
+        assert path.read_bytes() == want.getvalue().encode()
+
+    def test_fig_advection_matches_digest(self, tmp_path):
+        """The fig-advection CSVs of the lowest, a middle and the highest order,
+        after the `x,u` line, hash to the frozen sha256: the stacked linear
+        march's output is bitwise pinned."""
+        golden = json.loads((REPO_ROOT / "tests/data/fig_advection_digest.json").read_text())
+        out_dir = tmp_path / "o"
+        argv = ("run", golden["preset"], "--orders", golden["orders"], "--out", str(out_dir))
+        assert run_cli(*argv) == 0
+        got = {}
+        for path in out_dir.iterdir():
+            _, _, rows = path.read_text().partition("x,u\n")
+            got[path.name] = hashlib.sha256(rows.encode()).hexdigest()
+        assert got == golden["sha256"]
+
 
 class TestUpFrontRefusals:
     """A scheme too large to build, or a stencil wider than the grid, exits 2
@@ -1219,6 +1272,27 @@ class TestUpFrontRefusals:
         err = capsys.readouterr().err
         limit = fdmarch.cli.MAX_SCHEME_POINTS
         assert f"n*m+1 = 201 stencil points, over the limit of {limit}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("coeffs", "--m", "-1", "--n", "2"), "derivative order m must be >= 1, got -1"),
+            (("stability", "--m", "-1", "--n", "2"), "derivative order m must be >= 1, got -1"),
+            (("coeffs", "--m", "1", "--n", "-1"), "marching order n must be >= 1, got -1"),
+            (("stability", "--m", "-1", "--n", "-200"), "derivative order m must be >= 1, got -1"),
+            (("converge", "--m", "-1", "--n", "2", "--nu", "0.1"),
+             "derivative order m must be >= 1, got -1"),
+        ],
+        ids=["coeffs-m-1", "stability-m-1", "coeffs-n-1", "stability-m-1-n-200", "converge-m-1"],
+    )
+    def test_order_below_one_named(self, argv, message, no_builds, capsys):
+        """Regression: `coeffs --m -1 --n 2` was refused for the default
+        window it built first ("contiguous window needs 0 <= r <= m, got
+        r=-1, m=-2"), and m = -1, n = -200 for its n*m+1 = 201 points.  An
+        order below 1 is named in `SchemeSpec`'s words before any window is
+        built."""
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_scheme_bound_leaves_tests_room(self):
         """100x in N^3 over the largest scheme the tests and acceptance build,

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -45,7 +46,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import MAX_LADDER_STEPS, WINDOW_LIMIT, _SliceSum, _march
+from fdmarch.solver import MAX_LADDER_STEPS, MAX_LADDER_WORK, WINDOW_LIMIT, _SliceSum, _march
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -411,6 +412,73 @@ class TestStackedKernel:
             lambda f: run_nonlinear(f, layers, burgers_densities(n), 0.5, 40), stack
         )
 
+
+
+def traced_peak(march):
+    """The peak of the memory tracemalloc traces, numpy's buffers included,
+    while `march()` runs."""
+    tracemalloc.start()
+    try:
+        march()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoPerStepAllocation:
+    """A run allocates its workspace once: 1000 steps of a (2, 100) stack
+    peak at no more traced memory than 10 steps, give or take 16 KB."""
+
+    def test_run_linear(self):
+        box = (-5.0, 5.0)
+        stack = GridField.stack([GridField.sample(p, box, 100) for p in (triangle, rectangle)])
+        problem = uw_problem(29)
+        run_linear(problem, stack, 1)  # the scheme is built and kept outside the traced runs
+        short = traced_peak(lambda: run_linear(problem, stack, 10))
+        long = traced_peak(lambda: run_linear(problem, stack, 1000))
+        assert long <= short + 16 * 1024, (short, long)
+
+    def test_run_nonlinear(self):
+        box = (-5.0, 5.0)
+        stack = GridField.stack([GridField.sample(p, box, 100) for p in (burgers_ramp, gaussian)])
+        layers = nonlinear_layers(3, TestLayeredKernel.WINDOWS[3])
+        march = lambda steps: run_nonlinear(stack, layers, burgers_densities(3), 0.5, steps)
+        march(1)  # the table's float rows are kept outside the traced runs
+        short = traced_peak(lambda: march(10))
+        long = traced_peak(lambda: march(1000))
+        assert long <= short + 16 * 1024, (short, long)
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_steps_march_on_their_own_interior(self, rows, monkeypatch):
+        """Only a run's first step copies a field in: each later step is
+        handed the (rows, cells) view of the interior the step before it
+        wrote, the very view its workspace keeps for that buffer, so it
+        copies nothing; for `run_linear` and for `run_nonlinear`, which
+        hands each step's field to the next `step_nonlinear` call."""
+        seen = []
+        real = fdmarch.solver._Workspace.step
+
+        def recording(self, values):
+            face = self.turns[0][1]  # the current buffer's interior as a field
+            out = real(self, values)
+            seen.append((values, out, values is face))
+            return out
+
+        monkeypatch.setattr(fdmarch.solver._Workspace, "step", recording)
+        box = (-5.0, 5.0)
+        fields = [GridField.sample(p, box, 100) for p in (burgers_ramp, gaussian)]
+        field = GridField.stack(fields) if rows else fields[0]
+        layers = nonlinear_layers(2, TestLayeredKernel.WINDOWS[2])
+        for march in (
+            lambda: run_linear(uw_problem(5), field, 6),
+            lambda: run_nonlinear(field, layers, burgers_densities(2), 0.5, 6),
+        ):
+            seen.clear()
+            march()
+            assert seen[0][0] is field.values and not seen[0][2]
+            for (_, before, _), (values, _, own) in zip(seen, seen[1:]):
+                assert values is before and own
+                assert values.shape == field.values.shape
 
 def rolled_march(values, stencils, steps):
     """The plain reference march: per step, each stencil in turn replaces u
@@ -879,23 +947,24 @@ def mixed_densities(n):
     return DensityFamily("mixed", tuple(f if j % 2 else (lambda u: u) for j, f in enumerate(funcs)))
 
 
-def fresh_pad_step(values, layers, funcs, nu):
-    """The layered step before it marched in a workspace, kept as the
-    reference: pad a fresh copy of the field, evaluate every density on it,
-    funcs[0] included, and take each row's sum from +0.0 into its own
-    array; row 0's sum is the step's sum, and each later one is scaled by
-    nu**j and added to it."""
-    n = values.shape[-1]
-    stencils = [FloatStencil(zip(layers.offsets, row.tolist())) for row in layers.float_rows]
-    halo = [(0, 0)] * (values.ndim - 1) + [(stencils[0].lo, stencils[0].hi)]
-    ext = np.pad(values, halo, mode="wrap")
-    scratch, row, out = np.empty(values.shape), np.empty(values.shape), np.empty(values.shape)
-    for j, stencil in enumerate(stencils):
-        dens = np.ascontiguousarray(funcs[j](ext), dtype=float)
-        _SliceSum(dens, n, stencil, scratch).sum_into(row if j else out)
-        if j:
-            row *= nu**j
-            out += row
+def rolled_layered_step(values, layers, funcs, nu):
+    """The layered step as weighted rolled copies, kept as the reference:
+    evaluate every density on the field, funcs[0] included, and sum each
+    row's w * np.roll(density, -k) over its items in order, zero weights
+    skipped.  Row 0's sum, from +0.0, is the step's sum; each later one,
+    from its first term, is scaled by nu**j and added to it."""
+    out = None
+    for j, row in enumerate(layers.float_rows):
+        dens = np.asarray(funcs[j](values), dtype=float)
+        acc = np.zeros_like(values) if j == 0 else None
+        for k, w in zip(layers.offsets, row.tolist()):
+            if w:
+                term = w * np.roll(dens, -k, axis=-1)
+                acc = term if acc is None else acc + term
+        if j == 0:
+            out = acc
+        elif acc is not None:
+            out = out + acc * nu**j
     return out
 
 
@@ -923,7 +992,7 @@ def layered_marches(draw):
 
 class TestLayeredWorkspace:
     """`run_nonlinear`, marching in one workspace, against k steps of the
-    fresh-pad reference, by bytes, on the window product and on the slice
+    rolled reference, by bytes, on the window product and on the slice
     loop."""
 
     @given(layered_marches(), st.booleans())
@@ -932,8 +1001,14 @@ class TestLayeredWorkspace:
     )
     @example((np.full((2, 6), -0.0), 1, [-1, 0], burgers_densities(1), -0.5, 1), True)
     @example((np.full((2, 7), -0.0), 2, [-1, 0, 1], mixed_densities(2), -0.5, 2), False)
+    @example(  # three live terms in a later row, whose sum rounds by its order
+        (np.array([[0.1, 0.7, -3.3, 123.456, 1e-3, 5.5, -0.25],
+                   [2.0 / 3.0, -7.1, 0.3, 9.9, -41.5, 1.25, 0.05]]),
+         2, [-1, 0, 1], burgers_densities(2), 0.37, 2),
+        False,
+    )
     @settings(max_examples=300, deadline=None)
-    def test_matches_fresh_pad_steps(self, case, loop):
+    def test_matches_rolled_steps(self, case, loop):
         values, n, offsets, family, nu, steps = case
         layers = nonlinear_layers(n, offsets)
         field = GridField(values, 0.1, 0.0)
@@ -945,7 +1020,7 @@ class TestLayeredWorkspace:
         with np.errstate(all="ignore"), mock.patch.object(fdmarch.solver, "WINDOW_LIMIT", limit):
             want = [values]
             for _ in range(steps):
-                want.append(fresh_pad_step(want[-1], layers, family.funcs, nu))
+                want.append(rolled_layered_step(want[-1], layers, family.funcs, nu))
             got = run_nonlinear(field, layers, family, nu, steps, callback=kept.__setitem__)
             lone = step_nonlinear(field, layers, family, nu)
         assert np.array_equal(values.view(np.int64), before.view(np.int64))
@@ -1150,6 +1225,13 @@ class TestConvergence:
     def test_ladder_step_limit_leaves_test_ladders_room(self):
         # the longest ladder of the suite, diffusion at |nu| = 0.4 on 32..256 cells
         assert 100 * sum(convergence_study(2, 1, 0.4).steps) <= MAX_LADDER_STEPS
+
+    def test_ladder_work_limit_leaves_test_ladders_room(self):
+        # the ladder of the suite doing the most work, m = 2, n = 3 at
+        # |nu| = 0.4 on 32..256 cells, on 7 stencil points
+        res = convergence_study(2, 3, 0.4)
+        work = 7 * sum(g * steps for g, steps in zip(res.grid_sizes, res.steps))
+        assert 100 * work <= MAX_LADDER_WORK
 
     def test_small_grid_refused_before_any_march(self, monkeypatch):
         """The order-29 stencil reaches 15 cells: a 16-cell grid is refused
