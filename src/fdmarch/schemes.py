@@ -165,15 +165,28 @@ class Scheme:
         where that Horner gives nu * 0, -0.0 at a negative nu.  Overflow to
         inf, and the nan of inf - inf or of an infinite nu, pass without a
         warning, as they do in Python floats.
+
+        A 1-D float array of K values of nu gives the (K, N) weights, row k
+        by the same Horner at nu[k], so bitwise the weights at that nu alone.
         """
         if isinstance(nu, (int, Fraction)):
             return np.array(list(self.weights_at(nu).values()), dtype=float)
-        nu = float(nu)
+        rows = self.layers.float_rows
+        if np.ndim(nu) == 0:
+            nu, shape = float(nu), rows.shape[1:]
+        else:
+            # a batch runs flat, nu[k] repeated over its N weights and each
+            # row repeated K times, so every step of the Horner is
+            # elementwise on arrays of one shape
+            nus = np.asarray(nu, dtype=float)
+            shape = (nus.size, rows.shape[1])
+            nu, rows = nus.repeat(shape[1]), rows.repeat(nus.size, axis=0).reshape(len(rows), -1)
         acc = nu * 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for row in self.layers.float_rows[::-1]:
-                acc = acc * nu + row
-        return acc
+            for row in rows[::-1]:
+                acc *= nu
+                acc += row
+        return acc.reshape(shape)
 
     def truncated(self, max_power: int) -> "Scheme":
         """Variant keeping only the nu-layers j <= max_power.

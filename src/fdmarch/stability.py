@@ -14,32 +14,37 @@ where a_0 = r_0, a_d = 2 r_d and r_d = sum_k c_k c_{k+d} is the weights'
 autocorrelation, so 1 - |g|^2 is 1 - r_0 - 2 sum_d r_d T_d(cos theta).
 |g|^2 is even in theta, so the grid covers [0, pi], and one real FFT of the
 a_d gives it.  The grid depends only on the stencil, so one search
-(`max_growth`, `critical_courant`, `stability_report`) builds it once, and
-every nu it probes costs one autocorrelation, one FFT and a few cosine sums:
-the grid's largest peaks are polished together by safeguarded Newton steps on
-the slope, whose value and derivatives come from one set of cos/sin sums.  The
-weights at each probed nu are `Scheme.float_weights`, read from the layer
-table's float rows; the scan builds no exact weight polynomial.  Nothing
-outlives the search.
+(`max_growth`, `critical_courant`, `stability_report`) builds it once.  The
+scan probes a batch of Courant numbers per call: one autocorrelation per nu,
+one FFT of the whole batch, and a few cosine sums: the grid's largest peaks
+of every nu are polished together by safeguarded Newton steps on the slope,
+whose value and derivatives come from one set of cos/sin sums.  A nu_c search
+hands the scan whole phases: the doubling ladder and the pocket sweep in
+chunks, the pocket guard's probes at once; only bisection probes one nu at a
+time.  The weights at each probed nu are `Scheme.float_weights`, read from
+the layer table's float rows; the scan builds no exact weight polynomial.
+Nothing outlives the search.
 
 The polish only ever raises the maximum, so a stability verdict stops as soon
-as it is decided: at the grid when the grid maximum already exceeds the
-limit, or after the first polish step that does.  The verdicts are those of
-a fully polished scan; every value this module reports (`max_growth`,
-`amplification`, a report's worst theta) is still fully polished.
+as it is decided, each probe of a batch on its own: at the grid when the grid
+maximum already exceeds the limit, or after the first polish step that does.
+The verdicts are those of a fully polished scan; every value this module
+reports (`max_growth`, `amplification`, a report's worst theta) is still
+fully polished.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .exact import ConfigurationError, OffsetSet
-from .schemes import Scheme, SchemeSpec, master_scheme
+from .schemes import Scheme, SchemeSpec, check_orders, master_scheme
 
 # |g|^2 <= 1 + GROWTH_TOL counts as stable: absorbs float roundoff in the
 # gain evaluation without masking genuine growth.
@@ -57,9 +62,20 @@ _POLISH_STEPS = 64
 NU_TOL = 1e-4
 # doubling search gives up beyond this Courant number
 NU_MAX = 64.0
+# the doubling ladder and the pocket sweep hand the scan this many probes at
+# a time; a chunk may probe past the first unstable point
+_LADDER_CHUNK = 8
+_SWEEP_CHUNK = 32
 
 # twice the float epsilon: the polish's stop rule compares twice a gain with it
 _EPS2 = 2.0 * float(np.finfo(float).eps)
+# the largest finite float: a grid maximum above it has overflowed
+_FLOAT_MAX = float(np.finfo(float).max)
+# the theta grid on [0, pi], the same for every scheme; read-only, as shared
+_THETAS = np.linspace(0.0, math.pi, THETA_SAMPLES // 2 + 1)
+_THETAS.flags.writeable = False
+# d^0, d^1, d^2: the polish's moments are a_d times these
+_MOMENT_POWERS = np.array([[0.0], [1.0], [2.0]])
 
 
 def grows(g2: float) -> bool:
@@ -78,84 +94,111 @@ def check_tol(tol: float) -> None:
         raise ConfigurationError(f"tol must be > 0 and finite, got {tol:g}")
 
 
-def _cosine_coefficients(offsets: OffsetSet, weights: np.ndarray) -> np.ndarray:
-    """a_d, d = 0..span, with |g(theta)|^2 = sum_d a_d cos(d theta).
+def _cosine_coefficients(offsets: Sequence[int], weights: np.ndarray) -> np.ndarray:
+    """a_d, d = 0..span, of each row of the (K, N) weights: the (K, span + 1)
+    rows with |g(theta)|^2 = sum_d a_d cos(d theta).
 
     a_0 = r_0 and a_d = 2 r_d, where r_d = sum_k c_k c_{k+d} is the
-    autocorrelation of the weights placed at their offsets.
+    autocorrelation of a row's weights placed at their offsets.
     """
-    w = np.zeros(offsets[-1] - offsets[0] + 1)
-    w[np.subtract(offsets, offsets[0])] = weights
-    a = np.correlate(w, w, "full")[w.size - 1 :]
-    a[1:] *= 2.0
+    span = offsets[-1] - offsets[0]
+    w = weights
+    if len(offsets) <= span:  # a gap: place the weights at their offsets
+        w = np.zeros((len(weights), span + 1))
+        w[:, np.subtract(offsets, offsets[0])] = weights
+    a = np.empty_like(w)
+    for row, out in zip(w, a):
+        out[:] = np.correlate(row, row, "full")[span:]
+    a[:, 1:] *= 2.0
     return a
 
 
 class _GrowthScan:
     """The theta grid of one scheme, built once per search.
 
-    |g|^2 is even in theta, so the grid covers [0, pi].  A probe costs one
-    autocorrelation of the weights, one real FFT for the grid, and a few
-    vectorised Newton steps that polish the grid's largest peaks together.
+    |g|^2 is even in theta, so the grid covers [0, pi].  A call probes a
+    batch of nu: one autocorrelation of the weights per nu, one real FFT of
+    the batch for the grids, and a few vectorised Newton steps that polish
+    the largest peaks of every grid together.
     """
 
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
         self.d = np.arange(scheme.offsets.span + 1, dtype=float)
-        self.thetas = np.linspace(0.0, math.pi, THETA_SAMPLES // 2 + 1)
+        self.powers = (self.d ** _MOMENT_POWERS)[:, :, None]
+        self.thetas = _THETAS
 
     def _grid(self, a: np.ndarray) -> np.ndarray:
-        """sum_d a_d cos(d theta) on the grid, as the real part of one real FFT;
-        cos(d theta) repeats in d with period THETA_SAMPLES on the grid, so a
-        longer a is folded first."""
-        if a.size > THETA_SAMPLES:
-            a = np.pad(a, (0, -a.size % THETA_SAMPLES)).reshape(-1, THETA_SAMPLES).sum(axis=0)
-        return np.fft.rfft(a, THETA_SAMPLES).real
+        """sum_d a_d cos(d theta) on the grid for each row of the (K, span + 1)
+        a, as the real part of one real FFT along the rows, copied out
+        contiguous for the scans that follow; cos(d theta) repeats in d with
+        period THETA_SAMPLES on the grid, so a longer row is folded first."""
+        if a.shape[1] > THETA_SAMPLES:
+            a = np.pad(a, ((0, 0), (0, -a.shape[1] % THETA_SAMPLES)))
+            a = a.reshape(len(a), -1, THETA_SAMPLES).sum(axis=1)
+        return np.fft.rfft(a, THETA_SAMPLES, axis=1).real.copy()
 
     def _slopes(self, thetas: np.ndarray, moments: np.ndarray):
-        """|g|^2 and its first two theta derivatives at thetas, from the
-        moments (a_d, d a_d, d^2 a_d)."""
-        phase = np.multiply.outer(thetas, self.d)
+        """|g|^2 and its first two theta derivatives at the (R, P) thetas; row r
+        sums its moments (a_d, d a_d, d^2 a_d), the (R, 3, span + 1, 1) array's
+        row r, as column vectors."""
+        phase = thetas[..., None] * self.d
         cos = np.cos(phase)
-        return cos @ moments[0], -(np.sin(phase) @ moments[1]), -(cos @ moments[2])
+        p, p2 = cos @ moments[:, 0], cos @ moments[:, 2]
+        return p[..., 0], -(np.sin(phase) @ moments[:, 1])[..., 0], -p2[..., 0]
 
-    def peak(self, nu: float, limit: float = math.inf) -> tuple[float, float]:
-        """(worst theta, max |g|^2) at nu; see `max_growth`.
+    def peaks(self, nus, limit: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+        """(worst theta, max |g|^2) at each nu of the 1-D batch nus, as two
+        arrays; see `max_growth`.
 
-        The polish only raises the maximum, so once the maximum exceeds
-        `limit` the scan stops and returns it as far as it got: enough for a
+        The polish only raises a maximum, so once a probe's maximum exceeds
+        `limit` its polish stops and returns it as far as it got: enough for a
         verdict against `limit`.  A maximum at or below `limit` is the fully
-        polished one.
+        polished one.  Each probe is scanned and stopped on its own, so its
+        verdict and grid do not depend on the rest of the batch.
         """
         thetas = self.thetas
         # a huge nu overflows the gain to inf or nan, which `grows` reads as
         # unstable: the peak is the verdict, and numpy's warnings add nothing;
         # a Newton step is taken only where p2 < 0, so a p2 of 0 may divide
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a = _cosine_coefficients(self.scheme.offsets, self.scheme.float_weights(nu))
+            a = _cosine_coefficients(self.scheme.offsets, self.scheme.float_weights(nus))
             g2 = self._grid(a)
-
-            best_idx = int(np.argmax(g2))
-            best_theta, best_val = float(thetas[best_idx]), float(g2[best_idx])
-            # an overflowed grid is its own verdict: no polish can raise it
-            if best_val > limit or not math.isfinite(best_val):
+            best_theta, best_val = thetas[g2.argmax(axis=1)], g2.max(axis=1)
+            # a grid above the limit, or overflowed to inf or nan, is its own
+            # verdict: no polish can lower it
+            polish = (best_val <= min(limit, _FLOAT_MAX)).tolist()
+            if not any(polish):
                 return best_theta, best_val
 
-            # local maxima; each end of [0, pi] is its own mirror image's neighbour
-            reflected = np.concatenate((g2[1:2], g2, g2[-2:-1]))
-            peak_idx = np.flatnonzero((g2 >= reflected[:-2]) & (g2 >= reflected[2:]))
-            top = peak_idx[np.argsort(g2[peak_idx])[::-1][:POLISHED_PEAKS]]
+            # the largest local maxima of each grid to polish, one slot each;
+            # a slot no peak fills stays dead.  Each end of [0, pi] is its own
+            # mirror image's neighbour.
+            reflected = np.concatenate((g2[:, 1:2], g2, g2[:, -2:-1]), axis=1)
+            is_peak = (g2 >= reflected[:, :-2]) & (g2 >= reflected[:, 2:])
+            top = np.zeros((len(g2), POLISHED_PEAKS), dtype=np.intp)
+            live = np.zeros(top.shape, dtype=bool)
+            for k in itertools.compress(range(len(g2)), polish):
+                peak_idx = is_peak[k].nonzero()[0]
+                picked = peak_idx[np.argsort(g2[k][peak_idx])[::-1][:POLISHED_PEAKS]]
+                top[k, : picked.size] = picked
+                live[k, : picked.size] = True
             theta = thetas[top]
             h = thetas[1]
             lo, hi = np.maximum(theta - h, 0.0), np.minimum(theta + h, math.pi)
-            moments = np.stack((a, self.d * a, self.d * self.d * a))
+            moments = a[:, None, :, None] * self.powers
+            # each slot's best (theta, |g|^2) so far, starting from the grid's
+            rows = np.arange(len(g2))
+            arg, val = best_theta[:, None], best_val[:, None]
+
+            def record():
+                at, i = np.arange(len(rows)), val.argmax(axis=1)
+                best_theta[rows], best_val[rows] = arg[at, i], val[at, i]
+
             for _ in range(_POLISH_STEPS):
                 p, p1, p2 = self._slopes(theta, moments)
-                i = int(np.argmax(p))
-                if p[i] > best_val:
-                    best_theta, best_val = float(theta[i]), float(p[i])
-                    if best_val > limit:
-                        break
+                raised = live & (p > val)
+                arg, val = np.where(raised, theta, arg), np.where(raised, p, val)
                 # the ends are mirror points, so the slope there is 0, and an
                 # end with p2 > 0 is a minimum: the search goes inwards unless
                 # the climb p2 w^2 / 2 across the bracket is below tolerance
@@ -168,10 +211,20 @@ class _GrowthScan:
                 lo, hi = np.where(rising, theta, lo), np.where(rising, hi, theta)
                 newton = theta - p1 / p2
                 step = np.where((p2 < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-                going = ~done & (step != theta)
-                if not going.any():
-                    break
-                theta, lo, hi = step[going], lo[going], hi[going]
+                done |= step == theta
+                live &= ~done
+                # a probe stops once its slots are done or its maximum is past the limit
+                going = live.any(axis=1) & (val <= limit).all(axis=1)
+                flags = going.tolist()
+                if not all(flags):
+                    record()
+                    if not any(flags):
+                        return best_theta, best_val
+                    rows, step, theta, lo, hi, live, moments, arg, val = (
+                        x[going] for x in (rows, step, theta, lo, hi, live, moments, arg, val)
+                    )
+                theta = np.where(live, step, theta)
+            record()
             return best_theta, best_val
 
 
@@ -182,7 +235,7 @@ def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
     """
     d = np.arange(scheme.offsets.span + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _cosine_coefficients(scheme.offsets, scheme.float_weights(nu))
+        a = _cosine_coefficients(scheme.offsets, scheme.float_weights(nu)[None])[0]
         g2 = np.cos(np.multiply.outer(np.asarray(theta, dtype=float), d)) @ a
     return float(g2) if np.ndim(theta) == 0 else g2
 
@@ -196,7 +249,8 @@ def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
     Newton steps within one grid step, so sharp peaks between grid points are
     not missed.  An end of [0, pi] that is a local minimum is searched inwards.
     """
-    return _GrowthScan(scheme).peak(nu)
+    theta, g2 = _GrowthScan(scheme).peaks([nu])
+    return float(theta[0]), float(g2[0])
 
 
 def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float:
@@ -224,9 +278,15 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     Each probe stops as soon as its verdict is decided: at the grid when the
     grid maximum of |g|^2 already exceeds 1 + GROWTH_TOL, or after the first
     polish step that does.  The polish only raises the maximum, so the
-    verdicts, and the nu_c they give, are those of fully polished scans.
+    verdicts, and the nu_c they give, are those of fully polished scans.  The
+    doubling ladder and the sweep are probed in chunks, and the pocket guard
+    at once, so a chunk may probe past the first unstable point; the probes
+    up to it, and so nu_c, are those of a search probing one nu at a time.
     """
     return _critical_courant(_GrowthScan(scheme), nu_sign, tol)
+
+
+_Verdicts = Callable[[Sequence[float]], list[bool]]
 
 
 def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
@@ -235,36 +295,57 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     sign = 1 if nu_sign >= 0 else -1
     limit = 1.0 + GROWTH_TOL
 
-    def stable(nu_abs: float) -> bool:
-        return not grows(scan.peak(sign * nu_abs, limit=limit)[1])
+    def stables(nus_abs: Sequence[float]) -> list[bool]:
+        _, g2 = scan.peaks(sign * np.asarray(nus_abs, dtype=float), limit=limit)
+        return [not grows(v) for v in g2.tolist()]
 
-    hi = tol
-    while hi <= NU_MAX and stable(hi):
-        hi *= 2.0
-    if hi > NU_MAX:
+    _, hi = _first_unstable(stables, _doubling(tol), _LADDER_CHUNK)
+    if hi is None:
         return NU_MAX
     if hi == tol:
         # unstable at the first probe: bisect [0, tol] at least as finely as
         # the stable threshold, or a coarse tol would read every nu_c below it as 0
-        lo, hi = _bisect(stable, 0.0, hi, min(tol, STABLE_NU_THRESHOLD))
+        lo, hi = _bisect(stables, 0.0, hi, min(tol, STABLE_NU_THRESHOLD))
     else:
-        lo, hi = _bisect(stable, hi / 2.0, hi, tol)
+        lo, hi = _bisect(stables, hi / 2.0, hi, tol)
 
     if lo > 0.0:
         # lo + tol rounds to lo when tol is below the spacing; hi is unstable
         above = np.linspace(max(lo + tol, hi), min(NU_MAX, 2.0 * lo + 16.0 * tol), 8)
         below = np.linspace(0.125 * lo, lo, 8)
-        pocket_above = any(stable(float(p)) for p in above)
-        pocket_below = not all(stable(float(p)) for p in below)
+        verdicts = stables(np.concatenate((above, below)))
+        pocket_above = any(verdicts[: len(above)])
+        pocket_below = not all(verdicts[len(above) :])
         if pocket_above or pocket_below:
-            return _sweep_critical(stable, tol, hi)
+            return _sweep_critical(stables, tol, hi)
     return lo
 
 
-def _bisect(
-    stable: Callable[[float], bool], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Shrink a (stable lo, unstable hi) bracket to width tol by bisection.
+def _doubling(tol: float) -> Iterator[float]:
+    """tol, 2 tol, 4 tol, ... up to NU_MAX."""
+    nu = tol
+    while nu <= NU_MAX:
+        yield nu
+        nu *= 2.0
+
+
+def _first_unstable(
+    stables: _Verdicts, probes: Iterator[float], chunk: int
+) -> tuple[float, Optional[float]]:
+    """(last stable, first unstable) of the probes, asked `chunk` at a time:
+    0.0 when no probe is stable, None when none is unstable."""
+    last_stable = 0.0
+    while batch := list(itertools.islice(probes, chunk)):
+        for nu, ok in zip(batch, stables(batch)):
+            if not ok:
+                return last_stable, nu
+            last_stable = nu
+    return last_stable, None
+
+
+def _bisect(stables: _Verdicts, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink a (stable lo, unstable hi) bracket to width tol by bisection,
+    one probe at a time.
 
     A tol below the float spacing ends it at two neighbouring floats.
     """
@@ -272,16 +353,14 @@ def _bisect(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # tol is below the float spacing here: lo and hi are neighbours
-        if stable(mid):
+        if stables([mid])[0]:
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
-def _sweep_critical(
-    stable: Callable[[float], bool], tol: float, ceiling: float
-) -> float:
+def _sweep_critical(stables: _Verdicts, tol: float, ceiling: float) -> float:
     """Linear sweep from below; the first unstable point wins.
 
     The sweep steps by max(tol, NU_TOL), so a tiny tol cannot make it endless.
@@ -289,14 +368,17 @@ def _sweep_critical(
     unstable) is bisected down to tol; otherwise the sweep alone decides.
     """
     step = max(tol, NU_TOL)
-    nu = step
-    last_stable = 0.0
-    while nu <= ceiling + step:
-        if not stable(nu):
-            return last_stable if step == tol else _bisect(stable, last_stable, nu, tol)[0]
-        last_stable = nu
-        nu += step
-    return last_stable
+
+    def sweep() -> Iterator[float]:
+        nu = step
+        while nu <= ceiling + step:
+            yield nu
+            nu += step
+
+    last_stable, unstable = _first_unstable(stables, sweep(), _SWEEP_CHUNK)
+    if unstable is None or step == tol:
+        return last_stable
+    return _bisect(stables, last_stable, unstable, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -329,7 +411,7 @@ def stability_report(
     scan = _GrowthScan(scheme)
     sign = 1 if nu_sign >= 0 else -1
     nu_c = _critical_courant(scan, sign, tol)
-    worst_theta, _ = scan.peak(sign * (nu_c + 10.0 * tol))
+    worst_theta = scan.peaks([sign * (nu_c + 10.0 * tol)])[0][0]
     return StabilityReport(
         m=scheme.m,
         n=scheme.n,
@@ -347,8 +429,7 @@ def truncated_first_layer_critical(n: int, tol: float = NU_TOL) -> float:
     scheme leaves a first-order-in-time update whose stability range shrinks
     with n instead of growing.
     """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
+    check_orders(2, n)
     scheme = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
     return critical_courant(scheme.truncated(1), +1, tol=tol)
 
@@ -389,8 +470,7 @@ def first_order_stable_r(m: int, sign: int) -> Optional[int]:
     r = l works and only when sign = (-1)^(l-1); for odd m = 2l-1 one of the
     two near-centered windows works for each sign.
     """
-    if m < 1:
-        raise ConfigurationError(f"m must be >= 1, got {m}")
+    check_orders(m, 1)
     sign = 1 if sign >= 0 else -1
     if m % 2 == 0:
         half = m // 2

@@ -259,7 +259,7 @@ class TestStability:
     def test_classify_needs_positive_m(self, m):
         proc = run_cli_process("classify", "--m", m)
         assert proc.returncode == 2, proc.stdout + proc.stderr
-        assert proc.stderr == f"error: m must be >= 1, got {m}\n"
+        assert proc.stderr == f"error: derivative order m must be >= 1, got {m}\n"
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("m", ["140", "100000"])

@@ -23,6 +23,7 @@ from fdmarch.stability import (
     NU_TOL,
     STABLE_NU_THRESHOLD,
     THETA_SAMPLES,
+    _bisect,
     _sweep_critical,
     advection_family_scheme,
     advection_family_spec,
@@ -31,6 +32,7 @@ from fdmarch.stability import (
     classify_first_order,
     critical_courant,
     first_order_stable_r,
+    grows,
     max_growth,
     stability_bound_audit,
     stability_report,
@@ -195,17 +197,21 @@ class TestScanAccuracy:
 
     def test_span_beyond_the_grid_is_folded(self):
         """A span of 4096 or more folds a_d by d mod THETA_SAMPLES before the
-        one FFT: the grid is the cosine sum, and the peak is the closed form
-        (|c_0| + |c_1|)^2 of a two-point stencil."""
+        one FFT, row by row in a batch: each grid is the cosine sum, and each
+        peak is the closed form (|c_0| + |c_1|)^2 of a two-point stencil."""
         s = master_scheme(SchemeSpec(1, 1, OffsetSet([-1, 4100])))
         scan = fdmarch.stability._GrowthScan(s)
-        nu = 0.3
-        c = s.float_weights(nu)
-        a = fdmarch.stability._cosine_coefficients(s.offsets, c)
-        assert a.size == 4102 > THETA_SAMPLES
-        grid = scan._grid(a)
-        assert grid == pytest.approx(amplification(s, nu, scan.thetas), rel=1e-12, abs=1e-12)
-        assert max_growth(s, nu)[1] == pytest.approx((abs(c[0]) + abs(c[1])) ** 2, rel=1e-14)
+        for nus in ([0.3], [0.3, -0.45, 0.7]):
+            c = s.float_weights(nus)
+            a = fdmarch.stability._cosine_coefficients(s.offsets, c)
+            assert a.shape == (len(nus), 4102) and 4102 > THETA_SAMPLES
+            grid = scan._grid(a)
+            _, peaks = scan.peaks(nus)
+            for k, nu in enumerate(nus):
+                assert grid[k] == pytest.approx(amplification(s, nu, scan.thetas), rel=1e-12, abs=1e-12)
+                closed = (abs(c[k, 0]) + abs(c[k, 1])) ** 2
+                assert max_growth(s, nu)[1] == pytest.approx(closed, rel=1e-14)
+                assert peaks[k] == pytest.approx(closed, rel=1e-14)
 
     @pytest.mark.parametrize("end", [0.0, math.pi], ids=["theta=0", "theta=pi"])
     def test_end_minimum_with_twin_peaks(self, end):
@@ -227,31 +233,94 @@ class TestScanAccuracy:
         assert abs(theta - end) == pytest.approx(2 * math.sqrt(e), rel=0.25)
 
 
+# the nu of each batch below: exact shifts with tied peaks at +-1, and -1e200,
+# whose gain overflows the grid to nan
+BATCH_NUS = [-1e200, -1.7155, -1.0, -0.8, -0.31, 0.13, 0.8, 1.0, 1.7155]
+
+
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestBatchEqualsItsSingleProbes:
+    """A batch of nu gives each probe what a scan of that nu alone gives."""
+
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_verdicts_and_grid_maxima(self, spec):
+        """Verdict and grid-maximum bits per probe; a limit of -inf stops every
+        probe at its grid maximum."""
+        scan = fdmarch.stability._GrowthScan(master_scheme(spec))
+        limit = 1.0 + GROWTH_TOL
+        verdicts = scan.peaks(BATCH_NUS, limit)[1]
+        grids = scan.peaks(BATCH_NUS, -math.inf)
+        full = scan.peaks(BATCH_NUS)[1]
+        for k, nu in enumerate(BATCH_NUS):
+            assert grows(verdicts[k]) == grows(scan.peaks([nu], limit)[1][0]), nu
+            alone = scan.peaks([nu], -math.inf)
+            assert bits((grids[0][k], grids[1][k])) == bits((alone[0][0], alone[1][0])), nu
+            alone = scan.peaks([nu])[1][0]
+            assert full[k] == pytest.approx(alone, rel=1e-15, nan_ok=True), nu
+
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_fft_rows_are_the_one_dimensional_fft(self, spec):
+        """numpy's real FFT of a (K, span + 1) batch along its rows is bitwise
+        the FFT of each row alone; the batched grid rests on this."""
+        s = master_scheme(spec)
+        # the overflowed row is inf and nan throughout
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = fdmarch.stability._cosine_coefficients(s.offsets, s.float_weights(BATCH_NUS))
+            rows = np.fft.rfft(a, THETA_SAMPLES, axis=-1)
+            grid = fdmarch.stability._GrowthScan(s)._grid(a)
+            for k, nu in enumerate(BATCH_NUS):
+                alone = np.fft.rfft(a[k], THETA_SAMPLES)
+                assert rows[k].tobytes() == alone.tobytes(), nu
+                assert grid[k].tobytes() == alone.real.tobytes(), nu
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [master_scheme(spec) for spec in PIN_SPECS]
+        + [master_scheme(PIN_SPECS[0]).truncated(0), first_order_scheme(2, 1).truncated(0)],
+        ids=[pin_id(spec) for spec in PIN_SPECS] + ["m1-n1-truncated", "m2-n1-truncated"],
+    )
+    def test_float_weights_rows(self, scheme):
+        """Row k of the weights at a batch is bitwise the weights at nu[k],
+        signed zeros included: a truncated scheme has identically zero
+        columns, which read +0.0 at a negative nu."""
+        batch = scheme.float_weights(np.array(BATCH_NUS))
+        assert batch.shape == (len(BATCH_NUS), len(scheme.offsets))
+        for k, nu in enumerate(BATCH_NUS):
+            assert batch[k].tobytes() == scheme.float_weights(nu).tobytes(), nu
+        w = scheme.float_weights(-0.8)
+        assert not np.signbit(w[w == 0.0]).any()
+
+
 @dataclass
 class FixedWeights:
-    """A stand-in scheme whose weights are the same at every nu."""
+    """A stand-in scheme whose weights are the same at every nu, or at every
+    nu of a batch."""
 
     offsets: OffsetSet
     weights: np.ndarray
 
     def float_weights(self, nu):
-        return self.weights
+        return np.broadcast_to(self.weights, np.shape(nu) + self.weights.shape)
 
 
 class TestOneFFTPerProbe:
-    """Each probe of a search costs one real FFT, and nothing builds a 2-D
-    complex exponential basis."""
+    """Each scan call costs one real FFT, whatever the size of its batch, and
+    nothing builds a 2-D complex exponential basis."""
 
     SWEEP = SchemeSpec(4, 5, OffsetSet(range(-10, 11)))
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"probes": 0, "rfft": 0, "complex_exp": 0}
-        peak, rfft, exp = fdmarch.stability._GrowthScan.peak, np.fft.rfft, np.exp
+        counts = {"calls": 0, "probes": 0, "rfft": 0, "complex_exp": 0}
+        peaks, rfft, exp = fdmarch.stability._GrowthScan.peaks, np.fft.rfft, np.exp
 
-        def counting_peak(*args, **kwargs):
-            counts["probes"] += 1
-            return peak(*args, **kwargs)
+        def counting_peaks(self, nus, *args, **kwargs):
+            counts["calls"] += 1
+            counts["probes"] += len(nus)
+            return peaks(self, nus, *args, **kwargs)
 
         def counting_rfft(*args, **kwargs):
             counts["rfft"] += 1
@@ -262,7 +331,7 @@ class TestOneFFTPerProbe:
                 counts["complex_exp"] += 1
             return exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(fdmarch.stability._GrowthScan, "peak", counting_peak)
+        monkeypatch.setattr(fdmarch.stability._GrowthScan, "peaks", counting_peaks)
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         monkeypatch.setattr(np, "exp", counting_exp)
         return counts
@@ -272,33 +341,38 @@ class TestOneFFTPerProbe:
         nu_c = critical_courant(master_scheme(self.SWEEP), -1, tol=1e-3)
         assert 0.0 < nu_c < 1.0
         assert counts["probes"] > 100
-        assert counts["rfft"] == counts["probes"]
+        assert counts["rfft"] == counts["calls"] < counts["probes"]
         assert counts["complex_exp"] == 0
 
     def test_stability_report(self, counts):
         stability_report(master_scheme(self.SWEEP), -1, tol=1e-3)
-        assert counts["rfft"] == counts["probes"] > 100
+        assert counts["probes"] > 100
+        assert counts["rfft"] == counts["calls"] < counts["probes"]
         assert counts["complex_exp"] == 0
 
 
 def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
-    """Perf guard, as a count: over the stability searches of the benchmark's
+    """Perf guard, as counts: over the stability searches of the benchmark's
     scheme-zoo workload (centred diffusion n = 1..4 full and truncated, the
     uw/lw/bw ladders, the m = 4, n = 5 sweep at tol 1e-3), the Newton polish
-    evaluates its cosine sums at most twice per probe on average."""
-    counts = {"probes": 0, "evaluations": 0}
+    evaluates its cosine sums at most twice per probe on average, and the
+    scan is called at most 300 times: the searches hand it their probes in
+    batches, where one call per probe would be over 800."""
+    counts = {"calls": 0, "probes": 0, "evaluations": 0}
     scan = fdmarch.stability._GrowthScan
-    peak, slopes = scan.peak, scan._slopes
+    peaks, slopes = scan.peaks, scan._slopes
 
-    def counting_peak(*args, **kwargs):
-        counts["probes"] += 1
-        return peak(*args, **kwargs)
+    def counting_peaks(self, nus, *args, **kwargs):
+        counts["calls"] += 1
+        counts["probes"] += len(nus)
+        return peaks(self, nus, *args, **kwargs)
 
-    def counting_slopes(*args, **kwargs):
-        counts["evaluations"] += 1
-        return slopes(*args, **kwargs)
+    def counting_slopes(self, thetas, *args, **kwargs):
+        # one evaluation per probe whose peaks this call polishes
+        counts["evaluations"] += len(thetas)
+        return slopes(self, thetas, *args, **kwargs)
 
-    monkeypatch.setattr(scan, "peak", counting_peak)
+    monkeypatch.setattr(scan, "peaks", counting_peaks)
     monkeypatch.setattr(scan, "_slopes", counting_slopes)
     for n in range(1, 5):
         s = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
@@ -310,13 +384,14 @@ def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
     critical_courant(master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11)))), -1, tol=1e-3)
     assert counts["probes"] > 800
     assert counts["evaluations"] <= 2 * counts["probes"]
+    assert counts["calls"] <= 300
 
 
 class FullyPolishedScan(fdmarch.stability._GrowthScan):
     """The shared scan with every probe fully polished, whatever its verdict needs."""
 
-    def peak(self, nu, limit=math.inf):
-        return super().peak(nu)
+    def peaks(self, nus, limit=math.inf):
+        return super().peaks(nus)
 
 
 def fully_polished_critical_courant(scheme, nu_sign, tol):
@@ -354,7 +429,7 @@ class TestVerdictStopsWhenDecided:
                 top,
                 1.0 + GROWTH_TOL,
             ):
-                got = scan.peak(nu, limit=limit)
+                got = tuple(x[0] for x in scan.peaks([nu], limit=limit))
                 assert (got[1] > limit) == (top > limit), (nu, limit)
                 if top <= limit:
                     assert hexes(got) == hexes(full), (nu, limit)
@@ -373,7 +448,7 @@ class TestVerdictStopsWhenDecided:
 
     def test_grid_above_limit_skips_the_polish(self, polishes):
         scan = fdmarch.stability._GrowthScan(first_order_scheme(2, 1))
-        _, g2 = scan.peak(0.6, limit=1.0 + GROWTH_TOL)
+        _, (g2,) = scan.peaks([0.6], limit=1.0 + GROWTH_TOL)
         assert g2 > 1.9  # the grid peak at theta = pi, |1 - 4 nu|^2 = 1.96
         assert polishes == []
 
@@ -495,30 +570,59 @@ class TestPocketSweep:
 
         return stable, probes
 
+    @classmethod
+    def logged_batches(cls, boundary, pocket=None):
+        """`logged`, asked a batch of nu at a time as the search asks the scan,
+        and the sizes of the batches."""
+        stable, probes = cls.logged(boundary, pocket)
+        sizes = []
+
+        def stables(nus):
+            sizes.append(len(nus))
+            return [stable(nu) for nu in nus]
+
+        return stables, probes, sizes
+
     @pytest.mark.parametrize("tol", [NU_TOL, 3e-4, 1e-3, 0.01])
     @pytest.mark.parametrize("pocket", [None, (0.05, 0.0512)])
     def test_tol_at_least_nu_tol_probes_as_before(self, tol, pocket):
-        new, new_probes = self.logged(0.15032, pocket)
+        """The batched sweep gives the old float, and asks the old sequence of
+        nu up to and including its first unstable one, then at most the rest
+        of that batch."""
+        new, new_probes, _ = self.logged_batches(0.15032, pocket)
         old, old_probes = self.logged(0.15032, pocket)
         got = _sweep_critical(new, tol, 0.2)
         assert float.hex(got) == float.hex(tol_step_sweep(old, tol, 0.2))
-        assert new_probes == old_probes
+        verdict, _ = self.logged(0.15032, pocket)
+        assert not verdict(old_probes[-1])  # the old sweep ended at its first unstable nu
+        assert new_probes[: len(old_probes)] == old_probes
+        assert len(new_probes) < len(old_probes) + fdmarch.stability._SWEEP_CHUNK
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-20])
     @pytest.mark.parametrize("pocket", [None, (0.05, 0.0512)])
     def test_fine_tol_bisects_the_sweep_bracket(self, tol, pocket):
-        stable, probes = self.logged(0.15032, pocket)
+        stable, probes, _ = self.logged_batches(0.15032, pocket)
         got = _sweep_critical(stable, tol, 0.2)
         first_unstable = pocket[0] if pocket else 0.15032
         # bisection ends at tol or at two neighbouring floats
         assert first_unstable - max(tol, math.ulp(first_unstable)) <= got < first_unstable
         assert len(probes) < 0.2 / NU_TOL + 100
 
+    def test_bisection_asks_one_nu_at_a_time(self):
+        stables, probes, sizes = self.logged_batches(0.15032)
+        lo, hi = _bisect(stables, 0.0, 0.2, 1e-6)
+        assert lo < 0.15032 <= hi and hi - lo <= 1e-6
+        assert sizes == [1] * len(probes)
+
     def test_sweep_spec_unchanged_at_coarse_tol(self, monkeypatch):
         """The scheme-zoo sweep case, m=4 n=5 at tol 1e-3, gives the same float."""
         scheme = master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11))))
         got = critical_courant(scheme, -1, tol=1e-3)
-        monkeypatch.setattr(fdmarch.stability, "_sweep_critical", tol_step_sweep)
+
+        def old_sweep(stables, tol, ceiling):
+            return tol_step_sweep(lambda nu: stables([nu])[0], tol, ceiling)
+
+        monkeypatch.setattr(fdmarch.stability, "_sweep_critical", old_sweep)
         assert float.hex(got) == float.hex(critical_courant(scheme, -1, tol=1e-3))
 
 
