@@ -42,8 +42,10 @@ from .schemes import (
 from .stability import (
     FAMILIES,
     advection_family_spec,
+    advection_family_stability,
     check_tol,
     classify_first_order,
+    critical_courant,
     stability_report,
 )
 from .solver import (
@@ -301,14 +303,16 @@ def _cmd_stability(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _print_first_order_windows(m: int) -> None:
+    """The exact nu_c of every first-order window r = 0..m for both signs of
+    a, and the stable window per sign."""
     # the table prints every window's exact nu_c = 1/2^(m-1) in full
-    _check_scheme_size(args.m, 1)
-    cls = classify_first_order(args.m)
-    print(f"# first-order windows for m={args.m} (exact critical Courant numbers)")
-    print("r " + " ".join(f"{r:>10d}" for r in range(args.m + 1)))
+    _check_scheme_size(m, 1)
+    cls = classify_first_order(m)
+    print(f"# first-order windows for m={m} (exact critical Courant numbers)")
+    print("r " + " ".join(f"{r:>10d}" for r in range(m + 1)))
     for sign in (+1, -1):
-        row = " ".join(f"{str(cls.nu_critical[(sign, r)]):>10}" for r in range(args.m + 1))
+        row = " ".join(f"{str(cls.nu_critical[(sign, r)]):>10}" for r in range(m + 1))
         print(f"a{'>' if sign > 0 else '<'}0 {row}")
     for sign in (+1, -1):
         r = cls.stable_r[sign]
@@ -317,6 +321,36 @@ def _cmd_classify(args) -> int:
             print(f"{label}: no stable window")
         else:
             print(f"{label}: stable window r={r} (|nu| up to {cls.nu_critical[(sign, r)]})")
+
+
+def _cmd_classify(args) -> int:
+    _print_first_order_windows(args.m)
+    return 0
+
+
+def _cmd_survey(args) -> int:
+    """Critical Courant numbers across the scheme zoo: the centred diffusion
+    ladder in full and truncated to its linear-in-nu layer, the first-order
+    windows of m = 1..6 as `classify` prints them, and the named advection
+    ladders."""
+    print("## centered second-derivative ladder (a > 0)")
+    print(f"{'n':>3} {'nu_c full':>10} {'nu_c linear-layer only':>24}")
+    for n in range(1, 5):
+        scheme = master_scheme(SchemeSpec(2, n, default_offsets(2, n)))
+        full = critical_courant(scheme, +1)
+        trunc = critical_courant(scheme.truncated(1), +1)
+        print(f"{n:>3} {full:>10.4f} {trunc:>24.4f}")
+    print()
+    for m in range(1, 7):
+        _print_first_order_windows(m)
+        print()
+    print("## named advection ladders (probed at nu < 0)")
+    print(f"{'family':>7} {'s':>3} {'n':>3} {'r':>3} {'nu_c':>8}")
+    for kind in FAMILIES:
+        for s in range(_first_member(kind), 3):
+            n, r = advection_family_spec(kind, s)
+            nu_c = advection_family_stability(s, kind)
+            print(f"{kind:>7} {s:>3} {n:>3} {r:>3} {nu_c:>8.4f}")
     return 0
 
 
@@ -646,6 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="stable first-order windows for one derivative order")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("survey", help="critical Courant numbers across the scheme zoo")
+    p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("converge", help="grid refinement study with exact references")
     p.add_argument("--m", type=int, required=True)

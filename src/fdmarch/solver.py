@@ -742,9 +742,10 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
 # all, so this leaves them a 118x margin; m = 1, n = 29 at |nu| = 2e-4 (6.5e9,
 # 17 s) is refused.  On tiny grids a step's fixed cost (~6 us on 32 cells)
 # dominates instead, so the step count is bounded too: those ladders march
-# 11 024 steps, 180x below the cap.
+# 11 024 steps, 104x below the cap; m = 1, n = 1 at |nu| = 2e-4 (1.2e6 steps,
+# 7.8 s) is refused.
 MAX_LADDER_WORK = 2e9
-MAX_LADDER_STEPS = 2e6
+MAX_LADDER_STEPS = 1.15e6
 
 
 @dataclass(frozen=True)

@@ -166,10 +166,11 @@ class _GrowthScan:
             g2 = self._grid(a)
             best_theta, best_val = thetas[g2.argmax(axis=1)], g2.max(axis=1)
             # a grid above the limit, or overflowed to inf or nan, is its own
-            # verdict: no polish can lower it
-            polish = (best_val <= min(limit, _FLOAT_MAX)).tolist()
-            if not any(polish):
+            # verdict: no polish can lower it, so only the other rows go on
+            rows = (best_val <= min(limit, _FLOAT_MAX)).nonzero()[0]
+            if not rows.size:
                 return best_theta, best_val
+            g2 = g2[rows]
 
             # the largest local maxima of each grid to polish, one slot each;
             # a slot no peak fills stays dead.  Each end of [0, pi] is its own
@@ -178,18 +179,17 @@ class _GrowthScan:
             is_peak = (g2 >= reflected[:, :-2]) & (g2 >= reflected[:, 2:])
             top = np.zeros((len(g2), POLISHED_PEAKS), dtype=np.intp)
             live = np.zeros(top.shape, dtype=bool)
-            for k in itertools.compress(range(len(g2)), polish):
-                peak_idx = is_peak[k].nonzero()[0]
-                picked = peak_idx[np.argsort(g2[k][peak_idx])[::-1][:POLISHED_PEAKS]]
+            for k, (grid, peak) in enumerate(zip(g2, is_peak)):
+                peak_idx = peak.nonzero()[0]
+                picked = peak_idx[np.argsort(grid[peak_idx])[::-1][:POLISHED_PEAKS]]
                 top[k, : picked.size] = picked
                 live[k, : picked.size] = True
             theta = thetas[top]
             h = thetas[1]
             lo, hi = np.maximum(theta - h, 0.0), np.minimum(theta + h, math.pi)
-            moments = a[:, None, :, None] * self.powers
+            moments = a[rows, None, :, None] * self.powers
             # each slot's best (theta, |g|^2) so far, starting from the grid's
-            rows = np.arange(len(g2))
-            arg, val = best_theta[:, None], best_val[:, None]
+            arg, val = best_theta[rows, None], best_val[rows, None]
 
             def record():
                 at, i = np.arange(len(rows)), val.argmax(axis=1)

@@ -306,36 +306,33 @@ class TestStability:
         assert "a>0: stable window r=1" in out
         assert "a<0: no stable window" in out
 
-    @pytest.mark.parametrize(
-        "script", sorted((REPO_ROOT / "scripts").glob("*.py")), ids=lambda p: p.name
-    )
-    def test_script_help(self, script):
-        """Every script still imports and parses its options against the checkout."""
-        proc = subprocess.run(
-            [sys.executable, str(script), "--help"],
-            capture_output=True,
-            text=True,
-            env=checkout_env(),
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_survey_script(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "stability_survey.py"), "--m-max", "3"],
-            capture_output=True,
-            text=True,
-            env=checkout_env(),
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        lines = proc.stdout.splitlines()
-        for row in (
-            "m=1: a>0: r=0   a<0: r=1",
-            "m=2: a>0: r=1   a<0: none",
-            "m=3: a>0: r=2   a<0: r=1",
+    def test_survey(self, capsys):
+        """`survey` prints the centred diffusion ladder, every first-order
+        window block of m = 1..6 as `classify` prints it (the parity rule: no
+        stable window for a < 0 at m = 2 and 6, none for a > 0 at m = 4), and
+        the named advection ladders."""
+        blocks = []
+        for m in range(1, 7):
+            assert run_cli("classify", "--m", str(m)) == 0
+            blocks.append(capsys.readouterr().out)
+        assert run_cli("survey") == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[:3] == [
+            "## centered second-derivative ladder (a > 0)",
+            "  n  nu_c full   nu_c linear-layer only",
+            "  1     0.5000                   0.5000",
+        ]
+        assert "".join(block + "\n" for block in blocks) in out
+        for m, plus, minus in (
+            (1, "stable window r=0 (|nu| up to 1)", "stable window r=1 (|nu| up to 1)"),
+            (2, "stable window r=1 (|nu| up to 1/2)", "no stable window"),
+            (3, "stable window r=2 (|nu| up to 1/4)", "stable window r=1 (|nu| up to 1/4)"),
+            (4, "no stable window", "stable window r=2 (|nu| up to 1/8)"),
+            (5, "stable window r=2 (|nu| up to 1/16)", "stable window r=3 (|nu| up to 1/16)"),
+            (6, "stable window r=3 (|nu| up to 1/32)", "no stable window"),
         ):
-            assert row in lines
+            assert blocks[m - 1].splitlines()[-2:] == [f"a>0: {plus}", f"a<0: {minus}"]
         ladders = lines[lines.index("## named advection ladders (probed at nu < 0)") + 2 :]
         nu_c = {tuple(row.split()[:2]): row.split()[-1] for row in ladders}
         assert nu_c == {
@@ -344,23 +341,11 @@ class TestStability:
             ("bw", "0"): "2.0000", ("bw", "1"): "2.0000", ("bw", "2"): "2.0000",
         }
 
-    @pytest.mark.parametrize("m_max", ["140", "0"])
-    def test_survey_refuses_m_max_out_of_range(self, m_max):
-        """--m-max 140 needs 141-point windows, over `MAX_SCHEME_POINTS`: it is
-        refused before any work, as `classify --m 140` is, not left to run."""
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "stability_survey.py"), "--m-max", m_max],
-            capture_output=True,
-            text=True,
-            env=checkout_env(),
-            timeout=60,
-        )
-        assert time.monotonic() - start < 2.0
-        assert proc.returncode == 2
+    def test_survey_takes_no_options(self):
+        proc = run_cli_process("survey", "--m", "1")
+        assert proc.returncode == 1
+        assert "unrecognized arguments: --m 1" in proc.stderr
         assert proc.stdout == ""
-        assert f"--m-max must lie in 1..139, got {m_max}" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
 
 # -- converge -----------------------------------------------------------------------------
@@ -430,6 +415,25 @@ class TestConverge:
         limit = fdmarch.solver.MAX_LADDER_WORK
         assert captured.err == (
             "error: the ladder would march 6.53e+09 cell-steps x stencil points to time 0.5, "
+            f"over the limit of {limit:.3g}; raise |nu|, shorten the time or use fewer or "
+            "smaller grids\n"
+        )
+        assert captured.out == ""
+
+    def test_ladder_steps_refused_before_marching(self, monkeypatch, capsys):
+        """Regression: m = 1, n = 1 at |nu| = 2e-4 marches 1.2e6 steps on
+        32..256 cells, under the work bound (4.4e8), and took 7.8 s at a
+        step's fixed cost.  The step bound refuses it before any grid marches."""
+
+        def march(*args):
+            raise AssertionError("a refused ladder marched")
+
+        monkeypatch.setattr(fdmarch.solver, "_march", march)
+        assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "2e-4") == 2
+        captured = capsys.readouterr()
+        limit = fdmarch.solver.MAX_LADDER_STEPS
+        assert captured.err == (
+            "error: the ladder would march 1.2e+06 steps to time 0.5, "
             f"over the limit of {limit:.3g}; raise |nu|, shorten the time or use fewer or "
             "smaller grids\n"
         )
@@ -1447,6 +1451,7 @@ FUZZ_SEEDS = (
     ("stability", "--m", "1", "--n", "3"),
     ("stability", "--scheme-file", "{tmp}/scheme.txt"),
     ("classify", "--m", "3"),
+    ("survey",),
     ("converge", "--m", "1", "--n", "3", "--nu", "0.8"),
     ("converge", "--m", "2", "--n", "1", "--nu", "0.4"),
     ("run", "fig-burgers", "--orders", "1"),

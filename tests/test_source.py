@@ -1,6 +1,6 @@
 """Checks on the package source itself: no module imports a name it does not
 use, every private name a module defines is read in that module, and the
-docs name only code that exists."""
+docs name only code and repository paths that exist."""
 
 import ast
 import io
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fdmarch"
-README = SRC.parents[1] / "README.md"
+REPO = SRC.parents[1]
+README = REPO / "README.md"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 # __init__.py imports names to re-export them
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
@@ -172,4 +173,31 @@ def test_finds_an_undefined_code_name():
     )
     assert undefined_code_names(sources, [text]) == [
         "float_items", "Table.float_items", "fractions.Fraction"
+    ]
+
+
+def missing_repo_paths(root: Path, text: str) -> list[str]:
+    """The repository paths in `text` that name nothing under `root`: every
+    token that starts `src/`, `tests/`, `scripts/` or `perfbench/`, fenced
+    blocks included, with a sentence's closing dot dropped."""
+    tokens = re.findall(r"(?<![\w./-])(?:src|tests|scripts|perfbench)/[\w./-]*", text)
+    return [t for t in tokens if not (root / t.rstrip(".")).exists()]
+
+
+def test_readme_names_only_paths_that_exist():
+    assert missing_repo_paths(REPO, README.read_text()) == []
+
+
+def test_finds_a_missing_repo_path(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+    (tmp_path / "tests").mkdir()
+    text = (
+        "`src/pkg/mod.py`, src/pkg/, tests/ and PYTHONPATH=src are fine, and so is\n"
+        "a path that ends a sentence, src/pkg/mod.py.  xsrc/gone.py is no repository path.\n"
+        "```sh\npython3 scripts/gone.py --flag\n```\n"
+        "(`tests/data/gone.json`) and perfbench/ are missing\n"
+    )
+    assert missing_repo_paths(tmp_path, text) == [
+        "scripts/gone.py", "tests/data/gone.json", "perfbench/"
     ]

@@ -452,6 +452,26 @@ class TestVerdictStopsWhenDecided:
         assert g2 > 1.9  # the grid peak at theta = pi, |1 - 4 nu|^2 = 1.96
         assert polishes == []
 
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_polish_sees_only_rows_the_grid_left_open(self, spec, polishes):
+        """In a batch whose grids decide some probes (above the limit, or
+        overflowed to nan) and leave others open, the first polish step gets
+        exactly the open rows, and no step gets a row whose grid maximum is
+        above the limit.  Row r's moment (a_d) is its cosine coefficients, so
+        the grid of each row `_slopes` sees is rebuilt from its moments."""
+        scan = fdmarch.stability._GrowthScan(master_scheme(spec))
+        limit = 1.0 + GROWTH_TOL
+        # nu = 0 has |g|^2 = 1 at every theta, and nu = -1e200 a nan grid
+        nus = BATCH_NUS + [0.0, -0.01, 0.01]
+        grids = scan.peaks(nus, -math.inf)[1]
+        assert polishes == []
+        scan.peaks(nus, limit)
+        open_rows = int(np.count_nonzero(grids <= limit))
+        assert 0 < open_rows < len(nus)
+        assert len(polishes[0][1]) == open_rows
+        for _, thetas, moments in polishes:
+            assert (scan._grid(moments[:, 0, :, 0]).max(axis=1) <= limit).all()
+
     def test_reported_values_stay_polished(self, polishes):
         s = first_order_scheme(2, 1)
         theta, g2 = max_growth(s, 0.6)
