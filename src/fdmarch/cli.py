@@ -54,6 +54,7 @@ from .solver import (
     LinearTerm,
     PROFILE_NAMES,
     burgers_densities,
+    check_march_budget,
     convergence_study,
     make_profile,
     run_linear,
@@ -536,21 +537,6 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     return 0
 
 
-# An explicit run over any of these bounds is refused before its field is
-# sampled.  The work is cells x steps x stencil points (a run of 0 steps still
-# samples and writes its grid).  The largest march of the presets, one
-# fig-advection profile at order 29, is 100 cells x 6250 steps x 30 points =
-# 1.9e7, the largest explicit run of the tests 5e4: the work bound leaves the
-# preset march a 100x margin.  The cell bound keeps one array of the march at
-# 80 MB; it is 5 x 10^4 times fig-burgers' 200 cells.  On tiny grids a step's
-# fixed cost (~4-6 us on 3 cells, 200 000 steps in 1.3-1.6 s) dominates
-# instead, so the step count is bounded too, at 160x the presets' longest
-# march of 6250 steps: about 4-6 s at that cost.
-MAX_RUN_WORK = 2e9
-MAX_RUN_CELLS = 1e7
-MAX_RUN_STEPS = 1e6
-
-
 def _explicit_run(args, out_dir: str) -> int:
     if args.m is None or args.n is None:
         raise ConfigurationError("an explicit run needs --m and --n (or name a preset)")
@@ -579,18 +565,10 @@ def _explicit_run(args, out_dir: str) -> int:
     else:
         out_steps = [args.steps]
     # the march ends at the last snapshot, so that is the run's length
-    steps = out_steps[-1]
-    work = n_cells * max(steps, 1) * len(offs)
-    for count, what, limit in (
-        (n_cells, "cells", MAX_RUN_CELLS),
-        (work, "cells x steps x stencil points", MAX_RUN_WORK),
-        (steps, "steps", MAX_RUN_STEPS),
-    ):
-        if count > limit:
-            raise ConfigurationError(
-                f"the run would exceed the limit of {limit:.3g} {what}; "
-                "raise --dx, shrink --box or use fewer --steps"
-            )
+    check_march_budget(
+        [(n_cells, out_steps[-1])], len(offs), "run",
+        "raise --dx, shrink --box or use fewer --steps",
+    )
     # `convergence_study` refuses a time step that is not a normal float, too
     if dt < sys.float_info.min:
         raise ConfigurationError(f"--dt must be a normal float, got {dt:g}")

@@ -172,17 +172,15 @@ class Scheme:
         if isinstance(nu, (int, Fraction)):
             return np.array(list(self.weights_at(nu).values()), dtype=float)
         rows = self.layers.float_rows
-        if np.ndim(nu) == 0:
-            nu, shape = float(nu), rows.shape[1:]
-        else:
-            # a batch runs flat, nu[k] repeated over its N weights and each
-            # row repeated K times, so every step of the Horner is
-            # elementwise on arrays of one shape
-            nus = np.asarray(nu, dtype=float)
-            shape = (nus.size, rows.shape[1])
-            nu, rows = nus.repeat(shape[1]), rows.repeat(nus.size, axis=0).reshape(len(rows), -1)
-        acc = nu * 0.0
+        # a float nu runs as a batch of one; a batch runs flat, nu[k]
+        # repeated over its N weights and each row repeated K times, so every
+        # step of the Horner is elementwise on arrays of one shape
+        nus = np.asarray(nu, dtype=float)
+        shape = nus.shape + rows.shape[1:]
+        nu = nus.ravel().repeat(rows.shape[1])
+        rows = rows.repeat(nus.size, axis=0).reshape(len(rows), -1)
         with np.errstate(over="ignore", invalid="ignore"):
+            acc = nu * 0.0
             for row in rows[::-1]:
                 acc *= nu
                 acc += row

@@ -186,21 +186,18 @@ def sine_profile(box: tuple[float, float]) -> Callable[[np.ndarray], np.ndarray]
     return lambda x: np.sin(p * (x - lo))
 
 
-PROFILE_NAMES = ("triangle", "rectangle", "gaussian", "sine", "burgers")
+# name -> profile of a box; only the sine profile reads the box
+_PROFILES = {
+    "triangle": lambda box: triangle, "rectangle": lambda box: rectangle,
+    "gaussian": lambda box: gaussian, "sine": sine_profile, "burgers": lambda box: burgers_ramp,
+}
+PROFILE_NAMES = tuple(_PROFILES)
 
 
 def make_profile(name: str, box: tuple[float, float]) -> Callable[[np.ndarray], np.ndarray]:
-    if name == "triangle":
-        return triangle
-    if name == "rectangle":
-        return rectangle
-    if name == "gaussian":
-        return gaussian
-    if name == "burgers":
-        return burgers_ramp
-    if name == "sine":
-        return sine_profile(box)
-    raise ConfigurationError(f"unknown profile {name!r}; expected one of {PROFILE_NAMES}")
+    if name not in _PROFILES:
+        raise ConfigurationError(f"unknown profile {name!r}; expected one of {PROFILE_NAMES}")
+    return _PROFILES[name](box)
 
 
 # -- linear problems ----------------------------------------------------------
@@ -732,21 +729,62 @@ def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
     return float(field.x()[j] + frac * field.dx)
 
 
+# -- march budget --------------------------------------------------------------
+
+# A march over any of these bounds is refused before a field is sampled: an
+# explicit `run`, and a `converge` ladder, whose work and steps sum over its
+# grids.  The cell bound, per grid, keeps one array of a march at 80 MB; it is
+# 5 x 10^4 times fig-burgers' 200 cells, and refuses a ladder on 4e8 cells
+# (3.2 GB per array).  The work is cells x max(steps, 1) x stencil points (a
+# run of 0 steps still samples and writes its grid).  The largest march of the
+# presets, one fig-advection profile at order 29, is 100 cells x 6250 steps x
+# 30 points = 1.9e7, and the largest explicit run of the tests 5e4.  The
+# largest ladders of the tests and acceptance criteria are m = 2 at |nu| =
+# 0.4 on 32..256 cells: 2 427 776 cell-steps, on 5 points at n = 2 and on 7
+# at n = 3 (an argv of the fuzz test), 1.7e7 in all.  The work bound leaves
+# the preset march a 105x margin and those ladders 118x; m = 1, n = 29 at
+# |nu| = 2e-4 (6.5e9, 17 s) is refused.  On tiny grids a step's fixed cost
+# (~4-6 us on 3 cells, 200 000 steps in 1.3-1.6 s; ~6 us on 32 cells)
+# dominates instead, so the step count is bounded too: 184x the presets'
+# longest march of 6250 steps and 104x the 11 024 steps of those ladders,
+# about 5-7 s at that cost (a 1.15e6-step run on 3 cells took 7.6 s on 2
+# shared Xeon CPUs); m = 1, n = 1 at |nu| = 2e-4 (1.2e6 steps, 7.8 s) is
+# refused.
+MAX_MARCH_CELLS = 1e7
+MAX_MARCH_WORK = 2e9
+MAX_MARCH_STEPS = 1.15e6
+
+
+def _count(n) -> float:
+    """`n` as a float, inf past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
+def check_march_budget(grids: Iterable, points: int, what: str, remedy: str) -> None:
+    """Refuse a march over MAX_MARCH_CELLS, MAX_MARCH_WORK or MAX_MARCH_STEPS.
+
+    `grids` holds each grid's (cells, steps) and `points` counts the
+    stencil's points.  The message names the march, `what`, its count and the
+    limit, and ends with `remedy`, what to change.
+    """
+    cells, steps = zip(*[(_count(c), _count(s)) for c, s in grids])
+    work = sum(c * max(s, 1) for c, s in zip(cells, steps)) * points
+    for count, quantity, limit in (
+        (max(cells), "cells on one grid", MAX_MARCH_CELLS),
+        (work, "cells x steps x stencil points", MAX_MARCH_WORK),
+        (sum(steps), "steps", MAX_MARCH_STEPS),
+    ):
+        if count > limit:
+            raise ConfigurationError(
+                f"the {what} would march {count:.3g} {quantity}, over the limit of "
+                f"{limit:.3g}; {remedy}"
+            )
+
+
 # -- convergence ---------------------------------------------------------------
-
-# A convergence ladder doing more work than this, cells x steps x stencil
-# points summed over its grids (the unit of the CLI's `MAX_RUN_WORK`), is
-# refused before it starts.  The largest ladders in the tests and acceptance
-# criteria are m = 2 at |nu| = 0.4 on 32..256 cells: 2 427 776 cell-steps, on
-# 5 points at n = 2 and on 7 at n = 3 (an argv of the fuzz test), 1.7e7 in
-# all, so this leaves them a 118x margin; m = 1, n = 29 at |nu| = 2e-4 (6.5e9,
-# 17 s) is refused.  On tiny grids a step's fixed cost (~6 us on 32 cells)
-# dominates instead, so the step count is bounded too: those ladders march
-# 11 024 steps, 104x below the cap; m = 1, n = 1 at |nu| = 2e-4 (1.2e6 steps,
-# 7.8 s) is refused.
-MAX_LADDER_WORK = 2e9
-MAX_LADDER_STEPS = 1.15e6
-
 
 @dataclass(frozen=True)
 class ConvergenceResult:
@@ -786,9 +824,8 @@ def convergence_study(
     The reference solution is exact: a single Fourier mode is evolved by its
     exact amplification factor, or, for m=1 with a custom profile, the initial
     data is translated.  Unstable configurations are refused, and so is a
-    ladder doing more than MAX_LADDER_WORK cells x steps x stencil points or
-    marching more than MAX_LADDER_STEPS steps in all, a time step that is not
-    a normal float, or a non-finite error.
+    ladder over the march budget (`check_march_budget`), a time step that is
+    not a normal float, or a non-finite error.
     """
     a = term_coefficient(m, a)
     nu = abs(float(nu))
@@ -830,17 +867,11 @@ def convergence_study(
         raise ConfigurationError(f"the box {box} has a width^{m} out of float range") from None
     if not all(sys.float_info.min <= dt < math.inf for dt in dts):
         raise ConfigurationError(f"the time steps {min(dts):g}..{max(dts):g} are not normal floats")
-    cell_steps = sum(g * final_time / dt for g, dt in zip(grids, dts))
-    for count, what, limit in (
-        (cell_steps * len(offs), "cell-steps x stencil points", MAX_LADDER_WORK),
-        (sum(final_time / dt for dt in dts), "steps", MAX_LADDER_STEPS),
-    ):
-        if count > limit:
-            raise ConfigurationError(
-                f"the ladder would march {count:.3g} {what} to time {final_time:g}, "
-                f"over the limit of {limit:.3g}; raise |nu|, shorten the time "
-                "or use fewer or smaller grids"
-            )
+    check_march_budget(
+        [(g, final_time / dt) for g, dt in zip(grids, dts)], len(offs),
+        f"ladder to time {final_time:g}",
+        "raise |nu|, shorten the time or use fewer or smaller grids",
+    )
     step_counts = [round(final_time / dt) for dt in dts]
     for g, dt, steps in zip(grids, dts, step_counts):
         if steps < 1:

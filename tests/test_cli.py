@@ -397,7 +397,7 @@ class TestConverge:
     def test_oversized_ladder_refused_before_marching(self, extra):
         proc = run_cli_process("converge", "--m", "1", "--n", "1", *extra, timeout=60)
         assert proc.returncode == 2
-        assert "cell-steps" in proc.stderr and "over the limit" in proc.stderr
+        assert "cells x steps x stencil points, over the limit" in proc.stderr
         assert proc.stdout == ""
 
     def test_ladder_work_refused_before_marching(self, monkeypatch, capsys):
@@ -412,9 +412,9 @@ class TestConverge:
         monkeypatch.setattr(fdmarch.solver, "_march", march)
         assert run_cli("converge", "--m", "1", "--n", "29", "--nu", "2e-4") == 2
         captured = capsys.readouterr()
-        limit = fdmarch.solver.MAX_LADDER_WORK
+        limit = fdmarch.solver.MAX_MARCH_WORK
         assert captured.err == (
-            "error: the ladder would march 6.53e+09 cell-steps x stencil points to time 0.5, "
+            "error: the ladder to time 0.5 would march 6.53e+09 cells x steps x stencil points, "
             f"over the limit of {limit:.3g}; raise |nu|, shorten the time or use fewer or "
             "smaller grids\n"
         )
@@ -431,19 +431,61 @@ class TestConverge:
         monkeypatch.setattr(fdmarch.solver, "_march", march)
         assert run_cli("converge", "--m", "1", "--n", "1", "--nu", "2e-4") == 2
         captured = capsys.readouterr()
-        limit = fdmarch.solver.MAX_LADDER_STEPS
+        limit = fdmarch.solver.MAX_MARCH_STEPS
         assert captured.err == (
-            "error: the ladder would march 1.2e+06 steps to time 0.5, "
+            "error: the ladder to time 0.5 would march 1.2e+06 steps, "
             f"over the limit of {limit:.3g}; raise |nu|, shorten the time or use fewer or "
             "smaller grids\n"
         )
         assert captured.out == ""
 
+    def test_ladder_cells_refused_before_sampling(self, monkeypatch, capsys):
+        """Regression: a ladder on 4e8 cells at |nu| = 1 to time 2e-9 marches
+        one step a grid, under the work and step bounds, yet one array of it
+        is 3.2 GB.  The cell bound refuses it before any field is sampled."""
+
+        def sample(*args, **kwargs):
+            raise AssertionError("an oversized ladder sampled its field")
+
+        monkeypatch.setattr(GridField, "sample", sample)
+        assert run_cli(
+            "converge", "--m", "1", "--n", "1", "--nu", "1",
+            "--grids", "400000000,400000001", "--time", "2e-9",
+        ) == 2
+        captured = capsys.readouterr()
+        limit = fdmarch.solver.MAX_MARCH_CELLS
+        assert captured.err == (
+            "error: the ladder to time 2e-09 would march 4e+08 cells on one grid, "
+            f"over the limit of {limit:.3g}; raise |nu|, shorten the time or use fewer or "
+            "smaller grids\n"
+        )
+        assert captured.out == ""
+
+    def test_run_and_ladder_refuse_one_grid_by_one_bound(self, monkeypatch, capsys, tmp_path):
+        """The same 4e8-cell grid, as an explicit run and as a ladder, is
+        refused by the one cell bound both commands share."""
+
+        def sample(*args, **kwargs):
+            raise AssertionError("an oversized grid was sampled")
+
+        monkeypatch.setattr(GridField, "sample", sample)
+        bound = "would march 4e+08 cells on one grid, over the limit of 1e+07; "
+        argvs = (
+            ("run", "--m", "1", "--n", "1", "--box", "0,1", "--dx", "2.5e-9", "--steps", "1",
+             "--out", str(tmp_path / "o")),
+            ("converge", "--m", "1", "--n", "1", "--nu", "1",
+             "--grids", "400000000,400000001", "--time", "2e-9"),
+        )
+        for argv in argvs:
+            assert run_cli(*argv) == 2
+            assert bound in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize(
         "extra, message",
         [
             (("--a", "1e308"), "are not normal floats"),
-            (("--grids", "3,4", "--time", "5e6"), "7e+07 steps to time 5e+06, over the limit"),
+            (("--grids", "3,4", "--time", "5e6"), "to time 5e+06 would march 7e+07 steps, over"),
             (("--a", "nan"), "coefficient a must be nonzero"),
             (("--a", "inf"), "coefficient a must be nonzero"),
             # the ladder's nu * dx^2 raised OverflowError
@@ -753,21 +795,36 @@ class TestRunExplicit:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            pytest.param(("--steps", "3", "--dx", "1e-300"), "1e+07 cells", id="dx-1e-300"),
-            pytest.param(("--steps", "3", "--dx", "1e-9"), "1e+07 cells", id="dx-1e-9"),
-            pytest.param(("--steps", "0", "--dx", "1e-9"), "1e+07 cells", id="dx-1e-9-no-steps"),
             pytest.param(
-                ("--steps", "10000000000", "--dx", "0.1"), "2e+09 cells x steps x stencil points",
-                id="steps-1e10",
+                ("--steps", "3", "--dx", "1e-300"), "cells on one grid, over the limit of 1e+07",
+                id="dx-1e-300",
             ),
             pytest.param(
-                ("--steps", "2000", "--dx", "1e-6"), "2e+09 cells x steps x stencil points",
+                ("--steps", "3", "--dx", "1e-9"), "cells on one grid, over the limit of 1e+07",
+                id="dx-1e-9",
+            ),
+            pytest.param(
+                ("--steps", "0", "--dx", "1e-9"), "cells on one grid, over the limit of 1e+07",
+                id="dx-1e-9-no-steps",
+            ),
+            pytest.param(
+                ("--steps", "10000000000", "--dx", "0.1"),
+                "cells x steps x stencil points, over the limit of 2e+09", id="steps-1e10",
+            ),
+            pytest.param(
+                ("--steps", "2000", "--dx", "1e-6"),
+                "cells x steps x stencil points, over the limit of 2e+09",
                 id="dx-1e-6-steps-2000",
             ),
             # 3 cells x 3e8 steps x 2 points is under the work bound
             pytest.param(
-                ("--steps", "300000000", "--dx", "0.1", "--box", "0,0.3"), "1e+06 steps",
-                id="steps-3e8-on-3-cells",
+                ("--steps", "300000000", "--dx", "0.1", "--box", "0,0.3"),
+                "steps, over the limit of 1.15e+06", id="steps-3e8-on-3-cells",
+            ),
+            # a step count past the float range is counted as inf, not a traceback
+            pytest.param(
+                ("--steps", "1" + "0" * 400, "--dx", "0.1"),
+                "inf cells x steps x stencil points, over the limit of 2e+09", id="steps-1e400",
             ),
         ],
     )
@@ -783,16 +840,16 @@ class TestRunExplicit:
         assert run_cli(
             "run", "--m", "1", "--n", "1", *extra, "--out", str(tmp_path / "o")
         ) == 2
-        assert f"exceed the limit of {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
 
     def test_run_bounds_leave_presets_room(self):
         """The work bound is 100x one fig-advection profile's march at order 29
         (100 cells, 6250 steps, 30 points); the cell bound is far above every
         preset grid, and the step bound 100x the longest preset march."""
-        assert fdmarch.cli.MAX_RUN_WORK >= 100 * 100 * 6250 * 30
-        assert fdmarch.cli.MAX_RUN_CELLS >= 100 * 200
-        assert fdmarch.cli.MAX_RUN_STEPS >= 100 * 6250
+        assert fdmarch.solver.MAX_MARCH_WORK >= 100 * 100 * 6250 * 30
+        assert fdmarch.solver.MAX_MARCH_CELLS >= 100 * 200
+        assert fdmarch.solver.MAX_MARCH_STEPS >= 100 * 6250
 
     @pytest.mark.parametrize(
         "steps, time, marched_steps",

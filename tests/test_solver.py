@@ -46,7 +46,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import MAX_LADDER_STEPS, MAX_LADDER_WORK, WINDOW_LIMIT, _SliceSum, _march
+from fdmarch.solver import MAX_MARCH_STEPS, MAX_MARCH_WORK, WINDOW_LIMIT, _SliceSum, _march
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -1224,14 +1224,14 @@ class TestConvergence:
 
     def test_ladder_step_limit_leaves_test_ladders_room(self):
         # the longest ladder of the suite, diffusion at |nu| = 0.4 on 32..256 cells
-        assert 100 * sum(convergence_study(2, 1, 0.4).steps) <= MAX_LADDER_STEPS
+        assert 100 * sum(convergence_study(2, 1, 0.4).steps) <= MAX_MARCH_STEPS
 
     def test_ladder_work_limit_leaves_test_ladders_room(self):
         # the ladder of the suite doing the most work, m = 2, n = 3 at
         # |nu| = 0.4 on 32..256 cells, on 7 stencil points
         res = convergence_study(2, 3, 0.4)
         work = 7 * sum(g * steps for g, steps in zip(res.grid_sizes, res.steps))
-        assert 100 * work <= MAX_LADDER_WORK
+        assert 100 * work <= MAX_MARCH_WORK
 
     def test_small_grid_refused_before_any_march(self, monkeypatch):
         """The order-29 stencil reaches 15 cells: a 16-cell grid is refused
