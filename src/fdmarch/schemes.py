@@ -99,10 +99,6 @@ class LayerTable:
     def __iter__(self) -> Iterator[tuple[Rational, ...]]:
         return iter(self.rows)
 
-    @property
-    def reach(self) -> int:
-        return max(abs(self.offsets[0]), abs(self.offsets[-1]))
-
     @functools.cached_property
     def float_rows(self) -> np.ndarray:
         """The rows as one (rows, N) float64 array, converted once per table;
@@ -167,24 +163,18 @@ class Scheme:
         warning, as they do in Python floats.
 
         A 1-D float array of K values of nu gives the (K, N) weights, row k
-        by the same Horner at nu[k], so bitwise the weights at that nu alone.
+        by the same Horner at nu[k], so bitwise the weights at that nu alone:
+        nu runs as a (K, 1) column, and each (N,) row of the table broadcasts
+        against it.
         """
         if isinstance(nu, (int, Fraction)):
             return np.array(list(self.weights_at(nu).values()), dtype=float)
-        rows = self.layers.float_rows
-        # a float nu runs as a batch of one; a batch runs flat, nu[k]
-        # repeated over its N weights and each row repeated K times, so every
-        # step of the Horner is elementwise on arrays of one shape
-        nus = np.asarray(nu, dtype=float)
-        shape = nus.shape + rows.shape[1:]
-        nu = nus.ravel().repeat(rows.shape[1])
-        rows = rows.repeat(nus.size, axis=0).reshape(len(rows), -1)
+        nu = np.asarray(nu, dtype=float)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             acc = nu * 0.0
-            for row in rows[::-1]:
-                acc *= nu
-                acc += row
-        return acc.reshape(shape)
+            for row in self.layers.float_rows[::-1]:
+                acc = acc * nu + row
+        return acc
 
     def truncated(self, max_power: int) -> "Scheme":
         """Variant keeping only the nu-layers j <= max_power.

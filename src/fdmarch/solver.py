@@ -824,8 +824,9 @@ def convergence_study(
     The reference solution is exact: a single Fourier mode is evolved by its
     exact amplification factor, or, for m=1 with a custom profile, the initial
     data is translated.  Unstable configurations are refused, and so is a
-    ladder over the march budget (`check_march_budget`), a time step that is
-    not a normal float, or a non-finite error.
+    ladder over the march budget (`check_march_budget`), a stencil wider than
+    a grid, checked before the stability scan, a time step that is not a
+    normal float, or a non-finite error.
     """
     a = term_coefficient(m, a)
     nu = abs(float(nu))
@@ -842,6 +843,8 @@ def convergence_study(
             "use the default single-mode profile for m >= 2"
         )
     offs = OffsetSet(offsets) if offsets is not None else default_offsets(m, n, a)
+    for g in grids:
+        _check_fit(g, offs)
     scheme = master_scheme(SchemeSpec(m, n, offs))
     signed_nu = math.copysign(nu, a)
     theta, g2 = max_growth(scheme, signed_nu)
@@ -858,28 +861,27 @@ def convergence_study(
     p = 2.0 * math.pi / length
     if final_time is not None and not (final_time > 0 and math.isfinite(final_time)):
         raise ConfigurationError(f"final time must be a finite number > 0, got {final_time:g}")
-    dxs = [length / g for g in grids]
+    remedy = "raise |nu|, shorten the time or use fewer or smaller grids"
     try:
         if final_time is None:
             final_time = 0.5 * length / abs(a) if m == 1 else 2.0 / (abs(a) * p**m)
+        what = f"ladder to time {final_time:g}"
+        # a lower bound of the budget, one step a grid, on the grid sizes as
+        # ints: a size past the float range would overflow its spacing
+        check_march_budget([(g, 0) for g in grids], len(offs), what, remedy)
+        dxs = [length / g for g in grids]
         dts = [nu * dx**m / abs(a) for dx in dxs]
     except ArithmeticError:  # p^m or dx^m overflowed, or p^m underflowed to 0
         raise ConfigurationError(f"the box {box} has a width^{m} out of float range") from None
     if not all(sys.float_info.min <= dt < math.inf for dt in dts):
         raise ConfigurationError(f"the time steps {min(dts):g}..{max(dts):g} are not normal floats")
-    check_march_budget(
-        [(g, final_time / dt) for g, dt in zip(grids, dts)], len(offs),
-        f"ladder to time {final_time:g}",
-        "raise |nu|, shorten the time or use fewer or smaller grids",
-    )
+    check_march_budget([(g, final_time / dt) for g, dt in zip(grids, dts)], len(offs), what, remedy)
     step_counts = [round(final_time / dt) for dt in dts]
     for g, dt, steps in zip(grids, dts, step_counts):
         if steps < 1:
             raise ConfigurationError(
                 f"final time {final_time:g} is under half a step (dt = {dt:g}) on {g} cells"
             )
-    for g in grids:
-        _check_fit(g, offs)
 
     errors = []
     for g, dt, steps in zip(grids, dts, step_counts):

@@ -22,15 +22,22 @@ whose value and derivatives come from one set of cos/sin sums.  A nu_c search
 hands the scan whole phases: the doubling ladder and the pocket sweep in
 chunks, the pocket guard's probes at once; only bisection probes one nu at a
 time.  The weights at each probed nu are `Scheme.float_weights`, read from
-the layer table's float rows; the scan builds no exact weight polynomial.
+the layer table's float rows, a Horner in which the batch's nu is one column
+that each row broadcasts against; the scan builds no exact weight polynomial.
 Nothing outlives the search.
 
 The polish only ever raises the maximum, so a stability verdict stops as soon
 as it is decided, each probe of a batch on its own: at the grid when the grid
 maximum already exceeds the limit, or after the first polish step that does.
+A probe stops by one live mask over its peaks: the probes the grid left open
+keep their places to the end of the polish, and each one's best peak is read
+once, after it.
 The verdicts are those of a fully polished scan; every value this module
 reports (`max_growth`, `amplification`, a report's worst theta) is still
 fully polished.
+
+The autocorrelation costs span^2 per probe, so a stencil wider than
+`MAX_SCAN_SPAN` is refused before any array of it is sized.
 """
 
 from __future__ import annotations
@@ -62,6 +69,13 @@ _POLISH_STEPS = 64
 NU_TOL = 1e-4
 # doubling search gives up beyond this Courant number
 NU_MAX = 64.0
+# the widest stencil span (last offset minus first) a scan accepts: the
+# weights' autocorrelation costs span^2 per probe, whatever the number of
+# points.  The widest span the tests scan, 4101, has a 100x margin in that
+# work.  At the limit, `fdmarch stability` took 7.6-8.7 s on a two-point
+# stencil and 14-18 s on three points (2 shared CPUs); a stencil 10^16 wide
+# would have asked for petabytes
+MAX_SCAN_SPAN = 41_100
 # the doubling ladder and the pocket sweep hand the scan this many probes at
 # a time; a chunk may probe past the first unstable point
 _LADDER_CHUNK = 8
@@ -94,6 +108,16 @@ def check_tol(tol: float) -> None:
         raise ConfigurationError(f"tol must be > 0 and finite, got {tol:g}")
 
 
+def _distances(offsets: OffsetSet) -> np.ndarray:
+    """d = 0..span as floats, the distances of the cosine form; a span over
+    MAX_SCAN_SPAN is refused before any array of it is sized."""
+    if offsets.span > MAX_SCAN_SPAN:
+        raise ConfigurationError(
+            f"stencil span {offsets.span} is over the scan limit of {MAX_SCAN_SPAN}"
+        )
+    return np.arange(offsets.span + 1, dtype=float)
+
+
 def _cosine_coefficients(offsets: Sequence[int], weights: np.ndarray) -> np.ndarray:
     """a_d, d = 0..span, of each row of the (K, N) weights: the (K, span + 1)
     rows with |g(theta)|^2 = sum_d a_d cos(d theta).
@@ -124,7 +148,7 @@ class _GrowthScan:
 
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
-        self.d = np.arange(scheme.offsets.span + 1, dtype=float)
+        self.d = _distances(scheme.offsets)
         self.powers = (self.d ** _MOMENT_POWERS)[:, :, None]
         self.thetas = _THETAS
 
@@ -151,11 +175,15 @@ class _GrowthScan:
         """(worst theta, max |g|^2) at each nu of the 1-D batch nus, as two
         arrays; see `max_growth`.
 
-        The polish only raises a maximum, so once a probe's maximum exceeds
-        `limit` its polish stops and returns it as far as it got: enough for a
-        verdict against `limit`.  A maximum at or below `limit` is the fully
-        polished one.  Each probe is scanned and stopped on its own, so its
-        verdict and grid do not depend on the rest of the batch.
+        The rows whose grid maximum is at or below `limit` are polished
+        together, each in `POLISHED_PEAKS` slots, for as long as one `live`
+        mask has a slot left: a slot leaves it once its Newton step is done,
+        and every slot of a probe once the probe's maximum exceeds `limit`,
+        since the polish only raises a maximum.  Such a maximum is returned as
+        far as it got, enough for a verdict against `limit`; one at or below
+        `limit` is the fully polished one.  Each row's best slot is read once,
+        after the loop.  A probe's state changes only under its own mask, so
+        its verdict and grid do not depend on the rest of the batch.
         """
         thetas = self.thetas
         # a huge nu overflows the gain to inf or nan, which `grows` reads as
@@ -190,11 +218,6 @@ class _GrowthScan:
             moments = a[rows, None, :, None] * self.powers
             # each slot's best (theta, |g|^2) so far, starting from the grid's
             arg, val = best_theta[rows, None], best_val[rows, None]
-
-            def record():
-                at, i = np.arange(len(rows)), val.argmax(axis=1)
-                best_theta[rows], best_val[rows] = arg[at, i], val[at, i]
-
             for _ in range(_POLISH_STEPS):
                 p, p1, p2 = self._slopes(theta, moments)
                 raised = live & (p > val)
@@ -211,29 +234,24 @@ class _GrowthScan:
                 lo, hi = np.where(rising, theta, lo), np.where(rising, hi, theta)
                 newton = theta - p1 / p2
                 step = np.where((p2 < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-                done |= step == theta
-                live &= ~done
-                # a probe stops once its slots are done or its maximum is past the limit
-                going = live.any(axis=1) & (val <= limit).all(axis=1)
-                flags = going.tolist()
-                if not all(flags):
-                    record()
-                    if not any(flags):
-                        return best_theta, best_val
-                    rows, step, theta, lo, hi, live, moments, arg, val = (
-                        x[going] for x in (rows, step, theta, lo, hi, live, moments, arg, val)
-                    )
+                # a slot stops once done, and every slot of a probe once its
+                # maximum is past the limit
+                live &= ~(done | (step == theta)) & (val <= limit).all(axis=1, keepdims=True)
+                if not live.any():
+                    break
                 theta = np.where(live, step, theta)
-            record()
+            at, i = np.arange(len(rows)), val.argmax(axis=1)
+            best_theta[rows], best_val[rows] = arg[at, i], val[at, i]
             return best_theta, best_val
 
 
 def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
     """Squared gain |g(theta; nu)|^2 of a single Fourier mode; vectorized in theta.
 
-    An overflowing gain reads inf or nan without a warning, as in the scan.
+    An overflowing gain reads inf or nan without a warning, as in the scan,
+    and a span over MAX_SCAN_SPAN raises ConfigurationError.
     """
-    d = np.arange(scheme.offsets.span + 1, dtype=float)
+    d = _distances(scheme.offsets)
     with np.errstate(over="ignore", invalid="ignore"):
         a = _cosine_coefficients(scheme.offsets, scheme.float_weights(nu)[None])[0]
         g2 = np.cos(np.multiply.outer(np.asarray(theta, dtype=float), d)) @ a
@@ -248,6 +266,7 @@ def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
     refined around its `POLISHED_PEAKS` largest local maxima by safeguarded
     Newton steps within one grid step, so sharp peaks between grid points are
     not missed.  An end of [0, pi] that is a local minimum is searched inwards.
+    A span over MAX_SCAN_SPAN raises ConfigurationError, as in every scan.
     """
     theta, g2 = _GrowthScan(scheme).peaks([nu])
     return float(theta[0]), float(g2[0])

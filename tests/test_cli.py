@@ -41,7 +41,7 @@ from fdmarch.solver import (
     run_linear,
     run_nonlinear,
 )
-from fdmarch.stability import advection_family_spec
+from fdmarch.stability import MAX_SCAN_SPAN, advection_family_spec
 
 try:
     import tomllib
@@ -1361,6 +1361,67 @@ class TestUpFrontRefusals:
         assert fdmarch.cli.MAX_SCHEME_POINTS**3 >= 100 * 30**3
 
 
+class TestSpanAndGridSizeRefusals:
+    """A stencil too wide to scan, or a `--grids` size past the float range,
+    exits 2 at once with a one-line message and no traceback."""
+
+    HUGE = "1" + "0" * 400
+    CONVERGE = ("converge", "--m", "1", "--n", "1", "--nu", "0.5")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ("stability", "--m", "1", "--n", "1", "--offsets", "1000000000000000000000000000,0"),
+                f"stencil span 1000000000000000000000000000 is over the scan limit of {MAX_SCAN_SPAN}",
+                id="stability-span-1e27",
+            ),
+            pytest.param(
+                (*CONVERGE, "--offsets", "-1,10000000000000000"),
+                "stencil reach 10000000000000000 needs more than 20000000000000000 cells, "
+                "grid has 32",
+                id="converge-span-1e16",
+            ),
+            pytest.param(
+                (*CONVERGE, "--offsets", f"0,{MAX_SCAN_SPAN + 1}", "--grids", "100000,200000"),
+                f"stencil span {MAX_SCAN_SPAN + 1} is over the scan limit of {MAX_SCAN_SPAN}",
+                id="converge-span-past-the-limit",
+            ),
+            pytest.param(
+                (*CONVERGE, "--grids", f"{HUGE},2"),
+                "stencil reach 1 needs more than 2 cells, grid has 2",
+                id="converge-grid-1e400-and-2",
+            ),
+            pytest.param(
+                (*CONVERGE, "--grids", f"{HUGE},64"),
+                "the ladder to time 0.5 would march inf cells on one grid, over the limit of "
+                "1e+07; raise |nu|, shorten the time or use fewer or smaller grids",
+                id="converge-grid-1e400-and-64",
+            ),
+        ],
+    )
+    def test_refused_at_once(self, argv, message, capsys):
+        """Regressions: the 1e27-wide stencil raised numpy's "Maximum allowed
+        size exceeded" in the scan, the 1e16-wide one asked the scan for 71 PiB
+        before the grid fit was checked, and a grid of 10^400 cells raised
+        OverflowError when its spacing was computed."""
+        start = time.perf_counter()
+        assert run_cli(*argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_run_refuses_a_span_past_the_limit_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        span = MAX_SCAN_SPAN + 1
+        argv = ("--m", "1", "--n", "1", "--offsets", f"0,{span}", "--box", "0,1", "--dx", "1e-5")
+        assert run_cli("run", *argv, "--steps", "1", "--out", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: stencil span {span} is over the scan limit of {MAX_SCAN_SPAN}\n"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 # -- exit codes and entry points ------------------------------------------------------------
 
 class TestExitCodes:
@@ -1490,7 +1551,8 @@ FUZZ_VALUES = {
     float: ("0", "-0", "0.4", "0.8", "1", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "1e5",
             ""),
     fdmarch.cli._int_list: ("1", "1,3", "2,4", "3,3", "-1,0,1", "-2,-1,0,1", "0", "100000",
-                            "1,nan", "", ","),
+                            "1,nan", "", ",", "1" + "0" * 400 + ",2",
+                            "1000000000000000000000000000,0", "-1,10000000000000000"),
     fdmarch.cli._float_list: ("0", "0,0.5,1", "1,1", "-1", "nan", "inf", "1e308", "1e-320", "",
                               ","),
     fdmarch.cli._box: ("-5,5", "0,1", "1,0", "0,0", "0,1e308", "-inf,inf", "nan,1", "1e-320,1",

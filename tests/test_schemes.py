@@ -484,9 +484,6 @@ class TestNonlinearLayers:
             SchemeSpec(1, 2, ks)
         ).layers.rows
 
-    def test_reach(self):
-        assert nonlinear_layers(3, [-2, -1, 0, 1]).reach == 2
-
 
 # -- defaults and dump round trip -----------------------------------------------------------
 

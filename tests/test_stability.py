@@ -19,6 +19,7 @@ from fdmarch.schemes import SchemeSpec, first_order_scheme, master_scheme
 from fdmarch.stability import (
     FAMILIES,
     GROWTH_TOL,
+    MAX_SCAN_SPAN,
     NU_MAX,
     NU_TOL,
     STABLE_NU_THRESHOLD,
@@ -160,6 +161,11 @@ PIN_SPECS = (
 # the values of the complex-basis scan with golden-section polish that the
 # cosine scan replaced, frozen before it was replaced
 NU_C_PINS = json.loads((Path(__file__).parent / "data" / "nu_c_pins.json").read_text())
+# max_growth's (theta, |g|^2) of every PIN_SPECS entry at every BATCH_NUS
+# value, and stability_report's worst theta for both signs at NU_TOL, as float
+# hex: the values of the scan that kept per-probe compaction, frozen before
+# its live-mask form replaced it
+MAX_GROWTH_PINS = json.loads((Path(__file__).parent / "data" / "max_growth_pins.json").read_text())
 
 
 class TestNuCIsPinned:
@@ -180,6 +186,22 @@ class TestNuCIsPinned:
         rep = stability_report(s, +1, tol=tol)
         probe = rep.nu_critical + 10.0 * tol
         assert rep.worst_theta.hex() == float(max_growth(s, probe)[0]).hex()
+
+
+class TestReportedValuesArePinned:
+    """What the scan reports is frozen, not only the verdicts it gives."""
+
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_reported_values(self, spec):
+        """Every reported theta and peak is the frozen value, bit for bit: the
+        nan of an overflowed probe included."""
+        s = master_scheme(spec)
+        for nu in BATCH_NUS:
+            key = f"{pin_id(spec)}|{nu!r}"
+            assert list(hexes(max_growth(s, nu))) == MAX_GROWTH_PINS[key], key
+        for sign in (+1, -1):
+            key = f"{pin_id(spec)}|{sign:+d}|worst_theta"
+            assert stability_report(s, sign).worst_theta.hex() == MAX_GROWTH_PINS[key], key
 
 
 class TestScanAccuracy:
@@ -212,6 +234,29 @@ class TestScanAccuracy:
                 closed = (abs(c[k, 0]) + abs(c[k, 1])) ** 2
                 assert max_growth(s, nu)[1] == pytest.approx(closed, rel=1e-14)
                 assert peaks[k] == pytest.approx(closed, rel=1e-14)
+
+    def test_span_limit_leaves_the_tests_room(self):
+        """100x in the span^2 work of the autocorrelation over the widest span
+        the tests scan, 4101 (the folded stencil above)."""
+        assert MAX_SCAN_SPAN**2 >= 100 * 4101**2
+
+    @pytest.mark.parametrize(
+        "scan",
+        [lambda s: max_growth(s, 0.3), lambda s: critical_courant(s, -1),
+         lambda s: stability_report(s, +1), lambda s: amplification(s, 0.3, 1.0)],
+        ids=["max_growth", "critical_courant", "stability_report", "amplification"],
+    )
+    @pytest.mark.parametrize("span", [MAX_SCAN_SPAN + 1, 10**27])
+    def test_span_past_the_limit_refused(self, scan, span):
+        """Refused by its own rule before any array is sized: numpy's refusal
+        of a huge array is a ValueError, but not a ConfigurationError."""
+        s = master_scheme(SchemeSpec(1, 1, OffsetSet([0, span])))
+        with pytest.raises(ConfigurationError, match=f"stencil span {span} is over the scan limit"):
+            scan(s)
+
+    def test_span_at_the_limit_is_scanned(self):
+        d = fdmarch.stability._distances(OffsetSet([-1, MAX_SCAN_SPAN - 1]))
+        assert d.shape == (MAX_SCAN_SPAN + 1,) and d[-1] == MAX_SCAN_SPAN
 
     @pytest.mark.parametrize("end", [0.0, math.pi], ids=["theta=0", "theta=pi"])
     def test_end_minimum_with_twin_peaks(self, end):
