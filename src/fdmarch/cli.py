@@ -10,7 +10,8 @@ order march as one (rows, cells) stack; Burgers profiles march one at a time.
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values)
 and for a stdout its reader closed early, 2 for every request the package
 refuses with `ConfigurationError` (wrong stencil size, a scheme over
-`MAX_SCHEME_POINTS`, unknown preset, grid/stencil mismatch, ...).
+`MAX_SCHEME_POINTS` or with integers over `MAX_TABLE_WORK`'s rule, unknown
+preset, grid/stencil mismatch, ...).
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def _cmd_coeffs(args) -> int:
     for k in spec.offsets:
         print(f"c[{k}](nu) = {scheme.coeffs[k].format('nu')}")
     print("# layers (row j multiplies nu^j)")
-    for j, row in enumerate(scheme.layers):
+    for j, row in enumerate(scheme.layers.rows):
         print(f"layer {j}: " + " ".join(str(w) for w in row))
     return 0
 

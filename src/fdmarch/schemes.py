@@ -10,8 +10,11 @@ The weight on offset k_i is a degree-n polynomial in the Courant number nu,
     c_i(nu) = sum_{j=0..n} nu^j / j! * L_i^{(j*m)}(0),
 
 where L_i is the Lagrange cardinal polynomial of the stencil.  Everything
-here is exact rational arithmetic; floating point only appears when a caller
-evaluates weights at a float Courant number.
+here is exact: a scheme's layer table holds each nu^j layer as integers over
+its least common denominator, and the Fraction and float rows are views of
+those integers.  Floating point only appears when a caller evaluates weights
+at a float Courant number.  `check_table_size` refuses, before it is built,
+a table whose integers would be too large to audit and print in time.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,6 +57,37 @@ def check_orders(m: int, n: int) -> None:
         raise StencilSizeError(f"marching order n must be >= 1, got {n}")
 
 
+# An exact table on N points is refused when N^3 * size^2 exceeds this, where
+# size = (bits of its largest integer) + N * (bits of its largest |offset|)
+# bounds the factors of the order audit's products k^p * W (N^3 of them at
+# m = 1).  On 2 shared CPUs, `fdmarch coeffs` (build, audit, print) took
+# 4-7e-14 s x N^3 * size^2 on contiguous, random wide and far-from-zero
+# stencils of N = 30..140 points; the most a stencil admitted at N = 30, 60,
+# 100 or 140 took was 4.3 s.  The costliest contiguous window up to 140
+# points (m = 139, offsets 0..139) uses 3.4e13.
+MAX_TABLE_WORK = 4 * 10**13
+
+
+def check_table_size(offsets: OffsetSet, bits: int = 0) -> int:
+    """Refuse an exact table on `offsets` whose integers reach `bits` bits by
+    the MAX_TABLE_WORK rule, or whose audit factors `str` could not print
+    (`sys.get_int_max_str_digits`).  With bits = 0 the rule reads the
+    offsets alone, before anything is built from them.  Returns the most
+    bits the table's integers may have."""
+    points = len(offsets)
+    reach_bits = points * max(-offsets[0], offsets[-1]).bit_length()
+    limit = math.isqrt(MAX_TABLE_WORK // points**3)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:  # 2**b < 10**digits for b <= digits * log2(10), rounded down
+        limit = min(limit, digits * 3321928 // 10**6)
+    if bits + reach_bits > limit:
+        raise ConfigurationError(
+            f"an exact scheme on {points} points needs integers of over {limit} bits, "
+            f"the limit for {points} points"
+        )
+    return limit - reach_bits
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """Problem signature: spatial derivative order m, temporal order n, stencil."""
@@ -79,31 +114,51 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class LayerTable:
-    """Stencil weights split by power of nu: rows[j][i] multiplies nu**j at offsets[i].
+    """Stencil weights split by power of nu, held as integers: row j is
+    (D_j, W_j), and W_j[i] / D_j multiplies nu**j at offsets[i].
 
-    `float_rows` is the table in float64, each weight rounded once; every
-    float weight the package uses is read from it, by row for the layered
-    march, whose stencils the solver builds from these rows on each run, and
-    by a Horner over the rows at a float nu (`Scheme.float_weights`).
+    D_j > 0 is the row's least common denominator, so gcd(D_j, *W_j) = 1:
+    the table is canonical, and `==` compares the exact weights.  `rows`
+    (one Fraction per weight) and `float_rows` are views derived from the
+    integers.  Every float weight the package uses is read from
+    `float_rows`, by row for the layered march, whose stencils the solver
+    builds from these rows on each run, and by a Horner over the rows at a
+    float nu (`Scheme.float_weights`).
     """
 
     offsets: OffsetSet
-    rows: tuple[tuple[Rational, ...], ...]
+    int_rows: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @classmethod
+    def cleared(cls, offsets: OffsetSet, rows: Iterable[Sequence[Fraction]]) -> "LayerTable":
+        """The table of rows of Fractions, each row cleared to its least
+        common denominator.  The denominator is held to `check_table_size`
+        as it grows, so a row of large coprime denominators is refused early."""
+        max_bits = check_table_size(offsets)
+        int_rows = []
+        for row in rows:
+            den = 1
+            for w in row:
+                den = math.lcm(den, w.denominator)
+                if den.bit_length() > max_bits:
+                    check_table_size(offsets, den.bit_length())
+            int_rows.append((den, tuple(w.numerator * (den // w.denominator) for w in row)))
+        return cls(offsets, tuple(int_rows))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
-    def __getitem__(self, j: int) -> tuple[Rational, ...]:
-        return self.rows[j]
-
-    def __iter__(self) -> Iterator[tuple[Rational, ...]]:
-        return iter(self.rows)
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """rows[j][i] = W_j[i] / D_j, the exact weights as Fractions."""
+        return tuple(tuple(Fraction(w, den) for w in ints) for den, ints in self.int_rows)
 
     @functools.cached_property
     def float_rows(self) -> np.ndarray:
-        """The rows as one (rows, N) float64 array, converted once per table;
+        """The rows as one (rows, N) float64 array, each W_j[i] / D_j by int/int
+        true division, which rounds correctly, computed once per table;
         read-only, since every caller of this table shares it."""
-        rows = np.array(self.rows, dtype=float)
+        rows = np.array([[w / den for w in ints] for den, ints in self.int_rows], dtype=float)
         rows.flags.writeable = False
         return rows
 
@@ -187,47 +242,36 @@ class Scheme:
             raise UnsupportedSchemeError(
                 f"truncation power must lie in [0, n={self.n}], got {max_power}"
             )
-        return _scheme_from_rows(self.spec, self.layers.rows[: max_power + 1], verify=False)
+        return Scheme(self.spec, LayerTable(self.offsets, self.layers.int_rows[: max_power + 1]))
 
 
-def _scheme_from_rows(
-    spec: SchemeSpec, rows: Sequence[Sequence[Rational]], verify: bool = True
-) -> Scheme:
-    rows = tuple(
-        tuple(w if type(w) is Fraction else Fraction(w) for w in row) for row in rows
-    )
-    scheme = Scheme(spec, LayerTable(spec.offsets, rows))
-    if verify:
-        _check_order_conditions(scheme)
-    return scheme
+def _audited(spec: SchemeSpec, table: LayerTable) -> Scheme:
+    _check_order_conditions(spec, table)
+    return Scheme(spec, table)
 
 
-def _check_order_conditions(scheme: Scheme) -> None:
+def _check_order_conditions(spec: SchemeSpec, table: LayerTable) -> None:
     """Every stencil moment must reproduce the matched Taylor data exactly.
 
     For p = 0 .. n*m the weighted power sum sum_i k_i^p c_i(nu) has to equal
     p!/(p/m)! * nu^(p/m) when m divides p, and zero otherwise.  This holds by
     construction; a failure means the generator itself is broken.
 
-    The check runs on the layers the scheme carries, in integers: layer j
-    (the nu^j coefficients) is cleared to its common denominator D_j, and
-    sum_i k_i^p * D_j * c_ji must equal D_j * p!/j! when p = j*m and 0
-    otherwise.  Low moments go first, so a corrupted weight fails fast.
+    The check reads the table's integers: with layer j (the nu^j weights)
+    held as W_j over D_j, sum_i k_i^p * W_ji must equal D_j * p!/j! when
+    p = j*m and 0 otherwise.  Low moments go first, so a corrupted weight
+    fails fast.
     """
-    m, ks = scheme.m, scheme.offsets
-    layers = []
-    for row in scheme.layers.rows:
-        den = math.lcm(*(w.denominator for w in row))
-        layers.append((den, [w.numerator * (den // w.denominator) for w in row]))
+    m, ks = spec.m, spec.offsets
     kp = [1] * len(ks)
     for p in range(len(ks)):  # p = 0 .. n*m
         if p:
             kp = list(map(operator.mul, kp, ks))
-        for j, (den, ints) in enumerate(layers):
+        for j, (den, ints) in enumerate(table.int_rows):
             expected = den * math.factorial(p) // math.factorial(j) if p == j * m else 0
             if sum(map(operator.mul, kp, ints)) != expected:
                 raise ArithmeticError(
-                    f"order condition failed at moment p={p}, layer {j} for {scheme.spec}"
+                    f"order condition failed at moment p={p}, layer {j} for {spec}"
                 )
 
 
@@ -236,16 +280,30 @@ def master_scheme(spec: SchemeSpec) -> Scheme:
 
     Layer j holds the j*m-th derivatives at zero of the Lagrange basis,
     divided by j!: with L_i = numer_i / w_i in integers, the weight on offset
-    i is (j*m)!/j! * numer_i[j*m] / w_i, one Fraction per weight.  The order
-    conditions are re-checked exactly before the scheme is returned.
+    i is (j*m)!/j! * numer_i[j*m] / w_i.  Over den = lcm(w_i) that is the
+    integer (j*m)!/j! * numer_i[j*m] * (den / w_i), and each row is divided
+    by its gcd with den.  `check_table_size` reads the offsets before the
+    numerators are built, and a bound on the table's integers as lcm(w_i)
+    grows, before any row is built.  The order conditions are re-checked
+    exactly before the scheme is returned.
     """
     m = spec.m
+    check_table_size(spec.offsets)
     numerators = lagrange_numerators(spec.offsets)
-    rows = []
+    # a bound on the table's integers: den times the largest numerator and scale
+    bits = max(max(map(abs, numer)) for numer, _ in numerators).bit_length()
+    bits += (math.factorial(spec.n * m) // math.factorial(spec.n)).bit_length()
+    den = 1
+    for _, w in numerators:  # checked as it grows, so a refused lcm stops early
+        den = math.lcm(den, w)
+        check_table_size(spec.offsets, bits + den.bit_length())
+    int_rows = []
     for j in range(spec.n + 1):
         scale = math.factorial(j * m) // math.factorial(j)
-        rows.append(tuple(Fraction(scale * numer[j * m], w) for numer, w in numerators))
-    return _scheme_from_rows(spec, rows)
+        ints = [scale * numer[j * m] * (den // w) for numer, w in numerators]
+        g = math.gcd(den, *ints)
+        int_rows.append((den // g, tuple(w // g for w in ints)))
+    return _audited(spec, LayerTable(spec.offsets, tuple(int_rows)))
 
 
 def first_order_scheme(m: int, r: int) -> Scheme:
@@ -258,11 +316,9 @@ def first_order_scheme(m: int, r: int) -> Scheme:
     check_orders(m, 1)
     spec = SchemeSpec(m, 1, OffsetSet.contiguous(r, m))
     sign_m = (-1) ** m
-    row0 = tuple(Fraction(1 if k == 0 else 0) for k in spec.offsets)
-    row1 = tuple(
-        Fraction(sign_m * (-1) ** (r + k) * math.comb(m, r + k)) for k in spec.offsets
-    )
-    return _scheme_from_rows(spec, (row0, row1))
+    row0 = tuple(1 if k == 0 else 0 for k in spec.offsets)
+    row1 = tuple(sign_m * (-1) ** (r + k) * math.comb(m, r + k) for k in spec.offsets)
+    return _audited(spec, LayerTable(spec.offsets, ((1, row0), (1, row1))))
 
 
 @dataclass(frozen=True)
@@ -517,13 +573,20 @@ def parse_scheme_dump(text: str) -> Scheme:
         parts = fields[key].split(",")
         if len(parts) != n + 1:
             raise ValueError(f"{key} must list exactly n+1 = {n + 1} values")
+        # a dump writes no exponent, and Fraction expands one such as
+        # 1e10000000 into all of its digits
+        if "e" in fields[key].lower():
+            raise ValueError(f"{key} has a weight written with an exponent")
         try:
             columns.append([Fraction(part) for part in parts])
         except ZeroDivisionError as exc:
             raise ValueError(f"{key} has a weight with a zero denominator") from exc
-    rows = tuple(zip(*columns))
+    table = LayerTable.cleared(offsets, zip(*columns))
+    check_table_size(
+        offsets, max(abs(w).bit_length() for den, ints in table.int_rows for w in (den, *ints))
+    )
     # verification guards against hand-edited or corrupted dumps
     try:
-        return _scheme_from_rows(spec, rows, verify=True)
+        return _audited(spec, table)
     except ArithmeticError as exc:
         raise ValueError(f"scheme dump is inconsistent: {exc}") from exc

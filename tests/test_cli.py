@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -192,6 +193,18 @@ class TestCoeffs:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: c[-1] has a weight with a zero denominator\n"
         assert proc.stdout == ""
+
+    def test_scheme_file_with_an_exponent(self, tmp_path, capsys):
+        """Regression: a weight 1e10000000 took 11 s, Fraction writing out
+        its ten million digits, before the audit rejected it."""
+        path = tmp_path / "bad.txt"
+        path.write_text("m=1\nn=1\noffsets=-1,0\nc[-1]=0,1e10000000\nc[0]=1,1\n")
+        start = time.perf_counter()
+        assert run_cli("stability", "--scheme-file", str(path)) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == "error: c[-1] has a weight written with an exponent\n"
+        assert captured.out == ""
 
 
 # -- stability / classify ----------------------------------------------------------------
@@ -1422,6 +1435,103 @@ class TestSpanAndGridSizeRefusals:
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
+def wide_offsets(n):
+    """n+1 offsets drawn over a span of about 41 100, fixed by the seed."""
+    return ",".join(map(str, sorted(random.Random(1).sample(range(-20550, 20550), n + 1))))
+
+
+def scaled_offsets(digits):
+    """30 offsets k * 10**digits + k, k = -15..14: a span far past MAX_SCAN_SPAN."""
+    return ",".join(str(k * 10**digits + k) for k in range(-15, 15))
+
+
+def coprime_dump(row0):
+    """An m = 1, n = 29 dump on -15..14 with `row0` as its nu^0 weights."""
+    offsets = range(-15, 15)
+    lines = ["m=1", "n=29", "offsets=" + ",".join(map(str, offsets))]
+    lines += [f"c[{k}]={w}," + ",".join(["0"] * 29) for k, w in zip(offsets, row0)]
+    return "\n".join(lines) + "\n"
+
+
+class TestTableSizeRefusals:
+    """A stencil or dump whose exact table holds integers too large to build,
+    audit and print in time exits 2 at once, with a one-line message and no
+    traceback, before any file is written."""
+
+    WIDE_99 = ("--m", "1", "--n", "99", "--offsets", wide_offsets(99))
+    LIMIT_30 = "an exact scheme on 30 points needs integers of over 14284 bits, the limit for 30 points"
+    LIMIT_100 = "an exact scheme on 100 points needs integers of over 6324 bits, the limit for 100 points"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(("coeffs", *WIDE_99), LIMIT_100, id="coeffs-wide-n99"),
+            pytest.param(
+                ("coeffs", "--m", "1", "--n", "139", "--offsets", wide_offsets(139)),
+                "an exact scheme on 140 points needs integers of over 3818 bits, the limit for 140 points",
+                id="coeffs-wide-n139",
+            ),
+            pytest.param(
+                ("coeffs", "--m", "1", "--n", "29", "--offsets", scaled_offsets(400)), LIMIT_30,
+                id="coeffs-scaled-1e400",
+            ),
+            pytest.param(
+                ("coeffs", "--m", "1", "--n", "29", "--offsets", scaled_offsets(1500)), LIMIT_30,
+                id="coeffs-scaled-1e1500",
+            ),
+            pytest.param(
+                ("coeffs", "--m", "1", "--n", "29", "--offsets",
+                 ",".join(str(10**400 + k) for k in range(30))),
+                LIMIT_30, id="coeffs-far-from-zero",
+            ),
+            pytest.param(
+                ("stability", "--m", "1", "--n", "29", "--offsets", scaled_offsets(400)), LIMIT_30,
+                id="stability-scaled-1e400",
+            ),
+            pytest.param(("stability", *WIDE_99), LIMIT_100, id="stability-wide-n99"),
+            pytest.param(
+                ("converge", *WIDE_99, "--nu", "0.5", "--grids", "100000,200000"), LIMIT_100,
+                id="converge-wide-n99",
+            ),
+        ],
+    )
+    def test_refused_at_once(self, argv, message, capsys):
+        """Regressions: the wide n = 99 and n = 139 tables took 17 s and 87 s,
+        and the scaled and far-from-zero ones ended in a ValueError traceback
+        when their integers, over 4300 digits, were printed."""
+        start = time.perf_counter()
+        assert run_cli(*argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_run_refuses_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        argv = (*self.WIDE_99, "--box", "0,1", "--dx", "1e-5", "--steps", "1")
+        assert run_cli("run", *argv, "--out", str(out_dir)) == 2
+        assert capsys.readouterr().err == f"error: {self.LIMIT_100}\n"
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "row0",
+        [
+            # 30 coprime denominators of 4000 digits: their lcm is refused as it grows
+            pytest.param([f"1/{10**3999 + 2 * i + 1}" for i in range(30)], id="denominators"),
+            # small denominators, but cleared integers over 14284 bits
+            pytest.param([f"{10**4200 + i}/{2**20 + 2 * i + 1}" for i in range(30)],
+                         id="cleared-integers"),
+        ],
+    )
+    def test_scheme_file_refused(self, row0, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(coprime_dump(row0))
+        start = time.perf_counter()
+        assert run_cli("stability", "--scheme-file", str(path)) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == f"error: {self.LIMIT_30}\n"
+
+
 # -- exit codes and entry points ------------------------------------------------------------
 
 class TestExitCodes:
@@ -1544,7 +1654,8 @@ class TestExitCodes:
 
 # Values for the options of the parser's table, by the option's type or name.
 # "{tmp}" stands for the example's own temporary directory, which holds a
-# valid scheme dump, one that fails the order audit and a plain file.
+# valid scheme dump, one that fails the order audit, one with a weight written
+# with an exponent and a plain file.
 FUZZ_VALUES = {
     int: ("0", "-0", "1", "2", "3", "-1", "100000", "nan", "inf", "-inf", "1e-320", "1e308", "1e5",
           ""),
@@ -1559,7 +1670,8 @@ FUZZ_VALUES = {
                        "0", "", "0,1,2"),
     "profiles": ("triangle", "sine,rectangle", "burgers,burgers", "nope", ""),
     "out": ("{tmp}/out", "{tmp}/out/nested", "", "{tmp}/file", "{tmp}/file/sub"),
-    "scheme_file": ("{tmp}/scheme.txt", "{tmp}/tampered.txt", "{tmp}/missing.txt", "{tmp}"),
+    "scheme_file": ("{tmp}/scheme.txt", "{tmp}/tampered.txt", "{tmp}/exponent.txt",
+                    "{tmp}/missing.txt", "{tmp}"),
     "preset": (*fdmarch.cli.PRESETS, "fig-nope"),
 }
 
@@ -1669,6 +1781,7 @@ def run_fuzz_example(argv):
         dump = format_scheme_dump(master_scheme(SchemeSpec(1, 1, OffsetSet([-1, 0]))))
         (Path(tmp) / "scheme.txt").write_text(dump)
         (Path(tmp) / "tampered.txt").write_text(dump.replace("c[0]=1,1", "c[0]=1,2"))
+        (Path(tmp) / "exponent.txt").write_text(dump.replace("c[-1]=0,-1", "c[-1]=0,1e10000000"))
         (Path(tmp) / "file").write_text("")
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
         err = io.StringIO()

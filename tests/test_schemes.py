@@ -1,15 +1,21 @@
 """Scheme generator: master formula, closed forms, layers, error terms, dumps."""
 
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdmarch.exact import OffsetSet, RatPoly, lagrange_basis, lagrange_numerators
+import fdmarch.schemes
+from fdmarch.cli import MAX_SCHEME_POINTS
+from fdmarch.exact import ConfigurationError, OffsetSet, RatPoly, lagrange_basis, lagrange_numerators
 from fdmarch.schemes import (
+    MAX_TABLE_WORK,
     ErrorTerm,
     LayerTable,
     Scheme,
@@ -17,6 +23,7 @@ from fdmarch.schemes import (
     StencilSizeError,
     UnsupportedSchemeError,
     advection_coefficients,
+    check_table_size,
     default_offsets,
     error_term,
     first_order_scheme,
@@ -28,6 +35,8 @@ from fdmarch.schemes import (
     preferred_sign,
 )
 
+from fdmarch.stability import advection_family_spec
+
 from reference_tables import (
     ADVECTION_N3_OFFSETS,
     ADVECTION_N3_RAW_LAYERS,
@@ -38,6 +47,7 @@ from reference_tables import (
     DIFFUSION_N4,
     folded_layers,
 )
+from test_stability import PIN_SPECS, pin_id
 
 # strategy: a random minimal-stencil spec with small m*n
 small_specs = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
@@ -170,7 +180,7 @@ class TestMasterScheme:
     @settings(max_examples=50, deadline=None)
     def test_zeroth_layer_samples_basis_at_origin(self, spec):
         s = master_scheme(spec)
-        row0 = s.layers[0]
+        row0 = s.layers.rows[0]
         basis = lagrange_basis(spec.offsets)
         assert row0 == tuple(bp(F(0)) for bp in basis)
         if 0 in spec.offsets:
@@ -197,8 +207,8 @@ class TestMasterScheme:
         diff = master_scheme(SchemeSpec(2, n, ks))
         for j in range(n + 1):
             scale = F(math.factorial(2 * j), math.factorial(j))
-            rescaled = tuple(scale * w for w in adv.layers[2 * j])
-            assert rescaled == diff.layers[j]
+            rescaled = tuple(scale * w for w in adv.layers.rows[2 * j])
+            assert rescaled == diff.layers.rows[j]
 
     @given(specs_up_to_m4)
     @settings(max_examples=60, deadline=None)
@@ -468,15 +478,15 @@ class TestErrorTerm:
 class TestNonlinearLayers:
     def test_two_point_table(self):
         layers = nonlinear_layers(1, [-1, 0])
-        assert layers[0] == (0, 1)
-        assert layers[1] == (-1, 1)
+        assert layers.rows[0] == (0, 1)
+        assert layers.rows[1] == (-1, 1)
 
     def test_four_point_table(self):
         layers = nonlinear_layers(3, [-2, -1, 0, 1])
-        assert layers[0] == (0, 0, 1, 0)
-        assert layers[1] == (F(1, 6), -1, F(1, 2), F(1, 3))
-        assert layers[2] == (0, F(1, 2), -1, F(1, 2))
-        assert layers[3] == (F(-1, 6), F(1, 2), F(-1, 2), F(1, 6))
+        assert layers.rows[0] == (0, 0, 1, 0)
+        assert layers.rows[1] == (F(1, 6), -1, F(1, 2), F(1, 3))
+        assert layers.rows[2] == (0, F(1, 2), -1, F(1, 2))
+        assert layers.rows[3] == (F(-1, 6), F(1, 2), F(-1, 2), F(1, 6))
 
     def test_matches_linear_scheme_layers(self):
         ks = OffsetSet([-1, 0, 1])
@@ -543,6 +553,12 @@ class TestDumpRoundTrip:
         with pytest.raises(ValueError, match=r"unknown fields: c\[3\]"):
             parse_scheme_dump(text)
 
+    @pytest.mark.parametrize("weight", ["1e3", "1E3", "2.5e-1", "1e10000000"])
+    def test_parse_rejects_an_exponent(self, weight):
+        text = f"m=1\nn=1\noffsets=-1,0\nc[-1]=0,{weight}\nc[0]=1,1\n"
+        with pytest.raises(ValueError, match=r"c\[-1\] has a weight written with an exponent"):
+            parse_scheme_dump(text)
+
     def test_parse_rejects_zero_denominator(self):
         text = "m=1\nn=1\noffsets=-1,0\nc[-1]=0,1/0\nc[0]=1,1\n"
         with pytest.raises(ValueError, match=r"c\[-1\] has a weight with a zero denominator"):
@@ -595,3 +611,79 @@ class TestOrderAudit:
             deltas = {(j, i): F(1, 10**9 * w) for i, w in enumerate(weights)}
             with pytest.raises(ValueError, match=f"moment p={top}, layer {j}"):
                 parse_scheme_dump(_tampered_dump(text, deltas))
+
+
+class TestTableSizeRule:
+    def test_every_contiguous_window_is_admitted(self, monkeypatch):
+        """Every contiguous window up to the CLI's MAX_SCHEME_POINTS passes
+        the size rule.  Of the windows of N points, 0..N-1 has the largest
+        offsets and numerators; for one m its integers grow with n while the
+        limit falls, so the largest n under MAX_SCHEME_POINTS covers the rest.
+        The order audit is stubbed, since it adds seconds and no size check."""
+        monkeypatch.setattr(fdmarch.schemes, "_check_order_conditions", lambda spec, table: None)
+        for m in range(1, MAX_SCHEME_POINTS):
+            n = (MAX_SCHEME_POINTS - 1) // m
+            master_scheme(SchemeSpec(m, n, OffsetSet(range(n * m + 1))))
+
+    def test_offsets_alone_refused_before_any_numerator(self, monkeypatch):
+        """Offsets of 400 digits are refused before the Lagrange numerators,
+        which grow as N^2 products of them, are built."""
+
+        def numerators(offsets):
+            raise AssertionError("the numerators of a refused stencil were built")
+
+        monkeypatch.setattr(fdmarch.schemes, "lagrange_numerators", numerators)
+        spec = SchemeSpec(1, 29, OffsetSet(10**400 + k for k in range(30)))
+        with pytest.raises(ConfigurationError, match="needs integers of over 14284 bits"):
+            master_scheme(spec)
+
+    def test_limit_is_the_work_bound_or_the_printable_size(self):
+        with pytest.raises(ConfigurationError, match="over 3818 bits, the limit for 140 points"):
+            check_table_size(OffsetSet(range(140)), 3818 - 140 * 8 + 1)
+        check_table_size(OffsetSet(range(140)), 3818 - 140 * 8)
+        with pytest.raises(ConfigurationError, match="over 14284 bits, the limit for 2 points"):
+            check_table_size(OffsetSet([0, 1]), 14284 - 2 + 1)
+        check_table_size(OffsetSet([0, 1]), 14284 - 2)
+
+
+# -- frozen tables -----------------------------------------------------------------------
+
+# the sha256 of each pinned table's dump and its float rows as float hex,
+# frozen while the table still held one Fraction per weight
+LAYER_TABLE_PINS = Path(__file__).parent / "data" / "layer_table_pins.json"
+BURGERS_WINDOWS = {1: [-1, 0], 2: [-1, 0, 1], 3: [-2, -1, 0, 1]}  # the fig-burgers windows
+
+
+def pinned_tables():
+    """name -> scheme of every pinned table: the `PIN_SPECS` entries, the 15 uw
+    orders of fig-advection, each `AUDITED_SPECS` entry with every truncation,
+    and the layered tables of fig-burgers' three windows."""
+    tables = {f"pin/{pin_id(spec)}": master_scheme(spec) for spec in PIN_SPECS}
+    for s in range(15):
+        n, r = advection_family_spec("uw", s)
+        tables[f"uw/n{n}"] = master_scheme(SchemeSpec(1, n, OffsetSet.contiguous(r, n)))
+    for spec, name in zip(AUDITED_SPECS, AUDITED_IDS):
+        scheme = master_scheme(spec)
+        tables[f"audited/{name}"] = scheme
+        for j in range(spec.n + 1):
+            tables[f"audited/{name}/truncated{j}"] = scheme.truncated(j)
+    for n, window in BURGERS_WINDOWS.items():
+        layers = nonlinear_layers(n, window)
+        tables[f"burgers/n{n}"] = Scheme(SchemeSpec(1, n, layers.offsets), layers)
+    return tables
+
+
+def table_pin(scheme):
+    return {
+        "dump_sha256": hashlib.sha256(format_scheme_dump(scheme).encode()).hexdigest(),
+        "float_rows": [[w.hex() for w in row] for row in scheme.layers.float_rows.tolist()],
+    }
+
+
+class TestLayerTablesArePinned:
+    def test_tables(self):
+        pins = json.loads(LAYER_TABLE_PINS.read_text())
+        tables = pinned_tables()
+        assert tables.keys() == pins.keys()
+        for name, scheme in tables.items():
+            assert table_pin(scheme) == pins[name], name

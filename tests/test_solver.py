@@ -1,6 +1,7 @@
 """Periodic marching: linear steps, nonlinear layered steps, shock tracking, convergence."""
 
 import contextlib
+import functools
 import io
 import math
 import tracemalloc
@@ -757,7 +758,7 @@ class TestLayeredKernel:
         """Each density evaluated on the field and padded on its own, a
         one-step `_march` per row, rows added with weight nu**j in order."""
         out = np.zeros_like(values)
-        for j, row in enumerate(layers):
+        for j, row in enumerate(layers.rows):
             items = [(k, float(w)) for k, w in zip(layers.offsets, row)]
             dens = np.asarray(funcs[j](values), dtype=float)
             out += nu**j * _march(dens, [FloatStencil(items)], 1)
@@ -912,18 +913,22 @@ class TestLayeredKernel:
             assert np.array_equal(by_func.view(np.int64), w.view(np.int64)), j
 
     def test_layer_table_converted_once(self, monkeypatch):
+        """The float rows are computed once per table, however many runs read them."""
         layers = nonlinear_layers(3, self.WINDOWS[3])
         field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
-        conversions = []
-        to_float = Fraction.__float__
+        converted = []
+        to_float = LayerTable.float_rows.func
 
-        def counting(self):
-            conversions.append(self)
-            return to_float(self)
+        def counting(table):
+            converted.append(table)
+            return to_float(table)
 
-        monkeypatch.setattr(Fraction, "__float__", counting)
-        run_nonlinear(field, layers, burgers_densities(3), 0.5, 50)
-        assert 0 < len(conversions) <= len(layers) * len(layers.offsets)
+        counted = functools.cached_property(counting)
+        counted.__set_name__(LayerTable, "float_rows")
+        monkeypatch.setattr(LayerTable, "float_rows", counted)
+        for _ in range(2):
+            run_nonlinear(field, layers, burgers_densities(3), 0.5, 50)
+        assert len(converted) == 1 and converted[0] is layers
 
     def test_one_step_call_per_step(self, monkeypatch):
         calls = []

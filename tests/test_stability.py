@@ -757,7 +757,7 @@ class TestClassification:
         assert cls.stable_r == {s: first_order_stable_r(m, s) for s in (+1, -1)}
         for r in range(m + 1):
             scheme = first_order_scheme(m, r)
-            c1 = dict(zip(scheme.offsets, scheme.layers[1]))
+            c1 = dict(zip(scheme.offsets, scheme.layers.rows[1]))
             for sign in (+1, -1):
                 re_z = [sign * sum(c * t[abs(k)] for k, c in c1.items()) for t in ts]
                 nu_c = cls.nu_critical[(sign, r)]
