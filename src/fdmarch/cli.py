@@ -9,9 +9,9 @@ order march as one (rows, cells) stack; Burgers profiles march one at a time.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed values)
 and for a stdout its reader closed early, 2 for every request the package
-refuses with `ConfigurationError` (wrong stencil size, a scheme over
-`MAX_SCHEME_POINTS` or with integers over `MAX_TABLE_WORK`'s rule, unknown
-preset, grid/stencil mismatch, ...).
+refuses with `ConfigurationError` (wrong stencil size, a scheme, a table or
+a dump over one of `fdmarch.schemes`' size rules, unknown preset,
+grid/stencil mismatch, ...).
 """
 
 from __future__ import annotations
@@ -30,15 +30,16 @@ import numpy as np
 
 from .exact import ConfigurationError, OffsetSet
 from .schemes import (
+    MAX_DUMP_CHARS,
     Scheme,
     SchemeSpec,
+    check_scheme_points,
     default_offsets,
     first_order_scheme,
     format_scheme_dump,
     master_scheme,
     nonlinear_layers,
     parse_scheme_dump,
-    scheme_dump_order,
 )
 from .stability import (
     FAMILIES,
@@ -205,25 +206,6 @@ def _fmt_offsets(offsets: Sequence[int]) -> str:
 
 # -- subcommands -------------------------------------------------------------------
 
-# A scheme asked for on the command line is refused above this many stencil
-# points, N = n*m + 1, before anything is built: the exact build and its
-# order audit grow as N^3 (N = 140: ~1.4 s; `coeffs --m 1 --n 200`, N = 201:
-# 6-8 s).  The largest scheme the tests and acceptance criteria build,
-# fig-advection's order 29 (N = 30), stays 140^3 / 30^3 = 102x below it.
-MAX_SCHEME_POINTS = 140
-
-
-def _check_scheme_size(m: int, n: int) -> None:
-    # n*m+1 counts no points for orders below 1: each builder refuses those
-    # itself, before it builds any window (`check_orders`, or a ladder's rule)
-    points = n * m + 1
-    if m >= 1 and n >= 1 and points > MAX_SCHEME_POINTS:
-        raise ConfigurationError(
-            f"an order n={n} scheme for m={m} has n*m+1 = {points} stencil points, "
-            f"over the limit of {MAX_SCHEME_POINTS}"
-        )
-
-
 def _refuse_unread(args, names: Sequence[str], path: str) -> None:
     """Refuse the options among `names` that were given, naming each: `path`,
     the way the command was asked to run, never reads them."""
@@ -244,10 +226,8 @@ def _load_scheme(args) -> Scheme:
     if getattr(args, "scheme_file", None):
         _refuse_unread(args, ("m", "n", "offsets", "a_sign"), "--scheme-file")
         try:
-            with open(args.scheme_file) as fh:
-                text = fh.read()
-            # sized before its coefficients are parsed and audited, which grow as N^3
-            _check_scheme_size(*scheme_dump_order(text))
+            with open(args.scheme_file) as fh:  # a longer text is refused unread
+                text = fh.read(MAX_DUMP_CHARS + 1)
             return parse_scheme_dump(text)
         except (OSError, ValueError) as exc:
             # an unreadable or corrupted scheme file is a configuration problem
@@ -257,7 +237,6 @@ def _load_scheme(args) -> Scheme:
         raise ConfigurationError(f"need --m and --n{alt}")
     if args.offsets is not None:
         _refuse_unread(args, ("a_sign",), "a stencil given by --offsets")
-    _check_scheme_size(args.m, args.n)
     return master_scheme(SchemeSpec(args.m, args.n, _stencil(args, args.a_sign or 0)))
 
 
@@ -266,7 +245,6 @@ def _cmd_coeffs(args) -> int:
         _refuse_unread(args, ("n", "offsets", "a_sign"), "--first-order")
         if args.m is None or args.r is None:
             raise ConfigurationError("--first-order needs --m and --r (window shift)")
-        _check_scheme_size(args.m, 1)
         scheme = first_order_scheme(args.m, args.r)
     else:
         _refuse_unread(args, ("r",), "coeffs without --first-order")
@@ -285,7 +263,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    check_tol(args.tol)  # before a scheme of up to MAX_SCHEME_POINTS is built
+    check_tol(args.tol)  # refused before the scheme, which may take seconds, is built
     scheme = _load_scheme(args)
     signs = {"both": (+1, -1), "+": (+1,), "-": (-1,)}[args.sign]
     reports = [stability_report(scheme, s, tol=args.tol) for s in signs]
@@ -308,8 +286,6 @@ def _cmd_stability(args) -> int:
 def _print_first_order_windows(m: int) -> None:
     """The exact nu_c of every first-order window r = 0..m for both signs of
     a, and the stable window per sign."""
-    # the table prints every window's exact nu_c = 1/2^(m-1) in full
-    _check_scheme_size(m, 1)
     cls = classify_first_order(m)
     print(f"# first-order windows for m={m} (exact critical Courant numbers)")
     print("r " + " ".join(f"{r:>10d}" for r in range(m + 1)))
@@ -357,7 +333,6 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    _check_scheme_size(args.m, args.n)
     profile = None
     if args.profile is not None and args.profile != "sine":
         profile = make_profile(args.profile, args.box)
@@ -482,8 +457,8 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     orders = args.orders
     if orders is None:
         orders = _ladder_orders(args.family, len(preset.orders)) if args.family else preset.orders
-    for n in orders:
-        _check_scheme_size(1, n)
+    for n in orders:  # sized before any window is resolved
+        check_scheme_points(1, n)
     # every order's window is resolved before the first march writes a file
     windows = []
     for n in orders:
@@ -543,7 +518,6 @@ def _explicit_run(args, out_dir: str) -> int:
         raise ConfigurationError("an explicit run needs --m and --n (or name a preset)")
     if args.steps is None:
         raise ConfigurationError("an explicit run needs --steps")
-    _check_scheme_size(args.m, args.n)
     a = term_coefficient(args.m, args.a)
     offs = _stencil(args, a)
     box = args.box if args.box is not None else (-5.0, 5.0)

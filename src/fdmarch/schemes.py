@@ -13,8 +13,13 @@ where L_i is the Lagrange cardinal polynomial of the stencil.  Everything
 here is exact: a scheme's layer table holds each nu^j layer as integers over
 its least common denominator, and the Fraction and float rows are views of
 those integers.  Floating point only appears when a caller evaluates weights
-at a float Courant number.  `check_table_size` refuses, before it is built,
-a table whose integers would be too large to audit and print in time.
+at a float Courant number.
+
+The size rules live here too, so they hold wherever a scheme is built,
+the command line included: `check_orders` refuses a scheme over
+`MAX_SCHEME_POINTS` stencil points before any window is built,
+`check_table_size` a table whose integers would be too large to audit and
+print in time, and `parse_scheme_dump` a text over `MAX_DUMP_CHARS`.
 """
 
 from __future__ import annotations
@@ -49,12 +54,34 @@ class UnsupportedSchemeError(ConfigurationError):
 
 
 def check_orders(m: int, n: int) -> None:
-    """Refuse a derivative order m or a marching order n below 1: the one
-    rule on the orders, checked before any window of them is built."""
+    """Refuse a derivative order m or a marching order n below 1, or a
+    scheme of them over `MAX_SCHEME_POINTS`: the one rule on the orders,
+    checked before any window of them is built."""
     if m < 1:
         raise StencilSizeError(f"derivative order m must be >= 1, got {m}")
     if n < 1:
         raise StencilSizeError(f"marching order n must be >= 1, got {n}")
+    check_scheme_points(m, n)
+
+
+# A scheme is refused above this many stencil points, N = n*m + 1, before
+# anything is built: the exact build and its order audit grow as N^3
+# (N = 140: ~1.4 s; `coeffs --m 1 --n 200`, N = 201: 6-8 s).  The largest
+# scheme the tests and acceptance criteria build, fig-advection's order 29
+# (N = 30), stays 140^3 / 30^3 = 102x below it.
+MAX_SCHEME_POINTS = 140
+
+
+def check_scheme_points(m: int, n: int) -> None:
+    """Refuse a scheme of orders m and n on over `MAX_SCHEME_POINTS` points.
+    Orders below 1 count no points: `check_orders`, or a ladder's rule,
+    names them."""
+    points = n * m + 1
+    if m >= 1 and n >= 1 and points > MAX_SCHEME_POINTS:
+        raise StencilSizeError(
+            f"an order n={n} scheme for m={m} has n*m+1 = {points} stencil points, "
+            f"over the limit of {MAX_SCHEME_POINTS}"
+        )
 
 
 # An exact table on N points is refused when N^3 * size^2 exceeds this, where
@@ -86,6 +113,15 @@ def check_table_size(offsets: OffsetSet, bits: int = 0) -> int:
             f"the limit for {points} points"
         )
     return limit - reach_bits
+
+
+# A scheme dump is refused over this many characters, before it is split.
+# The longest dump `format_scheme_dump` prints of a table the rules above
+# admit is 35 579 356 characters: N = 126 (m = 1, offsets -63..62), whose
+# integers may reach 3 715 bits, so 126 x 126 weights of up to 2 240
+# characters; rounded up here.  On 2 shared CPUs the slowest text of this
+# length to refuse, 4 M short keys of unknown fields, took 5.7-6.4 s.
+MAX_DUMP_CHARS = 36 * 10**6
 
 
 @dataclass(frozen=True)
@@ -538,33 +574,24 @@ def _dump_fields(text: str) -> dict[str, str]:
     return fields
 
 
-def _dump_header(fields: dict[str, str]) -> tuple[int, int, OffsetSet]:
-    """The m, n and offsets a dump's fields declare."""
+def parse_scheme_dump(text: str) -> Scheme:
+    """Rebuild a scheme from `format_scheme_dump` output and re-verify it.
+
+    A text over `MAX_DUMP_CHARS` is refused before it is split, and a scheme
+    over `MAX_SCHEME_POINTS` (by `SchemeSpec`) before any weight is parsed.
+    """
+    if len(text) > MAX_DUMP_CHARS:
+        raise ConfigurationError(f"a scheme dump is over the limit of {MAX_DUMP_CHARS} characters")
+    fields = _dump_fields(text)
     try:
-        return (
-            int(fields["m"]),
-            int(fields["n"]),
-            OffsetSet(int(k) for k in fields["offsets"].split(",")),
-        )
+        m, n = int(fields["m"]), int(fields["n"])
+        offsets = OffsetSet(int(k) for k in fields["offsets"].split(","))
     except KeyError as exc:
         raise ValueError(f"scheme dump is missing the {exc.args[0]!r} field") from exc
-
-
-def scheme_dump_order(text: str) -> tuple[int, int]:
-    """The (m, n) a `format_scheme_dump` text declares, read without parsing
-    or checking its coefficients: a caller can size the scheme first."""
-    m, n, _ = _dump_header(_dump_fields(text))
-    return m, n
-
-
-def parse_scheme_dump(text: str) -> Scheme:
-    """Rebuild a scheme from `format_scheme_dump` output and re-verify it."""
-    fields = _dump_fields(text)
-    m, n, offsets = _dump_header(fields)
+    spec = SchemeSpec(m, n, offsets)
     unknown = fields.keys() - {"m", "n", "offsets"} - {f"c[{k}]" for k in offsets}
     if unknown:
         raise ValueError(f"scheme dump has unknown fields: {', '.join(sorted(unknown))}")
-    spec = SchemeSpec(m, n, offsets)
     columns = []
     for k in offsets:
         key = f"c[{k}]"

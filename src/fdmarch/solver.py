@@ -70,6 +70,7 @@ from .schemes import (
     LayerTable,
     Scheme,
     SchemeSpec,
+    check_orders,
     default_offsets,
     master_scheme,
     preferred_sign,
@@ -826,8 +827,10 @@ def convergence_study(
     data is translated.  Unstable configurations are refused, and so is a
     ladder over the march budget (`check_march_budget`), a stencil wider than
     a grid, checked before the stability scan, a time step that is not a
-    normal float, or a non-finite error.
+    normal float, or a non-finite error; the orders (`check_orders`) are
+    checked before any other input.
     """
+    check_orders(m, n)
     a = term_coefficient(m, a)
     nu = abs(float(nu))
     if not (nu > 0 and math.isfinite(nu)):

@@ -22,9 +22,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fdmarch.cli
+import fdmarch.schemes
 import fdmarch.solver
 from fdmarch.exact import ConfigurationError, InvalidOffsetsError, OffsetSet
 from fdmarch.schemes import (
+    MAX_DUMP_CHARS,
+    MAX_SCHEME_POINTS,
     SchemeSpec,
     StencilSizeError,
     UnsupportedSchemeError,
@@ -85,8 +88,9 @@ def checkout_env():
     return env
 
 
-def run_cli_process(*argv, timeout=60):
-    """Run the CLI in a fresh interpreter against the checkout's sources.
+def run_cli_process(*argv, timeout=60, input=None):
+    """Run the CLI in a fresh interpreter against the checkout's sources,
+    with `input` on its stdin.
 
     A hang raises subprocess.TimeoutExpired, so it fails the calling test."""
     return subprocess.run(
@@ -95,6 +99,7 @@ def run_cli_process(*argv, timeout=60):
         text=True,
         env=checkout_env(),
         timeout=timeout,
+        input=input,
     )
 
 
@@ -282,7 +287,7 @@ class TestStability:
         are refused like any other oversized scheme."""
         assert run_cli("classify", "--m", m) == 2
         captured = capsys.readouterr()
-        assert f"stencil points, over the limit of {fdmarch.cli.MAX_SCHEME_POINTS}" in captured.err
+        assert f"stencil points, over the limit of {MAX_SCHEME_POINTS}" in captured.err
         assert captured.out == ""
 
     def test_classify_largest_m_runs(self, capsys):
@@ -1283,13 +1288,15 @@ class TestUpFrontRefusals:
 
     @pytest.fixture
     def no_builds(self, monkeypatch):
+        """The build steps of `fdmarch.schemes` raise, so a build on any path
+        fails the test: the Lagrange numerators of `master_scheme` and the
+        audit every scheme and dump passes."""
+
         def build(*args, **kwargs):
             raise AssertionError("a refused request built a scheme")
 
-        for module in (fdmarch.cli, fdmarch.solver):
-            monkeypatch.setattr(module, "master_scheme", build)
-        monkeypatch.setattr(fdmarch.cli, "first_order_scheme", build)
-        monkeypatch.setattr(fdmarch.cli, "nonlinear_layers", build)
+        monkeypatch.setattr(fdmarch.schemes, "lagrange_numerators", build)
+        monkeypatch.setattr(fdmarch.schemes, "_audited", build)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1311,7 +1318,7 @@ class TestUpFrontRefusals:
         extra = ("--out", str(out_dir)) if argv[0] == "run" else ()
         assert run_cli(*argv, *extra) == 2
         err = capsys.readouterr().err
-        assert f"stencil points, over the limit of {fdmarch.cli.MAX_SCHEME_POINTS}" in err
+        assert f"stencil points, over the limit of {MAX_SCHEME_POINTS}" in err
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -1332,9 +1339,9 @@ class TestUpFrontRefusals:
         and refused before any coefficient is parsed or audited."""
 
         def parse(text):
-            raise AssertionError("a refused dump was parsed")
+            raise AssertionError("a weight of a refused dump was parsed")
 
-        monkeypatch.setattr(fdmarch.cli, "parse_scheme_dump", parse)
+        monkeypatch.setattr(fdmarch.schemes, "Fraction", parse)
         offsets = range(-100, 101)
         lines = ["m=1", "n=200", "offsets=" + ",".join(map(str, offsets))]
         lines += [f"c[{k}]=" + ",".join(["-1234567/7654321"] * 201) for k in offsets]
@@ -1344,8 +1351,29 @@ class TestUpFrontRefusals:
         assert run_cli("stability", "--scheme-file", str(path), "--sign", "-") == 2
         assert time.perf_counter() - start < 2.0
         err = capsys.readouterr().err
-        limit = fdmarch.cli.MAX_SCHEME_POINTS
-        assert f"n*m+1 = 201 stencil points, over the limit of {limit}" in err
+        assert f"n*m+1 = 201 stencil points, over the limit of {MAX_SCHEME_POINTS}" in err
+
+    def test_endless_scheme_file_refused(self):
+        """Regression: a `--scheme-file` was read whole, so `/dev/zero` took
+        memory until it died with a MemoryError traceback.  At most
+        MAX_DUMP_CHARS + 1 characters are read, and a longer dump is refused."""
+        start = time.perf_counter()
+        proc = run_cli_process("stability", "--scheme-file", "/dev/zero")
+        assert time.perf_counter() - start < 5.0
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: a scheme dump is over the limit of {MAX_DUMP_CHARS} characters\n"
+        )
+        assert proc.stdout == ""
+
+    def test_piped_scheme_file_read(self):
+        """The bounded read takes a dump from a pipe to its end."""
+        dump = run_cli_process("coeffs", "--m", "2", "--n", "2", "--format", "dump")
+        assert dump.returncode == 0
+        proc = run_cli_process("stability", "--scheme-file", "/dev/stdin", input=dump.stdout)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("# scheme m=2 n=2 offsets=-2,-1,0,1,2\n")
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1371,7 +1399,7 @@ class TestUpFrontRefusals:
     def test_scheme_bound_leaves_tests_room(self):
         """100x in N^3 over the largest scheme the tests and acceptance build,
         fig-advection's order 29 on 30 points."""
-        assert fdmarch.cli.MAX_SCHEME_POINTS**3 >= 100 * 30**3
+        assert MAX_SCHEME_POINTS**3 >= 100 * 30**3
 
 
 class TestSpanAndGridSizeRefusals:
@@ -1671,7 +1699,7 @@ FUZZ_VALUES = {
     "profiles": ("triangle", "sine,rectangle", "burgers,burgers", "nope", ""),
     "out": ("{tmp}/out", "{tmp}/out/nested", "", "{tmp}/file", "{tmp}/file/sub"),
     "scheme_file": ("{tmp}/scheme.txt", "{tmp}/tampered.txt", "{tmp}/exponent.txt",
-                    "{tmp}/missing.txt", "{tmp}"),
+                    "{tmp}/missing.txt", "{tmp}", "/dev/zero"),
     "preset": (*fdmarch.cli.PRESETS, "fig-nope"),
 }
 
@@ -1807,6 +1835,10 @@ def run_fuzz_example(argv):
 )
 @given(fuzz_argv())
 def _fuzz_main(argv):
+    check_fuzz_example(argv)
+
+
+def check_fuzz_example(argv):
     code, err, seconds = run_fuzz_example(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "Warning:" not in err, (argv, err)
@@ -1823,6 +1855,12 @@ class TestArgvFuzz:
         start = time.perf_counter()
         _fuzz_main()
         assert time.perf_counter() - start < 20.0
+
+    def test_every_scheme_file_value_works_or_exits_with_a_code(self):
+        """The draws above seldom give --scheme-file a value of its own, so
+        `stability` reads each value of its pool once here."""
+        for value in FUZZ_VALUES["scheme_file"]:
+            check_fuzz_example(["stability", "--scheme-file", value])
 
     def test_every_seed_works(self):
         for seed in FUZZ_SEEDS:

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdmarch.schemes
-from fdmarch.cli import MAX_SCHEME_POINTS
 from fdmarch.exact import ConfigurationError, OffsetSet, RatPoly, lagrange_basis, lagrange_numerators
 from fdmarch.schemes import (
+    MAX_DUMP_CHARS,
+    MAX_SCHEME_POINTS,
     MAX_TABLE_WORK,
     ErrorTerm,
     LayerTable,
@@ -35,7 +36,8 @@ from fdmarch.schemes import (
     preferred_sign,
 )
 
-from fdmarch.stability import advection_family_spec
+from fdmarch.solver import convergence_study
+from fdmarch.stability import advection_family_spec, classify_first_order
 
 from reference_tables import (
     ADVECTION_N3_OFFSETS,
@@ -613,9 +615,33 @@ class TestOrderAudit:
                 parse_scheme_dump(_tampered_dump(text, deltas))
 
 
+class TestPointLimit:
+    def test_every_builder_refuses_a_scheme_over_the_limit(self, monkeypatch):
+        """Each way to a scheme refuses 141 points, in the words the CLI
+        prints, before it builds a window or a numerator."""
+
+        def build(*args, **kwargs):
+            raise AssertionError("a refused scheme built a window or numerators")
+
+        monkeypatch.setattr(OffsetSet, "contiguous", build)
+        monkeypatch.setattr(fdmarch.schemes, "lagrange_numerators", build)
+        over = f"n\\*m\\+1 = 141 stencil points, over the limit of {MAX_SCHEME_POINTS}"
+        calls = [
+            (lambda: SchemeSpec(1, 140, range(141)), "n=140", "m=1"),
+            (lambda: default_offsets(1, 140), "n=140", "m=1"),
+            (lambda: first_order_scheme(140, 70), "n=1", "m=140"),
+            (lambda: classify_first_order(140), "n=1", "m=140"),
+            (lambda: nonlinear_layers(140, range(141)), "n=140", "m=1"),
+            (lambda: convergence_study(1, 140, float("nan")), "n=140", "m=1"),
+        ]
+        for call, n, m in calls:
+            with pytest.raises(StencilSizeError, match=f"^an order {n} scheme for {m} has {over}$"):
+                call()
+
+
 class TestTableSizeRule:
     def test_every_contiguous_window_is_admitted(self, monkeypatch):
-        """Every contiguous window up to the CLI's MAX_SCHEME_POINTS passes
+        """Every contiguous window up to MAX_SCHEME_POINTS passes
         the size rule.  Of the windows of N points, 0..N-1 has the largest
         offsets and numerators; for one m its integers grow with n while the
         limit falls, so the largest n under MAX_SCHEME_POINTS covers the rest.
@@ -644,6 +670,39 @@ class TestTableSizeRule:
         with pytest.raises(ConfigurationError, match="over 14284 bits, the limit for 2 points"):
             check_table_size(OffsetSet([0, 1]), 14284 - 2 + 1)
         check_table_size(OffsetSet([0, 1]), 14284 - 2)
+
+    def test_dump_bound_holds_every_admitted_dump(self):
+        """MAX_DUMP_CHARS is at least the longest dump `format_scheme_dump`
+        can print of a table the rules admit, N = 2..MAX_SCHEME_POINTS.  An
+        upper bound per N: m = 1, so N weights a line; the window of least
+        reach, which leaves the integers the most bits (each further bit of
+        reach takes N bits from them); every offset as wide as the widest;
+        and every weight -W/D with W and D of the most digits."""
+        longest = 0
+        for points in range(2, MAX_SCHEME_POINTS + 1):
+            offsets = OffsetSet.contiguous(points // 2, points - 1)
+            digits = len(str(2 ** check_table_size(offsets) - 1))
+            offset = len(str(offsets[0]))
+            header = len(f"m=1\nn={points - 1}\noffsets=\n") + points * (offset + 1)
+            line = len("c[]=\n") + offset + points * (2 * digits + 3)  # "-W/D," each
+            longest = max(longest, header + points * line)
+        assert longest > 35 * 10**6
+        assert MAX_DUMP_CHARS >= longest
+
+    def test_dump_over_the_bound_refused_before_it_is_split(self, monkeypatch):
+        """A dump padded with a comment to MAX_DUMP_CHARS still parses; one
+        character more is refused before its lines are read."""
+        dump = format_scheme_dump(master_scheme(SchemeSpec(2, 2, default_offsets(2, 2))))
+        text = dump + "#" * (MAX_DUMP_CHARS - len(dump))
+        assert parse_scheme_dump(text).spec == SchemeSpec(2, 2, default_offsets(2, 2))
+
+        def fields(text):
+            raise AssertionError("a refused dump was split")
+
+        monkeypatch.setattr(fdmarch.schemes, "_dump_fields", fields)
+        message = f"^a scheme dump is over the limit of {MAX_DUMP_CHARS} characters$"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_scheme_dump(text + "#")
 
 
 # -- frozen tables -----------------------------------------------------------------------
