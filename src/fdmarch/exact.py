@@ -337,13 +337,17 @@ def aux_polynomials(offsets: Iterable[int]) -> tuple[RatPoly, RatPoly, RatPoly]:
         P(x) = x^N     - s(x)
         Q(x) = x^(N+1) - (x + sum_i k_i) * s(x)
 
-    whose leading terms cancel exactly, leaving degree <= N-1.
+    whose leading terms cancel exactly, leaving degree <= N-1.  All three are
+    integer polynomials, built from `_node_product`'s integer coefficients
+    s_p: P_p = -s_p and Q_p = -(s_(p-1) + sum_i k_i * s_p) for p < N.
     """
     ks = OffsetSet(offsets)
     n = len(ks)
-    s = RatPoly.from_roots(ks)
-    p = RatPoly.monomial(n) - s
-    q = RatPoly.monomial(n + 1) - RatPoly((sum(ks), 1)) * s
-    # leading-term cancellation is structural; if it fails the build is broken
-    assert p.degree <= n - 1 and q.degree <= n - 1
-    return s, p, q
+    s = _node_product(ks)
+    total = sum(ks)
+    p = [-c for c in s[:n]]
+    q = [-total * s[0]] + [-(s[i - 1] + total * s[i]) for i in range(1, n)]
+    # leading-term cancellation is structural (s is monic and s_(N-1) is
+    # -sum_i k_i); if it fails the build is broken
+    assert s[n] == 1 and s[n - 1] + total == 0
+    return RatPoly(s), RatPoly(p), RatPoly(q)

@@ -65,10 +65,11 @@ def check_orders(m: int, n: int) -> None:
 
 
 # A scheme is refused above this many stencil points, N = n*m + 1, before
-# anything is built: the exact build and its order audit grow as N^3
-# (N = 140: ~1.4 s; `coeffs --m 1 --n 200`, N = 201: 6-8 s).  The largest
-# scheme the tests and acceptance criteria build, fig-advection's order 29
-# (N = 30), stays 140^3 / 30^3 = 102x below it.
+# anything is built: the exact build and its order audit grow about as N^3
+# (N = 140: `coeffs --m 1 --n 139` takes 0.9-1.2 s on 2 shared CPUs, its
+# audit 0.4 s of it).  The largest scheme the tests and acceptance criteria
+# build, fig-advection's order 29 (N = 30), stays 140^3 / 30^3 = 102x below
+# it.
 MAX_SCHEME_POINTS = 140
 
 
@@ -86,18 +87,22 @@ def check_scheme_points(m: int, n: int) -> None:
 
 # An exact table on N points is refused when N^3 * size^2 exceeds this, where
 # size = (bits of its largest integer) + N * (bits of its largest |offset|)
-# bounds the factors of the order audit's products k^p * W (N^3 of them at
-# m = 1).  On 2 shared CPUs, `fdmarch coeffs` (build, audit, print) took
-# 4-7e-14 s x N^3 * size^2 on contiguous, random wide and far-from-zero
-# stencils of N = 30..140 points; the most a stencil admitted at N = 30, 60,
-# 100 or 140 took was 4.3 s.  The costliest contiguous window up to 140
-# points (m = 139, offsets 0..139) uses 3.4e13.
+# bounds the build's integers, and the order audit's slots are about size
+# bits wide (N^2 products of a packed integer of n+1 slots by an offset).
+# On 2 shared CPUs, `fdmarch coeffs` (build, audit, print) on the widest
+# far-from-zero and random wide stencils admitted at N = 30, 60, 100 and
+# 140 took 0.3-1.9 s, their audits 0.04-0.93 s; the audit alone took
+# 0.17-2.9 s in the triple loop of products k^p * W it replaced.  The
+# costliest contiguous window up to 140 points (m = 139, offsets 0..139)
+# uses 3.4e13.
 MAX_TABLE_WORK = 4 * 10**13
 
 
 def check_table_size(offsets: OffsetSet, bits: int = 0) -> int:
     """Refuse an exact table on `offsets` whose integers reach `bits` bits by
-    the MAX_TABLE_WORK rule, or whose audit factors `str` could not print
+    the MAX_TABLE_WORK rule, N^3 * size^2 with size = bits + N * (bits of
+    the widest offset), about the width of the order audit's slots, or
+    whose size is over what `str` prints of an int
     (`sys.get_int_max_str_digits`).  With bits = 0 the rule reads the
     offsets alone, before anything is built from them.  Returns the most
     bits the table's integers may have."""
@@ -294,21 +299,42 @@ def _check_order_conditions(spec: SchemeSpec, table: LayerTable) -> None:
     construction; a failure means the generator itself is broken.
 
     The check reads the table's integers: with layer j (the nu^j weights)
-    held as W_j over D_j, sum_i k_i^p * W_ji must equal D_j * p!/j! when
-    p = j*m and 0 otherwise.  Low moments go first, so a corrupted weight
-    fails fast.
+    held as W_j over D_j, the moment M_pj = sum_i k_i^p * W_ji must equal
+    E_pj = D_j * p!/j! when p = j*m and 0 otherwise.  All layers of a moment
+    are checked at once, with one packed integer per stencil point,
+    X_i = sum_j W_ji * 2^(B*j): then sum_i k_i^p * X_i = sum_j M_pj * 2^(B*j),
+    and one `==` with sum_j E_pj * 2^(B*j) checks the moment's every layer.
+    The slot width B is one bit more than |M_pj - E_pj| can need, bounded by
+    N * max|k|^(N-1) * max|W| + max_j D_j * (j*m)!/j! from the table's own
+    integers, so each difference fits its slot with its sign: the packed sums
+    are equal exactly when every layer's are, and when they differ, the
+    lowest failing layer is the difference's trailing zero bits // B.  Low
+    moments go first, so a corrupted weight fails fast, and a failure names
+    the lowest moment p and, within it, the lowest layer.
     """
     m, ks = spec.m, spec.offsets
-    kp = [1] * len(ks)
+    targets = [  # E_pj at p = j*m
+        den * (math.factorial(j * m) // math.factorial(j))
+        for j, (den, _) in enumerate(table.int_rows)
+    ]
+    widest = max(abs(w) for _, ints in table.int_rows for w in ints)
+    reach = max(map(abs, ks)) ** (len(ks) - 1)
+    width = (len(ks) * reach * widest + max(targets)).bit_length() + 1
+    # X_i by Horner in 2^B, point by point, so one partial integer at a
+    # time is held beside the finished ones
+    columns = zip(*(ints for _, ints in table.int_rows))
+    packed = [functools.reduce(lambda x, w: (x << width) + w, col[::-1], 0) for col in columns]
     for p in range(len(ks)):  # p = 0 .. n*m
         if p:
-            kp = list(map(operator.mul, kp, ks))
-        for j, (den, ints) in enumerate(table.int_rows):
-            expected = den * math.factorial(p) // math.factorial(j) if p == j * m else 0
-            if sum(map(operator.mul, kp, ints)) != expected:
-                raise ArithmeticError(
-                    f"order condition failed at moment p={p}, layer {j} for {spec}"
-                )
+            packed = list(map(operator.mul, packed, ks))
+        j, rest = divmod(p, m)
+        expected = targets[j] << (width * j) if not rest and j < len(targets) else 0
+        miss = sum(packed) - expected
+        if miss:
+            layer = ((miss & -miss).bit_length() - 1) // width
+            raise ArithmeticError(
+                f"order condition failed at moment p={p}, layer {layer} for {spec}"
+            )
 
 
 def master_scheme(spec: SchemeSpec) -> Scheme:
@@ -466,17 +492,19 @@ class ErrorTerm:
 def error_term(scheme: Scheme) -> ErrorTerm:
     """Exact leading-error data for a minimal-stencil scheme.
 
-    For m=1 the merged leading coefficient collapses to the closed product
-    form -prod_i(nu - k_i) / N!, which is asserted here.
+    A and B are the Taylor sums of the integer polynomials P and Q of
+    `aux_polynomials`.  For m=1 the merged leading coefficient collapses to
+    the closed product form -prod_i(nu - k_i) / N!, which is asserted here;
+    the product is built from the integer coefficients of s.
     """
     spec = scheme.spec
-    _, p_poly, q_poly = aux_polynomials(spec.offsets)
+    s_poly, p_poly, q_poly = aux_polynomials(spec.offsets)
     a = _taylor_sum(p_poly, spec.m, spec.n)
     b = _taylor_sum(q_poly, spec.m, spec.n)
     term = ErrorTerm(spec, a, b)
     if spec.m == 1:
-        product = RatPoly.from_roots(spec.offsets)  # prod(nu - k_i)
-        expected = product / Fraction(-math.factorial(spec.points))
+        scale = math.factorial(spec.points)  # s has integer coefficients
+        expected = RatPoly(Fraction(-c.numerator, scale) for c in s_poly.coeffs)
         power, coeff = term.leading()
         if power != spec.points or coeff != expected:
             raise ArithmeticError("m=1 product form of the leading error failed")
@@ -484,12 +512,13 @@ def error_term(scheme: Scheme) -> ErrorTerm:
 
 
 def _taylor_sum(poly: RatPoly, m: int, n: int) -> RatPoly:
-    """sum_{j=0..n} nu^j / j! * poly^(j*m)(0) as a polynomial in nu."""
-    coeffs = [
-        poly.derivative_at_zero(j * m) / Fraction(math.factorial(j))
+    """sum_{j=0..n} nu^j / j! * poly^(j*m)(0) as a polynomial in nu: the
+    nu^j coefficient is poly's x^(j*m) coefficient times the integer
+    (j*m)!/j!."""
+    return RatPoly(
+        poly.coefficient(j * m) * (math.factorial(j * m) // math.factorial(j))
         for j in range(n + 1)
-    ]
-    return RatPoly(coeffs)
+    )
 
 
 def nonlinear_layers(n: int, offsets: Iterable[int]) -> LayerTable:
@@ -557,28 +586,51 @@ def format_scheme_dump(scheme: Scheme) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A dump has at most this many fields: m, n, offsets and one line per point.
+MAX_DUMP_FIELDS = MAX_SCHEME_POINTS + 3
+# `_dump_fields` splits a text about this many characters at a time.
+DUMP_BLOCK_CHARS = 1 << 20
+
+
 def _dump_fields(text: str) -> dict[str, str]:
-    """The key=value fields of a scheme dump, skipping blank and '#' lines."""
+    """The key=value fields of a scheme dump, skipping blank and '#' lines.
+
+    The lines are those of `text.splitlines()`, walked lazily: the text is
+    split one block of about `DUMP_BLOCK_CHARS` characters at a time, each
+    block ending at a newline, so a text of many short lines is never held
+    as one list.  The one two-character line break, CR LF, ends at its
+    newline, so no break falls across two blocks.  The walk stops at the
+    first field past `MAX_DUMP_FIELDS`; `parse_scheme_dump` refuses such a
+    text once it has read the header.
+    """
     fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed scheme dump line: {raw!r}")
-        key = key.strip()
-        if key in fields:
-            raise ValueError(f"scheme dump repeats the {key!r} field")
-        fields[key] = value.strip()
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + DUMP_BLOCK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        for raw in text[start:end].splitlines():
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"malformed scheme dump line: {raw!r}")
+            key = key.strip()
+            if key in fields:
+                raise ValueError(f"scheme dump repeats the {key!r} field")
+            fields[key] = value.strip()
+            if len(fields) > MAX_DUMP_FIELDS:
+                return fields
+        start = end
     return fields
 
 
 def parse_scheme_dump(text: str) -> Scheme:
     """Rebuild a scheme from `format_scheme_dump` output and re-verify it.
 
-    A text over `MAX_DUMP_CHARS` is refused before it is split, and a scheme
-    over `MAX_SCHEME_POINTS` (by `SchemeSpec`) before any weight is parsed.
+    A text over `MAX_DUMP_CHARS` is refused before it is split, a scheme
+    over `MAX_SCHEME_POINTS` (by `SchemeSpec`) before any weight is parsed,
+    and a text of over `MAX_DUMP_FIELDS` fields once its header is read.
     """
     if len(text) > MAX_DUMP_CHARS:
         raise ConfigurationError(f"a scheme dump is over the limit of {MAX_DUMP_CHARS} characters")
@@ -589,6 +641,8 @@ def parse_scheme_dump(text: str) -> Scheme:
     except KeyError as exc:
         raise ValueError(f"scheme dump is missing the {exc.args[0]!r} field") from exc
     spec = SchemeSpec(m, n, offsets)
+    if len(fields) > MAX_DUMP_FIELDS:
+        raise ValueError(f"scheme dump has over {MAX_DUMP_FIELDS} fields")
     unknown = fields.keys() - {"m", "n", "offsets"} - {f"c[{k}]" for k in offsets}
     if unknown:
         raise ValueError(f"scheme dump has unknown fields: {', '.join(sorted(unknown))}")

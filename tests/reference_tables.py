@@ -3,9 +3,19 @@
 Every entry was derived independently of the library (by hand or with a
 brute-force oracle over exact rationals) before the generator was written;
 the tests assert exact rational equality against these tables.
+
+Two oracles follow the tables: the straightforward forms of the order audit
+(one product k_i^p * W_ji per moment, layer and point) and of the error term
+(`RatPoly` arithmetic over Fractions), which the library's packed-integer
+audit and integer error term must match exactly.
 """
 
+import math
+import operator
 from fractions import Fraction as F
+
+from fdmarch.exact import OffsetSet, RatPoly
+from fdmarch.schemes import ErrorTerm
 
 # -- diffusion (m=2), centered minimal stencils ---------------------------------
 # weight polynomials in nu: offset -> coefficients (c_0, c_1, ..., c_n)
@@ -60,3 +70,51 @@ def folded_layers(raw_layers):
     return tuple(
         tuple(w / math.factorial(j) for w in row) for j, row in enumerate(raw_layers)
     )
+
+
+# -- oracles -----------------------------------------------------------------------
+
+
+def order_conditions_by_loop(spec, table):
+    """The order audit as a triple loop: for p = 0 .. n*m and every layer j,
+    sum_i k_i^p * W_ji must equal D_j * p!/j! when p = j*m and 0 otherwise.
+    Raises ArithmeticError at the first failing (p, j), low moments first, in
+    the library audit's words."""
+    m, ks = spec.m, spec.offsets
+    kp = [1] * len(ks)
+    for p in range(len(ks)):  # p = 0 .. n*m
+        if p:
+            kp = list(map(operator.mul, kp, ks))
+        for j, (den, ints) in enumerate(table.int_rows):
+            expected = den * math.factorial(p) // math.factorial(j) if p == j * m else 0
+            if sum(map(operator.mul, kp, ints)) != expected:
+                raise ArithmeticError(
+                    f"order condition failed at moment p={p}, layer {j} for {spec}"
+                )
+
+
+def error_term_by_fractions(scheme):
+    """The error term by `RatPoly` arithmetic over Fractions: s, P and Q by
+    polynomial products, each Taylor coefficient as a derivative at zero over
+    j!, and the m = 1 product form by a division of `RatPoly.from_roots`."""
+    spec = scheme.spec
+    ks = OffsetSet(spec.offsets)
+    size = len(ks)
+    s = RatPoly.from_roots(ks)
+    p_poly = RatPoly.monomial(size) - s
+    q_poly = RatPoly.monomial(size + 1) - RatPoly((sum(ks), 1)) * s
+    assert p_poly.degree <= size - 1 and q_poly.degree <= size - 1
+
+    def taylor_sum(poly):
+        return RatPoly(
+            poly.derivative_at_zero(j * spec.m) / F(math.factorial(j))
+            for j in range(spec.n + 1)
+        )
+
+    term = ErrorTerm(spec, taylor_sum(p_poly), taylor_sum(q_poly))
+    if spec.m == 1:
+        expected = s / F(-math.factorial(size))
+        power, coeff = term.leading()
+        if power != size or coeff != expected:
+            raise ArithmeticError("m=1 product form of the leading error failed")
+    return term

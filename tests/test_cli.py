@@ -1366,6 +1366,22 @@ class TestUpFrontRefusals:
         )
         assert proc.stdout == ""
 
+    def test_scheme_file_of_short_keys_refused(self, tmp_path):
+        """Regression: a 36 MB text of 4 M short keys (`0=`, `1=`, ...) was
+        split and every key stored before any was refused (5.7-6.4 s, 786 MB
+        peak).  The lines are walked lazily and the walk stops past the most
+        fields a dump has."""
+        path = tmp_path / "keys.txt"
+        keys = "=\n".join(map(str, range(4 * 10**6))) + "=\n"
+        assert len(keys) <= MAX_DUMP_CHARS
+        path.write_text(keys)
+        start = time.perf_counter()
+        proc = run_cli_process("stability", "--scheme-file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stderr == "error: scheme dump is missing the 'm' field\n"
+        assert proc.stdout == ""
+
     def test_piped_scheme_file_read(self):
         """The bounded read takes a dump from a pipe to its end."""
         dump = run_cli_process("coeffs", "--m", "2", "--n", "2", "--format", "dump")

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import importlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -15,6 +17,7 @@ import fdmarch.schemes
 from fdmarch.exact import ConfigurationError, OffsetSet, RatPoly, lagrange_basis, lagrange_numerators
 from fdmarch.schemes import (
     MAX_DUMP_CHARS,
+    MAX_DUMP_FIELDS,
     MAX_SCHEME_POINTS,
     MAX_TABLE_WORK,
     ErrorTerm,
@@ -23,6 +26,7 @@ from fdmarch.schemes import (
     SchemeSpec,
     StencilSizeError,
     UnsupportedSchemeError,
+    _check_order_conditions,
     advection_coefficients,
     check_table_size,
     default_offsets,
@@ -47,7 +51,9 @@ from reference_tables import (
     DIFFUSION_N2,
     DIFFUSION_N3,
     DIFFUSION_N4,
+    error_term_by_fractions,
     folded_layers,
+    order_conditions_by_loop,
 )
 from test_stability import PIN_SPECS, pin_id
 
@@ -474,6 +480,26 @@ class TestErrorTerm:
         powers = [p for p, _ in error_term(s).terms()]
         assert powers == sorted(powers)
 
+    def test_matches_the_fraction_path(self, monkeypatch):
+        """The integer error term is `==` to the Fraction-path reference, as
+        an ErrorTerm and term by term, for every PIN_SPECS entry, the m = 1
+        windows of order n = 1..49 (uw's for odd n, centred for even n) and
+        the gapped stencils of scheme-zoo's seeds 1-5."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        generation_specs = importlib.import_module("workloads").generation_specs
+        specs = list(PIN_SPECS)
+        specs += [SchemeSpec(1, n, OffsetSet.contiguous((n + 1) // 2, n)) for n in range(1, 50)]
+        for seed in range(1, 6):
+            for m, n, offsets in generation_specs(seed):
+                if not OffsetSet(offsets).is_contiguous():
+                    specs.append(SchemeSpec(m, n, OffsetSet(offsets)))
+        assert len(specs) == len(PIN_SPECS) + 49 + 5 * 7
+        for spec in specs:
+            scheme = master_scheme(spec)
+            term, reference = error_term(scheme), error_term_by_fractions(scheme)
+            assert term == reference, spec
+            assert term.terms() == reference.terms(), spec
+
 
 # -- nonlinear layer extraction ----------------------------------------------------------
 
@@ -572,6 +598,47 @@ class TestDumpRoundTrip:
         with pytest.raises(ValueError, match="repeats the"):
             parse_scheme_dump(text)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 13])
+    def test_block_walk_reads_the_lines_of_splitlines(self, monkeypatch, block):
+        """Split a few characters at a time, a dump with every line break
+        `str.splitlines` knows, CR LF and a CR before a CR LF among them, and
+        blank and comment lines between its fields, gives the fields of one
+        split of the whole text."""
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                  "\u2028", "\u2029", "\r\r\n"]
+        dump = format_scheme_dump(master_scheme(SchemeSpec(2, 2, default_offsets(2, 2))))
+        lines = [f" {line}\t" for line in dump.splitlines()]
+        pieces = []
+        for i, line in enumerate(lines):
+            pieces += [line, breaks[i % len(breaks)], "# note", breaks[-1 - i % len(breaks)], "  "]
+            pieces.append(breaks[(i + 5) % len(breaks)])
+        text = "".join(pieces)
+        whole = {}
+        for raw in text.splitlines():
+            line = raw.strip()
+            if line and line[0] != "#":
+                key, _, value = line.partition("=")
+                whole[key.strip()] = value.strip()
+        monkeypatch.setattr(fdmarch.schemes, "DUMP_BLOCK_CHARS", block)
+        assert fdmarch.schemes._dump_fields(text) == whole
+        assert format_scheme_dump(parse_scheme_dump(text)) == dump
+
+    def test_parse_refuses_a_dump_of_too_many_fields(self):
+        """A dump holds at most MAX_DUMP_FIELDS fields; one more is refused
+        once the header is read, and the walk reads no line past it."""
+        dump = format_scheme_dump(first_order_scheme(1, 1))
+        extra = MAX_DUMP_FIELDS - 5
+        text = dump + "".join(f"x{i}=0\n" for i in range(extra))
+        with pytest.raises(ValueError, match="^scheme dump has unknown fields: x0, x1, x10, "):
+            parse_scheme_dump(text)
+        more = text + "x=0\n"
+        with pytest.raises(ValueError, match=f"^scheme dump has over {MAX_DUMP_FIELDS} fields$"):
+            parse_scheme_dump(more)
+        with pytest.raises(ValueError, match=f"^scheme dump has over {MAX_DUMP_FIELDS} fields$"):
+            parse_scheme_dump(more + "m=1\nnot a field\n")
+        with pytest.raises(ValueError, match="^scheme dump is missing the 'm' field$"):
+            parse_scheme_dump("".join(f"{i}=\n" for i in range(10**5)))
+
 
 def _tampered_dump(text, deltas):
     """A scheme dump with deltas[(j, i)] added to the nu^j weight on offsets[i]."""
@@ -590,6 +657,8 @@ AUDITED_SPECS = [
     SchemeSpec(4, 2, OffsetSet([-5, -4, -2, -1, 0, 1, 2, 3, 5])),
 ]
 AUDITED_IDS = ["m1-n29", "m2-n3-centred", "m4-n2-gapped"]
+# a stencil with a wide gap: its moments outgrow its weights by powers of 64
+WIDE_SPEC = SchemeSpec(1, 3, OffsetSet([-1, 0, 1, 64]))
 
 
 class TestOrderAudit:
@@ -613,6 +682,137 @@ class TestOrderAudit:
             deltas = {(j, i): F(1, 10**9 * w) for i, w in enumerate(weights)}
             with pytest.raises(ValueError, match=f"moment p={top}, layer {j}"):
                 parse_scheme_dump(_tampered_dump(text, deltas))
+
+
+def audit_outcome(audit, spec, table):
+    """The message an order audit raises on `table`, or None if it passes."""
+    try:
+        audit(spec, table)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
+def edited(table, edits):
+    """`table` with edits[j] = (D_j, W_j) replacing its row j, integers as given."""
+    rows = list(table.int_rows)
+    for j, row in edits.items():
+        rows[j] = row
+    return LayerTable(table.offsets, tuple(rows))
+
+
+def slot_width(spec, table):
+    """The packed audit's slot width B, from the table's own integers."""
+    targets = [
+        den * math.factorial(j * spec.m) // math.factorial(j)
+        for j, (den, _) in enumerate(table.int_rows)
+    ]
+    widest = max(abs(w) for _, ints in table.int_rows for w in ints)
+    reach = max(map(abs, spec.offsets)) ** (spec.points - 1)
+    return (spec.points * reach * widest + max(targets)).bit_length() + 1
+
+
+class TestPackedAuditMatchesTheLoop:
+    """The packed audit passes and fails exactly where the triple loop of
+    `order_conditions_by_loop` does, naming the same moment and layer, on
+    tables edited directly."""
+
+    @pytest.mark.parametrize("spec", AUDITED_SPECS, ids=AUDITED_IDS)
+    def test_every_single_weight_tamper(self, spec):
+        table = master_scheme(spec).layers
+        assert audit_outcome(_check_order_conditions, spec, table) is None
+        assert audit_outcome(order_conditions_by_loop, spec, table) is None
+        for j, (den, ints) in enumerate(table.int_rows):
+            for i in range(spec.points):
+                for delta in (1, -(2**70)):
+                    row = (den, ints[:i] + (ints[i] + delta,) + ints[i + 1 :])
+                    tampered = edited(table, {j: row})
+                    message = audit_outcome(_check_order_conditions, spec, tampered)
+                    assert message is not None
+                    assert message == audit_outcome(order_conditions_by_loop, spec, tampered)
+
+    @pytest.mark.parametrize("spec", AUDITED_SPECS, ids=AUDITED_IDS)
+    def test_top_moment_tamper(self, spec):
+        """Adding 1/w_i to each weight of layer j moves only the moment p = n*m."""
+        table = master_scheme(spec).layers
+        weights = [w for _, w in lagrange_numerators(spec.offsets)]
+        scale = math.lcm(*weights)
+        top = spec.n * spec.m
+        for j, (den, ints) in enumerate(table.int_rows):
+            row = (den * scale, tuple(v * scale + den * scale // w for v, w in zip(ints, weights)))
+            tampered = edited(table, {j: row})
+            message = audit_outcome(_check_order_conditions, spec, tampered)
+            assert message == f"order condition failed at moment p={top}, layer {j} for {spec}"
+            assert message == audit_outcome(order_conditions_by_loop, spec, tampered)
+
+    @pytest.mark.parametrize("spec", [*AUDITED_SPECS, WIDE_SPEC], ids=[*AUDITED_IDS, "m1-n3-wide"])
+    def test_tampers_that_keep_the_low_moments(self, spec):
+        """Adding t * C / prod_{l in S, l != i} (k_i - k_l) to the weights of
+        the points i in S, C making these integers, keeps every moment
+        p < |S| - 1 and moves p = |S| - 1 by t * C: an error that outgrows
+        the weights by a power of the offsets.  Added to one layer, or to two
+        at different scales, it is named alike by both audits."""
+        table = master_scheme(spec).layers
+        ks = spec.offsets
+        chosen = sorted({0, 1, spec.points // 2, spec.points - 2, spec.points - 1})
+        subsets = [*itertools.combinations(chosen, 2), *itertools.combinations(chosen, 3)]
+        layers = sorted({0, 1, len(table) // 2, len(table) - 2, len(table) - 1})
+
+        def bump(j, shift, scale):
+            den, ints = table.int_rows[j]
+            return (den, tuple(w + scale * shift.get(i, 0) for i, w in enumerate(ints)))
+
+        for subset in subsets:
+            ws = [math.prod(ks[i] - ks[l] for l in subset if l != i) for i in subset]
+            shift = {i: math.lcm(*ws) // w for i, w in zip(subset, ws)}
+            for j in layers:
+                for t in (1, 2**300):
+                    edits = [{j: bump(j, shift, t)}]
+                    if j + 1 < len(table):
+                        edits.append({j: bump(j, shift, t), j + 1: bump(j + 1, shift, -1)})
+                    for edit in edits:
+                        tampered = edited(table, edit)
+                        message = audit_outcome(_check_order_conditions, spec, tampered)
+                        assert message is not None
+                        assert message == audit_outcome(order_conditions_by_loop, spec, tampered)
+
+    @pytest.mark.parametrize("spec", AUDITED_SPECS, ids=AUDITED_IDS)
+    def test_zero_rows_over_wide_denominators(self, spec):
+        """Row 0 the identity and every later row zero over 2^t: the moment
+        p = m fails first, in layer 1, however far its target outgrows the
+        weights."""
+        row0 = (1, tuple(int(k == 0) for k in spec.offsets))
+        for t in (0, 64, 1000):
+            zero = (2**t, (0,) * spec.points)
+            tampered = LayerTable(spec.offsets, (row0,) + (zero,) * spec.n)
+            message = audit_outcome(_check_order_conditions, spec, tampered)
+            assert message == f"order condition failed at moment p={spec.m}, layer 1 for {spec}"
+            assert message == audit_outcome(order_conditions_by_loop, spec, tampered)
+
+    @pytest.mark.parametrize("spec", AUDITED_SPECS, ids=AUDITED_IDS)
+    def test_carry_tamper(self, spec):
+        """W_ji += 2^B and W_(j+1)i -= 1, with B the untouched table's width,
+        leaves every packed integer of width B as it was; the tampered table's
+        own width is wider, so the audit still sees layer j fail at p = 0."""
+        table = master_scheme(spec).layers
+        width = slot_width(spec, table)
+
+        def packed(t):
+            columns = zip(*(ints for _, ints in t.int_rows))
+            return [sum(w << (width * j) for j, w in enumerate(col)) for col in columns]
+
+        for j in range(spec.n):
+            (den, ints), (den_up, ints_up) = table.int_rows[j], table.int_rows[j + 1]
+            for i in range(spec.points):
+                tampered = edited(table, {
+                    j: (den, ints[:i] + (ints[i] + 2**width,) + ints[i + 1 :]),
+                    j + 1: (den_up, ints_up[:i] + (ints_up[i] - 1,) + ints_up[i + 1 :]),
+                })
+                assert packed(tampered) == packed(table)
+                assert slot_width(spec, tampered) > width
+                message = audit_outcome(_check_order_conditions, spec, tampered)
+                assert message == f"order condition failed at moment p=0, layer {j} for {spec}"
+                assert message == audit_outcome(order_conditions_by_loop, spec, tampered)
 
 
 class TestPointLimit:
