@@ -595,7 +595,20 @@ def _cmd_run(args) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built on the first call and
+    returned again by every later one (not at import, which stays cheap).
+
+    One parser serves every `main` call in a process.  That changes no
+    output: argparse keeps no parse state on a parser and fills a fresh
+    `Namespace` per call, `_Parser.error` and the help printers write to the
+    `sys.stderr` and `sys.stdout` of that call, and every default is
+    immutable (None, a str, a number or a tuple).  A default added here must
+    stay immutable too, since each call that omits the option shares it, and
+    a caller must not change the parser, since every later call parses with
+    the change.
+    """
     parser = _Parser(
         prog="fdmarch",
         description="Arbitrary-order explicit marching schemes: exact coefficients, "
@@ -671,8 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (`sys.argv[1:]` when `argv` is None) and return
+    its exit code; a usage error or --help exits through `SystemExit`.
+
+    `main` may be called any number of times in one process.  The first call
+    builds the parser (`build_parser`) and every later call parses with that
+    same one: no parse leaves state on it, and its defaults are immutable, so
+    each call prints and returns what it would in a fresh process.
+    """
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # a reader that closed stdout early is met here, not at the exit flush

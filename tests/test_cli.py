@@ -1694,6 +1694,96 @@ class TestExitCodes:
         assert "stable window r=1" in proc.stdout
 
 
+# -- one parser per process ------------------------------------------------------------
+
+# In-process calls in this order: usage errors, a refusal, help, each default
+# right after a call that gave its option, and a negative-number value.
+REUSE_SEQUENCE = (
+    (("classify", "--tol", "1"), 1),
+    (("coeffs", "--m", "-1", "--n", "2"), 2),
+    (("--help",), 0),
+    (("run", "--help"), 0),
+    (("stability", "--m", "2", "--n", "2", "--tol", "1e-3"), 0),
+    (("stability", "--m", "2", "--n", "2"), 0),
+    (("converge", "--m", "1", "--n", "2", "--nu", "0.5", "--grids", "16,32"), 0),
+    (("converge", "--m", "1", "--n", "2", "--nu", "0.5"), 0),
+    (("run", "fig-burgers", "--orders", "1", "--profiles", "ramp", "--out", "d"), 2),
+    (("run", "fig-burgers", "--orders", "1", "--out", "d"), 0),
+    (("coeffs", "--m", "1", "--n", "3", "--offsets", "-2,-1,0,1"), 0),
+)
+
+
+def captured_main(argv, out_dir):
+    """(exit code, stdout, stderr, {file name: bytes} written to `out_dir`)
+    of one in-process `main(argv)` call; `out_dir` is emptied first."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # a usage error, or --help
+            code = exc.code
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+# Prints the running count of argument parsers built: after `import
+# fdmarch.cli`, then after each of five `main` calls; and the parsers' types.
+BUILD_COUNT_SCRIPT = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import fdmarch.cli
+counts = [len(built)]
+for argv in (["classify", "--m", "1"], ["coeffs", "--m", "2", "--n", "2"],
+             ["classify", "--tol", "1"], ["run", "--help"], ["classify", "--m", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fdmarch.cli.main(argv)
+        except SystemExit:
+            pass
+    counts.append(len(built))
+print(json.dumps([counts, sorted(set(built))]))
+"""
+
+
+class TestOneParser:
+    def test_reuse_matches_a_fresh_parser(self, monkeypatch, tmp_path):
+        """Call by call, `main` on the process's one parser prints, writes and
+        returns what it does on a tree built fresh for that call."""
+        monkeypatch.chdir(tmp_path)
+        fresh = fdmarch.cli.build_parser.__wrapped__
+        assert fdmarch.cli.build_parser() is fdmarch.cli.build_parser()
+        for argv, code in REUSE_SEQUENCE:
+            reused = captured_main(argv, tmp_path / "d")
+            with monkeypatch.context() as patch:
+                patch.setattr(fdmarch.cli, "build_parser", fresh)
+                built = captured_main(argv, tmp_path / "d")
+            assert reused == built, argv
+            assert reused[0] == code, (argv, reused[2])
+        assert built[1].startswith("# scheme m=1 n=3 offsets=-2,-1,0,1\n")
+
+    def test_the_tree_is_built_once_on_first_use(self):
+        """In a fresh interpreter, importing the CLI builds no parser, the
+        first `main` call builds the tree, every parser of it a `_Parser`,
+        and later calls, a usage error and help among them, build none."""
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_COUNT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts, kinds = json.loads(proc.stdout)
+        tree = 1 + len(parser_commands())  # the top parser and one per subcommand
+        assert counts == [0, tree, tree, tree, tree, tree]
+        assert kinds == ["_Parser"]
+
+
 # -- argv fuzz ---------------------------------------------------------------------------
 
 # Values for the options of the parser's table, by the option's type or name.
