@@ -687,7 +687,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line (`sys.argv[1:]` when `argv` is None) and return
     its exit code; a usage error or --help exits through `SystemExit`.
 
-    `main` may be called any number of times in one process.  The first call
+    `main` may be called more than once in one process.  The first call
     builds the parser (`build_parser`) and every later call parses with that
     same one: no parse leaves state on it, and its defaults are immutable, so
     each call prints and returns what it would in a fresh process.

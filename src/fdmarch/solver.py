@@ -34,8 +34,7 @@ marches in a workspace (`_Workspace`), allocated once per run, with two
 padded buffers that take turns: a step refills the current buffer's halos
 in place from its interior and writes row 0's sum, from +0.0, straight into
 the interior of the other.  A multi-term problem marches one workspace per
-term, in turn, each copying in the field the one before it wrote.  Linear and
-layered runs step their workspaces in one loop, `_march`.  The
+term, in turn, each copying in the field the one before it wrote.  The
 later densities are evaluated once per step, by one call of the family's
 `evaluate`, on the halo-padded buffer and into padded density buffers the
 workspace owns, one per later row, each with that row's slice sum set up
@@ -403,8 +402,7 @@ def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
     """One explicit step u_j <- sum_i c_i(nu) u_{j+k_i} with periodic boundaries."""
     _check_fit(field.n_cells, scheme.offsets)
     stencil = _stencil(scheme.offsets, scheme.float_weights(nu))
-    workspace = _Workspace(field.values.shape, stencil)
-    return GridField(_march(field.values, [workspace], 1), field.dx, field.origin)
+    return GridField(_march(field.values, [stencil], 1), field.dx, field.origin)
 
 
 def run_linear(
@@ -438,14 +436,11 @@ def run_linear(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    workspaces = [
-        _Workspace(field.values.shape, _stencil(s.offsets, s.float_weights(nu)))
-        for s, nu in zip(schemes, nus)
-    ]
+    stencils = [_stencil(s.offsets, s.float_weights(nu)) for s, nu in zip(schemes, nus)]
     keep = None
     if callback is not None:
         keep = lambda s, u: callback(s, GridField(u.copy(), field.dx, field.origin))
-    return GridField(_march(field.values, workspaces, steps, keep), field.dx, field.origin)
+    return GridField(_march(field.values, stencils, steps, keep), field.dx, field.origin)
 
 
 class _Workspace:
@@ -524,23 +519,22 @@ class _Workspace:
 
 def _march(
     values: np.ndarray,
-    workspaces: Sequence[_Workspace],
+    stencils: Sequence[FloatStencil],
     steps: int,
     callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
-    """`steps` steps of the workspaces in turn on `values`, one row or a
-    stack of the workspaces' shape; returns a new array.
+    """`steps` steps of the stencils in turn on `values`, one row or a stack,
+    one workspace per stencil; returns a new array.
 
-    This is the one marching loop of the linear and the layered updates: a
-    linear term marches in a workspace of its stencil, a layer table in one
-    of all its rows (`_layered_workspace`).  For a stencil, each step writes
-    out[..., j] = sum of w * u[..., (j + k) mod N] over its items, in order,
-    from +0.0, skipping zero weights, which is the same floating-point sum as
-    adding w * np.roll(u, -k).  Each workspace copies in the field the one
-    before it wrote.  Offsets must be distinct, and each stencil must fit the
-    grid (`_check_fit`).  `callback(step, u)` is handed the last workspace's
-    field after each step and must copy what it keeps.
+    Each step writes out[..., j] = sum of w * u[..., (j + k) mod N] over a
+    stencil's items, in order, from +0.0, skipping zero weights, which is the
+    same floating-point sum as adding w * np.roll(u, -k).  Each stencil's
+    workspace copies in the field the one before it wrote.  Offsets must be
+    distinct, and each stencil must fit the grid (`_check_fit`).
+    `callback(step, u)` is handed the last workspace's field after each step
+    and must copy what it keeps.
     """
+    workspaces = [_Workspace(values.shape, st) for st in stencils]
     u = values
     for s in range(steps):
         for workspace in workspaces:
@@ -659,7 +653,12 @@ def _layered_workspace(
 
 
 def step_nonlinear(
-    field: GridField, layers: LayerTable, densities: DensityFamily, nu: float
+    field: GridField,
+    layers: LayerTable,
+    densities: DensityFamily,
+    nu: float,
+    *,
+    workspace: Optional[_Workspace] = None,
 ) -> GridField:
     """One conserved-density step: row j of the table hits density j, scaled by nu^j.
 
@@ -673,11 +672,20 @@ def step_nonlinear(
     its density buffer, starts from its first term, is scaled by nu^j in
     place and is added to it, in row order; adding its +-0.0 leaves the
     step's sum as it is, so starting that row from +0.0 would give the same
-    bits.  The funcs contract is that of `DensityFamily`.  The step runs in
-    a workspace of its own and returns a new array.
+    bits.  The funcs contract is that of `DensityFamily`.
+
+    Alone, the step runs in a workspace of its own and returns a new array.
+    `workspace` is `run_nonlinear`'s, built for these layers, densities and
+    nu and this field's shape: the step then writes its result into the
+    workspace and returns a field whose values are a (rows, cells) view of
+    it, which the next step of that workspace marches on without a copy.
     """
-    workspace = _layered_workspace(field.values.shape, layers, densities, nu)
-    return GridField(_march(field.values, [workspace], 1), field.dx, field.origin)
+    if workspace is None:
+        workspace = _layered_workspace(field.values.shape, layers, densities, nu)
+        out = workspace.step(field.values).copy()
+    else:
+        out = workspace.step(field.values)
+    return GridField(out, field.dx, field.origin)
 
 
 def run_nonlinear(
@@ -688,20 +696,21 @@ def run_nonlinear(
     steps: int,
     callback: Optional[Callable[[int, GridField], None]] = None,
 ) -> GridField:
-    """March `steps` layered steps, each the step `step_nonlinear` takes.
+    """March `steps` layered steps (`step_nonlinear`) in one workspace.
 
-    The march runs `_march`'s loop in one workspace (`_layered_workspace`),
-    allocated once per run: each step writes into it and the next marches on
-    from there, with no field built per step; `field` is left as it is.
-    The result, and each callback field, is a copy that no later step writes.
+    The workspace is allocated once per run and each step writes into it;
+    `field` is left as it is.  The result, and each callback field, is a
+    copy that no later step writes.
     """
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
     workspace = _layered_workspace(field.values.shape, layers, densities, nu)
-    keep = None
-    if callback is not None:
-        keep = lambda s, u: callback(s, GridField(u.copy(), field.dx, field.origin))
-    return GridField(_march(field.values, [workspace], steps, keep), field.dx, field.origin)
+    out = field
+    for s in range(steps):
+        out = step_nonlinear(out, layers, densities, nu, workspace=workspace)
+        if callback is not None:
+            callback(s + 1, GridField(out.values.copy(), out.dx, out.origin))
+    return GridField(out.values.copy(), field.dx, field.origin)
 
 
 def shock_front(field: GridField, level: float = 0.5) -> Optional[float]:
@@ -884,7 +893,7 @@ def convergence_study(
         # nu rounded as `LinearProblem.courant_numbers` rounds it, so each error
         # is the one a `run_linear` of this grid gives
         stencil = _stencil(offs, scheme.float_weights(dt * a / field0.dx**m))
-        out = _march(field0.values, [_Workspace(field0.values.shape, stencil)], steps)
+        out = _march(field0.values, [stencil], steps)
         if profile is not None:
             # m=1: exact evolution is translation by -a * t
             ref_fn = lambda x: profile(_wrap(x + a * t_end, lo, length))

@@ -47,10 +47,9 @@ def test_traced_advection_op_counts_the_march(bench, tmp_path):
 
 def test_traced_burgers_leg_counts_every_step(bench, tmp_path):
     """One burgers-shock leg, 1000 layered steps on 10^4 cells, still shows
-    the n density evaluations of each of its order-n steps.  `run_nonlinear`
-    marches its steps in `_march`'s loop and calls no `step_nonlinear`, the
-    name at which `perfbench/spans.py` records a step span and counts its
-    cell-steps: those read 0 until the benchmark traces `run_nonlinear`."""
+    each step as a `step_nonlinear` span, its cell-steps and the n density
+    evaluations of each of its order-n steps: the workspace hides none of the
+    per-layer counts."""
     workloads, spans = bench
     op = workloads.build("burgers-shock", 5, tmp_path)[0]
     tracer = spans.Tracer()
@@ -61,8 +60,8 @@ def test_traced_burgers_leg_counts_every_step(bench, tmp_path):
         tracer.uninstall()
     assert op.check(result, tracer.counts) == []
     names = [span[0] for span in tracer.spans]
-    assert names.count("solver.step_nonlinear") == 0
-    assert tracer.counts["nonlinear.cell_steps"] == 0
+    assert names.count("solver.step_nonlinear") == workloads.BURGERS_LEG_STEPS == 1000
+    assert tracer.counts["nonlinear.cell_steps"] == 10**7
     # the traced family is a plain one of wrapped funcs: one span per density per step
     n = int(op.kind.removeprefix("order").split("-")[0])
-    assert names.count("solver.density_eval") == n * workloads.BURGERS_LEG_STEPS == n * 1000
+    assert names.count("solver.density_eval") == n * workloads.BURGERS_LEG_STEPS

@@ -47,14 +47,7 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import (
-    MAX_MARCH_STEPS,
-    MAX_MARCH_WORK,
-    WINDOW_LIMIT,
-    _SliceSum,
-    _Workspace,
-    _march,
-)
+from fdmarch.solver import MAX_MARCH_STEPS, MAX_MARCH_WORK, WINDOW_LIMIT, _SliceSum, _march
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -226,10 +219,10 @@ class TestApplyStencil:
                 weights = rng.normal(size=len(offsets))
                 weights[rng.integers(len(offsets))] = 0.0
                 items = [(int(k), float(w)) for k, w in zip(offsets, weights)]
-                got = _march(values, [_Workspace(values.shape, FloatStencil(items))], 1)
+                got = _march(values, [FloatStencil(items)], 1)
                 assert np.array_equal(got, self.rolled_reference(values, items)), (n_cells, items)
                 rng.shuffle(items)
-                got = _march(values, [_Workspace(values.shape, FloatStencil(items))], 1)
+                got = _march(values, [FloatStencil(items)], 1)
                 assert np.array_equal(got, self.rolled_reference(values, items)), (n_cells, items)
 
     def test_spectral_oracle_order_29(self):
@@ -273,7 +266,7 @@ class TestKernelPaths:
             for _ in range(3):
                 rng.shuffle(items)
                 want = self.rolled_reference(values, items)
-                got = _march(values, [_Workspace(values.shape, FloatStencil(items))], 1)
+                got = _march(values, [FloatStencil(items)], 1)
                 assert got.tobytes() == want.tobytes(), (n_cells, items)
 
     @pytest.mark.parametrize("points", [3, 6, 30])
@@ -291,11 +284,11 @@ class TestKernelPaths:
                 items = list(zip(offsets, weights))
                 with np.errstate(invalid="ignore"):
                     want = self.rolled_reference(values, items)
-                    got = _march(values, [_Workspace(values.shape, FloatStencil(items))], 1)
+                    got = _march(values, [FloatStencil(items)], 1)
                     assert got.tobytes() == want.tobytes(), (n_cells, zeros)
                     rng.shuffle(items)
                     want = self.rolled_reference(values, items)
-                    got = _march(values, [_Workspace(values.shape, FloatStencil(items))], 1)
+                    got = _march(values, [FloatStencil(items)], 1)
                     assert got.tobytes() == want.tobytes(), (n_cells, zeros)
 
     @pytest.mark.parametrize("points", [2, 7, 30])
@@ -305,7 +298,7 @@ class TestKernelPaths:
         offsets = list(range(-(points // 2), points - points // 2))
         items = [(k, -1.0 - 0.5 * i) for i, k in enumerate(offsets)]
         for n_cells in window_sizes(points):
-            got = _march(np.zeros(n_cells), [_Workspace((n_cells,), FloatStencil(items))], 1)
+            got = _march(np.zeros(n_cells), [FloatStencil(items)], 1)
             assert got.tobytes() == np.zeros(n_cells).tobytes()
             assert got.tobytes() == self.rolled_reference(np.zeros(n_cells), items).tobytes()
 
@@ -461,8 +454,8 @@ class TestNoPerStepAllocation:
         """Only a run's first step copies a field in: each later step is
         handed the (rows, cells) view of the interior the step before it
         wrote, the very view its workspace keeps for that buffer, so it
-        copies nothing; for `run_linear` and for `run_nonlinear`, which both
-        step their workspaces in `_march`'s loop."""
+        copies nothing; for `run_linear` and for `run_nonlinear`, which
+        hands each step's field to the next `step_nonlinear` call."""
         seen = []
         real = fdmarch.solver._Workspace.step
 
@@ -557,12 +550,12 @@ class TestWorkspaceMarch:
         assert values.size * max(len(it) for it in items) <= WINDOW_LIMIT
         with np.errstate(all="ignore"), mock.patch.object(fdmarch.solver, "WINDOW_LIMIT", limit):
             want = rolled_march(values, items, steps)
-            got = _march(values, [_Workspace(values.shape, st) for st in stencils], steps)
+            got = _march(values, stencils, steps)
             assert got.shape == values.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             if values.ndim == 2:
                 for row, got_row in zip(values, got):
-                    alone = _march(row, [_Workspace(row.shape, st) for st in stencils], steps)
+                    alone = _march(row, stencils, steps)
                     assert np.array_equal(got_row.view(np.int64), alone.view(np.int64))
 
     def test_gapped_live_rows_take_the_slice_loop(self):
@@ -768,7 +761,7 @@ class TestLayeredKernel:
         for j, row in enumerate(layers.rows):
             items = [(k, float(w)) for k, w in zip(layers.offsets, row)]
             dens = np.asarray(funcs[j](values), dtype=float)
-            out += nu**j * _march(dens, [_Workspace(dens.shape, FloatStencil(items))], 1)
+            out += nu**j * _march(dens, [FloatStencil(items)], 1)
         return out
 
     WINDOWS = {1: [-1, 0], 2: [-1, 0, 1], 3: [-2, -1, 0, 1]}  # the fig-burgers windows
@@ -937,30 +930,18 @@ class TestLayeredKernel:
             run_nonlinear(field, layers, burgers_densities(3), 0.5, 50)
         assert len(converted) == 1 and converted[0] is layers
 
-    def test_one_march_per_run(self, monkeypatch):
-        """A run marches all its steps in one `_march` call, the linear
-        runs' loop: it calls no `step_nonlinear` and builds one field, the
-        result, not one per step."""
-        marches, steps, fields = [], [], []
-        real_march, real_init = fdmarch.solver._march, GridField.__post_init__
+    def test_one_step_call_per_step(self, monkeypatch):
+        calls = []
+        real = fdmarch.solver.step_nonlinear
 
-        def counting_march(values, workspaces, count, callback=None):
-            marches.append((len(workspaces), count))
-            return real_march(values, workspaces, count, callback)
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
 
-        def counting_init(self):
-            fields.append(self)
-            real_init(self)
-
+        monkeypatch.setattr(fdmarch.solver, "step_nonlinear", counting)
         field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
-        layers = nonlinear_layers(2, self.WINDOWS[2])
-        monkeypatch.setattr(fdmarch.solver, "_march", counting_march)
-        monkeypatch.setattr(fdmarch.solver, "step_nonlinear", lambda *a, **k: steps.append(a))
-        monkeypatch.setattr(GridField, "__post_init__", counting_init)
-        out = run_nonlinear(field, layers, burgers_densities(2), 0.5, 50)
-        assert marches == [(1, 50)]
-        assert steps == []
-        assert len(fields) == 1 and fields[0] is out
+        run_nonlinear(field, nonlinear_layers(2, self.WINDOWS[2]), burgers_densities(2), 0.5, 50)
+        assert len(calls) == 50
 
 
 def mixed_densities(n):
@@ -1059,23 +1040,20 @@ class TestLayeredWorkspace:
         assert not np.shares_memory(lone.values, values)
 
     def test_workspace_shared_across_steps(self, monkeypatch):
-        """Every step of a run steps the same workspace, and a lone step
+        """Every step of a run gets the same workspace, and without one a step
         builds its own."""
         seen = []
-        real = fdmarch.solver._Workspace.step
+        real = fdmarch.solver.step_nonlinear
 
-        def recording(self, values):
-            seen.append(self)
-            return real(self, values)
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("workspace"))
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(fdmarch.solver._Workspace, "step", recording)
+        monkeypatch.setattr(fdmarch.solver, "step_nonlinear", recording)
         field = GridField.sample(burgers_ramp, (-5.0, 5.0), 100)
-        layers = nonlinear_layers(2, [-1, 0, 1])
-        run_nonlinear(field, layers, burgers_densities(2), 0.5, 5)
-        assert len(seen) == 5
+        run_nonlinear(field, nonlinear_layers(2, [-1, 0, 1]), burgers_densities(2), 0.5, 5)
+        assert len(seen) == 5 and seen[0] is not None
         assert all(ws is seen[0] for ws in seen)
-        step_nonlinear(field, layers, burgers_densities(2), 0.5)
-        assert len(seen) == 6 and seen[5] is not seen[0]
 
     @pytest.mark.parametrize("make", [burgers_densities, identity_densities])
     def test_set_up_once_per_run(self, make, monkeypatch):
@@ -1272,8 +1250,8 @@ class TestConvergence:
     def test_non_finite_error_refused(self, monkeypatch):
         real = fdmarch.solver._march
 
-        def poisoned(values, workspaces, steps, callback=None):
-            return np.full_like(real(values, workspaces, steps, callback), np.nan)
+        def poisoned(values, stencils, steps, callback=None):
+            return np.full_like(real(values, stencils, steps, callback), np.nan)
 
         monkeypatch.setattr(fdmarch.solver, "_march", poisoned)
         with pytest.raises(ConfigurationError, match="not all finite"):
