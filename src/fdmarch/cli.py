@@ -43,6 +43,7 @@ from .schemes import (
 )
 from .stability import (
     FAMILIES,
+    FIRST_MEMBER,
     advection_family_spec,
     advection_family_stability,
     check_tol,
@@ -91,15 +92,10 @@ class _Parser(argparse.ArgumentParser):
 
 # -- experiment presets --------------------------------------------------------
 
-def _first_member(family: str) -> int:
-    """Index s of the named m=1 ladder's lowest member in `advection_family_spec`."""
-    return 1 if family == "lw" else 0  # the centred ladder starts at s = 1
-
-
 def _ladder_orders(family: str, count: int) -> tuple[int, ...]:
     """The `count` lowest orders of the named ladder: a preset run with
     --family and without --orders runs as many as the preset's own orders."""
-    first = _first_member(family)
+    first = FIRST_MEMBER[family]
     return tuple(advection_family_spec(family, s)[0] for s in range(first, first + count))
 
 
@@ -116,7 +112,9 @@ class ExperimentPreset:
     output_times: tuple[float, ...]
     profiles: tuple[str, ...]
     orders: tuple[int, ...]
-    family: str
+    # ladder of a run without --family; None for Burgers, whose window
+    # follows the parity of each order (`_preset_run`)
+    family: str | None
     a: float = 0.0
 
 
@@ -144,7 +142,7 @@ PRESETS = {
         output_times=(0.0, 0.5, 1.0, 1.5, 2.0),
         profiles=("burgers",),
         orders=(1, 2, 3),
-        family="uw",
+        family=None,
     ),
 }
 
@@ -152,7 +150,7 @@ def _family_window(family: str, n: int) -> OffsetSet:
     """Contiguous m=1 window of the named ladder at order n.  From the lowest
     member (n0, r0) each member adds 2 to the order and 1 to the left width,
     so n is on the ladder when n - n0 is even and >= 0."""
-    n0, r0 = advection_family_spec(family, _first_member(family))
+    n0, r0 = advection_family_spec(family, FIRST_MEMBER[family])
     if n < n0 or (n - n0) % 2:
         parity = "odd" if n0 % 2 else "even"
         raise ConfigurationError(f"the {family} ladder has {parity} orders n >= {n0} only")
@@ -324,8 +322,8 @@ def _cmd_survey(args) -> int:
         print()
     print("## named advection ladders (probed at nu < 0)")
     print(f"{'family':>7} {'s':>3} {'n':>3} {'r':>3} {'nu_c':>8}")
-    for kind in FAMILIES:
-        for s in range(_first_member(kind), 3):
+    for kind, first in FIRST_MEMBER.items():
+        for s in range(first, 3):
             n, r = advection_family_spec(kind, s)
             nu_c = advection_family_stability(s, kind)
             print(f"{kind:>7} {s:>3} {n:>3} {r:>3} {nu_c:>8.4f}")
@@ -462,9 +460,8 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
     # every order's window is resolved before the first march writes a file
     windows = []
     for n in orders:
-        family = args.family or preset.family
-        if burgers and args.family is None:  # the upwind window at odd orders, centred at even
-            family = "uw" if n % 2 else "lw"
+        # no ladder named: Burgers' window is upwind at odd orders, centred at even
+        family = args.family or preset.family or ("uw" if n % 2 else "lw")
         windows.append((n, family, _family_window(family, n)))
     nu = preset.dt / preset.dx if burgers else preset.dt * preset.a / preset.dx
     n_cells = _cell_count(preset.box, preset.dx)

@@ -456,67 +456,65 @@ class ErrorTerm:
 
     where A collects the beyond-range interpolation defects of x^N and B those
     of x^(N+1).  In every term the dx power equals the derivative order, so
-    terms at the same dx power merge; `terms()` returns the merged list.
+    terms at the same dx power merge.  `error_term` merges them once and the
+    term holds the result, `merged`: (dx power p, coefficient of
+    dx^p u^(p)) in ascending p, factorials folded in, zero entries dropped.
+
+    Past the leading entry `merged` is this truncated expansion, not the
+    defect at every listed power.  For m = 1 the dx^(N+1) entry leaves out
+    the exact evolution's -nu^(n+2)/(n+2)!: m = 1, n = 2 on -1..1 lists
+    nu^2/24 where the defect is nu^2/24 - nu^4/24.  For m >= 3 the
+    dx^(m(n+1)) entry is the temporal remainder alone: m = 3, n = 1 on -2..1
+    lists -nu^2/2 where the defect is -nu/12 - nu^2/2.
     """
 
     spec: SchemeSpec
-    spatial_main: RatPoly
-    spatial_next: RatPoly
+    merged: tuple[tuple[int, RatPoly], ...]
 
     def terms(self) -> tuple[tuple[int, RatPoly], ...]:
-        """(dx power p, coefficient polynomial in nu) for the dx^p u^(p) terms.
-
-        Factorials are folded into the coefficients; the temporal remainder is
-        merged into the spatial term of equal dx power when they coincide.
-        Identically-zero entries are dropped.
-        """
-        big_n = self.spec.points
-        n, m = self.spec.n, self.spec.m
-        merged: dict[int, RatPoly] = {}
-        merged[big_n] = self.spatial_main / math.factorial(big_n)
-        merged[big_n + 1] = merged.get(big_n + 1, RatPoly.zero()) + (
-            self.spatial_next / math.factorial(big_n + 1)
-        )
-        t = m * (n + 1)
-        temporal = RatPoly.monomial(n + 1, Fraction(-1, math.factorial(n + 1)))
-        merged[t] = merged.get(t, RatPoly.zero()) + temporal
-        return tuple(
-            (p, poly) for p, poly in sorted(merged.items()) if poly
-        )
+        """(dx power p, coefficient polynomial in nu) for the dx^p u^(p) terms."""
+        return self.merged
 
     def leading(self) -> tuple[int, RatPoly]:
         """Lowest surviving (dx power, coefficient); the derivative order equals the power."""
-        return self.terms()[0]
+        return self.merged[0]
 
 
 def error_term(scheme: Scheme) -> ErrorTerm:
     """Exact leading-error data for a minimal-stencil scheme.
 
     A and B are the Taylor sums of the integer polynomials P and Q of
-    `aux_polynomials`.  For m=1 the merged leading coefficient collapses to
-    the closed product form -prod_i(nu - k_i) / N!, which is asserted here;
-    the product is built from the integer coefficients of s.
+    `aux_polynomials`, over N! and (N+1)!; the temporal remainder is added to
+    the entry of equal dx power, and the merged entries are stored once.
+    For m=1 the leading coefficient collapses to the closed product form
+    -prod_i(nu - k_i) / N!, which is asserted here; the product is built from
+    the integer coefficients of s.
     """
     spec = scheme.spec
+    m, n, big_n = spec.m, spec.n, spec.points
     s_poly, p_poly, q_poly = aux_polynomials(spec.offsets)
-    a = _taylor_sum(p_poly, spec.m, spec.n)
-    b = _taylor_sum(q_poly, spec.m, spec.n)
-    term = ErrorTerm(spec, a, b)
-    if spec.m == 1:
-        scale = math.factorial(spec.points)  # s has integer coefficients
-        expected = RatPoly(Fraction(-c.numerator, scale) for c in s_poly.coeffs)
-        power, coeff = term.leading()
-        if power != spec.points or coeff != expected:
+    merged = {
+        big_n: _taylor_sum(p_poly, m, n, math.factorial(big_n)),
+        big_n + 1: _taylor_sum(q_poly, m, n, math.factorial(big_n + 1)),
+    }
+    temporal = RatPoly.monomial(n + 1, Fraction(-1, math.factorial(n + 1)))
+    t = m * (n + 1)
+    merged[t] = merged.get(t, RatPoly.zero()) + temporal
+    terms = tuple((p, poly) for p, poly in sorted(merged.items()) if poly)
+    if m == 1:  # s has integer coefficients
+        expected = RatPoly(Fraction(-c.numerator, math.factorial(big_n)) for c in s_poly.coeffs)
+        if terms[0] != (big_n, expected):
             raise ArithmeticError("m=1 product form of the leading error failed")
-    return term
+    return ErrorTerm(spec, terms)
 
 
-def _taylor_sum(poly: RatPoly, m: int, n: int) -> RatPoly:
-    """sum_{j=0..n} nu^j / j! * poly^(j*m)(0) as a polynomial in nu: the
-    nu^j coefficient is poly's x^(j*m) coefficient times the integer
-    (j*m)!/j!."""
+def _taylor_sum(poly: RatPoly, m: int, n: int, scale: int) -> RatPoly:
+    """sum_{j=0..n} nu^j / j! * poly^(j*m)(0) / scale as a polynomial in nu:
+    poly has integer coefficients, so the nu^j coefficient is its x^(j*m)
+    coefficient times the integer (j*m)!/j!, over scale."""
+    fact = math.factorial
     return RatPoly(
-        poly.coefficient(j * m) * (math.factorial(j * m) // math.factorial(j))
+        Fraction(poly.coefficient(j * m).numerator * (fact(j * m) // fact(j)), scale)
         for j in range(n + 1)
     )
 

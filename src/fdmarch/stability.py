@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .exact import ConfigurationError, OffsetSet
-from .schemes import Scheme, SchemeSpec, check_orders, master_scheme
+from .schemes import Scheme, SchemeSpec, check_orders, default_offsets, master_scheme
 
 # |g|^2 <= 1 + GROWTH_TOL counts as stable: absorbs float roundoff in the
 # gain evaluation without masking genuine growth.
@@ -448,8 +448,7 @@ def truncated_first_layer_critical(n: int, tol: float = NU_TOL) -> float:
     scheme leaves a first-order-in-time update whose stability range shrinks
     with n instead of growing.
     """
-    check_orders(2, n)
-    scheme = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
+    scheme = master_scheme(SchemeSpec(2, n, default_offsets(2, n)))
     return critical_courant(scheme.truncated(1), +1, tol=tol)
 
 
@@ -533,7 +532,9 @@ def classify_first_order(m: int) -> Classification:
 
 # -- named advection ladders -------------------------------------------------
 
-FAMILIES = ("uw", "lw", "bw")
+# each named ladder's lowest member s: the centred ladder has no s = 0 (n = 0)
+FIRST_MEMBER = {"uw": 0, "lw": 1, "bw": 0}
+FAMILIES = tuple(FIRST_MEMBER)
 
 
 def advection_family_spec(kind: str, s: int) -> tuple[int, int]:
@@ -549,8 +550,9 @@ def advection_family_spec(kind: str, s: int) -> tuple[int, int]:
     if kind == "uw":
         return 2 * s + 1, s + 1
     if kind == "lw":
-        if s < 1:
-            raise ConfigurationError("the centered even ladder starts at s = 1")
+        first = FIRST_MEMBER["lw"]
+        if s < first:
+            raise ConfigurationError(f"the centered even ladder starts at s = {first}")
         return 2 * s, s
     if kind == "bw":
         return 2 * s + 2, s + 2

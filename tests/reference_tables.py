@@ -7,7 +7,9 @@ the tests assert exact rational equality against these tables.
 Two oracles follow the tables: the straightforward forms of the order audit
 (one product k_i^p * W_ji per moment, layer and point) and of the error term
 (`RatPoly` arithmetic over Fractions), which the library's packed-integer
-audit and integer error term must match exactly.
+audit and integer error term must match exactly.  The error-term oracle also
+merges its terms by dx power with its own code, so it checks the library's
+merge rather than reusing it.
 """
 
 import math
@@ -15,7 +17,6 @@ import operator
 from fractions import Fraction as F
 
 from fdmarch.exact import OffsetSet, RatPoly
-from fdmarch.schemes import ErrorTerm
 
 # -- diffusion (m=2), centered minimal stencils ---------------------------------
 # weight polynomials in nu: offset -> coefficients (c_0, c_1, ..., c_n)
@@ -94,9 +95,12 @@ def order_conditions_by_loop(spec, table):
 
 
 def error_term_by_fractions(scheme):
-    """The error term by `RatPoly` arithmetic over Fractions: s, P and Q by
-    polynomial products, each Taylor coefficient as a derivative at zero over
-    j!, and the m = 1 product form by a division of `RatPoly.from_roots`."""
+    """The merged error term, as the (dx power, coefficient) tuple that
+    `ErrorTerm.terms()` must equal, by `RatPoly` arithmetic over Fractions:
+    s, P and Q by polynomial products, each Taylor coefficient as a
+    derivative at zero over j!, the halves A/N! and B/(N+1)! and the temporal
+    remainder -nu^(n+1)/(n+1)! summed per dx power, zero sums dropped, and
+    the m = 1 product form by a division of `RatPoly.from_roots`."""
     spec = scheme.spec
     ks = OffsetSet(spec.offsets)
     size = len(ks)
@@ -111,10 +115,15 @@ def error_term_by_fractions(scheme):
             for j in range(spec.n + 1)
         )
 
-    term = ErrorTerm(spec, taylor_sum(p_poly), taylor_sum(q_poly))
-    if spec.m == 1:
-        expected = s / F(-math.factorial(size))
-        power, coeff = term.leading()
-        if power != size or coeff != expected:
-            raise ArithmeticError("m=1 product form of the leading error failed")
-    return term
+    parts = (
+        (size, taylor_sum(p_poly) / F(math.factorial(size))),
+        (size + 1, taylor_sum(q_poly) / F(math.factorial(size + 1))),
+        (spec.m * (spec.n + 1), RatPoly.monomial(spec.n + 1, F(-1, math.factorial(spec.n + 1)))),
+    )
+    sums = {}
+    for power, poly in parts:
+        sums[power] = sums.get(power, RatPoly.zero()) + poly
+    terms = tuple((power, sums[power]) for power in sorted(sums) if sums[power])
+    if spec.m == 1 and terms[0] != (size, s / F(-math.factorial(size))):
+        raise ArithmeticError("m=1 product form of the leading error failed")
+    return terms

@@ -481,8 +481,8 @@ class TestErrorTerm:
         assert powers == sorted(powers)
 
     def test_matches_the_fraction_path(self, monkeypatch):
-        """The integer error term is `==` to the Fraction-path reference, as
-        an ErrorTerm and term by term, for every PIN_SPECS entry, the m = 1
+        """The integer error term's merged terms are `==` to the Fraction-path
+        reference, which merges its own, for every PIN_SPECS entry, the m = 1
         windows of order n = 1..49 (uw's for odd n, centred for even n) and
         the gapped stencils of scheme-zoo's seeds 1-5."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -496,9 +496,38 @@ class TestErrorTerm:
         assert len(specs) == len(PIN_SPECS) + 49 + 5 * 7
         for spec in specs:
             scheme = master_scheme(spec)
-            term, reference = error_term(scheme), error_term_by_fractions(scheme)
-            assert term == reference, spec
-            assert term.terms() == reference.terms(), spec
+            term = error_term(scheme)
+            assert term.spec == spec
+            assert term.terms() == error_term_by_fractions(scheme), spec
+
+    def test_leading_is_the_lowest_moment_defect(self):
+        """`leading()` against the layer table's own moments, without
+        `aux_polynomials`.  With D_p(nu) = sum_i c_i(nu) k_i^p / p!, less
+        nu^(p/m) / (p/m)! when m divides p, the lowest p >= N with D_p != 0
+        is the leading power and D_p its coefficient.  Every PIN_SPECS entry
+        and every contiguous window for m = 1, n <= 11; m = 2, n <= 5;
+        m = 3, n <= 3; m = 4, n <= 2."""
+        windows = [
+            SchemeSpec(m, n, OffsetSet.contiguous(r, n * m))
+            for m, n_max in ((1, 11), (2, 5), (3, 3), (4, 2))
+            for n in range(1, n_max + 1)
+            for r in range(n * m + 1)
+        ]
+        assert len(windows) == 147
+        for spec in list(PIN_SPECS) + windows:
+            scheme = master_scheme(spec)
+
+            def defect(p):
+                moments = RatPoly(
+                    sum(w * k**p for w, k in zip(row, spec.offsets)) / math.factorial(p)
+                    for row in scheme.layers.rows
+                )
+                if p % spec.m:
+                    return moments
+                return moments - RatPoly.monomial(p // spec.m, F(1, math.factorial(p // spec.m)))
+
+            power = next(p for p in itertools.count(spec.points) if defect(p))
+            assert error_term(scheme).leading() == (power, defect(power)), spec
 
 
 # -- nonlinear layer extraction ----------------------------------------------------------

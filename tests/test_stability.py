@@ -18,6 +18,7 @@ from fdmarch.exact import ConfigurationError, OffsetSet
 from fdmarch.schemes import SchemeSpec, first_order_scheme, master_scheme
 from fdmarch.stability import (
     FAMILIES,
+    FIRST_MEMBER,
     GROWTH_TOL,
     MAX_SCAN_SPAN,
     NU_MAX,
@@ -806,6 +807,7 @@ class TestClassification:
 class TestAdvectionFamilies:
     def test_family_names(self):
         assert FAMILIES == ("uw", "lw", "bw")
+        assert FIRST_MEMBER == {"uw": 0, "lw": 1, "bw": 0}
 
     def test_specs(self):
         assert advection_family_spec("uw", 0) == (1, 1)
@@ -815,7 +817,7 @@ class TestAdvectionFamilies:
         assert advection_family_spec("bw", 1) == (4, 3)
 
     def test_lw_ladder_starts_at_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the centered even ladder starts at s = 1$"):
             advection_family_spec("lw", 0)
 
     def test_unknown_family(self):
