@@ -106,14 +106,6 @@ class RatPoly:
             raise ValueError("monomial power must be >= 0")
         return cls((0,) * power + (coeff,))
 
-    @classmethod
-    def from_roots(cls, roots: Iterable[RationalLike]) -> "RatPoly":
-        """Monic polynomial prod_i (x - root_i), built by repeated linear multiply.
-
-        Integer roots stay ints, so their product is integer arithmetic.
-        """
-        return cls(_node_product(r if isinstance(r, int) else Fraction(r) for r in roots))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -217,12 +209,6 @@ class RatPoly:
         for _ in range(order):
             cs = tuple(p * c for p, c in enumerate(cs) if p > 0)
         return RatPoly(cs)
-
-    def derivative_at_zero(self, order: int) -> Rational:
-        """order-th derivative at x = 0: order! times the x**order coefficient."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        return math.factorial(order) * self.coefficient(order)
 
     # -- display -----------------------------------------------------------
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -169,22 +170,6 @@ class LayerTable:
 
     offsets: OffsetSet
     int_rows: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @classmethod
-    def cleared(cls, offsets: OffsetSet, rows: Iterable[Sequence[Fraction]]) -> "LayerTable":
-        """The table of rows of Fractions, each row cleared to its least
-        common denominator.  The denominator is held to `check_table_size`
-        as it grows, so a row of large coprime denominators is refused early."""
-        max_bits = check_table_size(offsets)
-        int_rows = []
-        for row in rows:
-            den = 1
-            for w in row:
-                den = math.lcm(den, w.denominator)
-                if den.bit_length() > max_bits:
-                    check_table_size(offsets, den.bit_length())
-            int_rows.append((den, tuple(w.numerator * (den // w.denominator) for w in row)))
-        return cls(offsets, tuple(int_rows))
 
     def __len__(self) -> int:
         return len(self.int_rows)
@@ -623,12 +608,36 @@ def _dump_fields(text: str) -> dict[str, str]:
     return fields
 
 
+# a weight as `format_scheme_dump` writes it: an integer, over a positive
+# one unless whole, in ASCII digits
+_WEIGHT_PAIR = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?", re.ASCII)
+
+
+def _weight_pair(text: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of one dump weight in lowest terms, the
+    Fraction that `Fraction(text)` reads: the form a dump writes is split
+    into two ints and reduced by their gcd, and any other text is read by
+    `Fraction(text)` itself, which raises what it raises.  A zero
+    denominator raises ZeroDivisionError either way."""
+    pair = _WEIGHT_PAIR.fullmatch(text)
+    if pair is None:
+        weight = Fraction(text)
+        return weight.numerator, weight.denominator
+    num, den = int(pair[1]), int(pair[2] or 1)
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def parse_scheme_dump(text: str) -> Scheme:
     """Rebuild a scheme from `format_scheme_dump` output and re-verify it.
 
     A text over `MAX_DUMP_CHARS` is refused before it is split, a scheme
     over `MAX_SCHEME_POINTS` (by `SchemeSpec`) before any weight is parsed,
     and a text of over `MAX_DUMP_FIELDS` fields once its header is read.
+    Each weight is read by `_weight_pair` as two ints, and each row of the
+    table is cleared from those pairs to its least common denominator.
     """
     if len(text) > MAX_DUMP_CHARS:
         raise ConfigurationError(f"a scheme dump is over the limit of {MAX_DUMP_CHARS} characters")
@@ -644,7 +653,7 @@ def parse_scheme_dump(text: str) -> Scheme:
     unknown = fields.keys() - {"m", "n", "offsets"} - {f"c[{k}]" for k in offsets}
     if unknown:
         raise ValueError(f"scheme dump has unknown fields: {', '.join(sorted(unknown))}")
-    columns = []
+    columns = []  # per offset, its n + 1 weights as (numerator, denominator)
     for k in offsets:
         key = f"c[{k}]"
         if key not in fields:
@@ -657,10 +666,22 @@ def parse_scheme_dump(text: str) -> Scheme:
         if "e" in fields[key].lower():
             raise ValueError(f"{key} has a weight written with an exponent")
         try:
-            columns.append([Fraction(part) for part in parts])
+            columns.append([_weight_pair(part) for part in parts])
         except ZeroDivisionError as exc:
             raise ValueError(f"{key} has a weight with a zero denominator") from exc
-    table = LayerTable.cleared(offsets, zip(*columns))
+    # each row cleared to its least common denominator, held to
+    # `check_table_size` as it grows, so a row of large coprime denominators
+    # is refused early
+    max_bits = check_table_size(offsets)
+    int_rows = []
+    for row in zip(*columns):
+        den = 1
+        for _, d in row:
+            den = math.lcm(den, d)
+            if den.bit_length() > max_bits:
+                check_table_size(offsets, den.bit_length())
+        int_rows.append((den, tuple(num * (den // d) for num, d in row)))
+    table = LayerTable(offsets, tuple(int_rows))
     check_table_size(
         offsets, max(abs(w).bit_length() for den, ints in table.int_rows for w in (den, *ints))
     )

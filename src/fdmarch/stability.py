@@ -27,14 +27,19 @@ that each row broadcasts against; the scan builds no exact weight polynomial.
 Nothing outlives the search.
 
 The polish only ever raises the maximum, so a stability verdict stops as soon
-as it is decided, each probe of a batch on its own: at the grid when the grid
+as it is decided, each probe of a batch on its own: before the grid when
+|g(pi)|^2, the squared alternating sum of the weights, exceeds the limit by
+more than `_PI_MARGIN` (S = sum_k |c_k|) squared, at the grid when the grid
 maximum already exceeds the limit, or after the first polish step that does.
-A probe stops by one live mask over its peaks: the probes the grid left open
-keep their places to the end of the polish, and each one's best peak is read
-once, after it.
+The check at pi cannot change a verdict: the grid holds theta = pi, its value
+there is the same sum by another route, within a rounding bound that the
+margin exceeds 10^4 times, and the maximum is at least that value.  A probe
+stops by one live mask over its peaks: the probes the grid left open keep
+their places to the end of the polish, and each one's best peak is read once,
+after it.
 The verdicts are those of a fully polished scan; every value this module
 reports (`max_growth`, `amplification`, a report's worst theta) is still
-fully polished.
+fully polished: those scans have no finite limit, so they skip the check.
 
 The autocorrelation costs span^2 per probe, so a stencil wider than
 `MAX_SCAN_SPAN` is refused before any array of it is sized.
@@ -90,6 +95,19 @@ _THETAS = np.linspace(0.0, math.pi, THETA_SAMPLES // 2 + 1)
 _THETAS.flags.writeable = False
 # d^0, d^1, d^2: the polish's moments are a_d times these
 _MOMENT_POWERS = np.array([[0.0], [1.0], [2.0]])
+# A probe is unstable at theta = pi, with no grid, when its alternating sum
+# squared, |g(pi)|^2 = (sum_k (-1)^k c_k)^2, exceeds limit + _PI_MARGIN S^2,
+# S = sum_k |c_k|.  The grid's value at pi is the same number by another
+# route, and with u = 2^-53 and the N weights of a row the two differ by at
+# most about (2N + N + F + 100) u S^2: 2N u S^2 for the alternating sum and
+# its square, N u S^2 for the autocorrelation (its |a_d| sum to at most
+# S^2), F u S^2 for a fold of F terms (at most 10 more at MAX_SCAN_SPAN),
+# and about 100 u S^2 for the 12 levels of the 4096-point FFT (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, on summation and
+# the FFT).  At N = MAX_SCHEME_POINTS (140) that is 530 u S^2 < 6e-14 S^2,
+# and this margin is over 10^4 times it, so the grid at pi, and the
+# polished maximum above it, exceed the limit too
+_PI_MARGIN = 1e-9
 
 
 def grows(g2: float) -> bool:
@@ -151,6 +169,8 @@ class _GrowthScan:
         self.d = _distances(scheme.offsets)
         self.powers = (self.d ** _MOMENT_POWERS)[:, :, None]
         self.thetas = _THETAS
+        # e^{i k pi} = (-1)^k at each offset k: g(pi) is the alternating sum
+        self.pi_signs = np.array([-1.0 if k % 2 else 1.0 for k in scheme.offsets])
 
     def _grid(self, a: np.ndarray) -> np.ndarray:
         """sum_d a_d cos(d theta) on the grid for each row of the (K, span + 1)
@@ -175,6 +195,15 @@ class _GrowthScan:
         """(worst theta, max |g|^2) at each nu of the 1-D batch nus, as two
         arrays; see `max_growth`.
 
+        Under a finite `limit`, a probe whose |g(pi)|^2, the square of the
+        alternating sum of its weights, exceeds limit + _PI_MARGIN S^2
+        (S = sum_k |c_k|) is returned as (pi, that value) before any grid:
+        the margin is far above the rounding that separates this sum from
+        the grid's value at pi, so that grid value, and the polished maximum
+        above it, exceed `limit` too, and the verdict is the full scan's.  A
+        row that is not finite fails the comparison.  The other probes are
+        scanned together.
+
         The rows whose grid maximum is at or below `limit` are polished
         together, each in `POLISHED_PEAKS` slots, for as long as one `live`
         mask has a slot left: a slot leaves it once its Newton step is done,
@@ -185,64 +214,78 @@ class _GrowthScan:
         after the loop.  A probe's state changes only under its own mask, so
         its verdict and grid do not depend on the rest of the batch.
         """
-        thetas = self.thetas
         # a huge nu overflows the gain to inf or nan, which `grows` reads as
         # unstable: the peak is the verdict, and numpy's warnings add nothing;
         # a Newton step is taken only where p2 < 0, so a p2 of 0 may divide
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            a = _cosine_coefficients(self.scheme.offsets, self.scheme.float_weights(nus))
-            g2 = self._grid(a)
-            best_theta, best_val = thetas[g2.argmax(axis=1)], g2.max(axis=1)
-            # a grid above the limit, or overflowed to inf or nan, is its own
-            # verdict: no polish can lower it, so only the other rows go on
-            rows = (best_val <= min(limit, _FLOAT_MAX)).nonzero()[0]
-            if not rows.size:
-                return best_theta, best_val
-            g2 = g2[rows]
-
-            # the largest local maxima of each grid to polish, one slot each;
-            # a slot no peak fills stays dead.  Each end of [0, pi] is its own
-            # mirror image's neighbour.
-            reflected = np.concatenate((g2[:, 1:2], g2, g2[:, -2:-1]), axis=1)
-            is_peak = (g2 >= reflected[:, :-2]) & (g2 >= reflected[:, 2:])
-            top = np.zeros((len(g2), POLISHED_PEAKS), dtype=np.intp)
-            live = np.zeros(top.shape, dtype=bool)
-            for k, (grid, peak) in enumerate(zip(g2, is_peak)):
-                peak_idx = peak.nonzero()[0]
-                picked = peak_idx[np.argsort(grid[peak_idx])[::-1][:POLISHED_PEAKS]]
-                top[k, : picked.size] = picked
-                live[k, : picked.size] = True
-            theta = thetas[top]
-            h = thetas[1]
-            lo, hi = np.maximum(theta - h, 0.0), np.minimum(theta + h, math.pi)
-            moments = a[rows, None, :, None] * self.powers
-            # each slot's best (theta, |g|^2) so far, starting from the grid's
-            arg, val = best_theta[rows, None], best_val[rows, None]
-            for _ in range(_POLISH_STEPS):
-                p, p1, p2 = self._slopes(theta, moments)
-                raised = live & (p > val)
-                arg, val = np.where(raised, theta, arg), np.where(raised, p, val)
-                # the ends are mirror points, so the slope there is 0, and an
-                # end with p2 > 0 is a minimum: the search goes inwards unless
-                # the climb p2 w^2 / 2 across the bracket is below tolerance
-                end = (theta == 0.0) | (theta == math.pi)
-                p1[end] = 0.0
-                tol2 = _EPS2 * np.maximum(1.0, np.abs(p))
-                inwards = end & (p2 > 0.0)
-                done = np.where(inwards, p2 * (hi - lo) ** 2 <= tol2, p1 * p1 <= tol2 * np.abs(p2))
-                rising = (theta <= lo) | ((theta < hi) & (p1 > 0.0))
-                lo, hi = np.where(rising, theta, lo), np.where(rising, hi, theta)
-                newton = theta - p1 / p2
-                step = np.where((p2 < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-                # a slot stops once done, and every slot of a probe once its
-                # maximum is past the limit
-                live &= ~(done | (step == theta)) & (val <= limit).all(axis=1, keepdims=True)
-                if not live.any():
-                    break
-                theta = np.where(live, step, theta)
-            at, i = np.arange(len(rows)), val.argmax(axis=1)
-            best_theta[rows], best_val[rows] = arg[at, i], val[at, i]
+            weights = self.scheme.float_weights(nus)
+            if not math.isfinite(limit):
+                return self._scan(weights, limit)
+            g2_pi = (weights * self.pi_signs).sum(axis=1) ** 2
+            total = np.abs(weights).sum(axis=1)
+            rest = (~(g2_pi > limit + _PI_MARGIN * total * total)).nonzero()[0]
+            best_theta, best_val = np.full(len(g2_pi), math.pi), g2_pi
+            if rest.size:
+                best_theta[rest], best_val[rest] = self._scan(weights[rest], limit)
             return best_theta, best_val
+
+    def _scan(self, weights: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+        """`peaks` on the (K, N) weights by the grid and the polish; the
+        caller sets numpy's error state."""
+        thetas = self.thetas
+        a = _cosine_coefficients(self.scheme.offsets, weights)
+        g2 = self._grid(a)
+        best_theta, best_val = thetas[g2.argmax(axis=1)], g2.max(axis=1)
+        # a grid above the limit, or overflowed to inf or nan, is its own
+        # verdict: no polish can lower it, so only the other rows go on
+        rows = (best_val <= min(limit, _FLOAT_MAX)).nonzero()[0]
+        if not rows.size:
+            return best_theta, best_val
+        g2 = g2[rows]
+
+        # the largest local maxima of each grid to polish, one slot each;
+        # a slot no peak fills stays dead.  Each end of [0, pi] is its own
+        # mirror image's neighbour.
+        reflected = np.concatenate((g2[:, 1:2], g2, g2[:, -2:-1]), axis=1)
+        is_peak = (g2 >= reflected[:, :-2]) & (g2 >= reflected[:, 2:])
+        top = np.zeros((len(g2), POLISHED_PEAKS), dtype=np.intp)
+        live = np.zeros(top.shape, dtype=bool)
+        for k, (grid, peak) in enumerate(zip(g2, is_peak)):
+            peak_idx = peak.nonzero()[0]
+            picked = peak_idx[np.argsort(grid[peak_idx])[::-1][:POLISHED_PEAKS]]
+            top[k, : picked.size] = picked
+            live[k, : picked.size] = True
+        theta = thetas[top]
+        h = thetas[1]
+        lo, hi = np.maximum(theta - h, 0.0), np.minimum(theta + h, math.pi)
+        moments = a[rows, None, :, None] * self.powers
+        # each slot's best (theta, |g|^2) so far, starting from the grid's
+        arg, val = best_theta[rows, None], best_val[rows, None]
+        for _ in range(_POLISH_STEPS):
+            p, p1, p2 = self._slopes(theta, moments)
+            raised = live & (p > val)
+            arg, val = np.where(raised, theta, arg), np.where(raised, p, val)
+            # the ends are mirror points, so the slope there is 0, and an
+            # end with p2 > 0 is a minimum: the search goes inwards unless
+            # the climb p2 w^2 / 2 across the bracket is below tolerance
+            end = (theta == 0.0) | (theta == math.pi)
+            p1[end] = 0.0
+            tol2 = _EPS2 * np.maximum(1.0, np.abs(p))
+            inwards = end & (p2 > 0.0)
+            done = np.where(inwards, p2 * (hi - lo) ** 2 <= tol2, p1 * p1 <= tol2 * np.abs(p2))
+            rising = (theta <= lo) | ((theta < hi) & (p1 > 0.0))
+            lo, hi = np.where(rising, theta, lo), np.where(rising, hi, theta)
+            newton = theta - p1 / p2
+            step = np.where((p2 < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            # a slot stops once done, and every slot of a probe once its
+            # maximum is past the limit
+            live &= ~(done | (step == theta)) & (val <= limit).all(axis=1, keepdims=True)
+            if not live.any():
+                break
+            theta = np.where(live, step, theta)
+        at, i = np.arange(len(rows)), val.argmax(axis=1)
+        best_theta[rows], best_val[rows] = arg[at, i], val[at, i]
+        return best_theta, best_val
 
 
 def amplification(scheme: Scheme, nu: float, theta) -> np.ndarray | float:
@@ -294,10 +337,14 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     gain legitimately dips back to 1 at whole-number Courant values (exact
     shifts) without re-entering the stable range.
 
-    Each probe stops as soon as its verdict is decided: at the grid when the
-    grid maximum of |g|^2 already exceeds 1 + GROWTH_TOL, or after the first
-    polish step that does.  The polish only raises the maximum, so the
-    verdicts, and the nu_c they give, are those of fully polished scans.  The
+    Each probe stops as soon as its verdict is decided: before the grid when
+    |g(pi)|^2, the squared alternating sum of its weights, exceeds
+    1 + GROWTH_TOL by more than the rounding margin `_PI_MARGIN` S^2
+    (S = sum_k |c_k|), at the grid when the grid maximum of |g|^2 already
+    exceeds 1 + GROWTH_TOL, or after the first polish step that does.  The
+    grid holds theta = pi and its value there is that sum within the
+    margin, and the polish only raises the maximum, so the verdicts, and
+    the nu_c they give, are those of fully polished scans.  The
     doubling ladder and the sweep are probed in chunks, and the pocket guard
     at once, so a chunk may probe past the first unstable point; the probes
     up to it, and so nu_c, are those of a search probing one nu at a time.

@@ -16,7 +16,7 @@ import math
 import operator
 from fractions import Fraction as F
 
-from fdmarch.exact import OffsetSet, RatPoly
+from fdmarch.exact import OffsetSet, RatPoly, _node_product
 
 # -- diffusion (m=2), centered minimal stencils ---------------------------------
 # weight polynomials in nu: offset -> coefficients (c_0, c_1, ..., c_n)
@@ -73,6 +73,24 @@ def folded_layers(raw_layers):
     )
 
 
+# -- polynomial helpers ------------------------------------------------------------
+
+
+def from_roots(roots):
+    """Monic polynomial prod_i (x - root_i), built by repeated linear multiply.
+
+    Integer roots stay ints, so their product is integer arithmetic.
+    """
+    return RatPoly(_node_product(r if isinstance(r, int) else F(r) for r in roots))
+
+
+def derivative_at_zero(poly, order):
+    """order-th derivative of poly at x = 0: order! times the x**order coefficient."""
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
+    return math.factorial(order) * poly.coefficient(order)
+
+
 # -- oracles -----------------------------------------------------------------------
 
 
@@ -100,18 +118,18 @@ def error_term_by_fractions(scheme):
     s, P and Q by polynomial products, each Taylor coefficient as a
     derivative at zero over j!, the halves A/N! and B/(N+1)! and the temporal
     remainder -nu^(n+1)/(n+1)! summed per dx power, zero sums dropped, and
-    the m = 1 product form by a division of `RatPoly.from_roots`."""
+    the m = 1 product form by a division of `from_roots`."""
     spec = scheme.spec
     ks = OffsetSet(spec.offsets)
     size = len(ks)
-    s = RatPoly.from_roots(ks)
+    s = from_roots(ks)
     p_poly = RatPoly.monomial(size) - s
     q_poly = RatPoly.monomial(size + 1) - RatPoly((sum(ks), 1)) * s
     assert p_poly.degree <= size - 1 and q_poly.degree <= size - 1
 
     def taylor_sum(poly):
         return RatPoly(
-            poly.derivative_at_zero(j * spec.m) / F(math.factorial(j))
+            derivative_at_zero(poly, j * spec.m) / F(math.factorial(j))
             for j in range(spec.n + 1)
         )
 

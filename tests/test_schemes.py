@@ -27,6 +27,7 @@ from fdmarch.schemes import (
     StencilSizeError,
     UnsupportedSchemeError,
     _check_order_conditions,
+    _weight_pair,
     advection_coefficients,
     check_table_size,
     default_offsets,
@@ -53,6 +54,7 @@ from reference_tables import (
     DIFFUSION_N4,
     error_term_by_fractions,
     folded_layers,
+    from_roots,
     order_conditions_by_loop,
 )
 from test_stability import PIN_SPECS, pin_id
@@ -462,7 +464,7 @@ class TestErrorTerm:
         ks = OffsetSet([-3, -1, 0, 2])
         s = master_scheme(SchemeSpec(1, 3, ks))
         _, coeff = error_term(s).leading()
-        assert coeff == RatPoly.from_roots(ks) / -math.factorial(4)
+        assert coeff == from_roots(ks) / -math.factorial(4)
 
     def test_symmetric_diffusion_merges_terms(self):
         """On the centered m=2 stencil the dx^N defect vanishes and terms merge."""
@@ -667,6 +669,55 @@ class TestDumpRoundTrip:
             parse_scheme_dump(more + "m=1\nnot a field\n")
         with pytest.raises(ValueError, match="^scheme dump is missing the 'm' field$"):
             parse_scheme_dump("".join(f"{i}=\n" for i in range(10**5)))
+
+
+def fraction_outcome(read, text):
+    """(numerator, denominator) of what `read` makes of text, or the type and
+    message of what it raises."""
+    try:
+        weight = read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return (weight.numerator, weight.denominator) if isinstance(weight, F) else weight
+
+
+# weight texts: the form a dump writes, and its neighbours that Fraction
+# reads or refuses: signs, spaces, a / b, a signed denominator, decimals,
+# underscores, non-ASCII digits and zero denominators
+_digits = st.text("0123456789", min_size=1, max_size=25)
+_weight_texts = st.one_of(
+    st.builds(
+        lambda sign, num, den: f"{sign}{num}" + (f"/{den}" if den is not None else ""),
+        st.sampled_from(["", "+", "-"]), _digits, st.none() | _digits,
+    ),
+    st.lists(
+        st.sampled_from(["0", "1", "7", "9", "+", "-", "/", " ", "\t", ".", "_", "e", "\u0663"]),
+        max_size=10,
+    ).map("".join),
+)
+
+
+class TestWeightPairs:
+    @given(_weight_texts)
+    @settings(max_examples=500)
+    def test_reads_what_fraction_reads(self, text):
+        """The same lowest-terms pair as `Fraction(text)`, or the same
+        refusal, on every text."""
+        assert fraction_outcome(_weight_pair, text) == fraction_outcome(F, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-3/6", "+4/2", "007/014", "-0/5", "5/0", "-5/0", "0/0", "1/-3", " 1/3", "1 / 3",
+         "1_000/3", "1.5", "-.5", "1/3.", "\u0663/4", "", "+", "1/", "9" * 4301, "9/" + "9" * 4301],
+    )
+    def test_reads_what_fraction_reads_on_the_edges(self, text):
+        assert fraction_outcome(_weight_pair, text) == fraction_outcome(F, text)
+
+    def test_an_equal_pair_is_one(self):
+        """X/X reduces to 1/1 however large X is, so it adds nothing to a
+        row's denominator."""
+        big = str(3**4000)
+        assert _weight_pair(f"-{big}/{big}") == (-1, 1)
 
 
 def _tampered_dump(text, deltas):

@@ -353,20 +353,24 @@ class FixedWeights:
 
 
 class TestOneFFTPerProbe:
-    """Each scan call costs one real FFT, whatever the size of its batch, and
-    nothing builds a 2-D complex exponential basis."""
+    """Each scan call costs at most one real FFT, whatever the size of its
+    batch, and none when the theta = pi check decides every probe; nothing
+    builds a 2-D complex exponential basis."""
 
     SWEEP = SchemeSpec(4, 5, OffsetSet(range(-10, 11)))
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"calls": 0, "probes": 0, "rfft": 0, "complex_exp": 0}
+        # "ffts" holds each scan call's count of real FFTs
+        counts = {"ffts": [], "probes": 0, "rfft": 0, "complex_exp": 0}
         peaks, rfft, exp = fdmarch.stability._GrowthScan.peaks, np.fft.rfft, np.exp
 
         def counting_peaks(self, nus, *args, **kwargs):
-            counts["calls"] += 1
+            before = counts["rfft"]
             counts["probes"] += len(nus)
-            return peaks(self, nus, *args, **kwargs)
+            out = peaks(self, nus, *args, **kwargs)
+            counts["ffts"].append(counts["rfft"] - before)
+            return out
 
         def counting_rfft(*args, **kwargs):
             counts["rfft"] += 1
@@ -387,13 +391,15 @@ class TestOneFFTPerProbe:
         nu_c = critical_courant(master_scheme(self.SWEEP), -1, tol=1e-3)
         assert 0.0 < nu_c < 1.0
         assert counts["probes"] > 100
-        assert counts["rfft"] == counts["calls"] < counts["probes"]
+        assert max(counts["ffts"]) == 1 and len(counts["ffts"]) < counts["probes"]
+        assert min(counts["ffts"]) == 0
         assert counts["complex_exp"] == 0
 
     def test_stability_report(self, counts):
         stability_report(master_scheme(self.SWEEP), -1, tol=1e-3)
         assert counts["probes"] > 100
-        assert counts["rfft"] == counts["calls"] < counts["probes"]
+        assert max(counts["ffts"]) == 1 and len(counts["ffts"]) < counts["probes"]
+        assert min(counts["ffts"]) == 0
         assert counts["complex_exp"] == 0
 
 
@@ -524,6 +530,93 @@ class TestVerdictStopsWhenDecided:
         assert theta == math.pi
         assert g2 == pytest.approx((1 - 2.4) ** 2, rel=1e-15)
         assert polishes
+
+
+class CountingScan(fdmarch.stability._GrowthScan):
+    """The shared scan, counting the probes that reach the grid."""
+
+    gridded = 0
+
+    def _scan(self, weights, limit):
+        self.gridded += len(weights)
+        return super()._scan(weights, limit)
+
+
+def pi_bound(weights, limit, margin):
+    """Per row of the (K, N) weights: limit + margin S^2 with S = sum_k |c_k|."""
+    return limit + margin * np.abs(weights).sum(axis=1) ** 2
+
+
+class TestVerdictAtPi:
+    """A probe whose |g(pi)|^2 is past the limit by the rounding margin is
+    decided with no grid, and the verdict is the full scan's."""
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_verdicts_match_the_full_scan(self, spec, sign):
+        """BATCH_NUS and a dense set of nu through each pinned nu_c: every
+        verdict is the fully polished scan's; the probes whose |g(pi)|^2,
+        from the exact weights, is over limit + 2 _PI_MARGIN S^2 skip the
+        grid, and those at or below limit + _PI_MARGIN S^2 / 2 take it."""
+        s = master_scheme(spec)
+        nus = list(BATCH_NUS)
+        for tol in (1e-3, NU_TOL):
+            nu_c = float.fromhex(NU_C_PINS[f"{pin_id(spec)}|{sign:+d}|{tol!r}"])
+            dense = np.linspace(0.9 * nu_c, 1.1 * nu_c, 41) if nu_c else np.linspace(0.0, 0.01, 41)
+            near = [math.nextafter(nu_c, -math.inf), nu_c, math.nextafter(nu_c, math.inf)]
+            nus += [sign * nu for nu in [*dense, *near, nu_c + tol, nu_c + 10 * tol]]
+        limit = 1.0 + GROWTH_TOL
+        scan = CountingScan(s)
+        got = [grows(v) for v in scan.peaks(nus, limit)[1]]
+        assert got == [grows(v) for v in FullyPolishedScan(s).peaks(nus, limit)[1]]
+
+        exact = np.array([[float(w) for w in s.weights_at(Fraction(nu)).values()] for nu in nus[1:]])
+        at_pi = np.array([(-1.0) ** k for k in spec.offsets]) @ exact.T
+        margin = fdmarch.stability._PI_MARGIN
+        surely = int(np.count_nonzero(at_pi**2 > pi_bound(exact, limit, 2 * margin)))
+        maybe = int(np.count_nonzero(at_pi**2 > pi_bound(exact, limit, margin / 2)))
+        # nu = -1e200 overflows, fails the comparison and takes the grid
+        assert len(nus) - maybe <= scan.gridded <= len(nus) - surely
+
+    def test_margin_covers_the_grid_at_pi(self):
+        """Rows of 140 weights drawn at scales 1, 1e3 and 1e6 on a gapped
+        stencil whose span folds the grid, each with |g(pi)|^2 just above
+        limit + _PI_MARGIN S^2: the check decides each, and each grid's value
+        at pi exceeds the limit."""
+        rng = np.random.default_rng(36)
+        inner = rng.choice(np.arange(-2499, 2500), 138, replace=False)
+        offsets = OffsetSet([-2500, *inner.tolist(), 2500])
+        assert len(offsets) == 140 and offsets.span > THETA_SAMPLES
+        signs = np.array([(-1.0) ** k for k in offsets])
+        limit, margin = 1.0 + GROWTH_TOL, fdmarch.stability._PI_MARGIN
+        rows = []
+        for scale in (1.0, 1e3, 1e6):
+            for _ in range(3):
+                c = rng.uniform(-scale, scale, len(offsets))
+                for _ in range(50):  # c[0] puts |g(pi)|^2 a thousandth of the margin past it
+                    target = math.sqrt(pi_bound(c[None], limit, 1.001 * margin)[0])
+                    c[0] = (target - signs[1:] @ c[1:]) * signs[0]
+                rows.append(c)
+        rows = np.array(rows)
+        g2_pi = (rows * signs).sum(axis=1) ** 2
+        assert (g2_pi > pi_bound(rows, limit, margin)).all()
+        assert (g2_pi < pi_bound(rows, limit, 1.002 * margin)).all()
+        for c in rows:
+            theta, g2 = fdmarch.stability._GrowthScan(FixedWeights(offsets, c)).peaks([0.0], limit)
+            assert theta[0] == math.pi and g2[0] > limit
+        scan = fdmarch.stability._GrowthScan(FixedWeights(offsets, rows[0]))
+        grid = scan._grid(fdmarch.stability._cosine_coefficients(offsets, rows))
+        assert (grid[:, THETA_SAMPLES // 2] > limit).all()
+
+    @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
+    def test_overflowed_probe_reads_unstable(self, spec):
+        """nu = -1e200 overflows the weights: the check's comparison fails,
+        the grid reads nan, and the probe is unstable, alone or in a batch."""
+        scan = CountingScan(master_scheme(spec))
+        limit = 1.0 + GROWTH_TOL
+        for nus in ([-1e200], [-1e200, 0.5, -0.5]):
+            assert grows(scan.peaks(nus, limit)[1][0])
+        assert scan.gridded >= 2
 
 
 # -- critical Courant numbers --------------------------------------------------------
