@@ -326,6 +326,11 @@ def aux_polynomials(offsets: Iterable[int]) -> tuple[RatPoly, RatPoly, RatPoly]:
     whose leading terms cancel exactly, leaving degree <= N-1.  All three are
     integer polynomials, built from `_node_product`'s integer coefficients
     s_p: P_p = -s_p and Q_p = -(s_(p-1) + sum_i k_i * s_p) for p < N.
+
+    The package no longer reads these: `error_term` takes the defects from
+    the layer table's moments.  They stay public as the paper's identities,
+    which the acceptance sweep of exact identities checks, and as the route
+    of the tests' independent error-term oracle.
     """
     ks = OffsetSet(offsets)
     n = len(ks)

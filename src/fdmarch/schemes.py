@@ -40,7 +40,6 @@ from .exact import (
     OffsetSet,
     RatPoly,
     Rational,
-    aux_polynomials,
     lagrange_basis,
     lagrange_numerators,
 )
@@ -276,6 +275,14 @@ def _audited(spec: SchemeSpec, table: LayerTable) -> Scheme:
     return Scheme(spec, table)
 
 
+def _evolution_moment(p: int, m: int) -> int:
+    """p!/(p/m)! when m divides p, else 0: the exact evolution's moment,
+    sum_i k_i^p c_i(nu) = p!/(p/m)! * nu^(p/m), that a scheme must match for
+    p < N = n*m + 1.  The order audit checks it there, and `error_term`
+    subtracts it from p = N up."""
+    return 0 if p % m else math.factorial(p) // math.factorial(p // m)
+
+
 def _check_order_conditions(spec: SchemeSpec, table: LayerTable) -> None:
     """Every stencil moment must reproduce the matched Taylor data exactly.
 
@@ -298,10 +305,7 @@ def _check_order_conditions(spec: SchemeSpec, table: LayerTable) -> None:
     the lowest moment p and, within it, the lowest layer.
     """
     m, ks = spec.m, spec.offsets
-    targets = [  # E_pj at p = j*m
-        den * (math.factorial(j * m) // math.factorial(j))
-        for j, (den, _) in enumerate(table.int_rows)
-    ]
+    targets = [den * _evolution_moment(j * m, m) for j, (den, _) in enumerate(table.int_rows)]
     widest = max(abs(w) for _, ints in table.int_rows for w in ints)
     reach = max(map(abs, ks)) ** (len(ks) - 1)
     width = (len(ks) * reach * widest + max(targets)).bit_length() + 1
@@ -344,10 +348,11 @@ def master_scheme(spec: SchemeSpec) -> Scheme:
     for _, w in numerators:  # checked as it grows, so a refused lcm stops early
         den = math.lcm(den, w)
         check_table_size(spec.offsets, bits + den.bit_length())
+    cofactors = [den // w for _, w in numerators]
     int_rows = []
     for j in range(spec.n + 1):
         scale = math.factorial(j * m) // math.factorial(j)
-        ints = [scale * numer[j * m] * (den // w) for numer, w in numerators]
+        ints = [scale * numer[j * m] * c for (numer, _), c in zip(numerators, cofactors)]
         g = math.gcd(den, *ints)
         int_rows.append((den // g, tuple(w // g for w in ints)))
     return _audited(spec, LayerTable(spec.offsets, tuple(int_rows)))
@@ -433,75 +438,60 @@ def advection_coefficients(n: int, offsets: Iterable[int], nu) -> tuple[Rational
 class ErrorTerm:
     """One-step defect of a generated scheme against the exact evolution.
 
-    With N = n*m + 1 stencil points the defect is
+    Expanding both in Taylor series, the scheme minus the exact evolution
+    is sum_p dx^p * D_p(nu) * u^(p), where
 
-        dx^N     * A(nu) * u^(N)     / N!
-      + dx^(N+1) * B(nu) * u^(N+1)   / (N+1)!
-      - nu^(n+1) * dx^(m(n+1)) * u^(m(n+1)) / (n+1)!   (temporal remainder)
+        D_p(nu) = sum_i c_i(nu) * k_i^p / p!  -  [m | p] * nu^(p/m) / (p/m)!
 
-    where A collects the beyond-range interpolation defects of x^N and B those
-    of x^(N+1).  In every term the dx power equals the derivative order, so
-    terms at the same dx power merge.  `error_term` merges them once and the
-    term holds the result, `merged`: (dx power p, coefficient of
-    dx^p u^(p)) in ascending p, factorials folded in, zero entries dropped.
-
-    Past the leading entry `merged` is this truncated expansion, not the
-    defect at every listed power.  For m = 1 the dx^(N+1) entry leaves out
-    the exact evolution's -nu^(n+2)/(n+2)!: m = 1, n = 2 on -1..1 lists
-    nu^2/24 where the defect is nu^2/24 - nu^4/24.  For m >= 3 the
-    dx^(m(n+1)) entry is the temporal remainder alone: m = 3, n = 1 on -2..1
-    lists -nu^2/2 where the defect is -nu/12 - nu^2/2.
+    is the p-th moment defect.  The order conditions make D_p = 0 for p < N,
+    N = n*m + 1.  `defects` holds the nonzero (p, D_p) for
+    p = N .. max(N + 1, m(n + 1)) in ascending p, each exact: D_p at every
+    power it lists, through the power where the exact evolution's first
+    unmatched term, -nu^(n+1)/(n+1)!, enters.
     """
 
     spec: SchemeSpec
-    merged: tuple[tuple[int, RatPoly], ...]
+    defects: tuple[tuple[int, RatPoly], ...]
 
     def terms(self) -> tuple[tuple[int, RatPoly], ...]:
-        """(dx power p, coefficient polynomial in nu) for the dx^p u^(p) terms."""
-        return self.merged
+        """(dx power p, D_p) for the nonzero dx^p u^(p) terms, in ascending p."""
+        return self.defects
 
     def leading(self) -> tuple[int, RatPoly]:
         """Lowest surviving (dx power, coefficient); the derivative order equals the power."""
-        return self.merged[0]
+        return self.defects[0]
 
 
 def error_term(scheme: Scheme) -> ErrorTerm:
-    """Exact leading-error data for a minimal-stencil scheme.
+    """Exact moment defects of a minimal-stencil scheme, read from its table.
 
-    A and B are the Taylor sums of the integer polynomials P and Q of
-    `aux_polynomials`, over N! and (N+1)!; the temporal remainder is added to
-    the entry of equal dx power, and the merged entries are stored once.
-    For m=1 the leading coefficient collapses to the closed product form
-    -prod_i(nu - k_i) / N!, which is asserted here; the product is built from
-    the integer coefficients of s.
+    With layer j held as W_j over D_j, the moment M_pj = sum_i k_i^p * W_ji,
+    the sum the order audit checks for p < N, gives
+    D_p(nu) = sum_j nu^j * M_pj / (D_j * p!), less nu^(p/m)/(p/m)! when m
+    divides p (`_evolution_moment` over p!; then p/m > n, past the table's
+    layers).  Only p = N .. max(N + 1, m(n + 1)) is formed, layer by layer,
+    one Fraction per coefficient.  A truncated table fails the order
+    conditions below N, so the defect would start there: it is refused.
     """
-    spec = scheme.spec
+    spec, table = scheme.spec, scheme.layers
     m, n, big_n = spec.m, spec.n, spec.points
-    s_poly, p_poly, q_poly = aux_polynomials(spec.offsets)
-    merged = {
-        big_n: _taylor_sum(p_poly, m, n, math.factorial(big_n)),
-        big_n + 1: _taylor_sum(q_poly, m, n, math.factorial(big_n + 1)),
-    }
-    temporal = RatPoly.monomial(n + 1, Fraction(-1, math.factorial(n + 1)))
-    t = m * (n + 1)
-    merged[t] = merged.get(t, RatPoly.zero()) + temporal
-    terms = tuple((p, poly) for p, poly in sorted(merged.items()) if poly)
-    if m == 1:  # s has integer coefficients
-        expected = RatPoly(Fraction(-c.numerator, math.factorial(big_n)) for c in s_poly.coeffs)
-        if terms[0] != (big_n, expected):
-            raise ArithmeticError("m=1 product form of the leading error failed")
-    return ErrorTerm(spec, terms)
-
-
-def _taylor_sum(poly: RatPoly, m: int, n: int, scale: int) -> RatPoly:
-    """sum_{j=0..n} nu^j / j! * poly^(j*m)(0) / scale as a polynomial in nu:
-    poly has integer coefficients, so the nu^j coefficient is its x^(j*m)
-    coefficient times the integer (j*m)!/j!, over scale."""
-    fact = math.factorial
-    return RatPoly(
-        Fraction(poly.coefficient(j * m).numerator * (fact(j * m) // fact(j)), scale)
-        for j in range(n + 1)
-    )
+    if len(table) != n + 1:
+        raise UnsupportedSchemeError("the error term needs all n + 1 layers of the table")
+    powers = [k**big_n for k in spec.offsets]  # k_i^p
+    defects = []
+    for p in range(big_n, max(big_n + 1, m * (n + 1)) + 1):
+        scale = math.factorial(p)
+        coeffs = [
+            Fraction(sum(map(operator.mul, powers, ints)), den * scale)
+            for den, ints in table.int_rows
+        ]
+        exact = _evolution_moment(p, m)
+        if exact:  # p/m > n: past the table's layers
+            coeffs += [0] * (p // m - n - 1) + [Fraction(-exact, scale)]
+        if any(coeffs):
+            defects.append((p, RatPoly(coeffs)))
+        powers = list(map(operator.mul, powers, spec.offsets))
+    return ErrorTerm(spec, tuple(defects))
 
 
 def nonlinear_layers(n: int, offsets: Iterable[int]) -> LayerTable:

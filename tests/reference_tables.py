@@ -4,12 +4,12 @@ Every entry was derived independently of the library (by hand or with a
 brute-force oracle over exact rationals) before the generator was written;
 the tests assert exact rational equality against these tables.
 
-Two oracles follow the tables: the straightforward forms of the order audit
-(one product k_i^p * W_ji per moment, layer and point) and of the error term
-(`RatPoly` arithmetic over Fractions), which the library's packed-integer
-audit and integer error term must match exactly.  The error-term oracle also
-merges its terms by dx power with its own code, so it checks the library's
-merge rather than reusing it.
+Two oracles follow the tables: the straightforward form of the order audit
+(one product k_i^p * W_ji per moment, layer and point), which the library's
+packed-integer audit must match exactly, and the paper's route to the error
+term (s, P and Q by `RatPoly` arithmetic over Fractions), whose leading term
+the library's `ErrorTerm.leading()`, read from the table's moments, must
+equal.
 """
 
 import math
@@ -113,12 +113,14 @@ def order_conditions_by_loop(spec, table):
 
 
 def error_term_by_fractions(scheme):
-    """The merged error term, as the (dx power, coefficient) tuple that
-    `ErrorTerm.terms()` must equal, by `RatPoly` arithmetic over Fractions:
-    s, P and Q by polynomial products, each Taylor coefficient as a
-    derivative at zero over j!, the halves A/N! and B/(N+1)! and the temporal
-    remainder -nu^(n+1)/(n+1)! summed per dx power, zero sums dropped, and
-    the m = 1 product form by a division of `from_roots`."""
+    """The error term by the paper's route, as a (dx power, coefficient)
+    tuple whose first entry `ErrorTerm.leading()` must equal, by `RatPoly`
+    arithmetic over Fractions: s, P and Q by polynomial products, each
+    Taylor coefficient as a derivative at zero over j!, the halves A/N! and
+    B/(N+1)! and the temporal remainder -nu^(n+1)/(n+1)! summed per dx
+    power, zero sums dropped, and the m = 1 product form by a division of
+    `from_roots`.  Past its first entry the tuple is this truncated
+    expansion, not the defect at every power it lists."""
     spec = scheme.spec
     ks = OffsetSet(spec.offsets)
     size = len(ks)

@@ -467,14 +467,15 @@ class TestErrorTerm:
         assert coeff == from_roots(ks) / -math.factorial(4)
 
     def test_symmetric_diffusion_merges_terms(self):
-        """On the centered m=2 stencil the dx^N defect vanishes and terms merge."""
+        """On the centered m=2 stencil the dx^N defect vanishes, and the dx^6
+        defect holds both the moment and the exact evolution's term."""
         s = master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4)))
         terms = error_term(s).terms()
         powers = [p for p, _ in terms]
-        assert powers == [6]  # dx^5 absent; dx^6 spatial + temporal merged
+        assert powers == [6]  # dx^5 absent
         coeff = terms[0][1]
-        # nu/90 from the x^6 interpolation defect, 1/12 nu^2, then the
-        # -nu^3/3! temporal remainder folded with the q-side nu^3/12 term
+        # -nu/90 + nu^2/12 from the sixth moment, and the exact evolution's
+        # -nu^3/3!
         assert coeff == RatPoly((0, F(-1, 90), F(1, 12), F(-1, 6)))
 
     def test_terms_sorted_by_power(self):
@@ -482,54 +483,110 @@ class TestErrorTerm:
         powers = [p for p, _ in error_term(s).terms()]
         assert powers == sorted(powers)
 
+    def test_lax_wendroff_terms_are_the_exact_defects(self):
+        """m = 1, n = 2 on -1..1: with sum_i c_i k_i^p = nu^p for p <= 2,
+        the odd moments are nu and the even ones nu^2, so D_3 = nu/6 - nu^3/6
+        and D_4 = nu^2/24 - nu^4/24, the exact evolution's nu^4/4! included."""
+        s = master_scheme(SchemeSpec(1, 2, OffsetSet([-1, 0, 1])))
+        assert error_term(s).terms() == (
+            (3, RatPoly((0, F(1, 6), 0, F(-1, 6)))),
+            (4, RatPoly((0, 0, F(1, 24), 0, F(-1, 24)))),
+        )
+
+    def test_third_derivative_terms_are_the_exact_defects(self):
+        """m = 3, n = 1 on -2..1: the nu layer is the third difference
+        (-1, 3, -3, 1), whose moments p = 4, 5, 6 are -12, 30 and -60, so
+        D_4 = -nu/2, D_5 = nu/4 and D_6 = -nu/12 - nu^2/2, the exact
+        evolution's -nu^2/2! included."""
+        s = master_scheme(SchemeSpec(3, 1, OffsetSet([-2, -1, 0, 1])))
+        assert s.layers.rows[1] == (-1, 3, -3, 1)
+        assert error_term(s).terms() == (
+            (4, RatPoly((0, F(-1, 2)))),
+            (5, RatPoly((0, F(1, 4)))),
+            (6, RatPoly((0, F(-1, 12), F(-1, 2)))),
+        )
+
+    def test_truncated_table_is_refused(self):
+        """A truncated table fails the order conditions below N, so the
+        defects from N up would not be its error term."""
+        s = master_scheme(SchemeSpec(1, 3, OffsetSet([-2, -1, 0, 1])))
+        with pytest.raises(UnsupportedSchemeError, match="all n \\+ 1 layers"):
+            error_term(s.truncated(2))
+
     def test_matches_the_fraction_path(self, monkeypatch):
-        """The integer error term's merged terms are `==` to the Fraction-path
-        reference, which merges its own, for every PIN_SPECS entry, the m = 1
-        windows of order n = 1..49 (uw's for odd n, centred for even n) and
-        the gapped stencils of scheme-zoo's seeds 1-5."""
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        generation_specs = importlib.import_module("workloads").generation_specs
+        """`leading()` is `==` to the leading term of the Fraction-path
+        reference (s, P and Q by polynomial products), for every PIN_SPECS
+        entry, the m = 1 windows of order n = 1..49 (uw's for odd n, centred
+        for even n) and the gapped stencils of scheme-zoo's seeds 1-5.  Past
+        its leading entry the reference is a truncated expansion; the whole
+        of `terms()` is checked against the moment defects below."""
         specs = list(PIN_SPECS)
         specs += [SchemeSpec(1, n, OffsetSet.contiguous((n + 1) // 2, n)) for n in range(1, 50)]
-        for seed in range(1, 6):
-            for m, n, offsets in generation_specs(seed):
-                if not OffsetSet(offsets).is_contiguous():
-                    specs.append(SchemeSpec(m, n, OffsetSet(offsets)))
+        specs += zoo_gapped_specs(monkeypatch)
         assert len(specs) == len(PIN_SPECS) + 49 + 5 * 7
         for spec in specs:
             scheme = master_scheme(spec)
             term = error_term(scheme)
             assert term.spec == spec
-            assert term.terms() == error_term_by_fractions(scheme), spec
+            assert term.leading() == error_term_by_fractions(scheme)[0], spec
 
     def test_leading_is_the_lowest_moment_defect(self):
         """`leading()` against the layer table's own moments, without
-        `aux_polynomials`.  With D_p(nu) = sum_i c_i(nu) k_i^p / p!, less
-        nu^(p/m) / (p/m)! when m divides p, the lowest p >= N with D_p != 0
-        is the leading power and D_p its coefficient.  Every PIN_SPECS entry
-        and every contiguous window for m = 1, n <= 11; m = 2, n <= 5;
-        m = 3, n <= 3; m = 4, n <= 2."""
-        windows = [
-            SchemeSpec(m, n, OffsetSet.contiguous(r, n * m))
-            for m, n_max in ((1, 11), (2, 5), (3, 3), (4, 2))
-            for n in range(1, n_max + 1)
-            for r in range(n * m + 1)
-        ]
-        assert len(windows) == 147
-        for spec in list(PIN_SPECS) + windows:
+        `aux_polynomials`: the lowest p >= N with D_p != 0 is the leading
+        power and D_p its coefficient, on every PIN_SPECS entry and every
+        window of `SMALL_WINDOWS`."""
+        for spec in list(PIN_SPECS) + SMALL_WINDOWS:
             scheme = master_scheme(spec)
+            power = next(p for p in itertools.count(spec.points) if moment_defect(scheme, p))
+            assert error_term(scheme).leading() == (power, moment_defect(scheme, power)), spec
 
-            def defect(p):
-                moments = RatPoly(
-                    sum(w * k**p for w, k in zip(row, spec.offsets)) / math.factorial(p)
-                    for row in scheme.layers.rows
-                )
-                if p % spec.m:
-                    return moments
-                return moments - RatPoly.monomial(p // spec.m, F(1, math.factorial(p // spec.m)))
+    def test_terms_are_the_moment_defects(self, monkeypatch):
+        """`terms()` lists D_p at every power p = N .. max(N + 1, m(n + 1))
+        where it is nonzero, each `==` to the defect built from the layer
+        table's rows, on every PIN_SPECS entry, every window of
+        `SMALL_WINDOWS` and the gapped stencils of scheme-zoo's seeds 1-5."""
+        specs = list(PIN_SPECS) + SMALL_WINDOWS + zoo_gapped_specs(monkeypatch)
+        assert len(specs) == len(PIN_SPECS) + 147 + 5 * 7
+        for spec in specs:
+            scheme = master_scheme(spec)
+            top = max(spec.points + 1, spec.m * (spec.n + 1))
+            defects = [(p, moment_defect(scheme, p)) for p in range(spec.points, top + 1)]
+            assert error_term(scheme).terms() == tuple((p, d) for p, d in defects if d), spec
 
-            power = next(p for p in itertools.count(spec.points) if defect(p))
-            assert error_term(scheme).leading() == (power, defect(power)), spec
+
+def moment_defect(scheme, p):
+    """D_p(nu) = sum_i c_i(nu) k_i^p / p!, less nu^(p/m) / (p/m)! when m
+    divides p, from the layer table's Fraction rows."""
+    spec = scheme.spec
+    moments = RatPoly(
+        sum(w * k**p for w, k in zip(row, spec.offsets)) / math.factorial(p)
+        for row in scheme.layers.rows
+    )
+    if p % spec.m:
+        return moments
+    return moments - RatPoly.monomial(p // spec.m, F(1, math.factorial(p // spec.m)))
+
+
+# every contiguous window for m = 1, n <= 11; m = 2, n <= 5; m = 3, n <= 3;
+# m = 4, n <= 2
+SMALL_WINDOWS = [
+    SchemeSpec(m, n, OffsetSet.contiguous(r, n * m))
+    for m, n_max in ((1, 11), (2, 5), (3, 3), (4, 2))
+    for n in range(1, n_max + 1)
+    for r in range(n * m + 1)
+]
+
+
+def zoo_gapped_specs(monkeypatch):
+    """The gapped generation specs of perfbench's scheme-zoo, seeds 1-5."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    generation_specs = importlib.import_module("workloads").generation_specs
+    return [
+        SchemeSpec(m, n, OffsetSet(offsets))
+        for seed in range(1, 6)
+        for m, n, offsets in generation_specs(seed)
+        if not OffsetSet(offsets).is_contiguous()
+    ]
 
 
 # -- nonlinear layer extraction ----------------------------------------------------------

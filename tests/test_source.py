@@ -1,6 +1,7 @@
 """Checks on the package source itself: no module imports a name it does not
 use, every private name a module defines is read in that module, and the
-docs name only code and repository paths that exist."""
+docs name only code and repository paths that exist.  `code_lines` counts a
+module's code lines, the size measure ROADMAP.md quotes."""
 
 import ast
 import io
@@ -201,3 +202,54 @@ def test_finds_a_missing_repo_path(tmp_path):
     assert missing_repo_paths(tmp_path, text) == [
         "scripts/gone.py", "tests/data/gone.json", "perfbench/"
     ]
+
+
+# tokens that hold no code: comments, line breaks, indentation, the stream's ends
+NON_CODE_TOKENS = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+    tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """The "AST code lines" of a module: the lines holding a token other than
+    a comment (every line a multi-line token spans), less the lines of the
+    module, class and function docstrings.  Over the package, from the
+    repository root: `PYTHONPATH=tests python -c "import test_source as t;
+    print(sum(t.code_lines(p.read_text()) for p in t.ALL_MODULES))"`."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NON_CODE_TOKENS:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
+def test_counts_code_lines():
+    source = "\n".join([
+        '"""Module docstring,',                # docstring
+        'two lines."""',                       # docstring
+        "",
+        "# a comment",
+        "import math  # code and a comment",   # 1
+        "TEXT = '''a string,",                 # 2
+        "not a docstring'''",                  # 3
+        "def f(x,",                            # 4
+        "      y):",                           # 5
+        '    """Function docstring."""',       # docstring
+        "    return [x,",                      # 6
+        "",                                    # blank inside brackets
+        "            y]",                      # 7
+        "class C:",                            # 8
+        "    '''Class docstring,",             # docstring
+        "    on two lines.'''",                # docstring
+        "    # an indented comment",
+        "    def g(self):",                    # 9
+        "        return f'''{math.pi}",        # 10
+        "'''",                                 # 11
+        "",
+    ])
+    assert code_lines(source) == 11
