@@ -36,7 +36,6 @@ from .schemes import (
     preferred_sign,
 )
 from .stability import (
-    BoundAuditRow,
     Classification,
     StabilityReport,
     advection_family_scheme,
@@ -47,7 +46,6 @@ from .stability import (
     critical_courant,
     first_order_stable_r,
     max_growth,
-    stability_bound_audit,
     stability_report,
     truncated_first_layer_critical,
 )

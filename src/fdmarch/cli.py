@@ -49,6 +49,8 @@ from .stability import (
     check_tol,
     classify_first_order,
     critical_courant,
+    grows,
+    max_growth,
     stability_report,
 )
 from .solver import (
@@ -57,6 +59,7 @@ from .solver import (
     LinearTerm,
     PROFILE_NAMES,
     burgers_densities,
+    check_fit,
     check_march_budget,
     convergence_study,
     make_profile,
@@ -147,14 +150,15 @@ PRESETS = {
 }
 
 def _family_window(family: str, n: int) -> OffsetSet:
-    """Contiguous m=1 window of the named ladder at order n.  From the lowest
-    member (n0, r0) each member adds 2 to the order and 1 to the left width,
-    so n is on the ladder when n - n0 is even and >= 0."""
-    n0, r0 = advection_family_spec(family, FIRST_MEMBER[family])
+    """Contiguous m=1 window of the named ladder's member of order n.  Orders
+    climb by 2 from the lowest member's n0, so n is on the ladder when
+    n - n0 is even and >= 0, and `advection_family_spec` gives its window."""
+    first = FIRST_MEMBER[family]
+    n0 = advection_family_spec(family, first)[0]
     if n < n0 or (n - n0) % 2:
         parity = "odd" if n0 % 2 else "even"
         raise ConfigurationError(f"the {family} ladder has {parity} orders n >= {n0} only")
-    return OffsetSet.contiguous(r0 + (n - n0) // 2, n)
+    return OffsetSet.contiguous(advection_family_spec(family, first + (n - n0) // 2)[1], n)
 
 
 # -- small parsers ---------------------------------------------------------------
@@ -463,11 +467,16 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
         # no ladder named: Burgers' window is upwind at odd orders, centred at even
         family = args.family or preset.family or ("uw" if n % 2 else "lw")
         windows.append((n, family, _family_window(family, n)))
-    nu = preset.dt / preset.dx if burgers else preset.dt * preset.a / preset.dx
     n_cells = _cell_count(preset.box, preset.dx)
     out_steps = sorted({round(t / preset.dt) for t in preset.output_times})
+    profiles = args.profiles or preset.profiles
     for n, family, offs in windows:
+        fields = [
+            GridField.sample(make_profile(name, preset.box), preset.box, n_cells)
+            for name in profiles
+        ]
         if burgers:
+            nu = preset.dt / preset.dx
             densities = burgers_densities(n)
             march = functools.partial(
                 run_nonlinear, layers=nonlinear_layers(n, offs), densities=densities, nu=nu
@@ -477,15 +486,11 @@ def _preset_run(args, preset: ExperimentPreset, out_dir: str) -> int:
         else:
             # one problem per order, so the profiles share one scheme build
             problem = LinearProblem(terms=(LinearTerm(1, preset.a, offs),), dt=preset.dt, n=n)
+            nu = problem.courant_numbers(fields[0].dx)[0]
             march = functools.partial(run_linear, problem)
             head, tail = {"family": family}, {"a": preset.a}
             annotate = functools.partial(_translation_error, nu)
             stem = f"{preset.name}_{family}{n:02d}"
-        profiles = args.profiles or preset.profiles
-        fields = [
-            GridField.sample(make_profile(name, preset.box), preset.box, n_cells)
-            for name in profiles
-        ]
         runs = [
             (
                 f"{stem}_{name}",
@@ -521,7 +526,7 @@ def _explicit_run(args, out_dir: str) -> int:
     dx = args.dx if args.dx is not None else 0.1
     _require_positive("--dx", dx)
     n_cells = _cell_count(box, dx)
-    try:  # default step: Courant magnitude 0.4, comfortably inside every stable family
+    try:  # default step: Courant magnitude 0.4; a scheme that grows there is refused below
         dt = args.dt if args.dt is not None else 0.4 * dx**args.m / abs(a)
     except OverflowError:  # dx^m is past the float range: refused as inf below
         dt = math.inf
@@ -555,6 +560,10 @@ def _explicit_run(args, out_dir: str) -> int:
         raise ConfigurationError(
             f"the Courant number a*dt/dx^{args.m} is not finite at dt={dt:g}, dx={field.dx:g}"
         )
+    if args.dt is None:  # a step the user did not choose may not blow up
+        check_fit(n_cells, offs)  # the march's rule, before the scheme is built
+        if grows(max_growth(problem.schemes()[0], nu)[1]):
+            raise ConfigurationError(f"the default step grows at nu={nu:.6g}; give a stable --dt")
     meta = dict(
         kind="linear", m=args.m, order=args.n, offsets=_fmt_offsets(offs), profile=prof_name,
         a=a, **_grid_meta(field, dt, nu),

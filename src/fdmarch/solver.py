@@ -258,7 +258,8 @@ class LinearProblem:
         return tuple(self.dt * t.a / dx**t.m for t in self.terms)
 
 
-def _check_fit(n_cells: int, offsets: OffsetSet) -> None:
+def check_fit(n_cells: int, offsets: OffsetSet) -> None:
+    """Refuse a stencil that reaches around the periodic grid of n_cells."""
     reach = max(abs(offsets[0]), abs(offsets[-1]))
     if n_cells <= 2 * reach:
         raise ConfigurationError(
@@ -400,7 +401,7 @@ class _SliceSum:
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
     """One explicit step u_j <- sum_i c_i(nu) u_{j+k_i} with periodic boundaries."""
-    _check_fit(field.n_cells, scheme.offsets)
+    check_fit(field.n_cells, scheme.offsets)
     stencil = _stencil(scheme.offsets, scheme.float_weights(nu))
     return GridField(_march(field.values, [stencil], 1), field.dx, field.origin)
 
@@ -424,7 +425,7 @@ def run_linear(
     if steps < 0:
         raise ConfigurationError("step count must be >= 0")
     for term in problem.terms:
-        _check_fit(field.n_cells, problem.term_offsets(term))
+        check_fit(field.n_cells, problem.term_offsets(term))
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
     for scheme, nu in zip(schemes, nus):
@@ -530,7 +531,7 @@ def _march(
     stencil's items, in order, from +0.0, skipping zero weights, which is the
     same floating-point sum as adding w * np.roll(u, -k).  Each stencil's
     workspace copies in the field the one before it wrote.  Offsets must be
-    distinct, and each stencil must fit the grid (`_check_fit`).
+    distinct, and each stencil must fit the grid (`check_fit`).
     `callback(step, u)` is handed the last workspace's field after each step
     and must copy what it keeps.
     """
@@ -645,7 +646,7 @@ def _layered_workspace(
             f"density family {densities.name!r} provides {len(densities)} densities, "
             f"the layer table needs {len(layers)}"
         )
-    _check_fit(shape[-1], layers.offsets)
+    check_fit(shape[-1], layers.offsets)
     first, *stencils = (_stencil(layers.offsets, row) for row in layers.float_rows)
     nu = float(nu)
     later = [(st, nu**j) for j, st in enumerate(stencils, 1)]
@@ -847,7 +848,7 @@ def convergence_study(
         )
     offs = OffsetSet(offsets) if offsets is not None else default_offsets(m, n, a)
     for g in grids:
-        _check_fit(g, offs)
+        check_fit(g, offs)
     scheme = master_scheme(SchemeSpec(m, n, offs))
     signed_nu = math.copysign(nu, a)
     theta, g2 = max_growth(scheme, signed_nu)

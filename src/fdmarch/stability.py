@@ -28,15 +28,11 @@ Nothing outlives the search.
 
 The polish only ever raises the maximum, so a stability verdict stops as soon
 as it is decided, each probe of a batch on its own: before the grid when
-|g(pi)|^2, the squared alternating sum of the weights, exceeds the limit by
-more than `_PI_MARGIN` (S = sum_k |c_k|) squared, at the grid when the grid
-maximum already exceeds the limit, or after the first polish step that does.
-The check at pi cannot change a verdict: the grid holds theta = pi, its value
-there is the same sum by another route, within a rounding bound that the
-margin exceeds 10^4 times, and the maximum is at least that value.  A probe
-stops by one live mask over its peaks: the probes the grid left open keep
-their places to the end of the polish, and each one's best peak is read once,
-after it.
+|g(pi)|^2 already decides it (`_PI_MARGIN` says why that check cannot change
+a verdict), at the grid when the grid maximum already exceeds the limit, or
+after the first polish step that does.  A probe stops by one live mask over
+its peaks: the probes the grid left open keep their places to the end of the
+polish, and each one's best peak is read once, after it.
 The verdicts are those of a fully polished scan; every value this module
 reports (`max_growth`, `amplification`, a report's worst theta) is still
 fully polished: those scans have no finite limit, so they skip the check.
@@ -195,14 +191,11 @@ class _GrowthScan:
         """(worst theta, max |g|^2) at each nu of the 1-D batch nus, as two
         arrays; see `max_growth`.
 
-        Under a finite `limit`, a probe whose |g(pi)|^2, the square of the
-        alternating sum of its weights, exceeds limit + _PI_MARGIN S^2
-        (S = sum_k |c_k|) is returned as (pi, that value) before any grid:
-        the margin is far above the rounding that separates this sum from
-        the grid's value at pi, so that grid value, and the polished maximum
-        above it, exceed `limit` too, and the verdict is the full scan's.  A
-        row that is not finite fails the comparison.  The other probes are
-        scanned together.
+        Under a finite `limit`, a probe whose |g(pi)|^2 exceeds
+        limit + _PI_MARGIN S^2 (S = sum_k |c_k|) is returned as (pi, that
+        value) before any grid, with the full scan's verdict (see
+        `_PI_MARGIN`).  A row that is not finite fails the comparison.  The
+        other probes are scanned together.
 
         The rows whose grid maximum is at or below `limit` are polished
         together, each in `POLISHED_PEAKS` slots, for as long as one `live`
@@ -337,14 +330,9 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     gain legitimately dips back to 1 at whole-number Courant values (exact
     shifts) without re-entering the stable range.
 
-    Each probe stops as soon as its verdict is decided: before the grid when
-    |g(pi)|^2, the squared alternating sum of its weights, exceeds
-    1 + GROWTH_TOL by more than the rounding margin `_PI_MARGIN` S^2
-    (S = sum_k |c_k|), at the grid when the grid maximum of |g|^2 already
-    exceeds 1 + GROWTH_TOL, or after the first polish step that does.  The
-    grid holds theta = pi and its value there is that sum within the
-    margin, and the polish only raises the maximum, so the verdicts, and
-    the nu_c they give, are those of fully polished scans.  The
+    Each probe stops as soon as its verdict against 1 + GROWTH_TOL is
+    decided (see the module docstring and `_PI_MARGIN`), so the verdicts,
+    and the nu_c they give, are those of fully polished scans.  The
     doubling ladder and the sweep are probed in chunks, and the pocket guard
     at once, so a chunk may probe past the first unstable point; the probes
     up to it, and so nu_c, are those of a search probing one nu at a time.
@@ -365,15 +353,14 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
         _, g2 = scan.peaks(sign * np.asarray(nus_abs, dtype=float), limit=limit)
         return [not grows(v) for v in g2.tolist()]
 
-    _, hi = _first_unstable(stables, _doubling(tol), _LADDER_CHUNK)
+    # the ladder's bracket: its last stable probe is hi / 2, doubling being
+    # exact below NU_MAX, or 0.0 when the first probe grows.  A bracket from 0
+    # is bisected at least as finely as the stable threshold, or a coarse tol
+    # would read every nu_c below it as 0
+    lo, hi = _first_unstable(stables, _doubling(tol), _LADDER_CHUNK)
     if hi is None:
         return NU_MAX
-    if hi == tol:
-        # unstable at the first probe: bisect [0, tol] at least as finely as
-        # the stable threshold, or a coarse tol would read every nu_c below it as 0
-        lo, hi = _bisect(stables, 0.0, hi, min(tol, STABLE_NU_THRESHOLD))
-    else:
-        lo, hi = _bisect(stables, hi / 2.0, hi, tol)
+    lo, hi = _bisect(stables, lo, hi, tol if lo else min(tol, STABLE_NU_THRESHOLD))
 
     if lo > 0.0:
         # lo + tol rounds to lo when tol is below the spacing; hi is unstable
@@ -497,35 +484,6 @@ def truncated_first_layer_critical(n: int, tol: float = NU_TOL) -> float:
     """
     scheme = master_scheme(SchemeSpec(2, n, default_offsets(2, n)))
     return critical_courant(scheme.truncated(1), +1, tol=tol)
-
-
-@dataclass(frozen=True)
-class BoundAuditRow:
-    """Exact critical Courant number of one binomial scheme vs. the geometric ceiling."""
-
-    m: int
-    r: int
-    sign: int
-    nu_critical: Fraction
-    bound: Fraction
-    within: bool
-
-
-def stability_bound_audit(m_max: int) -> tuple[BoundAuditRow, ...]:
-    """Check nu_critical <= 1/2^(m-1) for every first-order window, m <= m_max.
-
-    For each (m, r) the favorable coefficient sign (the one with the larger
-    range, +1 on a tie) is reported.
-    """
-    rows = []
-    for m in range(1, m_max + 1):
-        cls = classify_first_order(m)
-        bound = Fraction(1, 2 ** (m - 1))
-        for r in range(m + 1):
-            sign = max((+1, -1), key=lambda s: cls.nu_critical[(s, r)])
-            nu_c = cls.nu_critical[(sign, r)]
-            rows.append(BoundAuditRow(m, r, sign, nu_c, bound, nu_c <= bound))
-    return tuple(rows)
 
 
 def first_order_stable_r(m: int, sign: int) -> Optional[int]:

@@ -26,11 +26,12 @@ from fdmarch.schemes import (
     nonlinear_layers,
 )
 from fdmarch.stability import (
+    NU_TOL,
+    STABLE_NU_THRESHOLD,
     advection_family_stability,
     classify_first_order,
     critical_courant,
     first_order_stable_r,
-    stability_bound_audit,
     truncated_first_layer_critical,
 )
 from fdmarch.solver import (
@@ -175,18 +176,27 @@ def test_criterion_04_diffusion_stability_ladder():
 
 
 def test_criterion_05_bound_and_classification():
-    """Every first-order window with m <= 6 stays inside the geometric ceiling
-    1/2^(m-1); the measured stable-window classification matches the parity
-    rule, including the two sign gaps and the gap-stencil instability."""
+    """Every first-order window with m <= 6, under both signs, is measured by
+    the nu_c search: it stays inside the geometric ceiling 1/2^(m-1), is
+    stable exactly on the window the parity rule names, and lands within two
+    bisection steps below the exact closed form.  The parity rule has its two
+    sign gaps, and a gap stencil is unstable."""
     with criterion(5, "first-order stability bound and window classification"):
-        for row in stability_bound_audit(6):
-            assert row.within, f"m={row.m} r={row.r}: nu_c={row.nu_critical} > {row.bound}"
         for m in range(1, 7):
             cls = classify_first_order(m)
+            ceiling = F(1, 2 ** (m - 1))
             for sign in (+1, -1):
                 assert cls.stable_r[sign] == first_order_stable_r(m, sign), (
                     f"m={m}, sign={sign:+d}"
                 )
+                for r in range(m + 1):
+                    measured = critical_courant(first_order_scheme(m, r), sign)
+                    where = f"m={m} r={r} sign={sign:+d}: nu_c={measured!r}"
+                    assert F(measured) <= ceiling, where
+                    stable = measured > STABLE_NU_THRESHOLD
+                    assert stable == (r == first_order_stable_r(m, sign)), where
+                    shortfall = cls.nu_critical[(sign, r)] - F(measured)
+                    assert 0 <= shortfall <= 2 * F(NU_TOL), where
         cls2 = classify_first_order(2)
         cls4 = classify_first_order(4)
         assert cls2.stable_r[-1] is None

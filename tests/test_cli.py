@@ -721,6 +721,30 @@ class TestRunExplicit:
             "run", "--m", "2", "--n", "1", "--out", str(tmp_path / "o")
         ) == 2
 
+    @pytest.mark.parametrize(
+        "argv, nu", [(("--m", "3", "--n", "1"), 0.4), (("--m", "4", "--n", "2"), -0.4)],
+        ids=["m3-n1", "m4-n2"],
+    )
+    def test_default_step_that_grows_is_refused(self, argv, nu, tmp_path, capsys):
+        """Without --dt, the default |nu| = 0.4 grows on these default windows:
+        the run exits 2, naming --dt, before any file is written."""
+        out_dir = tmp_path / "o"
+        assert run_cli("run", *argv, "--steps", "1", "--out", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the default step grows at nu={nu:g}; give a stable --dt\n"
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2)])
+    def test_default_step_is_the_stable_given_one(self, m, n, tmp_path):
+        """An m <= 2 run without --dt still runs, and writes the bytes of the
+        run given --dt = 0.4 dx^m / |a|."""
+        argv = ("run", "--m", str(m), "--n", str(n), "--steps", "20")
+        assert run_cli(*argv, "--out", str(tmp_path / "default")) == 0
+        dt = 0.4 * 0.1**m / abs(fdmarch.solver.term_coefficient(m, None))
+        assert run_cli(*argv, "--dt", repr(dt), "--out", str(tmp_path / "given")) == 0
+        (default,) = (tmp_path / "default").iterdir()
+        assert default.read_bytes() == (tmp_path / "given" / default.name).read_bytes()
+
     def test_unstable_run_records_warning(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "o"
         assert run_cli(

@@ -36,7 +36,6 @@ from fdmarch.stability import (
     first_order_stable_r,
     grows,
     max_growth,
-    stability_bound_audit,
     stability_report,
     truncated_first_layer_critical,
 )
@@ -883,16 +882,6 @@ class TestClassification:
 
         monkeypatch.setattr(fdmarch.stability, "_GrowthScan", refuse)
         assert classify_first_order(6).stable_r == {+1: 3, -1: None}
-        assert all(row.within for row in stability_bound_audit(6))
-
-    def test_bound_audit_shape(self):
-        rows = stability_bound_audit(2)
-        assert len(rows) == 5  # (m=1: r=0,1) + (m=2: r=0,1,2)
-        assert all(row.within for row in rows)
-        anchor = next(r for r in rows if r.m == 2 and r.r == 1)
-        assert anchor.bound == 0.5
-        assert anchor.nu_critical == pytest.approx(0.5, abs=1e-4)
-        assert anchor.sign == +1
 
 
 # -- named advection ladders ---------------------------------------------------------------
@@ -929,6 +918,22 @@ class TestAdvectionFamilies:
         assert tuple(lw.offsets) == (-1, 0, 1)
         bw = advection_family_scheme("bw", 0)
         assert tuple(bw.offsets) == (-2, -1, 0)
+
+    @pytest.mark.parametrize("s", [19, 69], ids=["n39", "n139"])
+    def test_sweep_members_are_pinned(self, s, monkeypatch):
+        """uw n = 39 and n = 139 at nu < 0 are the search paths no pin file
+        reaches: the pocket guard sends both to the sweep, n = 139 after a
+        bisection a pocket fooled.  Their nu_c, as float hex, is frozen."""
+        sweeps = []
+        sweep = fdmarch.stability._sweep_critical
+
+        def counted(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(fdmarch.stability, "_sweep_critical", counted)
+        assert advection_family_stability(s, "uw").hex() == "0x1.ffffffffffcb3p-1"
+        assert len(sweeps) == 1
 
     def test_classic_intervals(self):
         assert advection_family_stability(0, "uw") == pytest.approx(1.0, abs=1e-3)
