@@ -49,8 +49,7 @@ from .stability import (
     check_tol,
     classify_first_order,
     critical_courant,
-    grows,
-    max_growth,
+    growth_note,
     stability_report,
 )
 from .solver import (
@@ -216,14 +215,6 @@ def _refuse_unread(args, names: Sequence[str], path: str) -> None:
         raise ConfigurationError(f"{path} does not read {', '.join(unread)}")
 
 
-def _stencil(args, a_sign: float) -> OffsetSet:
-    """--offsets, or the default stencil of --m and --n for this coefficient
-    or sign of a."""
-    if args.offsets is not None:
-        return OffsetSet(args.offsets)
-    return default_offsets(args.m, args.n, a_sign)
-
-
 def _load_scheme(args) -> Scheme:
     if getattr(args, "scheme_file", None):
         _refuse_unread(args, ("m", "n", "offsets", "a_sign"), "--scheme-file")
@@ -239,7 +230,8 @@ def _load_scheme(args) -> Scheme:
         raise ConfigurationError(f"need --m and --n{alt}")
     if args.offsets is not None:
         _refuse_unread(args, ("a_sign",), "a stencil given by --offsets")
-    return master_scheme(SchemeSpec(args.m, args.n, _stencil(args, args.a_sign or 0)))
+    offsets = default_offsets(args.m, args.n, args.a_sign or 0, args.offsets)
+    return master_scheme(SchemeSpec(args.m, args.n, offsets))
 
 
 def _cmd_coeffs(args) -> int:
@@ -521,7 +513,7 @@ def _explicit_run(args, out_dir: str) -> int:
     if args.steps is None:
         raise ConfigurationError("an explicit run needs --steps")
     a = term_coefficient(args.m, args.a)
-    offs = _stencil(args, a)
+    offs = default_offsets(args.m, args.n, a, args.offsets)
     box = args.box if args.box is not None else (-5.0, 5.0)
     dx = args.dx if args.dx is not None else 0.1
     _require_positive("--dx", dx)
@@ -562,7 +554,7 @@ def _explicit_run(args, out_dir: str) -> int:
         )
     if args.dt is None:  # a step the user did not choose may not blow up
         check_fit(n_cells, offs)  # the march's rule, before the scheme is built
-        if grows(max_growth(problem.schemes()[0], nu)[1]):
+        if growth_note(problem.schemes()[0], nu):
             raise ConfigurationError(f"the default step grows at nu={nu:.6g}; give a stable --dt")
     meta = dict(
         kind="linear", m=args.m, order=args.n, offsets=_fmt_offsets(offs), profile=prof_name,

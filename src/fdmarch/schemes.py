@@ -31,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -405,14 +405,10 @@ def generation_function(scheme: Scheme) -> LaurentPoly:
         )
     if not spec.offsets.is_contiguous():
         raise UnsupportedSchemeError("the product form needs a contiguous stencil")
-    m = spec.m
-    r = -spec.offsets[0]
-    for k in spec.offsets:
-        # coefficient of x^(r+k) in (x-1)^m, shifted by x^-r
-        binom = Fraction((-1) ** (m - r - k) * math.comb(m, r + k))
-        expected = RatPoly((1 if k == 0 else 0, binom))
-        if scheme.coeffs[k] != expected:
-            raise ArithmeticError("generation-function identity failed")
+    # both tables are canonical, so `==` compares the exact weights with the
+    # binomials of (x - 1)^m that `first_order_scheme` lays out
+    if scheme.layers != first_order_scheme(spec.m, -spec.offsets[0]).layers:
+        raise ArithmeticError("generation-function identity failed")
     return LaurentPoly(
         shift=spec.offsets[0],
         coeffs=tuple(scheme.coeffs[k] for k in spec.offsets),
@@ -516,15 +512,22 @@ def preferred_sign(m: int) -> int:
     return -((-1) ** ((m - 1) // 2))
 
 
-def default_offsets(m: int, n: int, a_sign: float = 0) -> OffsetSet:
-    """Stencil window used when the caller does not pick one.
+def default_offsets(
+    m: int, n: int, a_sign: float = 0, offsets: Optional[Iterable[int]] = None
+) -> OffsetSet:
+    """The given `offsets`, or the stencil window used when the caller does
+    not pick one.
 
-    Even-span windows are centered.  Odd spans (odd m and odd n) get the
-    extra point on the upwind side of the wave direction implied by
-    sign(a_m).  `a_sign` is the coefficient a_m itself or just its sign;
-    0 selects the conventional sign for this m.  This is the one place a
-    coefficient's sign picks a window.
+    Given offsets come back as an OffsetSet, unchecked against m and n:
+    `SchemeSpec` refuses a mismatch when the scheme is built.  Otherwise the
+    orders are checked first (`check_orders`).  Even-span windows are
+    centered.  Odd spans (odd m and odd n) get the extra point on the upwind
+    side of the wave direction implied by sign(a_m).  `a_sign` is the
+    coefficient a_m itself or just its sign; 0 selects the conventional sign
+    for this m.  This is the one place a coefficient's sign picks a window.
     """
+    if offsets is not None:
+        return OffsetSet(offsets)
     check_orders(m, n)
     if a_sign == 0:
         a_sign = preferred_sign(m)
@@ -603,14 +606,19 @@ def _dump_fields(text: str) -> dict[str, str]:
 _WEIGHT_PAIR = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 
 
-def _weight_pair(text: str) -> tuple[int, int]:
-    """(numerator, denominator > 0) of one dump weight in lowest terms, the
-    Fraction that `Fraction(text)` reads: the form a dump writes is split
-    into two ints and reduced by their gcd, and any other text is read by
-    `Fraction(text)` itself, which raises what it raises.  A zero
-    denominator raises ZeroDivisionError either way."""
+def _weight_pair(text: str, key: str) -> tuple[int, int]:
+    """(numerator, denominator > 0) of one weight of the dump line `key` in
+    lowest terms, the Fraction that `Fraction(text)` reads: the form a dump
+    writes is split into two ints and reduced by their gcd, a text with an
+    exponent is refused with a ValueError that names `key`, and any other
+    text is read by `Fraction(text)` itself, which raises what it raises.  A
+    zero denominator raises ZeroDivisionError either way."""
     pair = _WEIGHT_PAIR.fullmatch(text)
     if pair is None:
+        # a dump writes no exponent, and Fraction expands one such as
+        # 1e10000000 into all of its digits
+        if "e" in text.lower():
+            raise ValueError(f"{key} has a weight written with an exponent")
         weight = Fraction(text)
         return weight.numerator, weight.denominator
     num, den = int(pair[1]), int(pair[2] or 1)
@@ -626,8 +634,9 @@ def parse_scheme_dump(text: str) -> Scheme:
     A text over `MAX_DUMP_CHARS` is refused before it is split, a scheme
     over `MAX_SCHEME_POINTS` (by `SchemeSpec`) before any weight is parsed,
     and a text of over `MAX_DUMP_FIELDS` fields once its header is read.
-    Each weight is read by `_weight_pair` as two ints, and each row of the
-    table is cleared from those pairs to its least common denominator.
+    Each weight is read by `_weight_pair` as two ints, or refused by it, and
+    each row of the table is cleared from those pairs to its least common
+    denominator.
     """
     if len(text) > MAX_DUMP_CHARS:
         raise ConfigurationError(f"a scheme dump is over the limit of {MAX_DUMP_CHARS} characters")
@@ -651,12 +660,8 @@ def parse_scheme_dump(text: str) -> Scheme:
         parts = fields[key].split(",")
         if len(parts) != n + 1:
             raise ValueError(f"{key} must list exactly n+1 = {n + 1} values")
-        # a dump writes no exponent, and Fraction expands one such as
-        # 1e10000000 into all of its digits
-        if "e" in fields[key].lower():
-            raise ValueError(f"{key} has a weight written with an exponent")
         try:
-            columns.append([_weight_pair(part) for part in parts])
+            columns.append([_weight_pair(part, key) for part in parts])
         except ZeroDivisionError as exc:
             raise ValueError(f"{key} has a weight with a zero denominator") from exc
     # each row cleared to its least common denominator, held to

@@ -51,6 +51,10 @@ returns and march on from there, and only a run given a callback copies the
 field for it after every step.  A single step (`step_linear`,
 `step_nonlinear`) is a one-step run in a workspace of its own, and returns
 a new array.
+
+Whether a scheme grows at a run's Courant number is `stability.growth_note`'s
+one verdict: `run_linear` warns with its text, and `convergence_study`
+refuses with it.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from .schemes import (
     master_scheme,
     preferred_sign,
 )
-from .stability import grows, max_growth
+from .stability import growth_note
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +243,7 @@ class LinearProblem:
             raise ConfigurationError(f"time step must be a finite number > 0, got {self.dt:g}")
 
     def term_offsets(self, term: LinearTerm) -> OffsetSet:
-        if term.offsets is not None:
-            return OffsetSet(term.offsets)
-        return default_offsets(term.m, self.n, term.a)
+        return default_offsets(term.m, self.n, term.a, term.offsets)
 
     def schemes(self) -> tuple[Scheme, ...]:
         """One scheme per term, built and audited on the first call and kept."""
@@ -418,8 +420,8 @@ def run_linear(
     the result have its shape.  The march runs in one workspace (`_march`);
     the result, and each callback field, is a copy of it that no later step
     writes.  Emits a RuntimeWarning (but still runs) when a term is outside
-    its stable Courant range — periodic single-mode growth is diagnosable but
-    sometimes deliberately provoked.  A stencil wider than the grid is
+    its stable Courant range, by `growth_note` — periodic single-mode growth
+    is diagnosable but sometimes deliberately provoked.  A stencil wider than the grid is
     refused before any scheme is built.
     """
     if steps < 0:
@@ -429,11 +431,10 @@ def run_linear(
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
     for scheme, nu in zip(schemes, nus):
-        theta, g2 = max_growth(scheme, nu)
-        if grows(g2):
+        note = growth_note(scheme, nu)
+        if note:
             warnings.warn(
-                f"term m={scheme.m} is unstable at nu={nu:.6g}: "
-                f"max |g|^2 = {g2:.6g} at theta={theta:.4f}",
+                f"term m={scheme.m} is unstable at nu={nu:.6g}: {note}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -846,16 +847,16 @@ def convergence_study(
             "custom profiles have an exact reference only for m=1; "
             "use the default single-mode profile for m >= 2"
         )
-    offs = OffsetSet(offsets) if offsets is not None else default_offsets(m, n, a)
+    offs = default_offsets(m, n, a, offsets)
     for g in grids:
         check_fit(g, offs)
     scheme = master_scheme(SchemeSpec(m, n, offs))
     signed_nu = math.copysign(nu, a)
-    theta, g2 = max_growth(scheme, signed_nu)
-    if grows(g2):
+    note = growth_note(scheme, signed_nu)
+    if note:
         raise ConfigurationError(
             f"scheme m={m} n={n} offsets={tuple(offs)} is unstable at nu={signed_nu:.6g} "
-            f"(max |g|^2 = {g2:.6g} at theta={theta:.4f}); reduce |nu|"
+            f"({note}); reduce |nu|"
         )
 
     lo, hi = box

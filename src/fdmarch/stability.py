@@ -3,11 +3,13 @@
 A periodic mode e^{i p x} passes through one explicit step with gain
 g(theta; nu) = sum_k c_k(nu) e^{i k theta}, theta = p dx.  A scheme is stable
 at Courant number nu when max_theta |g|^2 <= 1 (up to a small roundoff
-allowance).  This module owns that verdict: `grows` is the one rule every
-caller applies to a peak, here in the nu_c search and in the solver's run
-warning and convergence refusal.  The maximum is located on a dense theta
-grid and polished by Newton steps, and the stability boundary in nu is then
-bracketed by doubling and resolved by bisection.
+allowance).  This module owns that verdict: `grows` is the one rule applied
+to a peak, in the nu_c search and in `growth_note`, the one verdict at a
+run's nu.  The solver's run warning and convergence refusal, and the
+command line's default-step refusal, each wrap its text in their own
+message.  The maximum is located on a dense theta grid and polished by
+Newton steps, and the stability boundary in nu is then bracketed by
+doubling and resolved by bisection.
 
 The scan works on the cosine form |g|^2 = sum_d a_d cos(d theta), d = 0..span,
 where a_0 = r_0, a_d = 2 r_d and r_d = sum_k c_k c_{k+d} is the weights'
@@ -306,6 +308,15 @@ def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
     """
     theta, g2 = _GrowthScan(scheme).peaks([nu])
     return float(theta[0]), float(g2[0])
+
+
+def growth_note(scheme: Scheme, nu: float) -> Optional[str]:
+    """The mode test's verdict on the scheme at the Courant number nu: None
+    when it passes (`grows` on `max_growth`'s fully polished peak), otherwise
+    the text "max |g|^2 = {g2:.6g} at theta={theta:.4f}" of that peak, which
+    each caller wraps in its own message."""
+    theta, g2 = max_growth(scheme, nu)
+    return f"max |g|^2 = {g2:.6g} at theta={theta:.4f}" if grows(g2) else None
 
 
 def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import fdmarch.cli
 import fdmarch.schemes
 import fdmarch.solver
+import fdmarch.stability
 from fdmarch.exact import ConfigurationError, InvalidOffsetsError, OffsetSet
 from fdmarch.schemes import (
     MAX_DUMP_CHARS,
@@ -618,13 +619,13 @@ class TestRunPresets:
 
     def test_one_stability_scan_per_order(self, tmp_path, monkeypatch):
         scanned = []
-        real = fdmarch.solver.max_growth
+        real = fdmarch.stability.max_growth
 
         def counting(scheme, nu, *args, **kwargs):
             scanned.append(scheme.n)
             return real(scheme, nu, *args, **kwargs)
 
-        monkeypatch.setattr(fdmarch.solver, "max_growth", counting)
+        monkeypatch.setattr(fdmarch.stability, "max_growth", counting)
         assert run_cli(
             "run", "fig-advection", "--orders", "5", "--out", str(tmp_path / "o")
         ) == 0
@@ -732,6 +733,28 @@ class TestRunExplicit:
         assert run_cli("run", *argv, "--steps", "1", "--out", str(out_dir)) == 2
         err = capsys.readouterr().err
         assert err == f"error: the default step grows at nu={nu:g}; give a stable --dt\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_growth_note_is_the_one_verdict(self, tmp_path, capsys, monkeypatch):
+        """With `growth_note` alone patched to call every scheme unstable, a
+        stable `run_linear` warns, a stable `convergence_study` refuses, each
+        with the note's text, and a stable run without --dt exits 2 before
+        any file is written."""
+        note = "max |g|^2 = 7 at theta=0.5000"
+        for module in (fdmarch.solver, fdmarch.cli):
+            monkeypatch.setattr(module, "growth_note", lambda scheme, nu: note)
+        problem = LinearProblem((LinearTerm(1, -1.0),), dt=0.05, n=1)
+        field = GridField.sample(make_profile("triangle", (-5.0, 5.0)), (-5.0, 5.0), 100)
+        with pytest.warns(RuntimeWarning) as caught:
+            run_linear(problem, field, 1)
+        assert [str(w.message) for w in caught] == [f"term m=1 is unstable at nu=-0.5: {note}"]
+        with pytest.raises(ConfigurationError) as refused:
+            fdmarch.solver.convergence_study(1, 1, 0.5)
+        assert str(refused.value).endswith(f"is unstable at nu=-0.5 ({note}); reduce |nu|")
+        out_dir = tmp_path / "o"
+        assert run_cli("run", "--m", "2", "--n", "2", "--steps", "1", "--out", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the default step grows at nu=0.4; give a stable --dt\n"
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("m, n", [(1, 3), (2, 2)])

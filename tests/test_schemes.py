@@ -318,6 +318,17 @@ class TestGenerationFunction:
         with pytest.raises(UnsupportedSchemeError):
             generation_function(s)
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_rejects_a_binomial_off_by_one(self, i):
+        """A directly built n = 1 scheme, unaudited, whose nu layer has one
+        binomial off by one does not factor, and the identity check says so."""
+        closed = first_order_scheme(3, 1)
+        row0, (den, ints) = closed.layers.int_rows
+        bad = ints[:i] + (ints[i] + 1,) + ints[i + 1 :]
+        s = Scheme(closed.spec, LayerTable(closed.offsets, (row0, (den, bad))))
+        with pytest.raises(ArithmeticError, match="^generation-function identity failed$"):
+            generation_function(s)
+
 
 # -- direct advection weights --------------------------------------------------------
 
@@ -754,13 +765,26 @@ _weight_texts = st.one_of(
 )
 
 
+def read_weight(text):
+    """`_weight_pair` on a weight of a dump's c[0] line."""
+    return _weight_pair(text, "c[0]")
+
+
+EXPONENT_REFUSAL = (ValueError, "c[0] has a weight written with an exponent")
+
+
 class TestWeightPairs:
     @given(_weight_texts)
     @settings(max_examples=500)
     def test_reads_what_fraction_reads(self, text):
         """The same lowest-terms pair as `Fraction(text)`, or the same
-        refusal, on every text."""
-        assert fraction_outcome(_weight_pair, text) == fraction_outcome(F, text)
+        refusal, on every text without an exponent; a text with one is
+        refused unread, so it never reaches `Fraction`, which would expand
+        an exponent such as 0e1000000 digit by digit."""
+        if "e" in text.lower():
+            assert fraction_outcome(read_weight, text) == EXPONENT_REFUSAL
+        else:
+            assert fraction_outcome(read_weight, text) == fraction_outcome(F, text)
 
     @pytest.mark.parametrize(
         "text",
@@ -768,13 +792,19 @@ class TestWeightPairs:
          "1_000/3", "1.5", "-.5", "1/3.", "\u0663/4", "", "+", "1/", "9" * 4301, "9/" + "9" * 4301],
     )
     def test_reads_what_fraction_reads_on_the_edges(self, text):
-        assert fraction_outcome(_weight_pair, text) == fraction_outcome(F, text)
+        assert fraction_outcome(read_weight, text) == fraction_outcome(F, text)
+
+    @pytest.mark.parametrize("text", ["1e3", "1E3", "2.5e-1", "0e1000000", "1/3e2", "e", " 1e0"])
+    def test_refuses_an_exponent_unread(self, monkeypatch, text):
+        """A text with an exponent is refused before `Fraction` sees it."""
+        monkeypatch.setattr(fdmarch.schemes, "Fraction", None)
+        assert fraction_outcome(read_weight, text) == EXPONENT_REFUSAL
 
     def test_an_equal_pair_is_one(self):
         """X/X reduces to 1/1 however large X is, so it adds nothing to a
         row's denominator."""
         big = str(3**4000)
-        assert _weight_pair(f"-{big}/{big}") == (-1, 1)
+        assert read_weight(f"-{big}/{big}") == (-1, 1)
 
 
 def _tampered_dump(text, deltas):

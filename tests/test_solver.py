@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import fdmarch.cli
 import fdmarch.solver
+import fdmarch.stability
 from fdmarch.exact import OffsetSet
 from fdmarch.schemes import (
     LayerTable,
@@ -600,13 +601,13 @@ class TestRunLinear:
         """Each run scans each term's growth once, whatever ran before it on
         the same grid spacing, and every unstable run warns."""
         scans = []
-        real = fdmarch.solver.max_growth
+        real = fdmarch.stability.max_growth
 
         def counting(scheme, nu, *args, **kwargs):
             scans.append(nu)
             return real(scheme, nu, *args, **kwargs)
 
-        monkeypatch.setattr(fdmarch.solver, "max_growth", counting)
+        monkeypatch.setattr(fdmarch.stability, "max_growth", counting)
         problem = LinearProblem((LinearTerm(2, 1.0), LinearTerm(1, -1.0)), dt=0.008, n=1)
         for profile in (gaussian, triangle, rectangle):
             with pytest.warns(RuntimeWarning, match="unstable"):
@@ -1165,7 +1166,7 @@ class TestConvergence:
         """Every grid's run takes the study's own scheme and stability verdict:
         one growth scan and one build for the whole ladder."""
         scans, builds = [], []
-        real_scan, real_build = fdmarch.solver.max_growth, fdmarch.solver.master_scheme
+        real_scan, real_build = fdmarch.stability.max_growth, fdmarch.solver.master_scheme
 
         def scan(*args, **kwargs):
             scans.append(args[1])
@@ -1175,7 +1176,7 @@ class TestConvergence:
             builds.append(spec)
             return real_build(spec)
 
-        monkeypatch.setattr(fdmarch.solver, "max_growth", scan)
+        monkeypatch.setattr(fdmarch.stability, "max_growth", scan)
         monkeypatch.setattr(fdmarch.solver, "master_scheme", build)
         res = convergence_study(1, 29, 0.8)
         assert len(res.errors) == 4

@@ -42,6 +42,46 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["Iterator"]
 
 
+# The parts of the growth verdict at a run's nu: only stability.py, which
+# owns that verdict, names them in code; the other modules take it whole from
+# `growth_note`.  __init__.py's re-export of `max_growth` is not in MODULES.
+VERDICT_PARTS = {"grows", "max_growth"}
+
+
+def code_names(source: str) -> set[str]:
+    """The names a module's code imports, reads, writes or defines, as a
+    name or as an attribute; the words of its docstrings and comments are
+    not among them."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(filter(None, (node.name.split(".")[-1], node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "stability.py"], ids=lambda p: p.name
+)
+def test_only_stability_names_the_verdict_parts(path):
+    assert sorted(code_names(path.read_text()) & VERDICT_PARTS) == []
+
+
+def test_finds_a_named_verdict_part():
+    source = (
+        '"""A module that grows."""\n'
+        "from .stability import grows as verdict, growth_note\n"
+        "import fdmarch.stability as st\n"
+        "peak = st.max_growth(None, 1.0)  # what grows\n"
+    )
+    assert sorted(code_names(source) & VERDICT_PARTS) == ["grows", "max_growth"]
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
