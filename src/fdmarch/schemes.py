@@ -66,8 +66,8 @@ def check_orders(m: int, n: int) -> None:
 
 # A scheme is refused above this many stencil points, N = n*m + 1, before
 # anything is built: the exact build and its order audit grow about as N^3
-# (N = 140: `coeffs --m 1 --n 139` takes 0.9-1.2 s on 2 shared CPUs, its
-# audit 0.4 s of it).  The largest scheme the tests and acceptance criteria
+# (N = 140: `coeffs --m 1 --n 139` takes 0.6-0.7 s on 2 shared CPUs, its
+# audit 0.15 s of it).  The largest scheme the tests and acceptance criteria
 # build, fig-advection's order 29 (N = 30), stays 140^3 / 30^3 = 102x below
 # it.
 MAX_SCHEME_POINTS = 140
@@ -88,13 +88,15 @@ def check_scheme_points(m: int, n: int) -> None:
 # An exact table on N points is refused when N^3 * size^2 exceeds this, where
 # size = (bits of its largest integer) + N * (bits of its largest |offset|)
 # bounds the build's integers, and the order audit's slots are about size
-# bits wide (N^2 products of a packed integer of n+1 slots by an offset).
+# bits wide (each of its N moments multiplies a packed integer of n+1 slots
+# by k^2 for each pair of offsets +-k and by k for each other offset: N^2
+# products in all on a one-sided stencil, about N^2/2 on a centred one).
 # On 2 shared CPUs, `fdmarch coeffs` (build, audit, print) on the widest
 # far-from-zero and random wide stencils admitted at N = 30, 60, 100 and
-# 140 took 0.3-1.9 s, their audits 0.04-0.93 s; the audit alone took
-# 0.17-2.9 s in the triple loop of products k^p * W it replaced.  The
-# costliest contiguous window up to 140 points (m = 139, offsets 0..139)
-# uses 3.4e13.
+# 140 took 0.3-1.4 s, their audits 0.04-0.67 s; the audit alone took
+# 0.17-2.9 s in the triple loop of products k^p * W that the packed audit
+# replaced.  The costliest contiguous window up to 140 points (m = 139,
+# offsets 0..139) uses 3.4e13.
 MAX_TABLE_WORK = 4 * 10**13
 
 
@@ -296,29 +298,57 @@ def _check_order_conditions(spec: SchemeSpec, table: LayerTable) -> None:
     are checked at once, with one packed integer per stencil point,
     X_i = sum_j W_ji * 2^(B*j): then sum_i k_i^p * X_i = sum_j M_pj * 2^(B*j),
     and one `==` with sum_j E_pj * 2^(B*j) checks the moment's every layer.
-    The slot width B is one bit more than |M_pj - E_pj| can need, bounded by
-    N * max|k|^(N-1) * max|W| + max_j D_j * (j*m)!/j! from the table's own
-    integers, so each difference fits its slot with its sign: the packed sums
-    are equal exactly when every layer's are, and when they differ, the
-    lowest failing layer is the difference's trailing zero bits // B.  Low
-    moments go first, so a corrupted weight fails fast, and a failure names
-    the lowest moment p and, within it, the lowest layer.
+    The slot width B is at least one bit more than |M_pj - E_pj| can need,
+    bounded by N * max|k|^(N-1) * max|W| + max_j D_j * (j*m)!/j! from the
+    table's own integers, rounded up to whole bytes, so each difference fits
+    its slot with its sign: the packed sums are equal exactly when every
+    layer's are, and when they differ, the lowest failing layer is the
+    difference's trailing zero bits // B.  Each X_i is built in one pass:
+    its weights, biased by 2^(B-1) into [0, 2^B), are joined as B/8-byte
+    slots and read as one integer, less the packed bias shared by every
+    point.
+
+    Each offset k > 0 whose -k is on the stencil is paired with it, since
+    k^p * X_k + (-k)^p * X_-k = k^p * (X_k +- X_-k): the even moments sum
+    k^p * (X_k + X_-k) and the odd ones k^p * (X_k - X_-k), each pair list
+    advanced by k^2 on the moments of its parity, plus k^p * X_k over the
+    unpaired offsets, 0 among them (X_0 counts at p = 0 alone).  The packed
+    sum at each p is the same integer, from about half as many products.
+    Low moments go first, so a corrupted weight fails fast, and a failure
+    names the lowest moment p and, within it, the lowest layer.
     """
     m, ks = spec.m, spec.offsets
     targets = [den * _evolution_moment(j * m, m) for j, (den, _) in enumerate(table.int_rows)]
-    widest = max(abs(w) for _, ints in table.int_rows for w in ints)
+    widest = max(max(max(ints), -min(ints)) for _, ints in table.int_rows)
     reach = max(map(abs, ks)) ** (len(ks) - 1)
-    width = (len(ks) * reach * widest + max(targets)).bit_length() + 1
-    # X_i by Horner in 2^B, point by point, so one partial integer at a
-    # time is held beside the finished ones
-    columns = zip(*(ints for _, ints in table.int_rows))
-    packed = [functools.reduce(lambda x, w: (x << width) + w, col[::-1], 0) for col in columns]
+    bits = (len(ks) * reach * widest + max(targets)).bit_length() + 1
+    size = -(-bits // 8)  # bytes a slot
+    width = 8 * size
+    half = 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * len(table), "little")
+    packed = {
+        k: int.from_bytes(b"".join([(w + half).to_bytes(size, "little") for w in col]), "little")
+        - bias
+        for k, col in zip(ks, zip(*(ints for _, ints in table.int_rows)))
+    }
+    paired = [k for k in ks if k > 0 and -k in packed]
+    lone = [k for k in ks if abs(k) not in paired]
+    squares = [k * k for k in paired]
+    # by parity, k^p * (X_k + (-1)^p * X_-k) at the latest p of that parity
+    sides = [
+        [packed[k] + packed[-k] for k in paired],
+        [k * (packed[k] - packed[-k]) for k in paired],
+    ]
+    singles = [packed[k] for k in lone]  # k^p * X_k
     for p in range(len(ks)):  # p = 0 .. n*m
+        parity = p % 2
+        if p > 1:
+            sides[parity] = list(map(operator.mul, sides[parity], squares))
         if p:
-            packed = list(map(operator.mul, packed, ks))
+            singles = list(map(operator.mul, singles, lone))
         j, rest = divmod(p, m)
         expected = targets[j] << (width * j) if not rest and j < len(targets) else 0
-        miss = sum(packed) - expected
+        miss = sum(sides[parity], sum(singles)) - expected
         if miss:
             layer = ((miss & -miss).bit_length() - 1) // width
             raise ArithmeticError(
