@@ -38,6 +38,7 @@ from .schemes import (
 from .stability import (
     Classification,
     StabilityReport,
+    advection_critical,
     advection_family_scheme,
     advection_family_spec,
     advection_family_stability,

@@ -44,12 +44,13 @@ from .schemes import (
 from .stability import (
     FAMILIES,
     FIRST_MEMBER,
+    NU_TOL,
     advection_family_spec,
     advection_family_stability,
     check_tol,
     classify_first_order,
     critical_courant,
-    growth_note,
+    exact_critical,
     stability_report,
 )
 from .solver import (
@@ -274,6 +275,13 @@ def _cmd_stability(args) -> int:
             f"sign={rep.nu_sign:+d}  {verdict} |nu| = {rep.nu_critical:.6g}"
             f"  (worst theta = {rep.worst_theta:.4f})"
         )
+        nu_c = exact_critical(scheme, rep.nu_sign)
+        if nu_c is not None:  # an m = 1 window: the closed form checks the search
+            line = f"# exact nu_c = {nu_c} by the m = 1 wedge rule"
+            miss = abs(rep.nu_critical - nu_c)
+            if miss > 2.0 * max(args.tol, NU_TOL):
+                line += f"; the float search above is off by {miss:.6g}"
+            print(line)
     return 0
 
 
@@ -554,7 +562,7 @@ def _explicit_run(args, out_dir: str) -> int:
         )
     if args.dt is None:  # a step the user did not choose may not blow up
         check_fit(n_cells, offs)  # the march's rule, before the scheme is built
-        if growth_note(problem.schemes()[0], nu):
+        if problem.growth_notes(field.dx)[0]:
             raise ConfigurationError(f"the default step grows at nu={nu:.6g}; give a stable --dt")
     meta = dict(
         kind="linear", m=args.m, order=args.n, offsets=_fmt_offsets(offs), profile=prof_name,

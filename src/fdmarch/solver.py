@@ -54,7 +54,8 @@ a new array.
 
 Whether a scheme grows at a run's Courant number is `stability.growth_note`'s
 one verdict: `run_linear` warns with its text, and `convergence_study`
-refuses with it.
+refuses with it.  A `LinearProblem` forms it once per term and grid spacing
+and keeps it, so every run of one problem on one grid reads one verdict.
 """
 
 from __future__ import annotations
@@ -259,6 +260,20 @@ class LinearProblem:
     def courant_numbers(self, dx: float) -> tuple[float, ...]:
         return tuple(self.dt * t.a / dx**t.m for t in self.terms)
 
+    def growth_notes(self, dx: float) -> tuple[Optional[str], ...]:
+        """Each term's `growth_note` at its Courant number on grid spacing dx,
+        formed on the first call for that dx and kept, as the schemes are."""
+        notes = self._growth_notes.get(dx)
+        if notes is None:
+            nus = self.courant_numbers(dx)
+            notes = tuple(growth_note(s, nu) for s, nu in zip(self.schemes(), nus))
+            self._growth_notes[dx] = notes
+        return notes
+
+    @cached_property
+    def _growth_notes(self) -> dict[float, tuple[Optional[str], ...]]:
+        return {}
+
 
 def check_fit(n_cells: int, offsets: OffsetSet) -> None:
     """Refuse a stencil that reaches around the periodic grid of n_cells."""
@@ -420,7 +435,8 @@ def run_linear(
     the result have its shape.  The march runs in one workspace (`_march`);
     the result, and each callback field, is a copy of it that no later step
     writes.  Emits a RuntimeWarning (but still runs) when a term is outside
-    its stable Courant range, by `growth_note` — periodic single-mode growth
+    its stable Courant range, by the problem's kept `growth_notes` for the
+    field's dx, on every call — periodic single-mode growth
     is diagnosable but sometimes deliberately provoked.  A stencil wider than the grid is
     refused before any scheme is built.
     """
@@ -430,8 +446,7 @@ def run_linear(
         check_fit(field.n_cells, problem.term_offsets(term))
     schemes = problem.schemes()
     nus = problem.courant_numbers(field.dx)
-    for scheme, nu in zip(schemes, nus):
-        note = growth_note(scheme, nu)
+    for scheme, nu, note in zip(schemes, nus, problem.growth_notes(field.dx)):
         if note:
             warnings.warn(
                 f"term m={scheme.m} is unstable at nu={nu:.6g}: {note}",

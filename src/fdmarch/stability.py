@@ -41,6 +41,13 @@ fully polished: those scans have no finite limit, so they skip the check.
 
 The autocorrelation costs span^2 per probe, so a stencil wider than
 `MAX_SCAN_SPAN` is refused before any array of it is sized.
+
+One class needs no scan: an m = 1 scheme is Lagrange interpolation at nu, on
+a contiguous window of L upwind and R downwind points stable for 0 < |nu| < 1
+exactly when R <= L <= R + 2 (Iserles & Strang 1983; Jeltsch & Smit 1987),
+and nu +- 1 is the window shifted by one point.  `advection_critical` is the
+exact nu_c this gives; `growth_note` reads it only to answer "stable" at
+|nu| <= nu_c.  Every other verdict, and every nu_c search, is the scan's.
 """
 
 from __future__ import annotations
@@ -310,11 +317,46 @@ def max_growth(scheme: Scheme, nu: float) -> tuple[float, float]:
     return float(theta[0]), float(g2[0])
 
 
+def advection_critical(offsets: Sequence[int], sign: int) -> int:
+    """The exact nu_c at Courant numbers of `sign` of the m = 1 scheme on a
+    contiguous window holding 0: how many unit shifts (L - t, R + t),
+    t = 0, 1, ..., in a row stay in the wedge R <= L <= R + 2, with L the
+    upwind points (the negative offsets when sign < 0) and R the downwind
+    ones.  uw and lw give 1, bw 2; other stencils raise ConfigurationError."""
+    offs = OffsetSet(offsets)
+    if not _is_window(offs):
+        raise ConfigurationError(
+            f"the m = 1 rule takes a contiguous window holding 0, got {tuple(offs)}"
+        )
+    up, down = (-offs[0], offs[-1]) if sign < 0 else (offs[-1], -offs[0])
+    shifts = 0
+    while down + shifts <= up - shifts <= down + shifts + 2:
+        shifts += 1
+    return shifts
+
+
+def exact_critical(scheme: Scheme, sign: int) -> Optional[int]:
+    """`advection_critical` of an m = 1 scheme on a window holding 0 with all
+    n + 1 layers; None for other m, stencils and `truncated` tables."""
+    if scheme.m != 1 or len(scheme.layers) != scheme.n + 1 or not _is_window(scheme.offsets):
+        return None
+    return advection_critical(scheme.offsets, sign)
+
+
+def _is_window(offsets: OffsetSet) -> bool:
+    return offsets.is_contiguous() and offsets[0] <= 0 <= offsets[-1]
+
+
 def growth_note(scheme: Scheme, nu: float) -> Optional[str]:
     """The mode test's verdict on the scheme at the Courant number nu: None
-    when it passes (`grows` on `max_growth`'s fully polished peak), otherwise
-    the text "max |g|^2 = {g2:.6g} at theta={theta:.4f}" of that peak, which
-    each caller wraps in its own message."""
+    when it passes, otherwise the text "max |g|^2 = {g2:.6g} at
+    theta={theta:.4f}" of the peak, which each caller wraps in its own
+    message.  None with no scan where `exact_critical` proves it, |nu| <= nu_c
+    compared exactly; everywhere else `grows` on `max_growth`'s fully
+    polished peak decides."""
+    nu_c = exact_critical(scheme, -1 if nu < 0 else 1)
+    if nu_c is not None and abs(nu) <= nu_c:
+        return None
     theta, g2 = max_growth(scheme, nu)
     return f"max |g|^2 = {g2:.6g} at theta={theta:.4f}" if grows(g2) else None
 

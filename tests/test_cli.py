@@ -226,6 +226,34 @@ class TestStability:
         assert nu_c == pytest.approx(0.5, abs=1e-3)
         assert "unstable" in out
 
+    def test_exact_line_on_m1_windows(self, capsys):
+        """On a contiguous m = 1 window each sign's line is followed by the
+        closed-form nu_c; CSV and other stencils get no such line."""
+        assert run_cli("stability", "--m", "1", "--n", "2", "--offsets=-2,-1,0") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "sign=+1  unstable (critical below threshold): |nu| = 0  (worst theta = 3.1416)",
+            "# exact nu_c = 0 by the m = 1 wedge rule",
+            "sign=-1  stable up to |nu| = 2  (worst theta = 3.1416)",
+            "# exact nu_c = 2 by the m = 1 wedge rule",
+        ]
+        for argv in (
+            ("--m", "1", "--n", "3", "--format", "csv"),
+            ("--m", "1", "--n", "3", "--offsets=-3,-1,0,2"),
+            ("--m", "2", "--n", "1"),
+        ):
+            assert run_cli("stability", *argv) == 0
+            assert "exact" not in capsys.readouterr().out
+
+    def test_exact_line_names_a_misread_search(self, capsys):
+        """The L = R + 3 window of n = 29 grows at every nu > 0, where the
+        float search reads a stable range up to 0.1335."""
+        offsets = ",".join(str(k) for k in range(-13, 17))
+        assert run_cli("stability", "--m", "1", "--n", "29", f"--offsets={offsets}", "--sign", "+") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "sign=+1  stable up to |nu| = 0.1335  (worst theta = 1.1503)",
+            "# exact nu_c = 0 by the m = 1 wedge rule; the float search above is off by 0.1335",
+        ]
+
     def test_classify_third_derivative(self, capsys):
         assert run_cli("classify", "--m", "3") == 0
         out = capsys.readouterr().out
@@ -618,19 +646,27 @@ class TestRunPresets:
         assert len(list((tmp_path / "o").iterdir())) == 4
 
     def test_one_stability_scan_per_order(self, tmp_path, monkeypatch):
+        """fig-advection's uw windows run inside their exact m = 1 range, so
+        the preset scans nothing; an explicit m = 2 run scans its one term
+        once, for the default-step refusal and all eight snapshots alike."""
         scanned = []
         real = fdmarch.stability.max_growth
 
         def counting(scheme, nu, *args, **kwargs):
-            scanned.append(scheme.n)
+            scanned.append((scheme.m, scheme.n))
             return real(scheme, nu, *args, **kwargs)
 
         monkeypatch.setattr(fdmarch.stability, "max_growth", counting)
         assert run_cli(
             "run", "fig-advection", "--orders", "5", "--out", str(tmp_path / "o")
         ) == 0
-        assert scanned == [5]
+        assert scanned == []
         assert len(list((tmp_path / "o").iterdir())) == 2
+        times = ",".join(f"0.{k}" for k in range(1, 9))
+        argv = ("run", "--m", "2", "--n", "4", "--steps", "400", "--times", times)
+        assert run_cli(*argv, "--out", str(tmp_path / "m2")) == 0
+        assert scanned == [(2, 4)]
+        assert len(list((tmp_path / "m2").iterdir())) == 8
 
     @pytest.mark.parametrize("preset", ["fig-advection", "fig-burgers"])
     @pytest.mark.parametrize("order", ["-1", "-3"])
@@ -741,8 +777,7 @@ class TestRunExplicit:
         with the note's text, and a stable run without --dt exits 2 before
         any file is written."""
         note = "max |g|^2 = 7 at theta=0.5000"
-        for module in (fdmarch.solver, fdmarch.cli):
-            monkeypatch.setattr(module, "growth_note", lambda scheme, nu: note)
+        monkeypatch.setattr(fdmarch.solver, "growth_note", lambda scheme, nu: note)
         problem = LinearProblem((LinearTerm(1, -1.0),), dt=0.05, n=1)
         field = GridField.sample(make_profile("triangle", (-5.0, 5.0)), (-5.0, 5.0), 100)
         with pytest.warns(RuntimeWarning) as caught:
@@ -756,6 +791,24 @@ class TestRunExplicit:
         err = capsys.readouterr().err
         assert err == "error: the default step grows at nu=0.4; give a stable --dt\n"
         assert list(out_dir.iterdir()) == []
+
+    def test_one_scan_warns_every_snapshot(self, tmp_path, capsys, monkeypatch):
+        """An unstable run with four output times scans its term once, and
+        the one verdict's warning heads every snapshot."""
+        scanned = []
+        real = fdmarch.stability.max_growth
+        monkeypatch.setattr(
+            fdmarch.stability, "max_growth", lambda s, nu: scanned.append(nu) or real(s, nu)
+        )
+        out_dir = tmp_path / "o"
+        argv = ("run", "--m", "2", "--n", "4", "--dt", "0.011", "--steps", "8")
+        assert run_cli(*argv, "--times", "0.022,0.044,0.066,0.088", "--out", str(out_dir)) == 0
+        assert len(scanned) == 1
+        snapshots = sorted(out_dir.iterdir())
+        assert len(snapshots) == 4
+        for path in snapshots:
+            assert "# warning=term m=2 is unstable at nu=1.1: max |g|^2" in path.read_text()
+        assert capsys.readouterr().err.count("warning: term m=2 is unstable") == 1
 
     @pytest.mark.parametrize("m, n", [(1, 3), (2, 2)])
     def test_default_step_is_the_stable_given_one(self, m, n, tmp_path):

@@ -598,24 +598,27 @@ class TestRunLinear:
         assert not np.isfinite(out.values).all()
 
     def test_one_scan_per_term_per_call(self, monkeypatch):
-        """Each run scans each term's growth once, whatever ran before it on
-        the same grid spacing, and every unstable run warns."""
+        """A problem scans each term's growth once per grid spacing and keeps
+        the verdict for every later run on it; the m = 1 term runs inside its
+        exact stable range and is not scanned at all.  Every unstable run
+        warns."""
         scans = []
         real = fdmarch.stability.max_growth
 
         def counting(scheme, nu, *args, **kwargs):
-            scans.append(nu)
+            scans.append((scheme.m, nu))
             return real(scheme, nu, *args, **kwargs)
 
         monkeypatch.setattr(fdmarch.stability, "max_growth", counting)
         problem = LinearProblem((LinearTerm(2, 1.0), LinearTerm(1, -1.0)), dt=0.008, n=1)
         for profile in (gaussian, triangle, rectangle):
-            with pytest.warns(RuntimeWarning, match="unstable"):
+            with pytest.warns(RuntimeWarning, match="term m=2 is unstable"):
                 run_linear(problem, GridField.sample(profile, (-5.0, 5.0), 100), 2)
-        assert len(scans) == 6
-        with pytest.warns(RuntimeWarning, match="unstable"):
+        assert [m for m, _ in scans] == [2]
+        with pytest.warns(RuntimeWarning, match="term m=2 is unstable"):
             run_linear(problem, GridField.sample(gaussian, (-5.0, 5.0), 125), 2)
-        assert len(scans) == 8
+        assert [m for m, _ in scans] == [2, 2]
+        assert scans[1][1] == problem.courant_numbers(0.08)[0]
 
     def test_callback_sees_every_step(self):
         f = GridField.sample(triangle, (-5.0, 5.0), 50)
@@ -1164,7 +1167,8 @@ class TestShockFront:
 class TestConvergence:
     def test_one_scan_and_build_per_study(self, monkeypatch):
         """Every grid's run takes the study's own scheme and stability verdict:
-        one growth scan and one build for the whole ladder."""
+        one build for the whole ladder, and one growth scan, or none where
+        the m = 1 closed form decides."""
         scans, builds = [], []
         real_scan, real_build = fdmarch.stability.max_growth, fdmarch.solver.master_scheme
 
@@ -1180,7 +1184,11 @@ class TestConvergence:
         monkeypatch.setattr(fdmarch.solver, "master_scheme", build)
         res = convergence_study(1, 29, 0.8)
         assert len(res.errors) == 4
-        assert len(scans) == 1 and len(builds) == 1
+        # |nu| = 0.8 lies in the uw window's exact stable range: no scan
+        assert len(scans) == 0 and len(builds) == 1
+        res = convergence_study(2, 2, 0.5, grids=(16, 32, 64))
+        assert len(res.errors) == 3
+        assert len(scans) == 1 and len(builds) == 2
 
     def test_first_order_transport(self):
         res = convergence_study(1, 1, 0.8)

@@ -27,13 +27,16 @@ from fdmarch.stability import (
     THETA_SAMPLES,
     _bisect,
     _sweep_critical,
+    advection_critical,
     advection_family_scheme,
     advection_family_spec,
     advection_family_stability,
     amplification,
     classify_first_order,
     critical_courant,
+    exact_critical,
     first_order_stable_r,
+    growth_note,
     grows,
     max_growth,
     stability_report,
@@ -939,3 +942,193 @@ class TestAdvectionFamilies:
         assert advection_family_stability(0, "uw") == pytest.approx(1.0, abs=1e-3)
         assert advection_family_stability(1, "lw") == pytest.approx(1.0, abs=1e-3)
         assert advection_family_stability(0, "bw") == pytest.approx(2.0, abs=1e-3)
+
+
+# -- the m = 1 class in closed form ---------------------------------------------------
+
+def window(n, r):
+    """The order-n m = 1 scheme on the contiguous window -r..n-r."""
+    return master_scheme(SchemeSpec(1, n, OffsetSet.contiguous(r, n)))
+
+
+def upwind_excess(n, r, sign):
+    """L - R: upwind points less downwind ones on -r..n-r at Courant numbers
+    of `sign` (upwind is the negative side when sign < 0)."""
+    return (r - (n - r)) * (1 if sign < 0 else -1)
+
+
+# The L = R + 3 windows on which the float nu_c search reads a stable range
+# that the closed form says is not there, as (n, r, sign)
+MISREAD_WINDOWS = frozenset(
+    (n, r, sign)
+    for n in (19, 21, 23, 25, 27, 29, 39)
+    for r in range(n + 1)
+    for sign in (+1, -1)
+    if upwind_excess(n, r, sign) == 3
+)
+
+
+class TestAdvectionCritical:
+    """`advection_critical`: the exact nu_c of every contiguous m = 1 window,
+    the wedge R <= L <= R + 2 counted along unit shifts."""
+
+    @pytest.mark.parametrize("s", range(6))
+    def test_ladders(self, s):
+        """uw and lw give 1 and bw gives 2 at nu < 0, the ladders' sign; at
+        nu > 0 the same windows have the wedge the wrong way round."""
+        for kind, nu_c in (("uw", 1), ("lw", 1), ("bw", 2)):
+            if s < FIRST_MEMBER[kind]:
+                continue
+            offsets = advection_family_scheme(kind, s).offsets
+            assert advection_critical(offsets, -1) == nu_c
+            assert advection_critical([-k for k in offsets], +1) == nu_c
+            assert advection_critical(offsets, +1) == (1 if kind == "lw" else 0)
+
+    def test_matches_the_float_search_on_small_windows(self):
+        """Every contiguous window with N <= 12 points, both signs: the float
+        search lands within 2 NU_TOL of the rule (L = R + 3 at n = 3 .. 11 is
+        among them, where the search reads 0)."""
+        for n in range(1, 12):
+            for r in range(n + 1):
+                scheme = window(n, r)
+                for sign in (+1, -1):
+                    nu_c = advection_critical(scheme.offsets, sign)
+                    assert abs(critical_courant(scheme, sign) - nu_c) <= 2 * NU_TOL, (n, r, sign)
+
+    def test_float_search_misreads_exactly_the_L_R_plus_3_windows(self):
+        """Over the odd orders 17 .. 29 and 39, the windows with |L - R| <= 3
+        (n = 39's uw windows left out: each is a 0.7 s sweep), the float
+        search and the rule part by over 2 NU_TOL on exactly the 14 L = R + 3
+        windows of n >= 19, where the search reads a small stable range."""
+        misread = set()
+        for n in (17, 19, 21, 23, 25, 27, 29, 39):
+            for r in range(n + 1):
+                excess = upwind_excess(n, r, +1)
+                if abs(excess) > 3 or (n == 39 and abs(excess) == 1):
+                    continue
+                scheme = window(n, r)
+                for sign in (+1, -1):
+                    nu_c = critical_courant(scheme, sign)
+                    if abs(nu_c - advection_critical(scheme.offsets, sign)) > 2 * NU_TOL:
+                        assert advection_critical(scheme.offsets, sign) == 0 < nu_c < 0.35
+                        misread.add((n, r, sign))
+        assert misread == MISREAD_WINDOWS
+        assert len(misread) == 14
+
+    @pytest.mark.parametrize("n, read", [(19, "0.0008"), (21, "0.00365"), (23, "0.0144"),
+                                         (25, "0.04175"), (27, "0.0845"), (29, "0.1335"), (39, "0.3403")])
+    def test_misread_windows_grow_exactly(self, n, read):
+        """Halfway into the range the float search reads stable on an
+        L = R + 3 window, the scan's peak passes `grows`, yet |g|^2 - 1 in
+        exact arithmetic at that peak's cos(theta) is over 0: the window
+        grows there, as the rule says."""
+        for r, sign in (((n - 3) // 2, +1), ((n + 3) // 2, -1)):
+            assert (n, r, sign) in MISREAD_WINDOWS
+            scheme = window(n, r)
+            nu = sign * Fraction(read) / 2
+            theta, g2 = max_growth(scheme, float(nu))
+            assert not grows(g2)
+            c = list(scheme.weights_at(nu).values())
+            a = [(2 - (d == 0)) * sum(c[i] * c[i + d] for i in range(n + 1 - d)) for d in range(n + 1)]
+            excess = sum(ad * t for ad, t in zip(a, chebyshev(n, Fraction(math.cos(theta))))) - 1
+            assert excess > 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unit_shift(self, n):
+        """The weights at nu + 1 on a window are, in order, those at nu on the
+        window one point to the left, exactly; at nu = 1 the scheme is the
+        exact shift onto offset 1."""
+        nus = [Fraction(-5, 7), Fraction(-1, 3), Fraction(0), Fraction(2, 9), Fraction(1, 2)]
+        for r in range(n + 1):
+            scheme = window(n, r)
+            left = master_scheme(SchemeSpec(1, n, OffsetSet(k - 1 for k in scheme.offsets)))
+            for nu in nus:
+                assert list(scheme.weights_at(nu + 1).values()) == list(left.weights_at(nu).values())
+            if n - r >= 1:
+                assert scheme.weights_at(1) == {k: int(k == 1) for k in scheme.offsets}
+
+    @pytest.mark.parametrize(
+        "offsets", [(-3, -1, 0, 2), (1, 2), (-2, -1)], ids=["gapped", "right", "left"]
+    )
+    def test_refuses_other_stencils(self, offsets):
+        with pytest.raises(ConfigurationError, match="contiguous window holding 0"):
+            advection_critical(offsets, +1)
+
+    def test_exact_critical_covers_only_full_m1_windows(self):
+        uw = window(3, 2)
+        assert exact_critical(uw, -1) == 1 and exact_critical(uw, +1) == 0
+        assert exact_critical(uw.truncated(3), -1) == 1  # all n + 1 layers kept
+        assert exact_critical(uw.truncated(2), -1) is None
+        gapped = master_scheme(SchemeSpec(1, 3, OffsetSet((-3, -1, 0, 2))))
+        assert exact_critical(gapped, -1) is None
+        assert exact_critical(master_scheme(SchemeSpec(1, 1, OffsetSet((1, 2)))), -1) is None
+        assert exact_critical(master_scheme(SchemeSpec(2, 1, OffsetSet((-1, 0, 1)))), +1) is None
+
+
+def _stable_probes():
+    """(scheme, nu) for five nu in [0, nu_c] per sign, ends included, on every
+    contiguous m = 1 window with n <= 29 or n = 39 whose nu_c is over 0."""
+    for n in [*range(1, 30), 39]:
+        for r in range(n + 1):
+            signs = [s for s in (+1, -1) if 0 <= upwind_excess(n, r, s) <= 2]
+            if signs:
+                scheme = window(n, r)
+                for sign in signs:
+                    nu_c = advection_critical(scheme.offsets, sign)
+                    assert nu_c > 0
+                    yield from ((scheme, sign * nu_c * k / 4) for k in range(5))
+
+
+class TestGrowthNoteClosedForm:
+    """`growth_note` answers "stable" with no scan where the closed form proves
+    it, and scans everywhere else."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        scanned = []
+        real = fdmarch.stability.max_growth
+
+        def counting(scheme, nu):
+            scanned.append(nu)
+            return real(scheme, nu)
+
+        monkeypatch.setattr(fdmarch.stability, "max_growth", counting)
+        return scanned
+
+    def test_scan_reads_stable_wherever_the_shortcut_answers(self):
+        """The guard: on every probe inside [0, nu_c] the fully polished scan
+        reads stable, so `growth_note` gives today's None there, and the
+        shortcut never silences a warning the scan gives."""
+        probes = list(_stable_probes())
+        assert len(probes) == 5 * 88
+        for scheme, nu in probes:
+            assert not grows(max_growth(scheme, nu)[1]), (scheme.n, tuple(scheme.offsets), nu)
+            assert growth_note(scheme, nu) is None
+
+    def test_no_scan_inside_the_exact_range(self, scans):
+        uw, bw = window(29, 15), window(2, 2)
+        for scheme, nu in ((uw, -0.8), (uw, -1.0), (uw, 0.0), (bw, -2.0), (bw, -1.5)):
+            assert growth_note(scheme, nu) is None
+        assert growth_note(window(29, 13), -0.0) is None  # nu_c = 0, nu = 0
+        assert scans == []
+
+    @pytest.mark.parametrize(
+        "scheme, nu",
+        [
+            pytest.param(window(3, 2).truncated(2), -0.5, id="truncated"),
+            pytest.param(master_scheme(SchemeSpec(1, 3, OffsetSet((-3, -1, 0, 2)))), -0.5, id="gapped"),
+            pytest.param(master_scheme(SchemeSpec(1, 1, OffsetSet((-2, -1)))), -0.5, id="no-zero"),
+            pytest.param(master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4))), 0.3, id="m2"),
+            pytest.param(window(3, 2), math.nextafter(-1.0, -2.0), id="past-nu_c"),
+            pytest.param(window(3, 2), 0.5, id="wrong-sign"),
+            pytest.param(window(29, 13), 0.1, id="misread"),
+            pytest.param(window(3, 2), math.nan, id="nan"),
+        ],
+    )
+    def test_scans_everywhere_else(self, scans, scheme, nu):
+        """The verdict and its text are the scan's, bit for bit."""
+        theta, g2 = max_growth(scheme, nu)
+        want = f"max |g|^2 = {g2:.6g} at theta={theta:.4f}" if grows(g2) else None
+        del scans[:]
+        assert growth_note(scheme, nu) == want
+        assert len(scans) == 1
