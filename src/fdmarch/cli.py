@@ -44,7 +44,9 @@ from .schemes import (
 from .stability import (
     FAMILIES,
     FIRST_MEMBER,
+    NU_MAX,
     NU_TOL,
+    advection_critical,
     advection_family_spec,
     advection_family_stability,
     check_tol,
@@ -270,11 +272,17 @@ def _cmd_stability(args) -> int:
     spec = scheme.spec
     print(f"# scheme m={spec.m} n={spec.n} offsets={_fmt_offsets(spec.offsets)}")
     for rep in reports:
-        verdict = "stable up to" if rep.is_stable else "unstable (critical below threshold):"
-        print(
-            f"sign={rep.nu_sign:+d}  {verdict} |nu| = {rep.nu_critical:.6g}"
-            f"  (worst theta = {rep.worst_theta:.4f})"
-        )
+        if rep.nu_critical == NU_MAX:  # the search's ceiling, not a nu_c
+            print(
+                f"sign={rep.nu_sign:+d}  no instability found below the search ceiling"
+                f" |nu| = {NU_MAX:g}"
+            )
+        else:
+            verdict = "stable up to" if rep.is_stable else "unstable (critical below threshold):"
+            print(
+                f"sign={rep.nu_sign:+d}  {verdict} |nu| = {rep.nu_critical:.6g}"
+                f"  (worst theta = {rep.worst_theta:.4f})"
+            )
         nu_c = exact_critical(scheme, rep.nu_sign)
         if nu_c is not None:  # an m = 1 window: the closed form checks the search
             line = f"# exact nu_c = {nu_c} by the m = 1 wedge rule"
@@ -312,7 +320,7 @@ def _cmd_survey(args) -> int:
     """Critical Courant numbers across the scheme zoo: the centred diffusion
     ladder in full and truncated to its linear-in-nu layer, the first-order
     windows of m = 1..6 as `classify` prints them, and the named advection
-    ladders."""
+    ladders, each member's float nu_c beside its exact `advection_critical`."""
     print("## centered second-derivative ladder (a > 0)")
     print(f"{'n':>3} {'nu_c full':>10} {'nu_c linear-layer only':>24}")
     for n in range(1, 5):
@@ -325,12 +333,13 @@ def _cmd_survey(args) -> int:
         _print_first_order_windows(m)
         print()
     print("## named advection ladders (probed at nu < 0)")
-    print(f"{'family':>7} {'s':>3} {'n':>3} {'r':>3} {'nu_c':>8}")
+    print(f"{'family':>7} {'s':>3} {'n':>3} {'r':>3} {'nu_c':>8} {'exact':>5}")
     for kind, first in FIRST_MEMBER.items():
         for s in range(first, 3):
             n, r = advection_family_spec(kind, s)
             nu_c = advection_family_stability(s, kind)
-            print(f"{kind:>7} {s:>3} {n:>3} {r:>3} {nu_c:>8.4f}")
+            exact = advection_critical(OffsetSet.contiguous(r, n), -1)
+            print(f"{kind:>7} {s:>3} {n:>3} {r:>3} {nu_c:>8.4f} {exact:>5}")
     return 0
 
 

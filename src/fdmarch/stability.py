@@ -22,8 +22,9 @@ one FFT of the whole batch, and a few cosine sums: the grid's largest peaks
 of every nu are polished together by safeguarded Newton steps on the slope,
 whose value and derivatives come from one set of cos/sin sums.  A nu_c search
 hands the scan whole phases: the doubling ladder and the pocket sweep in
-chunks, the pocket guard's probes at once; only bisection probes one nu at a
-time.  The weights at each probed nu are `Scheme.float_weights`, read from
+chunks (a default-tol ladder is one call), the pocket guard's probes at once,
+and bisection two levels a call, the midpoint with both midpoints of the next
+level.  The weights at each probed nu are `Scheme.float_weights`, read from
 the layer table's float rows, a Horner in which the batch's nu is one column
 that each row broadcasts against; the scan builds no exact weight polynomial.
 Nothing outlives the search.
@@ -87,9 +88,9 @@ NU_MAX = 64.0
 # would have asked for petabytes
 MAX_SCAN_SPAN = 41_100
 # the doubling ladder and the pocket sweep hand the scan this many probes at
-# a time; a chunk may probe past the first unstable point
-_LADDER_CHUNK = 8
-_SWEEP_CHUNK = 32
+# a time, so a default-tol ladder is one call; a chunk may probe past the
+# first unstable point
+_PROBE_CHUNK = 32
 
 # twice the float epsilon: the polish's stop rule compares twice a gain with it
 _EPS2 = 2.0 * float(np.finfo(float).eps)
@@ -386,9 +387,11 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     Each probe stops as soon as its verdict against 1 + GROWTH_TOL is
     decided (see the module docstring and `_PI_MARGIN`), so the verdicts,
     and the nu_c they give, are those of fully polished scans.  The
-    doubling ladder and the sweep are probed in chunks, and the pocket guard
-    at once, so a chunk may probe past the first unstable point; the probes
-    up to it, and so nu_c, are those of a search probing one nu at a time.
+    doubling ladder and the sweep are probed in chunks, the pocket guard at
+    once, and the bisection two levels a call, so a chunk may probe past the
+    first unstable point, and each bisection call asks one next-level
+    midpoint it then drops; the probes the search reads, and so nu_c, are
+    those of a search probing one nu at a time.
     """
     return _critical_courant(_GrowthScan(scheme), nu_sign, tol)
 
@@ -410,7 +413,7 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     # exact below NU_MAX, or 0.0 when the first probe grows.  A bracket from 0
     # is bisected at least as finely as the stable threshold, or a coarse tol
     # would read every nu_c below it as 0
-    lo, hi = _first_unstable(stables, _doubling(tol), _LADDER_CHUNK)
+    lo, hi = _first_unstable(stables, _doubling(tol))
     if hi is None:
         return NU_MAX
     lo, hi = _bisect(stables, lo, hi, tol if lo else min(tol, STABLE_NU_THRESHOLD))
@@ -435,13 +438,11 @@ def _doubling(tol: float) -> Iterator[float]:
         nu *= 2.0
 
 
-def _first_unstable(
-    stables: _Verdicts, probes: Iterator[float], chunk: int
-) -> tuple[float, Optional[float]]:
-    """(last stable, first unstable) of the probes, asked `chunk` at a time:
-    0.0 when no probe is stable, None when none is unstable."""
+def _first_unstable(stables: _Verdicts, probes: Iterator[float]) -> tuple[float, Optional[float]]:
+    """(last stable, first unstable) of the probes, asked `_PROBE_CHUNK` at a
+    time: 0.0 when no probe is stable, None when none is unstable."""
     last_stable = 0.0
-    while batch := list(itertools.islice(probes, chunk)):
+    while batch := list(itertools.islice(probes, _PROBE_CHUNK)):
         for nu, ok in zip(batch, stables(batch)):
             if not ok:
                 return last_stable, nu
@@ -449,20 +450,29 @@ def _first_unstable(
     return last_stable, None
 
 
+def _midpoint(lo: float, hi: float, tol: float) -> Optional[float]:
+    """The bisection's next probe, the midpoint of (lo, hi), or None once the
+    bracket is at most tol wide or lo and hi are neighbouring floats."""
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > tol and lo < mid < hi else None
+
+
 def _bisect(stables: _Verdicts, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Shrink a (stable lo, unstable hi) bracket to width tol by bisection,
-    one probe at a time.
+    two levels per call: the midpoint and both of the next level's, of which
+    the midpoint's verdict keeps one.  These are the probes, in order, of a
+    bisection asking one nu at a time, so the bracket is bitwise its bracket.
 
     A tol below the float spacing ends it at two neighbouring floats.
     """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # tol is below the float spacing here: lo and hi are neighbours
-        if stables([mid])[0]:
-            lo = mid
-        else:
-            hi = mid
+    while (mid := _midpoint(lo, hi, tol)) is not None:
+        left, right = _midpoint(lo, mid, tol), _midpoint(mid, hi, tol)
+        nus = [nu for nu in (mid, left, right) if nu is not None]
+        stable = dict(zip(nus, stables(nus)))
+        for nu in (mid, right if stable[mid] else left):
+            if nu is None:
+                break
+            lo, hi = (nu, hi) if stable[nu] else (lo, nu)
     return lo, hi
 
 
@@ -481,7 +491,7 @@ def _sweep_critical(stables: _Verdicts, tol: float, ceiling: float) -> float:
             yield nu
             nu += step
 
-    last_stable, unstable = _first_unstable(stables, sweep(), _SWEEP_CHUNK)
+    last_stable, unstable = _first_unstable(stables, sweep())
     if unstable is None or step == tol:
         return last_stable
     return _bisect(stables, last_stable, unstable, tol)[0]

@@ -254,6 +254,20 @@ class TestStability:
             "# exact nu_c = 0 by the m = 1 wedge rule; the float search above is off by 0.1335",
         ]
 
+    def test_search_ceiling_is_not_a_critical_courant(self, capsys):
+        """Regression: a scheme stable past the search ceiling printed
+        "stable up to |nu| = 64  (worst theta = 0.0000)" as if 64 were its
+        nu_c; this one's is 41^2 / 2 = 840.5.  The text now names the ceiling
+        and prints no worst theta; a CSV row still reads 64."""
+        argv = ("stability", "--m", "2", "--n", "1", "--offsets=-41,0,41")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "sign=+1  no instability found below the search ceiling |nu| = 64",
+            "sign=-1  unstable (critical below threshold): |nu| = 0  (worst theta = 3.1416)",
+        ]
+        assert run_cli(*argv, "--format", "csv") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,64,0,1"
+
     def test_classify_third_derivative(self, capsys):
         assert run_cli("classify", "--m", "3") == 0
         out = capsys.readouterr().out
@@ -357,7 +371,7 @@ class TestStability:
         """`survey` prints the centred diffusion ladder, every first-order
         window block of m = 1..6 as `classify` prints it (the parity rule: no
         stable window for a < 0 at m = 2 and 6, none for a > 0 at m = 4), and
-        the named advection ladders."""
+        the named advection ladders, each float nu_c beside its exact one."""
         blocks = []
         for m in range(1, 7):
             assert run_cli("classify", "--m", str(m)) == 0
@@ -380,12 +394,15 @@ class TestStability:
             (6, "stable window r=3 (|nu| up to 1/32)", "no stable window"),
         ):
             assert blocks[m - 1].splitlines()[-2:] == [f"a>0: {plus}", f"a<0: {minus}"]
-        ladders = lines[lines.index("## named advection ladders (probed at nu < 0)") + 2 :]
-        nu_c = {tuple(row.split()[:2]): row.split()[-1] for row in ladders}
+        header = lines.index("## named advection ladders (probed at nu < 0)")
+        assert lines[header + 1].split()[-2:] == ["nu_c", "exact"]
+        nu_c = {tuple(row.split()[:2]): tuple(row.split()[-2:]) for row in lines[header + 2 :]}
         assert nu_c == {
-            ("uw", "0"): "1.0000", ("uw", "1"): "1.0000", ("uw", "2"): "1.0000",
-            ("lw", "1"): "1.0000", ("lw", "2"): "1.0000",
-            ("bw", "0"): "2.0000", ("bw", "1"): "2.0000", ("bw", "2"): "2.0000",
+            ("uw", "0"): ("1.0000", "1"), ("uw", "1"): ("1.0000", "1"),
+            ("uw", "2"): ("1.0000", "1"),
+            ("lw", "1"): ("1.0000", "1"), ("lw", "2"): ("1.0000", "1"),
+            ("bw", "0"): ("2.0000", "2"), ("bw", "1"): ("2.0000", "2"),
+            ("bw", "2"): ("2.0000", "2"),
         }
 
     def test_survey_takes_no_options(self):

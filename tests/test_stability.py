@@ -410,8 +410,9 @@ def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
     scheme-zoo workload (centred diffusion n = 1..4 full and truncated, the
     uw/lw/bw ladders, the m = 4, n = 5 sweep at tol 1e-3), the Newton polish
     evaluates its cosine sums at most twice per probe on average, and the
-    scan is called at most 300 times: the searches hand it their probes in
-    batches, where one call per probe would be over 800."""
+    scan is called at most 200 times (151): the searches hand it their
+    probes in batches and bisect two levels per call, where bisecting one
+    level per call took 275 calls and one call per probe would be over 800."""
     counts = {"calls": 0, "probes": 0, "evaluations": 0}
     scan = fdmarch.stability._GrowthScan
     peaks, slopes = scan.peaks, scan._slopes
@@ -438,7 +439,7 @@ def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
     critical_courant(master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11)))), -1, tol=1e-3)
     assert counts["probes"] > 800
     assert counts["evaluations"] <= 2 * counts["probes"]
-    assert counts["calls"] <= 300
+    assert counts["calls"] <= 200
 
 
 class FullyPolishedScan(fdmarch.stability._GrowthScan):
@@ -757,7 +758,7 @@ class TestPocketSweep:
         verdict, _ = self.logged(0.15032, pocket)
         assert not verdict(old_probes[-1])  # the old sweep ended at its first unstable nu
         assert new_probes[: len(old_probes)] == old_probes
-        assert len(new_probes) < len(old_probes) + fdmarch.stability._SWEEP_CHUNK
+        assert len(new_probes) < len(old_probes) + fdmarch.stability._PROBE_CHUNK
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-20])
     @pytest.mark.parametrize("pocket", [None, (0.05, 0.0512)])
@@ -769,11 +770,35 @@ class TestPocketSweep:
         assert first_unstable - max(tol, math.ulp(first_unstable)) <= got < first_unstable
         assert len(probes) < 0.2 / NU_TOL + 100
 
-    def test_bisection_asks_one_nu_at_a_time(self):
-        stables, probes, sizes = self.logged_batches(0.15032)
-        lo, hi = _bisect(stables, 0.0, 0.2, 1e-6)
-        assert lo < 0.15032 <= hi and hi - lo <= 1e-6
-        assert sizes == [1] * len(probes)
+    @staticmethod
+    def one_at_a_time_bisection(stable, lo, hi, tol):
+        """The bisection that asked one nu per call."""
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if stable(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-16, 1e-20])
+    @pytest.mark.parametrize("pocket", [None, (0.05, 0.0512)])
+    def test_bisection_asks_two_levels_per_call(self, tol, pocket):
+        """Each call asks at most 3 nu and takes two levels, and the bracket
+        is bitwise the one-at-a-time bisection's, whose probes it asks in
+        order; the finer tols end at two neighbouring floats."""
+        stables, probes, sizes = self.logged_batches(0.15032, pocket)
+        old, old_probes = self.logged(0.15032, pocket)
+        got = _bisect(stables, 0.0, 0.2, tol)
+        want = self.one_at_a_time_bisection(old, 0.0, 0.2, tol)
+        assert [nu.hex() for nu in got] == [nu.hex() for nu in want]
+        assert max(sizes) <= 3 and len(sizes) == math.ceil(len(old_probes) / 2)
+        asked = iter(probes)
+        assert all(nu in asked for nu in old_probes)
+        if tol < math.ulp(got[0]):
+            assert got[1] == math.nextafter(got[0], math.inf)
 
     def test_sweep_spec_unchanged_at_coarse_tol(self, monkeypatch):
         """The scheme-zoo sweep case, m=4 n=5 at tol 1e-3, gives the same float."""
