@@ -24,6 +24,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ from .stability import (
     classify_first_order,
     critical_courant,
     exact_critical,
+    exact_rule,
     stability_report,
 )
 from .solver import (
@@ -284,8 +286,8 @@ def _cmd_stability(args) -> int:
                 f"  (worst theta = {rep.worst_theta:.4f})"
             )
         nu_c = exact_critical(scheme, rep.nu_sign)
-        if nu_c is not None:  # an m = 1 window: the closed form checks the search
-            line = f"# exact nu_c = {nu_c} by the m = 1 wedge rule"
+        if nu_c is not None:  # a closed form checks the search
+            line = f"# exact nu_c = {Fraction(nu_c)} by the {exact_rule(scheme)} rule"
             miss = abs(rep.nu_critical - nu_c)
             if miss > 2.0 * max(args.tol, NU_TOL):
                 line += f"; the float search above is off by {miss:.6g}"

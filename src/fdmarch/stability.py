@@ -43,12 +43,20 @@ fully polished: those scans have no finite limit, so they skip the check.
 The autocorrelation costs span^2 per probe, so a stencil wider than
 `MAX_SCAN_SPAN` is refused before any array of it is sized.
 
-One class needs no scan: an m = 1 scheme is Lagrange interpolation at nu, on
-a contiguous window of L upwind and R downwind points stable for 0 < |nu| < 1
-exactly when R <= L <= R + 2 (Iserles & Strang 1983; Jeltsch & Smit 1987),
-and nu +- 1 is the window shifted by one point.  `advection_critical` is the
-exact nu_c this gives; `growth_note` reads it only to answer "stable" at
-|nu| <= nu_c.  Every other verdict, and every nu_c search, is the scan's.
+Two classes need no scan.  An m = 1 scheme is Lagrange interpolation at nu,
+on a contiguous window of L upwind and R downwind points stable for
+0 < |nu| < 1 exactly when R <= L <= R + 2 (Iserles & Strang 1983; Jeltsch &
+Smit 1987), and nu +- 1 is the window shifted by one point;
+`advection_critical` is the exact nu_c this gives.  An n = 1 scheme on a
+contiguous window of m + 1 points is stable up to 1/2^(m-1) on the window
+`first_order_stable_r` names and at no nu != 0 on the others
+(`classify_first_order`).  `exact_rule` names the rule that applies and
+`exact_critical` reads its value.
+`growth_note` answers "stable" at |nu| <= nu_c with no scan, and so does a
+nu_c search, for each probe whose float weights also pass the `_PROVEN_S2`
+guard, under which the scan provably reads stable too: the search's other
+probes are the scan's, and its nu_c is bitwise the all-scanned search's.
+Every other verdict is the scan's.
 """
 
 from __future__ import annotations
@@ -114,6 +122,22 @@ _MOMENT_POWERS = np.array([[0.0], [1.0], [2.0]])
 # and this margin is over 10^4 times it, so the grid at pi, and the
 # polished maximum above it, exceed the limit too
 _PI_MARGIN = 1e-9
+# A nu_c search reads a probe at |nu| <= `exact_critical`'s nu_c as stable
+# with no scan when its float weights have S^2 <= _PROVEN_S2, S = sum_k |c_k|.
+# There the exact weights have |g| <= 1 at every theta, and with u = 2^-53 a
+# scan's value exceeds that by under 1000 u S^2 at N <= 140 points: 2e + e^2
+# for float weights e = sum_k |dc_k| off the exact ones (the float Horner's
+# e was at most 1.2e-14 at 401 nu in [0, nu_c] on every such window, the
+# worst at n = 138 and |nu| = 1.98, a measured bound that the tests check on
+# n <= 39 and the widest windows; so this is under 220 u S^2, as S >= 1);
+# N u S^2 for the autocorrelation; then the worse of the grid's 100 u S^2
+# for the FFT (see `_PI_MARGIN`) and the polish's (pi span + 1) u S^2 for
+# cos(d theta) at a rounded phase d theta plus N u S^2 for its cosine sum,
+# 578 u S^2 at span 139.  At S^2 <= 8 that is under 9e-13, over 100 times
+# below GROWTH_TOL, so the fully polished scan reads stable too.  The
+# largest S^2 in [0, nu_c] was 5.84 on the m = 1 windows and 7.46 on the
+# first-order ones (at m = 139); a probe over the guard is scanned
+_PROVEN_S2 = 8.0
 
 
 def grows(g2: float) -> bool:
@@ -336,12 +360,32 @@ def advection_critical(offsets: Sequence[int], sign: int) -> int:
     return shifts
 
 
-def exact_critical(scheme: Scheme, sign: int) -> Optional[int]:
-    """`advection_critical` of an m = 1 scheme on a window holding 0 with all
-    n + 1 layers; None for other m, stencils and `truncated` tables."""
-    if scheme.m != 1 or len(scheme.layers) != scheme.n + 1 or not _is_window(scheme.offsets):
+def exact_rule(scheme: Scheme) -> Optional[str]:
+    """The closed form that gives the scheme's exact nu_c, by name: "m = 1
+    wedge" (`advection_critical`) for m = 1 and "first-order window"
+    (`classify_first_order`) for n = 1, on a window holding 0 with all
+    n + 1 layers; None for other orders and stencils and for `truncated`
+    tables."""
+    if len(scheme.layers) != scheme.n + 1 or not _is_window(scheme.offsets):
         return None
-    return advection_critical(scheme.offsets, sign)
+    if scheme.m == 1:
+        return "m = 1 wedge"
+    if scheme.n == 1:
+        return "first-order window"
+    return None
+
+
+def exact_critical(scheme: Scheme, sign: int) -> Optional[float]:
+    """The exact nu_c at Courant numbers of `sign` by `exact_rule`'s closed
+    form: `advection_critical`, or `classify_first_order`'s value, 1/2^(m-1)
+    or 0 (dyadic, so exact as a float); None where no rule applies."""
+    rule = exact_rule(scheme)
+    if rule == "m = 1 wedge":
+        return advection_critical(scheme.offsets, sign)
+    if rule == "first-order window":
+        key = (1 if sign >= 0 else -1, -scheme.offsets[0])
+        return float(classify_first_order(scheme.m).nu_critical[key])
+    return None
 
 
 def _is_window(offsets: OffsetSet) -> bool:
@@ -384,7 +428,10 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     gain legitimately dips back to 1 at whole-number Courant values (exact
     shifts) without re-entering the stable range.
 
-    Each probe stops as soon as its verdict against 1 + GROWTH_TOL is
+    Where `exact_critical` gives the scheme's nu_c, a probe at |nu| <= nu_c
+    whose float weights pass the `_PROVEN_S2` guard reads stable with no
+    scan, the verdict a scan would give; every other probe is scanned.  Each
+    scanned probe stops as soon as its verdict against 1 + GROWTH_TOL is
     decided (see the module docstring and `_PI_MARGIN`), so the verdicts,
     and the nu_c they give, are those of fully polished scans.  The
     doubling ladder and the sweep are probed in chunks, the pocket guard at
@@ -403,11 +450,7 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
     """`critical_courant` on a scan that every probe of the search shares."""
     check_tol(tol)
     sign = 1 if nu_sign >= 0 else -1
-    limit = 1.0 + GROWTH_TOL
-
-    def stables(nus_abs: Sequence[float]) -> list[bool]:
-        _, g2 = scan.peaks(sign * np.asarray(nus_abs, dtype=float), limit=limit)
-        return [not grows(v) for v in g2.tolist()]
+    stables = _verdicts(scan, sign)
 
     # the ladder's bracket: its last stable probe is hi / 2, doubling being
     # exact below NU_MAX, or 0.0 when the first probe grows.  A bracket from 0
@@ -428,6 +471,31 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
         if pocket_above or pocket_below:
             return _sweep_critical(stables, tol, hi)
     return lo
+
+
+def _verdicts(scan: _GrowthScan, sign: int) -> _Verdicts:
+    """The search's verdict function: stable or not at each |nu| of a batch,
+    at Courant numbers of `sign`.  A probe at |nu| <= `exact_critical`'s nu_c
+    whose float weights have S^2 <= _PROVEN_S2 is stable with no scan; the
+    others go to one `peaks` call, in their order, or to none."""
+    nu_c = exact_critical(scan.scheme, sign)
+    limit = 1.0 + GROWTH_TOL
+
+    def stables(nus_abs: Sequence[float]) -> list[bool]:
+        nus = sign * np.asarray(nus_abs, dtype=float)
+        stable = np.zeros(len(nus), dtype=bool)
+        if nu_c is not None:
+            inside = np.abs(nus) <= nu_c
+            if inside.any():
+                total = np.abs(scan.scheme.float_weights(nus[inside])).sum(axis=1)
+                stable[inside] = total * total <= _PROVEN_S2
+        rest = (~stable).nonzero()[0]
+        if rest.size:
+            _, g2 = scan.peaks(nus[rest], limit=limit)
+            stable[rest] = [not grows(v) for v in g2.tolist()]
+        return stable.tolist()
+
+    return stables
 
 
 def _doubling(tol: float) -> Iterator[float]:

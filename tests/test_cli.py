@@ -239,10 +239,27 @@ class TestStability:
         for argv in (
             ("--m", "1", "--n", "3", "--format", "csv"),
             ("--m", "1", "--n", "3", "--offsets=-3,-1,0,2"),
-            ("--m", "2", "--n", "1"),
+            ("--m", "2", "--n", "2"),
+            ("--m", "2", "--n", "1", "--offsets=1,2,3"),
         ):
             assert run_cli("stability", *argv) == 0
             assert "exact" not in capsys.readouterr().out
+
+    def test_exact_line_on_first_order_windows(self, capsys):
+        """An n = 1 window holding 0, for any m, is followed by the first-order
+        rule's exact nu_c, 1/2^(m-1) on the stable window and 0 elsewhere."""
+        assert run_cli("stability", "--m", "2", "--n", "1") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "sign=+1  stable up to |nu| = 0.5  (worst theta = 3.1416)",
+            "# exact nu_c = 1/2 by the first-order window rule",
+            "sign=-1  unstable (critical below threshold): |nu| = 0  (worst theta = 3.1416)",
+            "# exact nu_c = 0 by the first-order window rule",
+        ]
+        assert run_cli("stability", "--m", "8", "--n", "1", "--sign", "-") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "sign=-1  stable up to |nu| = 0.0078  (worst theta = 3.1416)",
+            "# exact nu_c = 1/128 by the first-order window rule",
+        ]
 
     def test_exact_line_names_a_misread_search(self, capsys):
         """The L = R + 3 window of n = 29 grows at every nu > 0, where the

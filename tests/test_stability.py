@@ -35,6 +35,7 @@ from fdmarch.stability import (
     classify_first_order,
     critical_courant,
     exact_critical,
+    exact_rule,
     first_order_stable_r,
     growth_note,
     grows,
@@ -408,26 +409,43 @@ class TestOneFFTPerProbe:
 def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
     """Perf guard, as counts: over the stability searches of the benchmark's
     scheme-zoo workload (centred diffusion n = 1..4 full and truncated, the
-    uw/lw/bw ladders, the m = 4, n = 5 sweep at tol 1e-3), the Newton polish
-    evaluates its cosine sums at most twice per probe on average, and the
-    scan is called at most 200 times (151): the searches hand it their
-    probes in batches and bisect two levels per call, where bisecting one
-    level per call took 275 calls and one call per probe would be over 800."""
-    counts = {"calls": 0, "probes": 0, "evaluations": 0}
+    uw/lw/bw ladders, the m = 4, n = 5 sweep at tol 1e-3), the searches ask
+    their verdict function about over 800 nu, and hand the scan at most 141
+    calls, 850 probes and 420 FFT rows (151, 1078 and 651 when every probe
+    was scanned): each probe the closed form proves stable skips the scan,
+    the searches batch the rest, and bisect two levels per call (one level
+    per call took 275 calls).  The Newton polish evaluates its cosine sums at
+    most twice per scanned probe on average."""
+    counts = {"asked": 0, "calls": 0, "probes": 0, "rows": 0, "evaluations": 0}
     scan = fdmarch.stability._GrowthScan
-    peaks, slopes = scan.peaks, scan._slopes
+    verdicts, peaks, grid, slopes = fdmarch.stability._verdicts, scan.peaks, scan._grid, scan._slopes
+
+    def counting_verdicts(*args):
+        stables = verdicts(*args)
+
+        def counting(nus):
+            counts["asked"] += len(nus)
+            return stables(nus)
+
+        return counting
 
     def counting_peaks(self, nus, *args, **kwargs):
         counts["calls"] += 1
         counts["probes"] += len(nus)
         return peaks(self, nus, *args, **kwargs)
 
+    def counting_grid(self, a):
+        counts["rows"] += len(a)
+        return grid(self, a)
+
     def counting_slopes(self, thetas, *args, **kwargs):
         # one evaluation per probe whose peaks this call polishes
         counts["evaluations"] += len(thetas)
         return slopes(self, thetas, *args, **kwargs)
 
+    monkeypatch.setattr(fdmarch.stability, "_verdicts", counting_verdicts)
     monkeypatch.setattr(scan, "peaks", counting_peaks)
+    monkeypatch.setattr(scan, "_grid", counting_grid)
     monkeypatch.setattr(scan, "_slopes", counting_slopes)
     for n in range(1, 5):
         s = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
@@ -437,9 +455,9 @@ def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
         for member in range(1 if kind == "lw" else 0, 3):
             advection_family_stability(member, kind)
     critical_courant(master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11)))), -1, tol=1e-3)
-    assert counts["probes"] > 800
+    assert counts["asked"] > 800
+    assert counts["calls"] <= 141 and counts["probes"] <= 850 and counts["rows"] <= 420
     assert counts["evaluations"] <= 2 * counts["probes"]
-    assert counts["calls"] <= 200
 
 
 class FullyPolishedScan(fdmarch.stability._GrowthScan):
@@ -1079,20 +1097,40 @@ class TestAdvectionCritical:
         with pytest.raises(ConfigurationError, match="contiguous window holding 0"):
             advection_critical(offsets, +1)
 
-    def test_exact_critical_covers_only_full_m1_windows(self):
+    def test_exact_critical_covers_full_m1_and_first_order_windows(self):
+        """m = 1 windows and n = 1 windows holding 0, with all n + 1 layers;
+        the first-order value is `classify_first_order`'s, exact as a float.
+        `exact_rule` names the rule wherever a value is given, and only there."""
         uw = window(3, 2)
+        assert exact_rule(uw) == exact_rule(uw.truncated(3)) == "m = 1 wedge"
+        assert exact_rule(uw.truncated(2)) is None
+        assert exact_rule(master_scheme(SchemeSpec(2, 1, OffsetSet((-1, 0, 1))))) == "first-order window"
+        assert exact_rule(master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4)))) is None
         assert exact_critical(uw, -1) == 1 and exact_critical(uw, +1) == 0
         assert exact_critical(uw.truncated(3), -1) == 1  # all n + 1 layers kept
         assert exact_critical(uw.truncated(2), -1) is None
         gapped = master_scheme(SchemeSpec(1, 3, OffsetSet((-3, -1, 0, 2))))
         assert exact_critical(gapped, -1) is None
         assert exact_critical(master_scheme(SchemeSpec(1, 1, OffsetSet((1, 2)))), -1) is None
-        assert exact_critical(master_scheme(SchemeSpec(2, 1, OffsetSet((-1, 0, 1)))), +1) is None
+        centred = master_scheme(SchemeSpec(2, 1, OffsetSet((-1, 0, 1))))
+        assert exact_critical(centred, +1) == 0.5 and exact_critical(centred, -1) == 0.0
+        assert exact_critical(centred.truncated(0), +1) is None
+        assert exact_critical(master_scheme(SchemeSpec(2, 1, OffsetSet((1, 2, 3)))), +1) is None
+        assert exact_critical(master_scheme(SchemeSpec(2, 2, OffsetSet.contiguous(2, 4))), +1) is None
+        for m in range(1, 13):
+            cls = classify_first_order(m)
+            for r in range(m + 1):
+                scheme = master_scheme(SchemeSpec(m, 1, OffsetSet.contiguous(r, m)))
+                for sign in (+1, -1):
+                    nu_c = exact_critical(scheme, sign)
+                    assert type(nu_c) is (int if m == 1 else float)
+                    assert Fraction(nu_c) == cls.nu_critical[(sign, r)], (m, r, sign)
 
 
 def _stable_probes():
     """(scheme, nu) for five nu in [0, nu_c] per sign, ends included, on every
-    contiguous m = 1 window with n <= 29 or n = 39 whose nu_c is over 0."""
+    contiguous m = 1 window with n <= 29 or n = 39, and every first-order
+    window with 2 <= m <= 12, whose nu_c is over 0."""
     for n in [*range(1, 30), 39]:
         for r in range(n + 1):
             signs = [s for s in (+1, -1) if 0 <= upwind_excess(n, r, s) <= 2]
@@ -1102,6 +1140,33 @@ def _stable_probes():
                     nu_c = advection_critical(scheme.offsets, sign)
                     assert nu_c > 0
                     yield from ((scheme, sign * nu_c * k / 4) for k in range(5))
+    for m in range(2, 13):
+        for sign in (+1, -1):
+            r = first_order_stable_r(m, sign)
+            if r is not None:
+                scheme = master_scheme(SchemeSpec(m, 1, OffsetSet.contiguous(r, m)))
+                nu_c = exact_critical(scheme, sign)
+                assert nu_c == 2.0 ** (1 - m)
+                yield from ((scheme, sign * nu_c * k / 4) for k in range(5))
+
+
+def _widest_stable_probes():
+    """(scheme, nu) for nu_c k/4, k = 1..4, and 1.98 where nu_c = 2, on the
+    m = 1 wedge windows with n = 138 and 139 at nu > 0 (those at nu < 0 are
+    their mirror images), and on the stable first-order windows with
+    m = 139: the widest the guard's derivation covers (140 points)."""
+    for n in (138, 139):
+        for r in range(n + 1):
+            if 0 <= upwind_excess(n, r, +1) <= 2:
+                scheme = window(n, r)
+                nu_c = advection_critical(scheme.offsets, +1)
+                probes = [nu_c * k / 4 for k in range(1, 5)]
+                if nu_c == 2:
+                    probes.append(1.98)
+                yield from ((scheme, nu) for nu in probes)
+    for sign in (+1, -1):
+        scheme = master_scheme(SchemeSpec(139, 1, OffsetSet.contiguous(first_order_stable_r(139, sign), 139)))
+        yield from ((scheme, sign * exact_critical(scheme, sign) * k / 4) for k in range(1, 5))
 
 
 class TestGrowthNoteClosedForm:
@@ -1123,12 +1188,14 @@ class TestGrowthNoteClosedForm:
     def test_scan_reads_stable_wherever_the_shortcut_answers(self):
         """The guard: on every probe inside [0, nu_c] the fully polished scan
         reads stable, so `growth_note` gives today's None there, and the
-        shortcut never silences a warning the scan gives."""
+        shortcut never silences a warning the scan gives.  Each probe's float
+        weights also pass the search's `_PROVEN_S2` guard."""
         probes = list(_stable_probes())
-        assert len(probes) == 5 * 88
+        assert len(probes) == 5 * (88 + 16)
         for scheme, nu in probes:
-            assert not grows(max_growth(scheme, nu)[1]), (scheme.n, tuple(scheme.offsets), nu)
+            assert not grows(max_growth(scheme, nu)[1]), (scheme.m, scheme.n, tuple(scheme.offsets), nu)
             assert growth_note(scheme, nu) is None
+            assert np.abs(scheme.float_weights(nu)).sum() ** 2 <= fdmarch.stability._PROVEN_S2
 
     def test_no_scan_inside_the_exact_range(self, scans):
         uw, bw = window(29, 15), window(2, 2)
@@ -1157,3 +1224,105 @@ class TestGrowthNoteClosedForm:
         del scans[:]
         assert growth_note(scheme, nu) == want
         assert len(scans) == 1
+
+
+def search_values(scheme, tols, report=True):
+    """Float hex of `critical_courant` at each tol and of `stability_report`'s
+    two values, both signs."""
+    values = []
+    for sign in (+1, -1):
+        values += [critical_courant(scheme, sign, tol).hex() for tol in tols]
+        if report:
+            rep = stability_report(scheme, sign)
+            values += [rep.nu_critical.hex(), rep.worst_theta.hex()]
+    return values
+
+
+@pytest.fixture
+def peaks_log(monkeypatch):
+    """Every batch of nu that reaches `_GrowthScan.peaks`, as a list per call."""
+    calls = []
+    peaks = fdmarch.stability._GrowthScan.peaks
+
+    def logged(self, nus, *args, **kwargs):
+        calls.append(list(np.asarray(nus, dtype=float)))
+        return peaks(self, nus, *args, **kwargs)
+
+    monkeypatch.setattr(fdmarch.stability._GrowthScan, "peaks", logged)
+    return calls
+
+
+class TestSearchSkipsProvenProbes:
+    """A nu_c search reads a probe at |nu| <= `exact_critical`'s nu_c whose
+    weights pass the `_PROVEN_S2` guard as stable with no scan, and every
+    value it gives is bitwise the all-scanned search's."""
+
+    @staticmethod
+    def all_scanned(monkeypatch):
+        monkeypatch.setattr(fdmarch.stability, "exact_critical", lambda scheme, sign: None)
+
+    @staticmethod
+    def schemes():
+        """Every contiguous m = 1 window with n <= 15, the first-order windows
+        with m <= 8, and PIN_SPECS."""
+        for n in range(1, 16):
+            yield from (window(n, r) for r in range(n + 1))
+        for m in range(2, 9):
+            yield from (master_scheme(SchemeSpec(m, 1, OffsetSet.contiguous(r, m))) for r in range(m + 1))
+        yield from map(master_scheme, PIN_SPECS)
+
+    LADDERS = [(kind, s) for kind in FAMILIES for s in range(FIRST_MEMBER[kind], 3)]
+
+    def test_bit_identity(self, monkeypatch):
+        tols = (1e-3, 1e-4, 1e-7)
+        got = [search_values(s, tols) for s in self.schemes()]
+        ladders = [search_values(advection_family_scheme(*k), (1e-20,), False) for k in self.LADDERS]
+        self.all_scanned(monkeypatch)
+        assert got == [search_values(s, tols) for s in self.schemes()]
+        assert ladders == [search_values(advection_family_scheme(*k), (1e-20,), False) for k in self.LADDERS]
+
+    def test_float_weights_are_near_the_exact_ones(self):
+        """The `_PROVEN_S2` derivation takes the float Horner's weights to be
+        within e = sum_k |dc_k| <= 1.2e-14 of the exact ones in [0, nu_c]:
+        on every probe of `_stable_probes`, and on the widest windows the
+        bound covers, measured against exact weights.  The bound was set by
+        n = 138's L = R + 2 windows at |nu| = 1.98 (e = 1.174e-14)."""
+        for scheme, nu in [*_stable_probes(), *_widest_stable_probes()]:
+            exact = scheme.weights_at(Fraction(nu)).values()
+            e = sum(abs(Fraction(w) - x) for w, x in zip(scheme.float_weights(nu).tolist(), exact))
+            assert e <= Fraction(1.2e-14), (scheme.m, tuple(scheme.offsets), nu)
+
+    def test_uw_n39_scans_nothing_the_rule_proves(self, peaks_log):
+        """`fdmarch stability --m 1 --n 39`'s searches: 325 scan calls and
+        10 079 probes when every probe is scanned, now at most 15 and 60, and
+        none of the scanned probes is at |nu| <= nu_c."""
+        scheme = advection_family_scheme("uw", 19)
+        for sign in (+1, -1):
+            calls = len(peaks_log)
+            stability_report(scheme, sign)
+            nu_c = exact_critical(scheme, sign)
+            assert not [nu for call in peaks_log[calls:] for nu in call if abs(nu) <= nu_c]
+        assert len(peaks_log) <= 15 and sum(map(len, peaks_log)) <= 60
+
+    def test_mutated_rule_moves_nu_c(self, monkeypatch):
+        """Teeth: a rule one too high moves uw n = 3's nu_c, so a wrong rule
+        fails `test_bit_identity`."""
+        scheme = advection_family_scheme("uw", 1)
+        want = critical_courant(scheme, -1)
+        exact = fdmarch.stability.exact_critical
+        monkeypatch.setattr(fdmarch.stability, "exact_critical", lambda s, sign: exact(s, sign) + 1)
+        assert critical_courant(scheme, -1).hex() != want.hex()
+
+    def test_guard_at_zero_scans_every_probe(self, monkeypatch, peaks_log):
+        """With the guard at 0 no probe passes it: uw n = 39's searches scan
+        as they did before the rule was read, 325 calls of 10 079 probes, and
+        give the same values."""
+        scheme = advection_family_scheme("uw", 19)
+        monkeypatch.setattr(fdmarch.stability, "_PROVEN_S2", 0.0)
+        guarded = search_values(scheme, ())
+        guarded_log = list(peaks_log)
+        del peaks_log[:]
+        self.all_scanned(monkeypatch)
+        assert guarded == search_values(scheme, ())
+        assert guarded_log == peaks_log
+        assert len(peaks_log) == 325 and sum(map(len, peaks_log)) == 10_079
