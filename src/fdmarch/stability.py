@@ -54,9 +54,18 @@ contiguous window of m + 1 points is stable up to 1/2^(m-1) on the window
 `exact_critical` reads its value.
 `growth_note` answers "stable" at |nu| <= nu_c with no scan, and so does a
 nu_c search, for each probe whose float weights also pass the `_PROVEN_S2`
-guard, under which the scan provably reads stable too: the search's other
-probes are the scan's, and its nu_c is bitwise the all-scanned search's.
-Every other verdict is the scan's.
+guard, under which the scan provably reads stable too.
+
+Every other class has a cheap bound.  On a span up to `_BERNSTEIN_SPAN`, a
+nu_c search gives each probe that neither the closed form nor theta = pi
+decides the Bernstein bound |g|^2 <= max_k beta_k, beta = a M, with M the
+map from the cosine coefficients to the Bernstein coefficients in
+s = (1 - cos theta) / 2, built once per search.  With its rounding terms
+(`_BERNSTEIN_ROUNDING`) at or below 1 + GROWTH_TOL, the fully polished scan
+reads the probe stable too, so it is stable with no FFT.  The bound proves
+the scan's verdict, stable to GROWTH_TOL, not exact stability.  A search's
+other probes are the scan's, and its nu_c is bitwise the all-scanned
+search's.  Every other verdict is the scan's.
 """
 
 from __future__ import annotations
@@ -99,6 +108,10 @@ MAX_SCAN_SPAN = 41_100
 # a time, so a default-tol ladder is one call; a chunk may probe past the
 # first unstable point
 _PROBE_CHUNK = 32
+# the pocket sweep asks at most this many probes, over 100x the 1 548 of the
+# largest pinned search (m = 4, n = 5 at the default tol), and past it the
+# search refuses; unbounded, a sweep to NU_MAX at NU_TOL would ask 640 000
+_SWEEP_PROBES = 160_000
 
 # twice the float epsilon: the polish's stop rule compares twice a gain with it
 _EPS2 = 2.0 * float(np.finfo(float).eps)
@@ -138,6 +151,36 @@ _PI_MARGIN = 1e-9
 # largest S^2 in [0, nu_c] was 5.84 on the m = 1 windows and 7.46 on the
 # first-order ones (at m = 139); a probe over the guard is scanned
 _PROVEN_S2 = 8.0
+# A nu_c search reads a probe as stable with no scan when a Bernstein bound
+# on |g|^2 proves it.  With s = (1 - cos theta) / 2 in [0, 1],
+# cos(d theta) = T_d(1 - 2s) = sum_i (-1)^i C(2d, 2i) s^i (1 - s)^(d - i), so
+# in the degree-W Bernstein basis, W the span, |g|^2 has the coefficients
+# beta = a M with M[d, k] = sum_i (-1)^i C(2d, 2i) C(W - d, k - i) / C(W, k).
+# The basis is nonnegative and sums to 1, so |g|^2 <= max_k beta_k at every
+# theta (Farouki & Rajan, "Algorithms for polynomials in Bernstein form",
+# CAGD 5, 1988).  The sum in M[d, k], its terms and its partial sums are
+# integers of at most sum_i C(2d, 2i) C(W - d, k - i) in size, which is
+# C(W, k) <= 2^W at d = 0 and at most 2^(2d - 1) 2^(W - d) above, so under
+# 2^(2W - 1) and exact as floats up to W = 27, as are the binomials; each
+# entry of M is then one correctly rounded quotient
+_BERNSTEIN_SPAN = 27
+# The bound proves a probe when max_k beta_k + u (2 (W + 2) t + this S^2 + 4)
+# is at or below 1 + GROWTH_TOL, with u = 2^-53, S = sum_k |c_k| and
+# t = sum_d |a_d| max_k |M[d, k]| (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, for the gamma_n = n u / (1 - n u) bounds).
+# 2 (W + 2) u t covers the matmul's gamma_(W+1), M's own rounding and t's.
+# The scan reads its own a_d from the same float weights; each set lies
+# within gamma_N S^2 of the exact autocorrelation in sum, so the two cosine
+# sums differ by at most 2 gamma_N S^2 < 57 u S^2 at N <= W + 1 = 28 points.
+# The scan's values exceed the exact cosine sum of its a_d by at most the
+# worse of the FFT's 100 u S^2 (see `_PI_MARGIN`) and the polish's
+# (pi W + 1) u S^2 for cos(d theta) at a rounded phase plus (W + 1) u S^2 for
+# its sum, 114 u S^2 at W = 27.  So the scan's terms are under 200 u S^2, and
+# this takes 1000; the 4 u covers the float sums that form the bound.  A
+# proven probe's fully polished scan therefore reads stable too
+_BERNSTEIN_ROUNDING = 1000.0
+# the unit roundoff u = 2^-53
+_UNIT = 0.5 * float(np.finfo(float).eps)
 
 
 def grows(g2: float) -> bool:
@@ -185,6 +228,37 @@ def _cosine_coefficients(offsets: Sequence[int], weights: np.ndarray) -> np.ndar
     return a
 
 
+def _bernstein_matrix(span: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, mu) of a span up to _BERNSTEIN_SPAN: the (span + 1, span + 1) M
+    with beta = a M the degree-span Bernstein coefficients of
+    sum_d a_d cos(d theta) in s = (1 - cos theta) / 2, and mu_d =
+    max_k |M[d, k]|.  Row d's numerators are the coefficients of
+    (sum_i (-1)^i C(2d, 2i) t^i) (1 + t)^(span - d), integers that every
+    product and sum of the convolution keeps exact."""
+    pascal = [np.ones(1)]
+    for _ in range(2 * span):
+        row = np.ones(len(pascal[-1]) + 1)
+        row[1:-1] = pascal[-1][1:] + pascal[-1][:-1]
+        pascal.append(row)
+    alternating = np.ones(span + 1)
+    alternating[1::2] = -1.0
+    numerators = [
+        np.convolve(pascal[2 * d][::2] * alternating[: d + 1], pascal[span - d])
+        for d in range(span + 1)
+    ]
+    matrix = np.array(numerators) / pascal[span]
+    return matrix, np.abs(matrix).max(axis=1)
+
+
+def _bernstein_bound(a: np.ndarray, s2: np.ndarray, matrix: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Per row of the (K, span + 1) a: an upper bound on every value a fully
+    polished scan reads from the same float weights, whose S^2 are s2; see
+    `_BERNSTEIN_ROUNDING`.  A row that is not finite gives nan or inf."""
+    best = (a @ matrix).max(axis=1)
+    width = 2.0 * (len(matrix) + 1)
+    return best + _UNIT * (width * (np.abs(a) @ mu) + _BERNSTEIN_ROUNDING * s2 + 4.0)
+
+
 class _GrowthScan:
     """The theta grid of one scheme, built once per search.
 
@@ -221,9 +295,12 @@ class _GrowthScan:
         p, p2 = cos @ moments[:, 0], cos @ moments[:, 2]
         return p[..., 0], -(np.sin(phase) @ moments[:, 1])[..., 0], -p2[..., 0]
 
-    def peaks(self, nus, limit: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    def peaks(
+        self, nus, limit: float = math.inf, weights: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(worst theta, max |g|^2) at each nu of the 1-D batch nus, as two
-        arrays; see `max_growth`.
+        arrays; see `max_growth`.  `weights` are the float weights at nus
+        when the caller has them, so they are not read twice.
 
         Under a finite `limit`, a probe whose |g(pi)|^2 exceeds
         limit + _PI_MARGIN S^2 (S = sum_k |c_k|) is returned as (pi, that
@@ -245,16 +322,23 @@ class _GrowthScan:
         # unstable: the peak is the verdict, and numpy's warnings add nothing;
         # a Newton step is taken only where p2 < 0, so a p2 of 0 may divide
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            weights = self.scheme.float_weights(nus)
+            if weights is None:
+                weights = self.scheme.float_weights(nus)
             if not math.isfinite(limit):
                 return self._scan(weights, limit)
-            g2_pi = (weights * self.pi_signs).sum(axis=1) ** 2
             total = np.abs(weights).sum(axis=1)
-            rest = (~(g2_pi > limit + _PI_MARGIN * total * total)).nonzero()[0]
+            g2_pi, past = self._past_pi(weights, total * total, limit)
+            rest = (~past).nonzero()[0]
             best_theta, best_val = np.full(len(g2_pi), math.pi), g2_pi
             if rest.size:
                 best_theta[rest], best_val[rest] = self._scan(weights[rest], limit)
             return best_theta, best_val
+
+    def _past_pi(self, weights: np.ndarray, s2: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+        """(|g(pi)|^2, whether it exceeds limit + _PI_MARGIN s2) per row of the
+        (K, N) weights, whose S^2 are s2; the caller sets numpy's error state."""
+        g2_pi = (weights * self.pi_signs).sum(axis=1) ** 2
+        return g2_pi, g2_pi > limit + _PI_MARGIN * s2
 
     def _scan(self, weights: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
         """`peaks` on the (K, N) weights by the grid and the polish; the
@@ -419,7 +503,9 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
     converging, the verdict is re-probed on both sides of the boundary, and
     if a pocket shows up (stable above, or unstable below), a linear sweep in
     steps of max(tol, NU_TOL) re-locates the first unstable point from below,
-    and a bisection narrows it to tol when tol is finer than that step.
+    and a bisection narrows it to tol when tol is finer than that step.  A
+    sweep still stable after `_SWEEP_PROBES` probes raises
+    ConfigurationError naming its bracket (last stable, ceiling).
 
     A tol finer than the float spacing near the boundary ends the bisection
     at two neighbouring floats.
@@ -430,8 +516,10 @@ def critical_courant(scheme: Scheme, nu_sign: int, tol: float = NU_TOL) -> float
 
     Where `exact_critical` gives the scheme's nu_c, a probe at |nu| <= nu_c
     whose float weights pass the `_PROVEN_S2` guard reads stable with no
-    scan, the verdict a scan would give; every other probe is scanned.  Each
-    scanned probe stops as soon as its verdict against 1 + GROWTH_TOL is
+    scan, the verdict a scan would give.  So does a probe on a span up to
+    `_BERNSTEIN_SPAN` that theta = pi leaves open and the Bernstein bound on
+    |g|^2 proves (see `_BERNSTEIN_ROUNDING`); every other probe is scanned.
+    Each scanned probe stops as soon as its verdict against 1 + GROWTH_TOL is
     decided (see the module docstring and `_PI_MARGIN`), so the verdicts,
     and the nu_c they give, are those of fully polished scans.  The
     doubling ladder and the sweep are probed in chunks, the pocket guard at
@@ -475,23 +563,38 @@ def _critical_courant(scan: _GrowthScan, nu_sign: int, tol: float) -> float:
 
 def _verdicts(scan: _GrowthScan, sign: int) -> _Verdicts:
     """The search's verdict function: stable or not at each |nu| of a batch,
-    at Courant numbers of `sign`.  A probe at |nu| <= `exact_critical`'s nu_c
-    whose float weights have S^2 <= _PROVEN_S2 is stable with no scan; the
-    others go to one `peaks` call, in their order, or to none."""
+    at Courant numbers of `sign`.  A probe is stable with no scan when it is
+    at |nu| <= `exact_critical`'s nu_c and its float weights have
+    S^2 <= _PROVEN_S2, or, on a span up to _BERNSTEIN_SPAN, when theta = pi
+    does not decide it and `_bernstein_bound` proves it (M is built at the
+    first such probe); the others go to one `peaks` call, in their order, or
+    to none."""
     nu_c = exact_critical(scan.scheme, sign)
     limit = 1.0 + GROWTH_TOL
+    span = scan.scheme.offsets.span
+    bernstein = None
 
     def stables(nus_abs: Sequence[float]) -> list[bool]:
+        nonlocal bernstein
         nus = sign * np.asarray(nus_abs, dtype=float)
         stable = np.zeros(len(nus), dtype=bool)
-        if nu_c is not None:
-            inside = np.abs(nus) <= nu_c
-            if inside.any():
-                total = np.abs(scan.scheme.float_weights(nus[inside])).sum(axis=1)
-                stable[inside] = total * total <= _PROVEN_S2
+        # a huge nu overflows the weights to inf or nan: no bound proves it
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = scan.scheme.float_weights(nus)
+            total = np.abs(weights).sum(axis=1)
+            s2 = total * total
+            if nu_c is not None:
+                stable = (np.abs(nus) <= nu_c) & (s2 <= _PROVEN_S2)
+            if span <= _BERNSTEIN_SPAN:
+                bound = (~stable & ~scan._past_pi(weights, s2, limit)[1]).nonzero()[0]
+                if bound.size:
+                    if bernstein is None:
+                        bernstein = _bernstein_matrix(span)
+                    a = _cosine_coefficients(scan.scheme.offsets, weights[bound])
+                    stable[bound] = _bernstein_bound(a, s2[bound], *bernstein) <= limit
         rest = (~stable).nonzero()[0]
         if rest.size:
-            _, g2 = scan.peaks(nus[rest], limit=limit)
+            _, g2 = scan.peaks(nus[rest], limit=limit, weights=weights[rest])
             stable[rest] = [not grows(v) for v in g2.tolist()]
         return stable.tolist()
 
@@ -550,6 +653,8 @@ def _sweep_critical(stables: _Verdicts, tol: float, ceiling: float) -> float:
     The sweep steps by max(tol, NU_TOL), so a tiny tol cannot make it endless.
     When that step is coarser than tol, the bracket (last stable, first
     unstable) is bisected down to tol; otherwise the sweep alone decides.
+    A sweep still stable after _SWEEP_PROBES probes raises
+    ConfigurationError naming its bracket (last stable, ceiling).
     """
     step = max(tol, NU_TOL)
 
@@ -559,7 +664,13 @@ def _sweep_critical(stables: _Verdicts, tol: float, ceiling: float) -> float:
             yield nu
             nu += step
 
-    last_stable, unstable = _first_unstable(stables, sweep())
+    probes = sweep()
+    last_stable, unstable = _first_unstable(stables, itertools.islice(probes, _SWEEP_PROBES))
+    if unstable is None and next(probes, None) is not None:
+        raise ConfigurationError(
+            f"the nu_c search's pocket sweep is still stable after {_SWEEP_PROBES} probes: "
+            f"the first unstable |nu| lies in ({last_stable:.6g}, {ceiling:.6g}]"
+        )
     if unstable is None or step == tol:
         return last_stable
     return _bisect(stables, last_stable, unstable, tol)[0]

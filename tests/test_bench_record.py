@@ -65,3 +65,26 @@ def test_pairs_alternate_and_count_wins(recorder, monkeypatch):
     summary = result["summary"]["wall_s"]
     assert summary["change_lower_in"] == 3 and summary["base_iqr"] == 0.0
     assert summary["base_median"] == 1.0 and summary["change_median"] == 0.5
+
+
+def test_aa_row_for_every_workload_recorded(recorder, monkeypatch, tmp_path):
+    """With --aa, each workload recorded gets its own A/A row of the base
+    against the copy, as many pairs as the base against the change."""
+    runs = []
+
+    def fake_run(path, workload, seed, seconds, cache):
+        runs.append((path.name, workload))
+        return {"seed": seed, "correct": True, "failed": 0, **{name: 1.0 for name in METRICS}}
+
+    monkeypatch.setattr(recorder, "workload_run", fake_run)
+    monkeypatch.setattr(recorder, "command_seconds", lambda checkout, argv, cache: 0.5)
+    monkeypatch.setattr(recorder, "calibration_scale", lambda: 1.0)
+    monkeypatch.setattr(recorder, "describe", lambda checkout: {"commit": "0" * 40, "uncommitted_changes": False})
+    base, copy, out = tmp_path / "base", tmp_path / "copy", tmp_path / "bench.json"
+    argv = ["--base", str(base), "--aa", str(copy), "--out", str(out), "--seconds", "1"]
+    assert recorder.main(argv + ["--workload", "scheme-zoo", "--workload", "burgers-shock"]) == 0
+    record = json.loads(out.read_text())
+    assert set(record["aa"]) == set(record["workloads"]) == {"scheme-zoo", "burgers-shock"}
+    for workload in record["aa"]:
+        assert len(record["aa"][workload]["pairs"]) == recorder.PAIRS
+        assert runs.count(("copy", workload)) == recorder.PAIRS

@@ -226,6 +226,18 @@ class TestStability:
         assert nu_c == pytest.approx(0.5, abs=1e-3)
         assert "unstable" in out
 
+    def test_sweep_past_its_budget_exits_2(self, capsys, monkeypatch):
+        """m = 4, n = 5's default-tol pocket sweep asks about 1 500 probes:
+        under a budget of 1 000 the search refuses, naming its bracket, and
+        the command exits 2 with the message and no traceback."""
+        monkeypatch.setattr(fdmarch.stability, "_SWEEP_PROBES", 1000)
+        assert run_cli("stability", "--m", "4", "--n", "5") == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the nu_c search's pocket sweep is still stable after 1000 probes: "
+            "the first unstable |nu| lies in (0.1, 0.15035]\n"
+        )
+
     def test_exact_line_on_m1_windows(self, capsys):
         """On a contiguous m = 1 window each sign's line is followed by the
         closed-form nu_c; CSV and other stencils get no such line."""

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import importlib
 import itertools
 import json
 import math
@@ -57,7 +56,7 @@ from reference_tables import (
     from_roots,
     order_conditions_by_loop,
 )
-from test_stability import PIN_SPECS, pin_id
+from test_stability import PIN_SPECS, pin_id, zoo_gapped_specs
 
 # strategy: a random minimal-stencil spec with small m*n
 small_specs = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
@@ -586,18 +585,6 @@ SMALL_WINDOWS = [
     for n in range(1, n_max + 1)
     for r in range(n * m + 1)
 ]
-
-
-def zoo_gapped_specs(monkeypatch):
-    """The gapped generation specs of perfbench's scheme-zoo, seeds 1-5."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    generation_specs = importlib.import_module("workloads").generation_specs
-    return [
-        SchemeSpec(m, n, OffsetSet(offsets))
-        for seed in range(1, 6)
-        for m, n, offsets in generation_specs(seed)
-        if not OffsetSet(offsets).is_contiguous()
-    ]
 
 
 # -- nonlinear layer extraction ----------------------------------------------------------

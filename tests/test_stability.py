@@ -1,6 +1,7 @@
 """Single-mode stability analysis: gains, critical Courant numbers, classifications."""
 
 import contextlib
+import importlib
 import json
 import math
 import random
@@ -355,6 +356,11 @@ class FixedWeights:
         return np.broadcast_to(self.weights, np.shape(nu) + self.weights.shape)
 
 
+def bound_off(monkeypatch):
+    """Switch the search's Bernstein bound off: no span is narrow enough."""
+    monkeypatch.setattr(fdmarch.stability, "_BERNSTEIN_SPAN", -1)
+
+
 class TestOneFFTPerProbe:
     """Each scan call costs at most one real FFT, whatever the size of its
     batch, and none when the theta = pi check decides every probe; nothing
@@ -364,6 +370,8 @@ class TestOneFFTPerProbe:
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        # the Bernstein bound would leave the scan 23 of the search's probes
+        bound_off(monkeypatch)
         # "ffts" holds each scan call's count of real FFTs
         counts = {"ffts": [], "probes": 0, "rfft": 0, "complex_exp": 0}
         peaks, rfft, exp = fdmarch.stability._GrowthScan.peaks, np.fft.rfft, np.exp
@@ -410,12 +418,14 @@ def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
     """Perf guard, as counts: over the stability searches of the benchmark's
     scheme-zoo workload (centred diffusion n = 1..4 full and truncated, the
     uw/lw/bw ladders, the m = 4, n = 5 sweep at tol 1e-3), the searches ask
-    their verdict function about over 800 nu, and hand the scan at most 141
-    calls, 850 probes and 420 FFT rows (151, 1078 and 651 when every probe
-    was scanned): each probe the closed form proves stable skips the scan,
-    the searches batch the rest, and bisect two levels per call (one level
-    per call took 275 calls).  The Newton polish evaluates its cosine sums at
-    most twice per scanned probe on average."""
+    their verdict function about over 800 nu, and hand the scan at most 129
+    calls, 442 probes, 20 FFT rows and 10 polish evaluations (141, 787, 360
+    and 354 with the Bernstein bound off; 151, 1078 and 651 calls, probes
+    and rows when every probe was scanned): each probe the closed form or
+    the bound proves stable skips the scan, the searches batch the rest, and
+    bisect two levels per call (one level per call took 275 calls).  The
+    Newton polish evaluates its cosine sums at most twice per scanned probe
+    on average."""
     counts = {"asked": 0, "calls": 0, "probes": 0, "rows": 0, "evaluations": 0}
     scan = fdmarch.stability._GrowthScan
     verdicts, peaks, grid, slopes = fdmarch.stability._verdicts, scan.peaks, scan._grid, scan._slopes
@@ -456,15 +466,16 @@ def test_polish_costs_at_most_two_evaluations_per_probe(monkeypatch):
             advection_family_stability(member, kind)
     critical_courant(master_scheme(SchemeSpec(4, 5, OffsetSet(range(-10, 11)))), -1, tol=1e-3)
     assert counts["asked"] > 800
-    assert counts["calls"] <= 141 and counts["probes"] <= 850 and counts["rows"] <= 420
+    assert counts["calls"] <= 129 and counts["probes"] <= 442
+    assert counts["rows"] <= 20 and counts["evaluations"] <= 10
     assert counts["evaluations"] <= 2 * counts["probes"]
 
 
 class FullyPolishedScan(fdmarch.stability._GrowthScan):
     """The shared scan with every probe fully polished, whatever its verdict needs."""
 
-    def peaks(self, nus, limit=math.inf):
-        return super().peaks(nus)
+    def peaks(self, nus, limit=math.inf, weights=None):
+        return super().peaks(nus, weights=weights)
 
 
 def fully_polished_critical_courant(scheme, nu_sign, tol):
@@ -478,9 +489,12 @@ class TestVerdictStopsWhenDecided:
 
     @pytest.mark.parametrize("sign", [+1, -1])
     @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
-    def test_nu_c_matches_fully_polished_search(self, spec, sign):
+    def test_nu_c_matches_fully_polished_search(self, spec, sign, monkeypatch):
+        """Against a search that scans and fully polishes every probe the
+        closed form does not prove: the Bernstein bound is off there."""
         s = master_scheme(spec)
         got = critical_courant(s, sign, tol=1e-3)
+        bound_off(monkeypatch)
         assert float.hex(got) == float.hex(fully_polished_critical_courant(s, sign, 1e-3))
 
     @pytest.mark.parametrize("spec", PIN_SPECS, ids=pin_id)
@@ -828,6 +842,25 @@ class TestPocketSweep:
 
         monkeypatch.setattr(fdmarch.stability, "_sweep_critical", old_sweep)
         assert float.hex(got) == float.hex(critical_courant(scheme, -1, tol=1e-3))
+
+
+class TestSweepBudget:
+    """The pocket sweep asks at most `_SWEEP_PROBES` probes, over 100x the
+    1 548 of m = 4, n = 5's default-tol search, the largest pinned one; past
+    it the search refuses with the bracket it has."""
+
+    def test_budget_has_its_margin(self):
+        assert fdmarch.stability._SWEEP_PROBES >= 100 * 1548
+
+    def test_past_the_budget_the_search_names_its_bracket(self, monkeypatch):
+        """m = 4, n = 5's sweep at the default tol is still stable after
+        1 000 probes: (last stable, ceiling) brackets the pinned nu_c."""
+        scheme = master_scheme(PIN_SPECS[-1])
+        monkeypatch.setattr(fdmarch.stability, "_SWEEP_PROBES", 1000)
+        with pytest.raises(ConfigurationError, match=r"still stable after 1000 probes: .* lies in \(0\.1, 0\.15035\]"):
+            critical_courant(scheme, -1)
+        with pytest.raises(ConfigurationError, match="still stable after 1000 probes"):
+            stability_report(scheme, -1)
 
 
 class TestStabilityReport:
@@ -1260,6 +1293,7 @@ class TestSearchSkipsProvenProbes:
     @staticmethod
     def all_scanned(monkeypatch):
         monkeypatch.setattr(fdmarch.stability, "exact_critical", lambda scheme, sign: None)
+        bound_off(monkeypatch)
 
     @staticmethod
     def schemes():
@@ -1326,3 +1360,197 @@ class TestSearchSkipsProvenProbes:
         assert guarded == search_values(scheme, ())
         assert guarded_log == peaks_log
         assert len(peaks_log) == 325 and sum(map(len, peaks_log)) == 10_079
+
+
+# -- the Bernstein bound on |g|^2 ----------------------------------------------------
+
+def zoo_gapped_specs(monkeypatch):
+    """The gapped generation specs of perfbench's scheme-zoo, seeds 1-5."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    generation_specs = importlib.import_module("workloads").generation_specs
+    return [
+        SchemeSpec(m, n, OffsetSet(offsets))
+        for seed in range(1, 6)
+        for m, n, offsets in generation_specs(seed)
+        if not OffsetSet(offsets).is_contiguous()
+    ]
+
+
+def bound_schemes(monkeypatch):
+    """Every contiguous window with span <= _BERNSTEIN_SPAN for m <= 4,
+    scheme-zoo's gapped stencils and truncated diffusion windows, and
+    PIN_SPECS."""
+    span = fdmarch.stability._BERNSTEIN_SPAN
+    windows = [
+        SchemeSpec(m, n, OffsetSet.contiguous(r, n * m))
+        for m in range(1, 5)
+        for n in range(1, span // m + 1)
+        for r in range(n * m + 1)
+    ]
+    schemes = [master_scheme(spec) for spec in windows + zoo_gapped_specs(monkeypatch) + PIN_SPECS]
+    return schemes + [master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n))).truncated(1) for n in range(1, 5)]
+
+
+# m = 3, n = 6 on -9..9: its float nu_c, 0.0032, is where a growth of about
+# 1e-10 crosses GROWTH_TOL, so probes past it grow by little
+M3N6 = SchemeSpec(3, 6, OffsetSet.contiguous(9, 18))
+# m = 3, n = 3 on -4..5: its nu_c at nu < 0, 0.140364, is an interior tangency
+M3N3 = SchemeSpec(3, 3, OffsetSet.contiguous(4, 9))
+
+
+@pytest.fixture(scope="module")
+def bound_searches():
+    """The corpus's searches (`search_values` at tols 1e-3, 1e-4 and 1e-7,
+    and the ladders at 1e-20) with the bound on and with it off, and every
+    (scheme, sign, nu) the searches with the bound on asked about."""
+    asked = []
+    ladders = [advection_family_scheme(kind, s) for kind in FAMILIES for s in range(FIRST_MEMBER[kind], 3)]
+
+    def values(schemes):
+        tols = (1e-3, 1e-4, 1e-7)
+        return [search_values(s, tols) for s in schemes] + [search_values(s, (1e-20,), False) for s in ladders]
+
+    with pytest.MonkeyPatch.context() as mp:
+        schemes = bound_schemes(mp)
+        verdicts = fdmarch.stability._verdicts
+
+        def logging_verdicts(scan, sign):
+            stables = verdicts(scan, sign)
+
+            def logged(nus):
+                asked.extend((scan.scheme, sign, nu) for nu in nus)
+                return stables(nus)
+
+            return logged
+
+        mp.setattr(fdmarch.stability, "_verdicts", logging_verdicts)
+        on = values(schemes)
+        mp.setattr(fdmarch.stability, "_verdicts", verdicts)
+        bound_off(mp)
+        off = values(schemes)
+    return on, off, asked
+
+
+def proven_probes(groups):
+    """The nu of each (scheme, sign, nus) group that the search's verdict
+    function reads stable with no scan by the Bernstein bound alone: the
+    closed form is switched off, and each group is asked at once."""
+    proven = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fdmarch.stability, "exact_critical", lambda scheme, sign: None)
+        scanned = []
+        peaks = fdmarch.stability._GrowthScan.peaks
+
+        def logged(self, nus, *args, **kwargs):
+            scanned.extend(nus)
+            return peaks(self, nus, *args, **kwargs)
+
+        mp.setattr(fdmarch.stability._GrowthScan, "peaks", logged)
+        for scheme, sign, nus in groups:
+            del scanned[:]
+            stable = fdmarch.stability._verdicts(fdmarch.stability._GrowthScan(scheme), sign)(nus)
+            left = set(scanned)
+            proven.append((scheme, [sign * nu for nu, ok in zip(nus, stable) if ok and sign * nu not in left]))
+    return proven
+
+
+class TestBernsteinBound:
+    """A nu_c search reads a probe as stable with no scan where the Bernstein
+    bound on |g|^2, with its rounding terms, proves the scan reads stable
+    too: every value it gives is bitwise the search's with the bound off."""
+
+    def test_matrix_is_the_exact_one_rounded_once(self):
+        """Every entry of M, for every span up to the limit, is the exact
+        sum_i (-1)^i C(2d, 2i) C(W - d, k - i) / C(W, k) rounded once, and
+        mu_d is row d's largest |M[d, k]|.  On spans up to 8 the exact M
+        maps each T_d(1 - 2s) to its Bernstein coefficients, at three s."""
+        for span in range(1, fdmarch.stability._BERNSTEIN_SPAN + 1):
+            matrix, mu = fdmarch.stability._bernstein_matrix(span)
+            assert matrix.shape == (span + 1, span + 1)
+            exact = [
+                [
+                    Fraction(
+                        sum((-1) ** i * math.comb(2 * d, 2 * i) * math.comb(span - d, k - i) for i in range(min(d, k) + 1)),
+                        math.comb(span, k),
+                    )
+                    for k in range(span + 1)
+                ]
+                for d in range(span + 1)
+            ]
+            assert matrix.tolist() == [[float(x) for x in row] for row in exact], span
+            assert mu.tolist() == [max(abs(float(x)) for x in row) for row in exact], span
+            if span > 8:
+                continue
+            for s in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                basis = [math.comb(span, k) * s**k * (1 - s) ** (span - k) for k in range(span + 1)]
+                cheb = chebyshev(span, 1 - 2 * s)
+                for d in range(span + 1):
+                    assert sum(x * b for x, b in zip(exact[d], basis)) == cheb[d], (span, d, s)
+
+    def test_bit_identity(self, bound_searches):
+        """Every value of the corpus's searches and reports is bitwise the
+        search's with the bound off."""
+        on, off, _ = bound_searches
+        assert on == off
+
+    def test_no_proven_probe_grows(self, bound_searches):
+        """Every probe the searches asked about that the bound proves, and
+        dense probes on item 15's L = R + 3 windows (n = 19, 21, 23), through
+        m = 3, n = 3's tangency and past m = 4, n = 5's pocket edge: the
+        fully polished scan reads each stable."""
+        _, _, asked = bound_searches
+        groups = {}
+        for scheme, sign, nu in asked:
+            groups.setdefault((id(scheme), sign), (scheme, sign, set()))[2].add(nu)
+        for n, read in ((19, 0.0008), (21, 0.00365), (23, 0.0144)):
+            for r in range(n + 1):
+                for sign in (+1, -1):
+                    if upwind_excess(n, r, sign) == 3:
+                        groups[n, r, sign] = (window(n, r), sign, set(np.linspace(0.0, 2.0 * read, 41).tolist()))
+        groups["m3n3"] = (master_scheme(M3N3), -1, set(np.linspace(0.13, 0.15, 81).tolist()))
+        groups["m4n5"] = (master_scheme(PIN_SPECS[-1]), -1, set(np.linspace(0.14, 0.26, 121).tolist()))
+        proven = proven_probes([(scheme, sign, sorted(nus)) for scheme, sign, nus in groups.values()])
+        assert sum(len(nus) for _, _, nus in groups.values()) > 20_000
+        assert sum(len(nus) for _, nus in proven) > 5_000
+        for scheme, nus in proven:
+            if nus:
+                _, g2 = fdmarch.stability._GrowthScan(scheme).peaks(nus)
+                assert not [nu for nu, v in zip(nus, g2.tolist()) if grows(v)], tuple(scheme.offsets)
+
+    def test_rounding_term_has_teeth(self, monkeypatch):
+        """At GROWTH_TOL = 0 the scan reads 1 + 2^-52 on some stable probes of
+        centred diffusion n = 2..4, where the Bernstein maximum reads exactly
+        1: without its rounding term the bound would read them stable against
+        the scan; with it, every verdict is the scan's."""
+        monkeypatch.setattr(fdmarch.stability, "GROWTH_TOL", 0.0)
+        misread = 0
+        for n in range(2, 5):
+            scheme = master_scheme(SchemeSpec(2, n, OffsetSet.contiguous(n, 2 * n)))
+            nus = np.linspace(0.01, 0.5, 50)
+            scanned = [not grows(v) for v in fdmarch.stability._GrowthScan(scheme).peaks(nus)[1]]
+            assert fdmarch.stability._verdicts(fdmarch.stability._GrowthScan(scheme), +1)(nus) == scanned
+            with monkeypatch.context() as mp:
+                mp.setattr(fdmarch.stability, "_UNIT", 0.0)
+                bare = fdmarch.stability._verdicts(fdmarch.stability._GrowthScan(scheme), +1)(nus)
+            misread += sum(b and not s for b, s in zip(bare, scanned))
+        assert misread > 0
+
+    def test_loose_limit_has_teeth(self, monkeypatch):
+        """A bound compared with 1 + 1e-3 reads stable probes past the nu_c of
+        m = 3, n = 6 on -9..9 that the scan reads unstable, and moves it."""
+        scheme = master_scheme(M3N6)
+        want = critical_courant(scheme, +1)
+        bound = fdmarch.stability._bernstein_bound
+        monkeypatch.setattr(fdmarch.stability, "_bernstein_bound", lambda *args: bound(*args) - (1e-3 - GROWTH_TOL))
+        assert critical_courant(scheme, +1).hex() != want.hex()
+
+    def test_matrix_is_built_once_per_search(self, monkeypatch):
+        """M is built at the first probe a search bounds, once, and never on a
+        span past the limit (uw n = 39's, 39)."""
+        built = []
+        matrix = fdmarch.stability._bernstein_matrix
+        monkeypatch.setattr(fdmarch.stability, "_bernstein_matrix", lambda span: built.append(span) or matrix(span))
+        critical_courant(master_scheme(PIN_SPECS[-1]), -1)
+        assert built == [20]
+        stability_report(advection_family_scheme("uw", 19), -1)
+        assert built == [20]

@@ -15,11 +15,11 @@ With `--base DIR`, a checkout of the commit to compare against, each
 workload runs in PAIRS pairs of base and change, the side that goes
 first alternating, both sides of a pair on one seed, and the commands are
 timed on both sides.  With `--aa DIR` too, a second copy of the base,
-scheme-zoo runs in as many pairs of the base against that copy: the gap two
-runs of the same code show.  Every process runs with an empty
-bytecode cache and writes none, so both sides import alike.  Lay the
-checkouts out alike too (say, as sibling clones): a checkout elsewhere on
-the machine can time a few per cent apart from the same code.
+each workload recorded also runs in as many pairs of the base against that
+copy: the gap two runs of the same code show on it.  Every process runs
+with an empty bytecode cache and writes none, so both sides import alike.
+Lay the checkouts out alike too (say, as sibling clones): a checkout
+elsewhere on the machine can time a few per cent apart from the same code.
 
 A file recorded before its change is committed is named for the commit the
 change sits on, and its `code_diff_sha256` names the measured code: the
@@ -58,7 +58,6 @@ CLI = "import sys; from fdmarch.cli import main; sys.exit(main(sys.argv[1:]))"
 REPEATS = 3
 # pairs per workload, and of the A/A row, with --base
 PAIRS = 10
-AA_WORKLOAD = "scheme-zoo"
 
 
 def environment(checkout: Path, cache: str) -> dict:
@@ -175,9 +174,10 @@ def main(argv=None) -> int:
     if args.base:
         record["base"] = describe(args.base)
         sides = {"base": args.base.resolve(), "change": ROOT}
+    workloads = args.workload or WORKLOADS
     with tempfile.TemporaryDirectory() as cache:
         record["workloads"] = {}
-        for workload in args.workload or WORKLOADS:
+        for workload in workloads:
             if args.base:
                 record["workloads"][workload] = paired(
                     sides, workload, PAIRS, args.seed, args.seconds, cache)
@@ -185,9 +185,9 @@ def main(argv=None) -> int:
                 record["workloads"][workload] = {
                     "runs": [workload_run(ROOT, workload, args.seed, args.seconds, cache)]}
         if args.aa:
-            record["aa"] = {AA_WORKLOAD: paired(
-                {"base": args.base.resolve(), "copy": args.aa.resolve()},
-                AA_WORKLOAD, PAIRS, args.seed, args.seconds, cache)}
+            copies = {"base": args.base.resolve(), "copy": args.aa.resolve()}
+            record["aa"] = {workload: paired(copies, workload, PAIRS, args.seed, args.seconds, cache)
+                            for workload in workloads}
         record["commands_s"] = {
             name: {side: command_seconds(path, argv, cache) for side, path in sides.items()}
             for name, argv in COMMANDS.items()
