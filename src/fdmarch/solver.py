@@ -24,8 +24,9 @@ small grids a step costs a few numpy calls whatever the order and however
 many rows march together.  Otherwise it adds one slice at a time, which
 keeps large arrays out of a (points, n R) temporary and needs no gather of
 scattered live entries; a slice with weight +1 or -1 is added or
-subtracted as it is, with no product.  Each output row is the sum a lone
-march of that row computes.
+subtracted as it is, with no product, and items that share a weight
+magnitude other than 1 add or subtract slices of one product.  Each output
+row is the sum a lone march of that row computes.
 
 Every update is one layer table applied once per step: row j hits density
 j and is scaled by nu^j.  A linear term is a table of one row, and the
@@ -45,8 +46,9 @@ the halo-padded, cells-major array, not on the field, and must be
 pointwise; they read a workspace buffer that they must neither write nor
 keep, and funcs[0] is not called.  Row 0's sum never holds -0.0, so adding
 a later row's +-0.0 leaves it as it is, and the result has the bits the
-+0.0 start gives.  The march
-hands out no per-step fields: callers take snapshots from what one march
++0.0 start gives.  Every array a step writes starts on a 64-byte cache
+line: each buffer's interior, each density buffer, the row and scratch
+arrays and the products.  The march hands out no per-step fields: callers take snapshots from what one march
 returns and march on from there, and only a run given a callback copies the
 field for it after every step.  A single step (`step_linear`,
 `step_nonlinear`) is a one-step run in a workspace of its own, and returns
@@ -64,6 +66,7 @@ import math
 import cmath
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -297,9 +300,11 @@ class FloatStencil:
     order): the kernel then adds one slice at a time rather than gather the
     entries (see `WINDOW_LIMIT`).  `weights` holds the live weights as a
     column, which the window product repeats into a block of its terms'
-    shape.  Offsets must be distinct.  A march builds its stencils on each
-    run call, from `Scheme.float_weights` for a linear term and from
-    `LayerTable.float_rows` for a layered table (`_stencil`).
+    shape; the slice loop reads `live` alone, and forms one product for each
+    weight magnitude other than 1 that two or more live items share
+    (`_shared_magnitudes`).  Offsets must be distinct.  A march builds its
+    stencils on each run call, from `Scheme.float_weights` for a linear term
+    and from `LayerTable.float_rows` for a layered table (`_stencil`).
     """
 
     def __init__(self, items: Iterable[tuple[int, float]]):
@@ -322,18 +327,47 @@ def _stencil(offsets: Sequence[int], weights: np.ndarray) -> FloatStencil:
 
 # Rows times stencil points times cells up to which `_SliceSum` takes the
 # window product.  Per call on 2 shared x86-64 CPUs (numpy 2.4), on the
-# cells-major buffer, slice loop against window product, min of 7 repeats:
-# 1 row x 100 cells x 30 points: 71 against 9 us; 2 x 100 x 30: 73 against
-# 12 us; 3 x 100 x 30: 70 against 20 us; 1 x 1000 x 6: 21 against 15 us;
-# 1 x 2000 x 6: 25 against 18 us; 2 x 1000 x 6: 24 against 16 us;
-# 8 x 1000 x 8: 60 against 88 us.  The crossover moves between 10^4 and
-# 5 x 10^4 from run to run; on the few-point rows of large grids
-# (1 x 10^4 x 2: 19 against 25 us) the loop stays ahead.  Live rows that are
-# not consecutive and ascending (a zero weight inside the stencil, a gapped or
-# shuffled stencil) take the slice loop at any size: gathering them into the
-# window product fell 4-11x behind from 2000 cells and 16 points up, and no
-# benchmark workload marches such a stencil below the limit.
+# workspace's cache-line-aligned, cells-major buffers, random weights, slice
+# loop against window product, min of 7 repeats of 200 calls:
+# 1 row x 100 cells x 30 points: 33 against 5 us; 2 x 100 x 30: 32 against
+# 9 us; 3 x 100 x 30: 35 against 9 us; 1 x 1000 x 6: 8 against 6 us;
+# 1 x 2000 x 6: 11 against 10 us; 2 x 1000 x 6: 11 against 10 us;
+# 1 x 5000 x 4: 18 against 16 us; 1 x 2000 x 16: 29 against 21 us;
+# 8 x 1000 x 8: 38 against 37 us; 4 x 2000 x 8: 36 against 36 us.  On
+# unaligned buffers the crossover moved between 10^4 and 5 x 10^4 from run
+# to run; aligned, it lies between 2 x 10^4 and 6.4 x 10^4 by point count,
+# still above the limit.  On the few-point rows of large grids
+# (1 x 10^4 x 2: 11 against 14 us; 1 x 10^4 x 4: 22 against 29 us) the loop
+# stays ahead.  So the limit is kept.  Live rows that are not consecutive and
+# ascending (a zero weight inside the stencil, a gapped or shuffled stencil)
+# take the slice loop at any size: gathering them into the window product
+# fell 4-11x behind from 2000 cells and 16 points up, and no benchmark
+# workload marches such a stencil below the limit.
 WINDOW_LIMIT = 2**13
+
+
+# The byte boundary every array a step writes starts on: one x86-64 cache
+# line.  numpy hands out 16-byte-aligned arrays.  On 10^4 cells, an add of two
+# aligned arrays into an output 8, 16 or 32 bytes off a line cost 5.2-5.4
+# against 2.7 us into one on a line, and an in-place add up to 2.7 against
+# 2.3 us (min of 7 repeats, 2 shared x86-64 CPUs, numpy 2.4).
+_ALIGN = 64
+
+
+def _aligned(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
+    """An uninitialised C-contiguous float array of `shape` whose flat
+    element `lead` starts on an `_ALIGN`-byte boundary."""
+    size = math.prod(shape)
+    raw = np.empty(size + _ALIGN // 8)
+    skip = (-(raw.ctypes.data + 8 * lead) % _ALIGN) // 8
+    return raw[skip : skip + size].reshape(shape)
+
+
+def _shared_magnitudes(stencil: FloatStencil) -> list[float]:
+    """The weight magnitudes other than 1 that two or more live items share,
+    in the order they first appear."""
+    counts = Counter(abs(w) for _, w in stencil.live)
+    return [m for m, count in counts.items() if count > 1 and m != 1.0]
 
 
 def _halos(ext: np.ndarray, lo: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -363,8 +397,13 @@ class _SliceSum:
     instead of +0.0, as numpy's reduce does, and needs a live item; the two
     differ only where the +0.0 start turns a -0.0 sum into +0.0.  Everything
     that does not depend on the values is set up once here: the window, the
-    view of its live entries and their weight block, or the slices.  The
-    slice loop writes products into `scratch`, shaped like `out`.
+    view of its live entries and their weight block, or the slices and the
+    plan of products.  The slice loop writes a lone item's product into
+    `scratch`, shaped like `out`, and a shared magnitude's product into one of
+    `products`, flat arrays of `ext`'s size that the sums of one workspace
+    share: a sum appends what it needs, so the list holds as many as the
+    widest row's shared magnitudes.  The buffers a sum allocates, its terms
+    block and any product it appends, come from `_aligned`.
 
     The sum starts at +0.0 and adds the terms in item order; zero weights are
     skipped, so a non-finite value under a zero weight reads as nothing.  Up
@@ -376,44 +415,100 @@ class _SliceSum:
     items axis, which on a C-contiguous array runs item after item from
     `initial`.  Otherwise, above the limit or for live entries that would
     have to be gathered (see `WINDOW_LIMIT`), it adds one slice at a time,
-    0.0 + term first (or the term's product alone), then out + term, with
-    out + slice and out - slice for weights of +1 and -1, whose product with
-    the slice is exact.  Both are the same floating-point sum, value by
-    value, so each row of a stack comes out as it would alone.
+    0.0 + term first (or the term's product alone), then out + term.  A
+    term whose weight is +-1, or whose magnitude |w| two or more live items
+    share, is +-t for an array t formed without its sign: the slice itself,
+    or a slice of one product |w| * ext over the run those items read, formed
+    once per call.  It is added as out + t or out - t, since out + (-t) is
+    out - t by IEEE definition and w * x is -(|w| * x) for w < 0, bit for
+    bit.  A sum from its first term whose first term is such a +-a adds the
+    second term b in one call, as a + b, a - b or b - a for -a + b, b being
+    a product of its own where it has no such t.  If both are negated it
+    does not, since -(a + b) would flip a NaN's sign bit, which w * x keeps:
+    then, as for a first term that is a product of its own, the first term
+    is its product w * x.  Both paths are the same floating-point sum, value
+    by value, so each row of a stack comes out as it would alone.
     """
 
-    def __init__(self, ext: np.ndarray, n: int, stencil: FloatStencil, scratch: np.ndarray):
-        width = n * (ext.size // len(ext))  # n R values
-        if stencil.rows is None or stencil.size * width > WINDOW_LIMIT:
-            self.window = None
-            lo = stencil.lo
-            self.slices = [(ext[lo + k : lo + k + n].reshape(-1), w) for k, w in stencil.live]
-            self.scratch = scratch
+    def __init__(
+        self,
+        ext: np.ndarray,
+        n: int,
+        stencil: FloatStencil,
+        scratch: np.ndarray,
+        products: list[np.ndarray],
+    ):
+        rows = ext.size // len(ext)  # R
+        width = n * rows
+        if stencil.rows is not None and stencil.size * width <= WINDOW_LIMIT:
+            strides = (ext.strides[0], ext.itemsize)
+            self.window = np.ndarray((len(ext) - n + 1, width), ext.dtype, ext, strides=strides)
+            self.live = self.window[stencil.rows]
+            self.weights = np.repeat(stencil.weights, width, axis=1)
+            self.terms = _aligned(self.weights.shape)
             return
-        strides = (ext.strides[0], ext.itemsize)
-        self.window = np.ndarray((len(ext) - n + 1, width), ext.dtype, ext, strides=strides)
-        self.live = self.window[stencil.rows]
-        self.weights = np.repeat(stencil.weights, width, axis=1)
-        self.terms = np.empty_like(self.weights)
+        self.window = None
+        self.scratch = scratch
+        flat, lo = ext.reshape(-1), stencil.lo
+        shared = _shared_magnitudes(stencil)
+        while len(products) < len(shared):
+            products.append(_aligned((ext.size,)))
+        # per shared magnitude: (the padded run its items read, |w|, where
+        # the product goes), and where a slice of that product starts
+        self.products, at = [], {}
+        for m, prod in zip(shared, products):
+            ks = [k for k, w in stencil.live if abs(w) == m]
+            start, stop = (lo + min(ks)) * rows, (lo + max(ks) + n) * rows
+            self.products.append((flat[start:stop], m, prod[: stop - start]))
+            at[m] = (prod, start)
+        # per live item: (its slice, w, the array whose +-copy is the term,
+        # or None when the term is a product of its own, whether it is -)
+        self.items = []
+        for k, w in stencil.live:
+            s = flat[(lo + k) * rows : (lo + k) * rows + width]
+            term = s if abs(w) == 1.0 else None
+            if abs(w) in at:
+                prod, start = at[abs(w)]
+                term = prod[(lo + k) * rows - start :][:width]
+            self.items.append((s, w, term, w < 0))
+        # whether a sum from its first term adds or subtracts the first two
+        # in one call: not when the first is a product of its own, nor for
+        # two negated terms, whose negation would flip a NaN's sign bit
+        items = self.items
+        self.pair = (
+            len(items) > 1
+            and items[0][2] is not None
+            and not (items[0][3] and items[1][2] is not None and items[1][3])
+        )
 
     def sum_into(self, out: np.ndarray, initial: Optional[float] = 0.0) -> np.ndarray:
-        if self.window is None:
-            acc = initial
-            for s, w in self.slices:
-                if acc is None:
-                    np.multiply(s, w, out=out)
-                elif w == 1.0:
-                    np.add(acc, s, out=out)
-                elif w == -1.0:
-                    np.subtract(acc, s, out=out)
-                else:
-                    np.add(acc, np.multiply(s, w, out=self.scratch), out=out)
-                acc = out
-            if acc is not out:  # no live items
-                out[...] = 0.0
-            return out
-        np.multiply(self.live, self.weights, out=self.terms)
-        return np.add.reduce(self.terms, axis=0, initial=initial, out=out)
+        if self.window is not None:
+            np.multiply(self.live, self.weights, out=self.terms)
+            return np.add.reduce(self.terms, axis=0, initial=initial, out=out)
+        for src, m, prod in self.products:
+            np.multiply(src, m, out=prod)
+        items = iter(self.items)
+        acc = initial
+        if acc is None and self.pair:
+            (_, _, a, minus_a), (s, w, b, minus_b) = next(items), next(items)
+            if b is None:
+                b, minus_b = np.multiply(s, w, out=self.scratch), False
+            if minus_a:  # -a + b is b - a
+                np.subtract(b, a, out=out)
+            else:
+                (np.subtract if minus_b else np.add)(a, b, out=out)
+            acc = out
+        for s, w, term, minus in items:
+            if acc is None:
+                np.multiply(s, w, out=out)
+            elif term is None:
+                np.add(acc, np.multiply(s, w, out=self.scratch), out=out)
+            else:  # acc + (-t) is acc - t
+                (np.subtract if minus else np.add)(acc, term, out=out)
+            acc = out
+        if acc is not out:  # no live items
+            out[...] = 0.0
+        return out
 
 
 def step_linear(field: GridField, scheme: Scheme, nu: float) -> GridField:
@@ -480,7 +575,14 @@ class _Workspace:
     every later density of the current buffer, padded halos and all, into
     them; each later row then sums its own from its first term into the row
     array, which is scaled in place and added.  The rows share that array,
-    allocated only when there are later rows, and one scratch array.
+    allocated only when there are later rows, one scratch array and the
+    slice loops' product buffers, as many as the widest row's shared weight
+    magnitudes (`_SliceSum`).  Every buffer is allocated by `_aligned` so
+    that each array a step writes starts on an `_ALIGN`-byte cache line:
+    each turn buffer's interior, which the other turn's row 0 writes, each
+    density buffer from its first element, which `evaluate` writes whole,
+    and the row, scratch and product arrays.  numpy alone puts the interior
+    lo R values into a 16-byte-aligned buffer, off the line.
 
     `step(values)` takes one step of a field of the workspace's shape,
     copying it, transposed, into the current buffer first unless it is that
@@ -498,14 +600,17 @@ class _Workspace:
     ):
         n = shape[-1]
         size = math.prod(shape)
-        padded = lambda: np.empty((first.lo + n + first.hi, size // n))
-        scratch = np.empty(size)
+        rows = size // n
+        padded = lambda lead=0: _aligned((first.lo + n + first.hi, rows), lead)
+        scratch, products = _aligned((size,)), []
         self.densities = densities
         self.bufs = [padded() for _ in later]
         # each later row's sum over its density buffer, and its scale
-        self.sums = [(_SliceSum(b, n, st, scratch), nu) for b, (st, nu) in zip(self.bufs, later)]
-        self.row = np.empty(size) if later else None
-        exts = [padded(), padded()]
+        self.sums = [
+            (_SliceSum(b, n, st, scratch, products), nu) for b, (st, nu) in zip(self.bufs, later)
+        ]
+        self.row = _aligned((size,)) if later else None
+        exts = [padded(first.lo * rows), padded(first.lo * rows)]
         cells = [ext[first.lo : first.lo + n] for ext in exts]
         # each buffer's interior: flat, as a sum writes it, and as a field
         flats = [c.reshape(-1) for c in cells]
@@ -513,7 +618,10 @@ class _Workspace:
         # per turn: (its buffer, its interior as a field, the buffer's halos,
         # row 0's sum over it, and the other's interior, flat and as a field)
         self.turns = [
-            (ext, face, _halos(ext, first.lo, n), _SliceSum(ext, n, first, scratch), out, out_face)
+            (
+                ext, face, _halos(ext, first.lo, n), _SliceSum(ext, n, first, scratch, products),
+                out, out_face,
+            )
             for ext, face, out, out_face in zip(exts, faces, flats[::-1], faces[::-1])
         ]
 

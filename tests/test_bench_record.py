@@ -4,6 +4,8 @@ alternate their order and count wins per metric."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text())
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
 METRICS = {m["name"] for m in BENCHMARK["end_to_end"]}
 BENCH_FILES = sorted(REPO.glob("BENCH_*.json"))
+# recorded before the recorder timed the Tier-1 suite
+BEFORE_TIER1 = {"BENCH_d5c7058.json", "BENCH_ef28530.json"}
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,11 @@ def test_bench_file_names_match_the_benchmark(path, recorder):
             if "summary" in result:
                 assert set(result["summary"]) == METRICS
     assert set(record["commands_s"]) == set(recorder.COMMANDS)
+    if path.name not in BEFORE_TIER1:
+        sides = {"base", "change"} if "base" in record else {"change"}
+        assert set(record["tier1"]) == sides
+        for run in record["tier1"].values():
+            assert run["seconds"] > 0 and run["returncode"] == 0
 
 
 def test_recorder_reads_the_benchmark(recorder):
@@ -78,6 +87,7 @@ def test_aa_row_for_every_workload_recorded(recorder, monkeypatch, tmp_path):
 
     monkeypatch.setattr(recorder, "workload_run", fake_run)
     monkeypatch.setattr(recorder, "command_seconds", lambda checkout, argv, cache: 0.5)
+    monkeypatch.setattr(recorder, "tier1", lambda checkout, cache: {"seconds": 9.0, "returncode": 0})
     monkeypatch.setattr(recorder, "calibration_scale", lambda: 1.0)
     monkeypatch.setattr(recorder, "describe", lambda checkout: {"commit": "0" * 40, "uncommitted_changes": False})
     base, copy, out = tmp_path / "base", tmp_path / "copy", tmp_path / "bench.json"
@@ -88,3 +98,21 @@ def test_aa_row_for_every_workload_recorded(recorder, monkeypatch, tmp_path):
     for workload in record["aa"]:
         assert len(record["aa"][workload]["pairs"]) == recorder.PAIRS
         assert runs.count(("copy", workload)) == recorder.PAIRS
+    assert record["tier1"] == {side: {"seconds": 9.0, "returncode": 0} for side in ("base", "change")}
+
+
+def test_tier1_times_the_suite_in_the_checkout(recorder, monkeypatch, tmp_path):
+    """The Tier-1 timing runs ROADMAP's pytest command in the checkout, with
+    the checkout's sources first on the path, and keeps its exit status."""
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((cmd, cwd, env["PYTHONPATH"].split(os.pathsep)[0]))
+        return subprocess.CompletedProcess(cmd, 1)
+
+    monkeypatch.setattr(recorder.subprocess, "run", fake_run)
+    result = recorder.tier1(tmp_path, "")
+    (cmd, cwd, path), = calls
+    assert cmd[1:5] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert cwd == tmp_path and path == str(tmp_path / "src")
+    assert result["returncode"] == 1 and result["seconds"] >= 0

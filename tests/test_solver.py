@@ -48,7 +48,16 @@ from fdmarch.solver import (
     step_nonlinear,
     triangle,
 )
-from fdmarch.solver import MAX_MARCH_STEPS, MAX_MARCH_WORK, WINDOW_LIMIT, _SliceSum, _march
+from fdmarch.solver import (
+    MAX_MARCH_STEPS,
+    MAX_MARCH_WORK,
+    WINDOW_LIMIT,
+    _SliceSum,
+    _Workspace,
+    _layered_workspace,
+    _march,
+    _shared_magnitudes,
+)
 
 bounded_fields = st.lists(
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
@@ -507,8 +516,10 @@ cell_values = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, MADE_NAN]),
 )
+# weight magnitudes drawn often, so that items of one stencil share them
+SHARED_MAGNITUDES = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1), Fraction(2))
 stencil_weights = st.one_of(
-    st.sampled_from([0.0, 1.0, -1.0]),
+    st.sampled_from([0.0] + [float(s * m) for m in SHARED_MAGNITUDES for s in (1, -1)]),
     st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
 )
 
@@ -565,11 +576,11 @@ class TestWorkspaceMarch:
         ext, scratch = np.zeros(12), np.empty(10)
         full = FloatStencil([(-1, -0.5), (0, 0.25), (1, 0.5)])
         assert full.rows == slice(0, 3)
-        assert _SliceSum(ext, 10, full, scratch).window is not None
+        assert _SliceSum(ext, 10, full, scratch, []).window is not None
         gapped = FloatStencil([(-1, -0.5), (0, 0.0), (1, 0.5)])  # lw order 2, row 1
         assert gapped.rows is None
         assert 3 * 10 <= WINDOW_LIMIT
-        assert _SliceSum(ext, 10, gapped, scratch).window is None
+        assert _SliceSum(ext, 10, gapped, scratch, []).window is None
 
 
 class TestRunLinear:
@@ -1088,6 +1099,201 @@ class TestLayeredWorkspace:
             assert len(builds) == 2 + 3
             assert len({id(ext) for ext in builds}) == 5
             assert evaluations == [3] * steps
+
+
+def drawn_table(offsets, rows):
+    """The `LayerTable` of exact `rows` (Fractions, one per offset) on `offsets`."""
+    int_rows = []
+    for row in rows:
+        den = math.lcm(*(w.denominator for w in row))
+        int_rows.append((den, tuple(int(w * den) for w in row)))
+    return LayerTable(OffsetSet(offsets), tuple(int_rows))
+
+
+shared_weight = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda m, s: s * m, st.sampled_from(SHARED_MAGNITUDES), st.sampled_from((1, -1))),
+)
+
+
+@st.composite
+def shared_magnitude_marches(draw):
+    """(values, offsets, rows, family, nu, steps): a 1-D field or a stack of
+    1-3 rows whose cells include -0.0, +-inf and `MADE_NAN`, and a table of
+    2-4 rows on 1-5 distinct offsets whose weights are 0 or +-1/2, 1/3, 1/6,
+    1 or 2, so that magnitudes repeat within a row."""
+    offsets = sorted(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5, unique=True)))
+    rows = [[draw(shared_weight) for _ in offsets] for _ in range(draw(st.integers(2, 4)))]
+    reach = max(abs(k) for k in offsets)
+    cells = draw(st.integers(2 * reach + 1, 2 * reach + 9))
+    stack = draw(st.integers(0, 3))  # 0: one 1-D field
+    size = max(stack, 1) * cells
+    values = np.array(draw(st.lists(cell_values, min_size=size, max_size=size)))
+    family = draw(st.sampled_from([identity_densities, burgers_densities, mixed_densities]))
+    nu = draw(st.sampled_from([0.5, -0.5, 0.37, -1.0]))
+    shape = (stack, cells) if stack else (cells,)
+    return values.reshape(shape), offsets, rows, family(len(rows) - 1), nu, draw(st.integers(1, 3))
+
+
+def first_pair(a, b):
+    """A one-step case whose later rows lead with the live pair (a, b) of
+    magnitude 1/2 on cells holding -0.0, +-inf and `MADE_NAN`."""
+    half = Fraction(1, 2)
+    rows = [[Fraction(0), Fraction(1), Fraction(0)], [a * half, b * half, Fraction(1, 3)],
+            [Fraction(0), a * half, b * half]]
+    values = np.array([1.5, -0.0, math.inf, MADE_NAN, 0.25, -math.inf, 3.0, -2.0])
+    return values, [-1, 0, 1], rows, burgers_densities(2), 0.5, 1
+
+
+class TestSharedMagnitudes:
+    """Items that share a weight magnitude add or subtract slices of one
+    product, and a sum from its first term combines its first two terms in
+    one call: against the rolled reference by `int64` view, on the slice
+    loop and the window product, with -0.0, +-inf and NaN cells."""
+
+    @given(shared_magnitude_marches(), st.booleans())
+    @example(first_pair(1, 1), True)
+    @example(first_pair(1, -1), True)
+    @example(first_pair(-1, 1), True)
+    @example(first_pair(-1, -1), True)
+    @example(  # a single live item in each later row: its product alone
+        (np.array([MADE_NAN, -0.0, 2.0, -math.inf, 0.5]), [-1, 0, 1],
+         [[0, 1, 0], [0, Fraction(-1, 3), 0], [Fraction(2), 0, 0]], identity_densities(2), -0.5, 2),
+        True,
+    )
+    @example(  # no shared magnitude: n = 3's row 1 of the fig-burgers table
+        (np.array([0.3, MADE_NAN, -0.0, 7.0, -math.inf, 1.25, 0.0]), [-2, -1, 0, 1],
+         [[0, 0, 1, 0], [Fraction(1, 6), -1, Fraction(1, 2), Fraction(1, 3)]],
+         burgers_densities(1), 0.5, 2),
+        True,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rolled_steps(self, case, loop):
+        values, offsets, rows, family, nu, steps = case
+        layers = drawn_table(offsets, [[Fraction(w) for w in row] for row in rows])
+        limit = 0 if loop else WINDOW_LIMIT
+        with np.errstate(all="ignore"), mock.patch.object(fdmarch.solver, "WINDOW_LIMIT", limit):
+            want = values
+            for _ in range(steps):
+                want = rolled_layered_step(want, layers, family.funcs, nu)
+            got = run_nonlinear(GridField(values, 0.1, 0.0), layers, family, nu, steps)
+        assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+
+    def test_first_pairs_take_one_call(self):
+        """A sum from its first term combines a leading +-t (unit weight or
+        shared magnitude) with the second term, unless both are negated; a
+        first term that is a product of its own never combines."""
+        ext, scratch = np.zeros((12, 1)), np.empty(10)
+        cases = [
+            ([(-1, 0.5), (0, 0.5), (1, 0.25)], True),
+            ([(-1, 0.5), (0, -0.5), (1, 0.25)], True),
+            ([(-1, -0.5), (0, 0.5), (1, 0.25)], True),
+            ([(-1, -0.5), (0, -0.5), (1, 0.25)], False),
+            ([(-1, -1.0), (0, 0.25), (1, 0.75)], True),  # -t, then a product of its own
+            ([(-1, -1.0), (0, -1.0)], False),
+            ([(-1, 0.25), (0, 1.0), (1, 0.25)], True),  # 0.25 is shared with the third
+            ([(-1, 0.25), (0, 1.0), (1, 0.75)], False),  # 0.25 is a product of its own
+            ([(0, 0.75)], False),
+        ]
+        for items, pair in cases:
+            with mock.patch.object(fdmarch.solver, "WINDOW_LIMIT", 0):
+                row_sum = _SliceSum(ext, 10, FloatStencil(items), scratch, [])
+            assert row_sum.pair is pair, items
+
+    def test_negating_a_term_flips_nan_bits(self):
+        """Why a (-, -) first pair keeps the multiply path: w * x keeps a NaN's
+        sign bit for w < 0, and np.negative(|w| * x) flips it."""
+        x = np.array([MADE_NAN, 3.0])
+        kept, flipped = np.multiply(x, -0.5), np.negative(np.multiply(x, 0.5))
+        assert kept.view(np.int64)[0] == x.view(np.int64)[0]
+        assert flipped.view(np.int64)[0] != x.view(np.int64)[0]
+        assert np.array_equal(kept[1:], flipped[1:])
+
+    def test_products_shared_across_rows(self):
+        """On the slice loop, each shared magnitude of a row is one product,
+        and the rows of a workspace reuse the same product buffers: as many
+        as the widest row's shared magnitudes."""
+        layers = nonlinear_layers(3, TestLayeredKernel.WINDOWS[3])
+        stencils = [FloatStencil(zip(layers.offsets, row.tolist())) for row in layers.float_rows]
+        shared = [_shared_magnitudes(st) for st in stencils]
+        assert shared == [[], [], [0.5], [1 / 6, 0.5]]
+        ws = _layered_workspace((5000,), layers, burgers_densities(3), 0.5)
+        sums = TestAlignedWorkspace.sums(ws)
+        assert all(s.window is None for s in sums)
+        assert [len(s.products) for s in sums] == [0, 0, 0, 1, 2]
+        starts = {prod.ctypes.data for s in sums for _, _, prod in s.products}
+        assert len(starts) == max(map(len, shared)) == 2
+
+
+class RecordingNumpy:
+    """`numpy` as the solver sees it, keeping every `out=` array a ufunc call
+    or reduce writes."""
+
+    def __init__(self):
+        self.outs = []
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if not isinstance(real, np.ufunc):
+            return real
+        outs = self.outs
+
+        class Recorded:
+            def __call__(self, *args, out=None, **kwargs):
+                outs.append(out)
+                return real(*args, out=out, **kwargs)
+
+            def reduce(self, *args, out=None, **kwargs):
+                outs.append(out)
+                return real.reduce(*args, out=out, **kwargs)
+
+        return Recorded()
+
+
+class TestAlignedWorkspace:
+    """Every array a step writes starts on a 64-byte cache line: each turn
+    buffer's interior, each density buffer, the row and scratch arrays, the
+    products and the window product's terms, whatever the halo width lo and
+    the stack height R."""
+
+    @staticmethod
+    def workspaces(lo, shape):
+        offsets = list(range(-lo, 2))
+        layers = nonlinear_layers(len(offsets) - 1, offsets)
+        items = [(k, w) for k, w in zip(offsets, [0.5, -0.5, 0.25, -0.25, 1.0][: len(offsets)])]
+        return {
+            "linear": _Workspace(shape, FloatStencil(items)),
+            "layered": _layered_workspace(shape, layers, burgers_densities(len(layers) - 1), 0.5),
+        }
+
+    @staticmethod
+    def sums(ws):
+        return [turn[3] for turn in ws.turns] + [row_sum for row_sum, _ in ws.sums]
+
+    @pytest.mark.parametrize("lo", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [20, 5000])  # window product, slice loop
+    def test_every_written_array_starts_on_a_line(self, lo, rows, cells, monkeypatch):
+        shape = (rows, cells) if rows > 1 else (cells,)
+        values = np.random.default_rng(lo).uniform(-1.0, 1.0, size=shape)
+        for kind, ws in self.workspaces(lo, shape).items():
+            arrays = [turn[4] for turn in ws.turns] + ws.bufs
+            arrays += [a for a in [ws.row] if a is not None]
+            recording = RecordingNumpy()
+            monkeypatch.setattr(fdmarch.solver, "np", recording)
+            u = values
+            for _ in range(3):
+                u = ws.step(u)
+            monkeypatch.undo()
+            outs = [o for o in recording.outs if o is not None]
+            assert outs, kind
+            assert all(s.window is None for s in self.sums(ws)) == (cells == 5000)
+            for a in arrays + outs:
+                assert a.ctypes.data % 64 == 0, (kind, a.shape)
+            # each turn writes the interior of the other turn's buffer
+            (ext_a, *_, out_a, _), (ext_b, *_, out_b, _) = ws.turns
+            assert out_a.ctypes.data == ext_b.ctypes.data + 8 * lo * rows
+            assert out_b.ctypes.data == ext_a.ctypes.data + 8 * lo * rows
 
 
 def loop_shock_front(field, level=0.5):

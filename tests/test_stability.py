@@ -900,6 +900,49 @@ def chebyshev(n, x):
     return ts[: n + 1]
 
 
+def exact_growth_excess(scheme, nu, theta):
+    """|g|^2 - 1 in exact arithmetic at the rational Courant number `nu` and
+    at x = cos(theta) rounded to a float, as R_0 + 2 sum R_d T_d(x) - 1 over
+    the autocorrelation R_d of the exact weights.  Rounding x keeps a
+    positive value a witness: every x in [-1, 1] is the cosine of some
+    real theta."""
+    weights = [sum(row[i] * nu**j for j, row in enumerate(scheme.layers.rows))
+               for i in range(len(scheme.offsets))]
+    first = scheme.offsets[0]
+    dense = [Fraction(0)] * (scheme.offsets[-1] - first + 1)
+    for k, w in zip(scheme.offsets, weights):
+        dense[k - first] = w
+    span = len(dense) - 1
+    r = [sum(dense[i] * dense[i + d] for i in range(span + 1 - d)) for d in range(span + 1)]
+    t = chebyshev(span, Fraction(math.cos(theta)))
+    return r[0] + 2 * sum(r[d] * t[d] for d in range(1, span + 1)) - 1
+
+
+class TestCentredM3Misreads:
+    """The centred m = 3 windows n = 6 (-9..9) and n = 8 (-12..12) grow below
+    the float search's nu_c, at both signs: exact evaluation at the scan's
+    worst theta is positive at nu_c / 4 and nu_c / 2, by 2e-12 to 3e-11,
+    under `GROWTH_TOL`.  So, like item 15's L = R + 3 windows, the search
+    reads growth under the tolerance as stable, and the true nu_c is likely
+    0.  The float values are pinned, so a change to them shows here."""
+
+    FLOAT_NU_C = {6: "0x1.a36e2eb1c432dp-9", 8: "0x1.fffffffffffffp-5"}
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_growth_below_the_float_nu_c(self, n, sign):
+        scheme = master_scheme(SchemeSpec(3, n, OffsetSet.contiguous(3 * n // 2, 3 * n)))
+        assert (scheme.offsets[0], scheme.offsets[-1]) == (-3 * n // 2, 3 * n // 2)
+        nu_c = critical_courant(scheme, sign)
+        assert nu_c.hex() == self.FLOAT_NU_C[n]
+        for part in (4, 2):
+            nu = sign * Fraction(nu_c) / part
+            theta, g2 = max_growth(scheme, float(nu))
+            excess = exact_growth_excess(scheme, nu, theta)
+            assert 0 < excess < GROWTH_TOL, (part, float(excess))
+            assert g2 - 1 <= GROWTH_TOL  # the scan reads the probe as stable
+
+
 class TestClassification:
     def test_advection(self):
         cls = classify_first_order(1)

@@ -8,13 +8,15 @@ runs `perfbench/run.py --trace 0` in a fresh process and reads the last line;
 it times the commands users run (`fdmarch run fig-advection`, `run
 fig-burgers`, `survey`, `stability --m 1 --n 29` and `--n 39`) as the median
 of 3 fresh processes, each writing its files to a temporary
-directory; and it writes one JSON file with the commit, host, CPU count,
-Python and numpy versions, and the machine's calibration scale.
+directory; it times one run of the Tier-1 suite (`python -m pytest -q
+--continue-on-collection-errors`) in the checkout, with its exit status;
+and it writes one JSON file with the commit, host, CPU count, Python and
+numpy versions, and the machine's calibration scale.
 
 With `--base DIR`, a checkout of the commit to compare against, each
 workload runs in PAIRS pairs of base and change, the side that goes
-first alternating, both sides of a pair on one seed, and the commands are
-timed on both sides.  With `--aa DIR` too, a second copy of the base,
+first alternating, both sides of a pair on one seed, and the commands and
+the Tier-1 suite are timed on both sides.  With `--aa DIR` too, a second copy of the base,
 each workload recorded also runs in as many pairs of the base against that
 copy: the gap two runs of the same code show on it.  Every process runs
 with an empty bytecode cache and writes none, so both sides import alike.
@@ -54,6 +56,7 @@ COMMANDS = {
     "stability --m 1 --n 39": ["stability", "--m", "1", "--n", "39"],
 }
 CLI = "import sys; from fdmarch.cli import main; sys.exit(main(sys.argv[1:]))"
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # fresh processes per command timing
 REPEATS = 3
 # pairs per workload, and of the A/A row, with --base
@@ -91,6 +94,14 @@ def command_seconds(checkout: Path, argv: list[str], cache: str) -> float:
                            stdout=subprocess.DEVNULL, check=True)
             times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def tier1(checkout: Path, cache: str) -> dict:
+    """One run of the checkout's Tier-1 suite: its wall time and exit status."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=environment(checkout, cache),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return {"seconds": time.perf_counter() - start, "returncode": proc.returncode}
 
 
 def paired(sides: dict[str, Path], workload: str, pairs: int, seed: int, seconds: float,
@@ -192,6 +203,7 @@ def main(argv=None) -> int:
             name: {side: command_seconds(path, argv, cache) for side, path in sides.items()}
             for name, argv in COMMANDS.items()
         }
+        record["tier1"] = {side: tier1(path, cache) for side, path in sides.items()}
     out = args.out or ROOT / f"BENCH_{record['commit'][:7]}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)
